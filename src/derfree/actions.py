@@ -35,9 +35,6 @@ class ActionCertificate:
     generators: tuple  # (name, ChainMap) pairs; endomorphisms of the same complex
     relations: tuple  # (poly, witness) with witness None ("solve") or Homotopy
 
-    def generator_names(self) -> list:
-        return [name for name, _ in self.generators]
-
     def generator(self, name: str) -> ChainMap:
         for n, g in self.generators:
             if n == name:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import exprs
 from .field import GF
-from .linalg import Matrix, column_space_basis, rank
+from .linalg import Matrix, column_space_basis, independent_columns
 
 Element = tuple  # coordinate vector in the algebra basis
 
@@ -375,33 +375,12 @@ def adapted_basis(A: ArtinAlgebra, prescribed=()) -> AdaptedBasis:
         if not A.el_in_m(x):
             raise DependentModM2("prescribed element is not in m")
     n = A.edim()
-    chosen = []
-    current = [list(c) for c in m2.columns()]
-
-    def current_rank():
-        if not current:
-            return 0
-        return rank(Matrix.from_columns(f, current, nrows=A.dim))
-
-    base_rank = current_rank()
-    for x in prescribed:
-        current.append(list(x))
-        r = current_rank()
-        if r != base_rank + 1:
-            raise DependentModM2("prescribed elements are dependent modulo m^2")
-        base_rank = r
-        chosen.append(tuple(x))
-    for i in range(1, A.dim):
-        if len(chosen) == n:
-            break
-        cand = A.basis_element(i)
-        current.append(list(cand))
-        r = current_rank()
-        if r == base_rank + 1:
-            base_rank = r
-            chosen.append(cand)
-        else:
-            current.pop()
+    given = Matrix.from_columns(f, [list(x) for x in prescribed], nrows=A.dim)
+    if len(independent_columns(m2, given)) != given.ncols:
+        raise DependentModM2("prescribed elements are dependent modulo m^2")
+    cands = Matrix.from_columns(f, [A.basis_element(i) for i in range(1, A.dim)], nrows=A.dim)
+    extra = independent_columns(m2.hstack(given), cands)[:n - given.ncols]
+    chosen = [tuple(x) for x in prescribed] + [A.basis_element(1 + j) for j in extra]
     if len(chosen) != n:
         raise AlgebraError("could not complete adapted basis")
     return AdaptedBasis(A, tuple(chosen), tuple(m2.columns()))

@@ -16,11 +16,13 @@ from .actions import (ActionCertificate, check_quotient_H_action,
                       homology_module_over_target, induced_action_on_homology,
                       verify_certificate)
 from .algebra import ArtinAlgebra, adapted_basis, AlgebraError
-from .complexes import (AMatrix, ChainMap, FreeComplex, betti, graded_homology,
+from .complexes import (AMatrix, FreeComplex, betti, graded_homology,
                         homology, inf_sup, proj_dim, scalar_endo)
-from .homotopy import DerivedAnnihilator, derived_annihilator, solve_homotopy
+from .homotopy import (DerivedAnnihilator, chain_map_space, derived_annihilator,
+                       solve_homotopy)
 from .koszul import koszul, subsets
-from .linalg import Matrix, column_space_basis, invert, kernel_basis, rank, solve_multi
+from .linalg import (Matrix, column_space_basis, independent_columns, invert,
+                     solve_multi)
 from .modules import (MINUS_INFINITY, PLUS_INFINITY, is_free, lemma43_freeness,
                       nu, poincare_truncated, residue_field_module,
                       graded_is_free, GradedModule)
@@ -484,14 +486,8 @@ def _ideal_minimal_generators(A: ArtinAlgebra, ideal_cols: Matrix) -> list:
             m_ideal.append(A.el_mul(A.basis_element(t), c))
     mI = column_space_basis(Matrix.from_columns(f, m_ideal, nrows=A.dim)) if m_ideal \
         else Matrix.from_columns(f, [], nrows=A.dim)
-    gens = []
-    cur = mI
-    for c in ideal_cols.columns():
-        cand = cur.hstack(Matrix.from_columns(f, [c], nrows=A.dim))
-        if rank(cand) == cur.ncols + 1:
-            gens.append(tuple(c))
-            cur = cand
-    return gens
+    cols = ideal_cols.columns()
+    return [cols[j] for j in independent_columns(mI, ideal_cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +587,8 @@ def fiber_algebra(phi: AlgebraMorphism) -> ArtinAlgebra:
 def quotient_algebra(B: ArtinAlgebra, ideal_cols: Matrix) -> ArtinAlgebra:
     """B/I for an ideal given by a k-basis; representatives are basis vectors."""
     f = B.field
-    reps = []
-    rep_idx = []
-    cur = ideal_cols
-    for i in range(B.dim):
-        v = B.basis_element(i)
-        cand = cur.hstack(Matrix.from_columns(f, [v], nrows=B.dim))
-        if rank(cand) == cur.ncols + 1:
-            reps.append(v)
-            rep_idx.append(i)
-            cur = cand
+    rep_idx = independent_columns(ideal_cols, Matrix.identity(f, B.dim))
+    reps = [B.basis_element(i) for i in rep_idx]
     both = ideal_cols.hstack(Matrix.from_columns(f, reps, nrows=B.dim))
     dim = len(reps)
     mult = []
@@ -718,22 +706,15 @@ def select_independent_mod_m2(A: ArtinAlgebra, ann: DerivedAnnihilator, count: i
     Greedy over basis vectors reaches the rank of the whole image in m/m^2
     (matroid exchange), so failure here is an exhaustive obstruction.
     """
-    f = A.field
-    m2 = A.m_power_cols(2)
-    cur = m2
-    chosen = []
-    witnesses = []
-    for a, w in zip(ann.basis, ann.witnesses):
-        if not A.el_in_m(a):
-            continue
-        cand = cur.hstack(Matrix.from_columns(f, [a], nrows=A.dim))
-        if rank(cand) == cur.ncols + 1:
-            chosen.append(a)
-            witnesses.append(w)
-            cur = cand
-        if len(chosen) == count:
-            return chosen, witnesses, len(chosen)
-    return None, None, cur.ncols - m2.ncols
+    in_m = [(a, w) for a, w in zip(ann.basis, ann.witnesses) if A.el_in_m(a)]
+    cands = Matrix.from_columns(A.field, [a for a, _ in in_m], nrows=A.dim)
+    keep = independent_columns(A.m_power_cols(2), cands)
+    # a count of 0 (a one-term complex) is reported as an obstruction, so
+    # koszul_decompose leaves one-term complexes undecomposed
+    if count == 0 or len(keep) < count:
+        return None, None, len(keep)
+    chosen = [in_m[j] for j in keep[:count]]
+    return [a for a, _ in chosen], [w for _, w in chosen], count
 
 
 def koszul_decompose(F: FreeComplex):
@@ -841,74 +822,6 @@ def koszul_tensor_model(A, z_blocks: list, b: int) -> FreeComplex:
                                 rows[r0 + r_i][col * b + c_i], e)
         diffs.append(AMatrix.from_rows(A, [tuple(r) for r in rows], ncols=len(src) * b))
     return FreeComplex(A, 0, tuple(ranks), tuple(diffs))
-
-
-def chain_map_space(M: FreeComplex, F: FreeComplex) -> list:
-    """k-basis of the space of chain maps M -> F (Artinian backend)."""
-    A = M.algebra
-    f = A.field
-    d = A.dim
-    layout = {}
-    col = 0
-    lo = min(M.low, F.low)
-    hi = max(M.top, F.top)
-    for i in range(lo, hi + 1):
-        size = F.rank(i) * M.rank(i)
-        if size:
-            layout[i] = col
-            col += size * d
-    rows = []
-    for i in range(lo, hi + 1):
-        nr = F.rank(i - 1) * M.rank(i)
-        if nr == 0:
-            continue
-        dF = F.diff(i)
-        dM = M.diff(i)
-        for s in range(F.rank(i - 1)):
-            for t in range(M.rank(i)):
-                block = [[f.zero] * col for _ in range(d)]
-                if i in layout:
-                    for q in range(F.rank(i)):
-                        e = dF.entries[s][q]
-                        if A.el_is_zero(e):
-                            continue
-                        L = A.left_mult_matrix(e)
-                        c0 = layout[i] + (q * M.rank(i) + t) * d
-                        for a_i in range(d):
-                            for b_i in range(d):
-                                v = L.rows[a_i][b_i]
-                                if v != f.zero:
-                                    block[a_i][c0 + b_i] = f.add(block[a_i][c0 + b_i], v)
-                if (i - 1) in layout:
-                    for q in range(M.rank(i - 1)):
-                        e = dM.entries[q][t]
-                        if A.el_is_zero(e):
-                            continue
-                        L = A.left_mult_matrix(e)
-                        c0 = layout[i - 1] + (s * M.rank(i - 1) + q) * d
-                        for a_i in range(d):
-                            for b_i in range(d):
-                                v = L.rows[a_i][b_i]
-                                if v != f.zero:
-                                    block[a_i][c0 + b_i] = f.sub(block[a_i][c0 + b_i], v)
-                rows.extend(tuple(r) for r in block)
-    Msys = Matrix.from_rows(f, rows, ncols=col) if rows else Matrix.zero(f, 0, col)
-    K = kernel_basis(Msys)
-    out = []
-    for vec in K.columns():
-        comps = {}
-        for i, c0 in layout.items():
-            fr, mr = F.rank(i), M.rank(i)
-            entries = []
-            for q in range(fr):
-                row = []
-                for t in range(mr):
-                    off = c0 + (q * mr + t) * d
-                    row.append(tuple(vec[off:off + d]))
-                entries.append(tuple(row))
-            comps[i] = AMatrix(A, fr, mr, tuple(entries))
-        out.append(ChainMap.from_dict(M, F, comps))
-    return out
 
 
 def tensor_model_search(F: FreeComplex, z_blocks: list, rng, tries: int = 64):

@@ -8,7 +8,6 @@ stable across runs); human-readable lines go to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ from . import serialize
 from .actions import verify_certificate
 from .checkers import (InstanceBundle, check_lemma32, check_question,
                        check_thm31, check_thm41, check_thm51,
-                       Decomposition, DecompositionObstruction,
+                       DecompositionObstruction,
                        koszul_decompose, prop44_divisibility)
 from .complexes import betti, graded_homology_all, homology_dims, proj_dim
 from .field import GF, GF101, QQ
@@ -69,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homotopy", help="solve dh + hd = f for an endomorphism file")
     p.add_argument("file")
-    p.add_argument("--solve", action="store_true", default=True)
 
     p = sub.add_parser("verify-action", help="verify a derived-action certificate file")
     p.add_argument("file")

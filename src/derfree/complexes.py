@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, column_space_basis, invert, kernel_basis,
-                     rank, solve, solve_multi)
+from .linalg import (Matrix, column_space_basis, independent_columns, invert,
+                     kernel_basis, rank, solve, solve_multi)
 from .modules import (GradedModule, FiniteModule, MINUS_INFINITY,
                       PLUS_INFINITY)
 
@@ -30,6 +30,10 @@ class AMatrix:
     nrows: int
     ncols: int
     entries: tuple  # tuple of row tuples of algebra elements
+
+    def __post_init__(self):
+        if len(self.entries) != self.nrows or any(len(r) != self.ncols for r in self.entries):
+            raise ComplexError(f"entries do not form a {self.nrows}x{self.ncols} matrix")
 
     @staticmethod
     def from_rows(algebra, rows, ncols: int | None = None) -> "AMatrix":
@@ -250,9 +254,6 @@ class FreeComplex:
             return self.diffs[i - self.low - 1]
         return AMatrix.zero(self.algebra, self.rank(i - 1), self.rank(i))
 
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
     # -- validation -------------------------------------------------------
     def validate(self) -> list:
         issues = []
@@ -402,10 +403,6 @@ def scalar_endo(F: FreeComplex, a) -> ChainMap:
                                      for i in F.degrees()})
 
 
-def endo_from_matrices(F: FreeComplex, mats: dict) -> ChainMap:
-    return ChainMap.from_dict(F, F, mats)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -496,13 +493,8 @@ def homology(F: FreeComplex, i: int) -> HomologyModule:
     Z = kernel_basis(dn)
     B = column_space_basis(dn1)
     # representatives: kernel basis vectors independent of the boundaries, in order
-    reps = []
-    cur = B
-    for col in Z.columns():
-        cand = cur.hstack(Matrix.from_columns(f, [col], nrows=n))
-        if rank(cand) == cur.ncols + 1:
-            reps.append(col)
-            cur = cand
+    zcols = Z.columns()
+    reps = [zcols[j] for j in independent_columns(B, Z)]
     rep_cols = Matrix.from_columns(f, reps, nrows=n) if reps else Matrix.from_columns(f, [], nrows=n)
     both = B.hstack(rep_cols)
     actions = []
@@ -555,15 +547,8 @@ def graded_homology(F: FreeComplex, i: int) -> GradedModule:
         dn1 = F.graded_diff_matrix(i + 1, n)
         Z = kernel_basis(dn)
         B = column_space_basis(dn1)
-        reps = []
-        cur = B
-        dim_amb = len(F.graded_coords(i, n))
-        for col in Z.columns():
-            cand = cur.hstack(Matrix.from_columns(f, [col], nrows=dim_amb))
-            if rank(cand) == cur.ncols + 1:
-                reps.append(col)
-                cur = cand
-        reps_per_deg[n] = reps
+        zcols = Z.columns()
+        reps_per_deg[n] = [zcols[j] for j in independent_columns(B, Z)]
         boundaries[n] = B
     dims = tuple(len(reps_per_deg[n]) for n in range(window + 1))
     actions = []
@@ -635,12 +620,6 @@ def proj_dim(F: FreeComplex):
     bt = betti(F)
     nonzero = [i for i, b in sorted(bt.items()) if b > 0]
     return nonzero[-1] if nonzero else MINUS_INFINITY
-
-
-def betti_polynomial(F: FreeComplex) -> tuple:
-    """Coefficients (beta_low .. beta_top) with their offset low."""
-    bt = betti(F)
-    return tuple(bt[i] for i in F.degrees()), F.low
 
 
 def euler_pairing_holds(F: FreeComplex) -> bool:

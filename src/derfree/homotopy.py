@@ -5,7 +5,9 @@ For a degree-0 map f between free complexes over the same algebra, dh + hd
 h.  Infeasibility of the system is a proof of non-homotopy over the given
 backend.  The derived annihilator {a : a*id is null-homotopic} is the
 projection of the solution space of a*id - (dh + hd) = 0 onto the
-a-coordinates, with one witness homotopy stored per basis element.
+a-coordinates, with one witness homotopy stored per basis element.  One
+assembler (`_System`) builds these systems for both backends, and also the
+chain-map condition dX - Xd = 0 behind `chain_map_space`.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import AMatrix, ChainMap, FreeComplex, scalar_endo
-from .field import GF
-from .linalg import (Matrix, in_span, kernel_basis, np_kernel, np_rref, rref,
-                     solve_and_project, solve_multi)
+from .linalg import (Matrix, in_span, independent_columns, kernel_basis,
+                     np_kernel, rref, solve_multi)
 from .monomial import TruncationError
 
 
@@ -81,387 +82,215 @@ class DerivedAnnihilator:
         return True
 
 
-class _ArtinianSystem:
-    """The k-linear system dh + hd = f for fixed complexes F, G."""
+class _System:
+    """The linear system d^T X + sign * X d^S = rhs over the field.
 
-    def __init__(self, F: FreeComplex, G: FreeComplex):
-        A = F.algebra
-        if A != G.algebra:
+    The unknowns are maps X_i : S_i -> T_{i+k}, so equation i is a map
+    S_i -> T_{i+k-1}.  With k = 1 and sign = +1 it reads dh + hd = f for a
+    homotopy h; with k = 0 and sign = -1 it is the chain-map condition.
+    Every entry of an unknown or an equation has a coordinate space: the
+    whole algebra on the Artinian backend, and on the graded backend the
+    degree piece that makes the entry homogeneous when X has internal
+    degree delta.  Restricting to homogeneous X loses nothing there: the
+    equation is graded, so the degree-delta part of any solution solves it.
+    Columns run over the unknown entries (i, q, t) in order and rows over
+    the equation entries (i, s, t), each entry taking one column or row per
+    coordinate.  Only the coordinate spaces and the multiplication blocks
+    (`left_mult_matrix` or `mult_map`) depend on the backend.
+    """
+
+    def __init__(self, S: FreeComplex, T: FreeComplex, k: int = 1, sign: int = 1,
+                 delta: int = 0):
+        A = S.algebra
+        if A != T.algebra:
             raise ValueError("homotopy solves need a common algebra")
-        self.F, self.G, self.A = F, G, A
-        self.lo = min(F.low, G.low)
-        self.hi = max(F.top, G.top)
-        d = A.dim
-        self.h_layout = {}
+        self.S, self.T, self.A, self.k, self.delta = S, T, A, k, delta
+        self.graded = A.kind != "artinian"
+        self.lo = min(S.low, T.low)
+        self.hi = max(S.top, T.top)
+        self.unknowns = {}  # (i, q, t) -> (first column, size, degree)
         col = 0
         for i in range(self.lo, self.hi + 1):
-            size = G.rank(i + 1) * F.rank(i)
-            if size:
-                self.h_layout[i] = col
-                col += size * d
+            for q in range(T.rank(i + k)):
+                for t in range(S.rank(i)):
+                    deg = self._degree(i, i + k, q, t)
+                    n = self._size(deg, "entry")
+                    if n:
+                        self.unknowns[(i, q, t)] = (col, n, deg)
+                        col += n
         self.ncols = col
-        self.eq_layout = {}
+        self._blocks = {}
+        self.entries = {}  # (row, column) -> scalar
+        self.equations = {}  # (i, s, t) -> (first row, size, degree)
+        one, signed = A.field.one, A.field.from_int(sign)
         row = 0
         for i in range(self.lo, self.hi + 1):
-            size = G.rank(i) * F.rank(i)
-            if size:
-                self.eq_layout[i] = row
-                row += size * d
+            dT, dS = T.diff(i + k), S.diff(i)
+            for s in range(T.rank(i + k - 1)):
+                for t in range(S.rank(i)):
+                    deg = self._degree(i, i + k - 1, s, t)
+                    n = self._size(deg, "equation")
+                    self.equations[(i, s, t)] = (row, n, deg)
+                    # d^T_{i+k}[s, q] * X_i[q, t]
+                    for q in range(T.rank(i + k)):
+                        self._add_term(row, n, dT.entries[s][q], (i, q, t), one)
+                    # sign * X_{i-1}[s, q] * d^S_i[q, t]
+                    for q in range(S.rank(i - 1)):
+                        self._add_term(row, n, dS.entries[q][t], (i - 1, s, q), signed)
+                    row += n
         self.nrows = row
-        self.use_numpy = isinstance(A.field, GF) and A.field.numpy_safe
-        self._mult_cache = {}
-        self.matrix = self._assemble()
 
-    def _L(self, element):
-        key = element
-        if key not in self._mult_cache:
-            L = self.A.left_mult_matrix(element)
-            self._mult_cache[key] = L.to_numpy() if self.use_numpy else L
-        return self._mult_cache[key]
+    # -- the backend-dependent part: coordinate spaces and blocks ----------
+    def _degree(self, i, j, r, c):
+        """Degree of entry (r, c) of a map S_i -> T_j (None when ungraded)."""
+        if not self.graded:
+            return None
+        return self.delta + self.S.shift_of(i)[c] - self.T.shift_of(j)[r]
 
-    def _assemble(self):
-        A, F, G = self.A, self.F, self.G
-        d = A.dim
-        if self.use_numpy:
-            M = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-
-            def add_block(r0, c0, L):
-                M[r0:r0 + d, c0:c0 + d] = (M[r0:r0 + d, c0:c0 + d] + L) % A.field.p
-        else:
-            M = [[A.field.zero] * self.ncols for _ in range(self.nrows)]
-
-            def add_block(r0, c0, L):
-                f = A.field
-                for a_i in range(d):
-                    row = M[r0 + a_i]
-                    Lr = L.rows[a_i]
-                    for b_i in range(d):
-                        if Lr[b_i] != f.zero:
-                            row[c0 + b_i] = f.add(row[c0 + b_i], Lr[b_i])
-
-        for i in range(self.lo, self.hi + 1):
-            if i not in self.eq_layout:
-                continue
-            eq0 = self.eq_layout[i]
-            gr, fr = G.rank(i), F.rank(i)
-            # term d^G_{i+1} h_i : entry (s,t) sums dG[s,q] * h_i[q,t]
-            if i in self.h_layout:
-                dG = G.diff(i + 1)
-                h0 = self.h_layout[i]
-                for s in range(gr):
-                    for q in range(dG.ncols):
-                        e = dG.entries[s][q]
-                        if A.el_is_zero(e):
-                            continue
-                        L = self._L(e)
-                        for t in range(fr):
-                            add_block(eq0 + (s * fr + t) * d, h0 + (q * fr + t) * d, L)
-            # term h_{i-1} d^F_i : entry (s,t) sums h_{i-1}[s,q] * dF[q,t]
-            if (i - 1) in self.h_layout:
-                dF = F.diff(i)
-                h0 = self.h_layout[i - 1]
-                fr1 = F.rank(i - 1)
-                for q in range(dF.nrows):
-                    for t in range(fr):
-                        e = dF.entries[q][t]
-                        if A.el_is_zero(e):
-                            continue
-                        L = self._L(e)
-                        for s in range(gr):
-                            add_block(eq0 + (s * fr + t) * d, h0 + (s * fr1 + q) * d, L)
-        return M
-
-    def rhs_of(self, f: ChainMap) -> list:
-        """Flatten the components of f into an equation-space vector."""
+    def _size(self, deg, what: str) -> int:
         A = self.A
-        d = A.dim
-        zero = A.field.zero
-        vec = [zero] * self.nrows
+        if not self.graded:
+            return A.dim
+        if deg < 0:
+            return 0
+        if deg > A.truncation:
+            raise TruncationError(f"homotopy {what} degree {deg} above truncation")
+        return len(A.basis(deg))
+
+    def _block(self, e, deg, coeff) -> list:
+        """Nonzero (row, column, value) of coeff * (multiplication by e) on the space of deg."""
+        key = (e, deg, coeff)
+        if key not in self._blocks:
+            A = self.A
+            f = A.field
+            L = A.mult_map(e, deg) if self.graded else A.left_mult_matrix(e)
+            self._blocks[key] = [(r, c, f.mul(coeff, v)) for r, row in enumerate(L.rows)
+                                 for c, v in enumerate(row) if v != f.zero]
+        return self._blocks[key]
+
+    def _coords(self, e, deg):
+        """Coordinates of e in the space of deg, or None if e lies outside it."""
+        A = self.A
+        if not self.graded:
+            return tuple(e)
+        if any(sum(m) != deg for m, _ in e):
+            return None
+        return A.coords(e, deg)
+
+    def _element(self, x, deg):
+        return self.A.from_coords(x, deg) if self.graded else tuple(x)
+
+    # -- assembly and elimination -----------------------------------------
+    def _add_term(self, row0, nrows, e, key, coeff):
+        """Add coeff * (multiplication by e) from unknown `key` into rows row0.."""
+        A = self.A
+        if not nrows or key not in self.unknowns or A.el_is_zero(e):
+            return
+        col0, _, deg = self.unknowns[key]
+        entries, add, zero = self.entries, A.field.add, A.field.zero
+        for r, c, v in self._block(e, deg, coeff):
+            if r < nrows:
+                rc = (row0 + r, col0 + c)
+                entries[rc] = add(entries.get(rc, zero), v)
+
+    def _matrix(self, entries, ncols) -> Matrix:
+        rows = [[self.A.field.zero] * ncols for _ in range(self.nrows)]
+        for (r, c), v in entries.items():
+            rows[r][c] = v
+        return Matrix(self.A.field, self.nrows, ncols, tuple(map(tuple, rows)))
+
+    def _kernel(self, entries, ncols) -> list:
+        """Canonical kernel basis vectors of the sparse matrix `entries`."""
+        f = self.A.field
+        if f.numpy_safe:
+            arr = np.zeros((self.nrows, ncols), dtype=np.int64)
+            if entries:
+                idx = tuple(np.array(list(entries), dtype=np.int64).T)
+                arr[idx] = list(entries.values())
+            # GF(p) scalars are the ints 0..p-1, which np_kernel returns
+            return np_kernel(arr, f.p).T.tolist()
+        return [list(c) for c in kernel_basis(self._matrix(entries, ncols)).columns()]
+
+    def rhs_of(self, fmap: ChainMap):
+        """Flatten the components of fmap into an equation vector (None: no solution)."""
+        vec = [self.A.field.zero] * self.nrows
         for i in range(self.lo, self.hi + 1):
-            if i not in self.eq_layout:
-                comp = f.component(i)
-                if not comp.is_zero():
-                    return None  # f lives outside the equation space: no solution
-                continue
-            eq0 = self.eq_layout[i]
-            comp = f.component(i)
-            fr = self.F.rank(i)
+            comp = fmap.component(i)
             for s in range(comp.nrows):
                 for t in range(comp.ncols):
                     e = comp.entries[s][t]
-                    for a_i in range(d):
-                        vec[eq0 + (s * fr + t) * d + a_i] = e[a_i]
+                    eq = self.equations.get((i, s, t))
+                    if eq is None:
+                        if not self.A.el_is_zero(e):
+                            return None  # fmap lives outside the equation space
+                        continue
+                    row0, n, deg = eq
+                    coords = self._coords(e, deg)
+                    if coords is None:
+                        return None
+                    vec[row0:row0 + n] = coords
         return vec
 
-    def unpack(self, x) -> Homotopy:
+    def unpack(self, x) -> dict:
+        """The maps X_i, by degree, read off a solution vector."""
         A = self.A
-        d = A.dim
         maps = {}
-        for i, c0 in self.h_layout.items():
-            gr1 = self.G.rank(i + 1)
-            fr = self.F.rank(i)
-            entries = []
-            for q in range(gr1):
-                row = []
-                for t in range(fr):
-                    off = c0 + (q * fr + t) * d
-                    row.append(tuple(x[off:off + d]))
-                entries.append(tuple(row))
-            maps[i] = AMatrix(A, gr1, fr, tuple(entries))
-        return Homotopy(self.F, self.G, tuple(sorted(maps.items())))
-
-    def solve(self, fs: list) -> list:
-        """Solve dh + hd = f for each f; None where infeasible."""
-        rhss = [self.rhs_of(f) for f in fs]
-        todo = [(k, r) for k, r in enumerate(rhss) if r is not None]
-        out = [None] * len(fs)
-        if todo:
-            if self.use_numpy:
-                sols = _np_solve_multi(self.matrix, [r for _, r in todo], self.A.field.p)
-            else:
-                M = Matrix.from_rows(self.A.field, [tuple(r) for r in self.matrix],
-                                     ncols=self.ncols)
-                sols = solve_multi(M, [tuple(r) for _, r in todo])
-            for (k, _), s in zip(todo, sols):
-                if s is not None:
-                    out[k] = self.unpack(s)
-        return out
-
-    def annihilator(self) -> DerivedAnnihilator:
-        """Project the solution space of a*id = dh + hd onto the a-coordinates."""
-        A = self.A
-        d = A.dim
-        f = A.field
-        # augmented columns: d coordinates for a, then the h unknowns;
-        # equation rows for a*id: identity blocks at diagonal entries (s == t)
-        if self.use_numpy:
-            aug = np.zeros((self.nrows, d + self.ncols), dtype=np.int64)
-            aug[:, d:] = self.matrix % f.p
-        else:
-            aug = [[f.zero] * (d + self.ncols) for _ in range(self.nrows)]
-            for r_i, row in enumerate(self.matrix):
-                arow = aug[r_i]
-                for c_i, v in enumerate(row):
-                    arow[d + c_i] = v
         for i in range(self.lo, self.hi + 1):
-            if i not in self.eq_layout:
+            nr, nc = self.T.rank(i + self.k), self.S.rank(i)
+            if nr * nc == 0:
                 continue
-            eq0 = self.eq_layout[i]
-            fr = self.F.rank(i)
-            for s in range(fr):
-                base = eq0 + (s * fr + s) * d
-                if self.use_numpy:
-                    for a_i in range(d):
-                        aug[base + a_i, a_i] = (aug[base + a_i, a_i] - 1) % f.p
-                else:
-                    for a_i in range(d):
-                        aug[base + a_i][a_i] = f.sub(aug[base + a_i][a_i], f.one)
-        # kernel of [ -I_a | M_h ]: each kernel vector is a pair (a, h) with
-        # a*id = dh + hd, so witnesses come along for free; keep the columns
-        # whose a-parts grow the projected span (greedy over the canonical
-        # kernel order, hence deterministic)
-        if self.use_numpy:
-            ker_cols = np_kernel(aug, f.p).T.tolist()
-        else:
-            M = Matrix.from_rows(f, [tuple(r) for r in aug], ncols=d + self.ncols)
-            ker_cols = [list(c) for c in kernel_basis(M).columns()]
-        basis = []
-        witnesses = []
-        proj_rows = []
-        cur_rank = 0
-        for col in ker_cols:
-            a = tuple(f.from_int(x) if self.use_numpy else x for x in col[:d])
-            cand = proj_rows + [a]
-            r = rref(Matrix.from_rows(f, cand, ncols=d))[2]
-            if r == cur_rank + 1:
-                cur_rank = r
-                proj_rows.append(a)
-                basis.append(a)
-                h = tuple(f.from_int(x) if self.use_numpy else x for x in col[d:])
-                witnesses.append(self.unpack(h))
-        return DerivedAnnihilator(self.F, tuple(basis), tuple(witnesses))
+            entries = [[A.zero] * nc for _ in range(nr)]
+            for q in range(nr):
+                for t in range(nc):
+                    found = self.unknowns.get((i, q, t))
+                    if found is not None:
+                        col0, n, deg = found
+                        entries[q][t] = self._element(x[col0:col0 + n], deg)
+            maps[i] = AMatrix(A, nr, nc, tuple(tuple(r) for r in entries))
+        return maps
 
+    def homotopy(self, x) -> Homotopy:
+        return Homotopy(self.S, self.T, tuple(sorted(self.unpack(x).items())))
 
-def _np_solve_multi(M: np.ndarray, rhss: list, p: int) -> list:
-    nrows, ncols = M.shape
-    k = len(rhss)
-    aug = np.zeros((nrows, ncols + k), dtype=np.int64)
-    aug[:, :ncols] = M % p
-    for j, r in enumerate(rhss):
-        aug[:, ncols + j] = [int(x) % p for x in r]
-    R, pivots = np_rref(aug, p)
-    rhs_pivot_rows = [i for i, pc in enumerate(pivots) if pc >= ncols]
-    out = []
-    for j in range(k):
-        col = ncols + j
-        bad = any(R[i, col] % p for i in rhs_pivot_rows)
-        if bad:
-            out.append(None)
-            continue
-        x = [0] * ncols
-        for i, pc in enumerate(pivots):
-            if pc < ncols:
-                x[pc] = int(R[i, col])
-        out.append(tuple(x))
-    return out
+    def solve(self, fmap: ChainMap) -> Homotopy | None:
+        """Particular solution of dh + hd = fmap (free variables 0), or None."""
+        rhs = self.rhs_of(fmap)
+        if rhs is None:
+            return None
+        x = solve_multi(self._matrix(self.entries, self.ncols), [rhs])[0]
+        return None if x is None else self.homotopy(x)
 
+    def annihilator(self) -> tuple:
+        """(basis, witnesses) of {a of degree delta : a*id = dh + hd}, with S = T.
 
-# ---------------------------------------------------------------------------
-# graded backend
-
-
-class _GradedSystem:
-    """Homogeneous homotopy solve of internal degree delta over the graded backend.
-
-    Restricting to homogeneous witnesses loses nothing: the equation
-    dh + hd = f is internal-degree-graded, so projecting any solution onto
-    the component matching deg(f) again solves it.
-    """
-
-    def __init__(self, F: FreeComplex, G: FreeComplex, delta: int):
-        A = F.algebra
-        self.F, self.G, self.A, self.delta = F, G, A, delta
-        self.lo = min(F.low, G.low)
-        self.hi = max(F.top, G.top)
-        f = A.field
-        # unknown layout: per degree i, per entry (q, t): coefficients on basis(deg)
-        self.h_entries = []  # (i, q, t, entry_degree, offset)
-        col = 0
-        for i in range(self.lo, self.hi + 1):
-            ssrc = F.shift_of(i)
-            stgt = G.shift_of(i + 1)
-            for q in range(G.rank(i + 1)):
-                for t in range(F.rank(i)):
-                    deg = delta + ssrc[t] - stgt[q]
-                    if deg < 0:
-                        continue
-                    if deg > A.truncation:
-                        raise TruncationError(
-                            f"homotopy entry degree {deg} above truncation")
-                    nb = len(A.basis(deg))
-                    if nb:
-                        self.h_entries.append((i, q, t, deg, col))
-                        col += nb
-        self.ncols = col
-        self.rows = []
-        self.rhs_meta = []  # (i, s, t, eq_degree)
-        self._build_rows()
-
-    def _entry_lookup(self, i, q, t):
-        for (ii, qq, tt, deg, off) in self.h_entries:
-            if (ii, qq, tt) == (i, q, t):
-                return deg, off
-        return None
-
-    def _build_rows(self):
-        A = self.A
-        f = A.field
-        F, G = self.F, self.G
-        for i in range(self.lo, self.hi + 1):
-            ssrc = F.shift_of(i)
-            stgt = G.shift_of(i)
-            for s in range(G.rank(i)):
-                for t in range(F.rank(i)):
-                    eq_deg = self.delta + ssrc[t] - stgt[s]
-                    if eq_deg < 0:
-                        self.rhs_meta.append((i, s, t, eq_deg, 0))
-                        continue
-                    if eq_deg > A.truncation:
-                        raise TruncationError(
-                            f"homotopy equation degree {eq_deg} above truncation")
-                    nb = len(A.basis(eq_deg))
-                    block_rows = [[f.zero] * self.ncols for _ in range(nb)]
-                    dG = G.diff(i + 1)
-                    # term dG_{i+1}[s, q] * h_i[q, t]
-                    for q in range(G.rank(i + 1)):
-                        e = dG.entries[s][q]
-                        if A.el_is_zero(e):
-                            continue
-                        found = self._entry_lookup(i, q, t)
-                        if found is None:
-                            continue
-                        hdeg, off = found
-                        mm = A.mult_map(e, hdeg)  # basis(hdeg) -> basis(hdeg + deg e)
-                        for r_i in range(min(nb, mm.nrows)):
-                            for c_i in range(mm.ncols):
-                                v = mm.rows[r_i][c_i]
-                                if v != f.zero:
-                                    block_rows[r_i][off + c_i] = f.add(
-                                        block_rows[r_i][off + c_i], v)
-                    # term h_{i-1}[s, q] * dF_i[q, t]
-                    dF = F.diff(i)
-                    for q in range(F.rank(i - 1)):
-                        e = dF.entries[q][t]
-                        if A.el_is_zero(e):
-                            continue
-                        found = self._entry_lookup(i - 1, s, q)
-                        if found is None:
-                            continue
-                        hdeg, off = found
-                        mm = A.mult_map(e, hdeg)
-                        for r_i in range(min(nb, mm.nrows)):
-                            for c_i in range(mm.ncols):
-                                v = mm.rows[r_i][c_i]
-                                if v != f.zero:
-                                    block_rows[r_i][off + c_i] = f.add(
-                                        block_rows[r_i][off + c_i], v)
-                    row0 = len(self.rows)
-                    self.rows.extend(tuple(r) for r in block_rows)
-                    self.rhs_meta.append((i, s, t, eq_deg, row0))
-
-    def rhs_of(self, fmap: ChainMap):
-        A = self.A
-        f = A.field
-        vec = [f.zero] * len(self.rows)
-        for (i, s, t, eq_deg, row0) in self.rhs_meta:
-            comp = fmap.component(i)
-            e = comp.entries[s][t] if comp.nrows > s and comp.ncols > t else A.zero
-            if eq_deg < 0:
-                if not A.el_is_zero(e):
-                    return None
-                continue
-            coords = A.coords(e, eq_deg)
-            # verify f is homogeneous of the right degree
-            for m, c in e:
-                if sum(m) != eq_deg and c != f.zero:
-                    return None
-            for k, v in enumerate(coords):
-                vec[row0 + k] = v
-        return vec
-
-    def solve(self, fmaps: list) -> list:
+        Each kernel vector of [-a*id | system] is a pair (a, h) with
+        a*id = dh + hd.  The pairs whose a-parts grow the span are kept, in
+        the canonical kernel order.  On the graded backend the kept pairs
+        are then brought to RREF: their a-parts become the canonical basis
+        of the projection of the kernel, and their h-parts its witnesses.
+        Every witness is substituted back into its equation.
+        """
         f = self.A.field
-        M = Matrix.from_rows(f, self.rows, ncols=self.ncols)
-        rhss = [self.rhs_of(fm) for fm in fmaps]
-        todo = [(k, r) for k, r in enumerate(rhss) if r is not None]
-        out = [None] * len(fmaps)
-        if todo:
-            sols = solve_multi(M, [tuple(r) for _, r in todo])
-            for (k, _), s in zip(todo, sols):
-                if s is not None:
-                    out[k] = self.unpack(s)
-        return out
-
-    def unpack(self, x) -> Homotopy:
-        A = self.A
-        maps = {}
-        for i in range(self.lo, self.hi + 1):
-            gr1, fr = self.G.rank(i + 1), self.F.rank(i)
-            if gr1 * fr == 0:
-                continue
-            entries = [[A.zero] * fr for _ in range(gr1)]
-            nontrivial = False
-            for (ii, q, t, deg, off) in self.h_entries:
-                if ii != i:
-                    continue
-                nb = len(A.basis(deg))
-                coords = x[off:off + nb]
-                el = A.from_coords(coords, deg)
-                if el:
-                    nontrivial = True
-                entries[q][t] = el
-            maps[i] = AMatrix(A, gr1, fr, tuple(tuple(r) for r in entries))
-        return Homotopy(self.F, self.G, tuple(sorted(maps.items())))
+        na = self._size(self.delta, "element")
+        entries = {(r, na + c): v for (r, c), v in self.entries.items()}
+        minus_one = f.neg(f.one)
+        for (i, s, t), (row0, _, _) in self.equations.items():
+            if s == t:  # a*id sits on the diagonal entries
+                for j in range(na):
+                    entries[(row0 + j, j)] = minus_one
+        ker = self._kernel(entries, na + self.ncols)
+        a_parts = Matrix.from_columns(f, [v[:na] for v in ker], nrows=na)
+        pairs = [ker[j] for j in independent_columns(Matrix.zero(f, na, 0), a_parts)]
+        if self.graded:
+            pairs = rref(Matrix.from_rows(f, pairs, ncols=na + self.ncols))[0].rows
+        basis, witnesses = [], []
+        for v in pairs:
+            a = self._element(v[:na], self.delta)
+            h = self.homotopy(v[na:])
+            _check_homotopy(scalar_endo(self.S, a), h)
+            basis.append(a)
+            witnesses.append(h)
+        return basis, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +307,22 @@ def solve_homotopy(f: ChainMap) -> Homotopy | None:
     Every returned homotopy is re-substituted into the equation before being
     handed back.
     """
-    F, G = f.source, f.target
-    A = F.algebra
-    if A.kind == "artinian":
-        h = _ArtinianSystem(F, G).solve([f])[0]
-    else:
+    delta = 0
+    if f.source.algebra.kind != "artinian":
         delta = _uniform_component_degree(f)
         if delta is None:
             return None
-        h = _GradedSystem(F, G, delta).solve([f])[0]
+    h = _System(f.source, f.target, delta=delta).solve(f)
     if h is not None:
         _check_homotopy(f, h)
     return h
+
+
+def chain_map_space(M: FreeComplex, F: FreeComplex) -> list:
+    """k-basis of the space of degree-0 chain maps M -> F (Artinian backend)."""
+    sys = _System(M, F, k=0, sign=-1)
+    return [ChainMap.from_dict(M, F, sys.unpack(v))
+            for v in sys._kernel(sys.entries, sys.ncols)]
 
 
 def _uniform_component_degree(f: ChainMap) -> int | None:
@@ -528,10 +361,6 @@ def homotopy_class_eq(f: ChainMap, g: ChainMap) -> bool:
     return solve_homotopy(f.sub(g)) is not None
 
 
-def is_null_homotopic(f: ChainMap) -> bool:
-    return solve_homotopy(f) is not None
-
-
 def derived_annihilator(F: FreeComplex, max_degree: int | None = None) -> DerivedAnnihilator:
     """Kernel of A -> End-up-to-homotopy of F, with stored witnesses.
 
@@ -541,44 +370,22 @@ def derived_annihilator(F: FreeComplex, max_degree: int | None = None) -> Derive
     """
     A = F.algebra
     if A.kind == "artinian":
-        ann = _ArtinianSystem(F, F).annihilator()
-        for a, w in zip(ann.basis, ann.witnesses):
-            _check_homotopy(scalar_endo(F, a), w)
-        return ann
+        basis, witnesses = _System(F, F).annihilator()
+        return DerivedAnnihilator(F, tuple(basis), tuple(witnesses))
     basis = []
     witnesses = []
     top_degree = max_degree if max_degree is not None else A.truncation
     window = 0
     for delta in range(1, top_degree + 1):
-        nb = len(A.basis(delta))
-        if nb == 0:
+        if not A.basis(delta):
             window = delta
             continue
         try:
-            sys = _GradedSystem(F, F, delta)
+            sys = _System(F, F, delta=delta)
         except TruncationError:
             break
         window = delta
-        f = A.field
-        M = Matrix.from_rows(f, sys.rows, ncols=sys.ncols)
-        # augment with a-coordinates: a*id has rhs linear in the coefficients of a
-        rhs_cols = []
-        for k in range(nb):
-            coeffs = [f.one if j == k else f.zero for j in range(nb)]
-            a = A.from_coords(coeffs, delta)
-            rhs_cols.append(sys.rhs_of(scalar_endo(F, a)))
-        if any(r is None for r in rhs_cols):
-            continue
-        aug_rows = []
-        for r_i, row in enumerate(M.rows):
-            aug_rows.append(tuple(f.neg(rhs_cols[k][r_i]) for k in range(nb)) + row)
-        aug = Matrix.from_rows(f, aug_rows, ncols=nb + sys.ncols)
-        proj = solve_and_project(aug, nb)
-        for col in proj.columns():
-            a = A.from_coords(col, delta)
-            w = sys.solve([scalar_endo(F, a)])[0]
-            if w is None:
-                raise AssertionError("graded annihilator element has no witness")
-            basis.append(a)
-            witnesses.append(w)
+        b, w = sys.annihilator()
+        basis.extend(b)
+        witnesses.extend(w)
     return DerivedAnnihilator(F, tuple(basis), tuple(witnesses), window=window)

@@ -38,10 +38,6 @@ class KoszulComplex:
     def algebra(self):
         return self.complex.algebra
 
-    def basis_labels(self, n: int) -> list:
-        return ["e_{%s}" % ",".join(str(i + 1) for i in I) if I else "1"
-                for I in subsets(self.c, n)]
-
     def contraction(self, i: int) -> dict:
         """Degree +1 maps of left wedge by e_i; a homotopy for x_i * id."""
         A = self.algebra
@@ -100,11 +96,6 @@ def koszul(algebra, elements, multiplicity: int = 1) -> KoszulComplex:
                        for n in range(c + 1))
     F = FreeComplex(A, 0, tuple(ranks), tuple(diffs), shifts, tuple(labels))
     return KoszulComplex(F, tuple(elements))
-
-
-def contraction_chain_homotopy(K: KoszulComplex, i: int) -> dict:
-    """Homotopy h (maps F_n -> F_{n+1}) with d h + h d = x_i * id."""
-    return K.contraction(i)
 
 
 def koszul_annihilator_check(K: KoszulComplex) -> dict:

@@ -3,9 +3,10 @@
 RREF is canonical (leftmost pivot, first nonzero row, pivot entries 1,
 pivot columns cleared), so every derived object -- kernel bases ordered by
 free-column index, particular solutions with free variables set to 0,
-projections of kernels -- is reproducible bit-for-bit.  Large GF(p) systems
-are routed through an equivalent numpy elimination; the output is identical
-because the reduced echelon form is unique.
+projections of kernels -- is reproducible bit-for-bit.  Large systems over a
+field whose `numpy_safe` holds (GF(p), p < 2^31) are routed through an
+equivalent int64 numpy elimination; the output is identical because the
+reduced echelon form is unique.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .field import GF
 
 _NUMPY_THRESHOLD = 4096  # entries; below this pure python wins
 
@@ -156,15 +155,12 @@ class Matrix:
 
     # -- numpy bridge (GF(p) only) ---------------------------------------
     def to_numpy(self) -> np.ndarray:
-        arr = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for i, r in enumerate(self.rows):
-            arr[i] = r
-        return arr
+        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
 
     @staticmethod
     def from_numpy(field, arr: np.ndarray) -> "Matrix":
         m, n = arr.shape
-        return Matrix(field, m, n, tuple(tuple(int(x) % field.p for x in row) for row in arr))
+        return Matrix(field, m, n, tuple(map(tuple, (arr % field.p).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,7 @@ def _py_rref(field, rows, ncols):
 def rref(M: Matrix):
     """Reduced row echelon form; returns (R, pivot_columns, rank)."""
     f = M.field
-    if isinstance(f, GF) and f.numpy_safe and M.nrows * M.ncols >= _NUMPY_THRESHOLD:
+    if f.numpy_safe and M.nrows * M.ncols >= _NUMPY_THRESHOLD:
         arr, pivots = np_rref(M.to_numpy(), f.p)
         return Matrix.from_numpy(f, arr), tuple(pivots), len(pivots)
     rows, pivots = _py_rref(f, M.rows, M.ncols)
@@ -304,6 +300,19 @@ def solve_multi(M: Matrix, bs: list) -> list:
                 x[pc] = R.rows[i][col]
         out.append(tuple(x))
     return out
+
+
+def independent_columns(base: Matrix, cands: Matrix) -> list:
+    """Indices of the candidate columns a greedy scan keeps, in order.
+
+    A candidate is kept when it lies outside the span of the base columns
+    and of the candidates kept before it.  These are exactly the pivot
+    columns of [base | cands] past the base, so one RREF decides them all.
+    """
+    if base.nrows != cands.nrows:
+        raise ValueError("row count mismatch")
+    _, pivots, _ = rref(base.hstack(cands))
+    return [pc - base.ncols for pc in pivots if pc >= base.ncols]
 
 
 def column_space_basis(M: Matrix) -> Matrix:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ArtinAlgebra
-from .linalg import (Matrix, column_space_basis, in_span, kernel_basis, rank,
-                     solve, solve_multi)
+from .linalg import (Matrix, column_space_basis, in_span, independent_columns,
+                     kernel_basis, rank, solve_multi)
 from .monomial import MonomialAlgebra
 
 
@@ -167,14 +167,8 @@ def quotient_module(parent: FiniteModule, sub_cols: Matrix) -> tuple:
     B = parent.algebra
     f = B.field
     sub = column_space_basis(sub_cols)
-    reps = []
-    cur = sub
-    for i in range(parent.dim):
-        v = tuple(f.one if j == i else f.zero for j in range(parent.dim))
-        cand = cur.hstack(Matrix.from_columns(f, [v], nrows=parent.dim))
-        if rank(cand) == cur.ncols + 1:
-            reps.append(v)
-            cur = cand
+    std = Matrix.identity(f, parent.dim)
+    reps = [std.column(i) for i in independent_columns(sub, std)]
     rep_cols = Matrix.from_columns(f, reps, nrows=parent.dim) if reps \
         else Matrix.from_columns(f, [], nrows=parent.dim)
     both = sub.hstack(rep_cols)
@@ -195,17 +189,8 @@ def nu(M: FiniteModule) -> int:
 
 def minimal_generators(M: FiniteModule) -> list:
     """Deterministic lifts of a basis of M/mM (greedy over the standard basis)."""
-    f = M.algebra.field
-    mM = M.m_submodule_cols()
-    gens = []
-    cur = mM
-    for i in range(M.dim):
-        v = tuple(f.one if j == i else f.zero for j in range(M.dim))
-        cand = cur.hstack(Matrix.from_columns(f, [v], nrows=M.dim))
-        if rank(cand) == cur.ncols + 1:
-            gens.append(v)
-            cur = cand
-    return gens
+    std = Matrix.identity(M.algebra.field, M.dim)
+    return [std.column(i) for i in independent_columns(M.m_submodule_cols(), std)]
 
 
 def cover_map(M: FiniteModule) -> tuple:
@@ -526,7 +511,7 @@ def graded_is_free(M: GradedModule) -> GradedFreenessVerdict:
         return GradedFreenessVerdict(True, 0, None, "zero module within window")
     P = graded_free_module(A, gen_degrees, M.window)
     gens = _graded_generator_columns(M, per_deg)
-    cmaps = _graded_cover_maps(M, P, gen_degrees, gens)
+    cmaps = graded_cover_maps(M, P, gen_degrees, gens)
     for d in range(M.window + 1):
         if kernel_basis(cmaps[d]).ncols > 0:
             return GradedFreenessVerdict(False, None, d,
@@ -543,20 +528,12 @@ def _graded_generator_columns(M: GradedModule, per_deg) -> dict:
         if per_deg[d] == 0:
             out[d] = []
             continue
-        md = _graded_mM_at(M, d)
-        chosen = []
-        cur = md
-        for i in range(M.dim_at(d)):
-            v = tuple(f.one if j == i else f.zero for j in range(M.dim_at(d)))
-            cand = cur.hstack(Matrix.from_columns(f, [v], nrows=M.dim_at(d)))
-            if rank(cand) == cur.ncols + 1:
-                chosen.append(v)
-                cur = cand
-        out[d] = chosen
+        std = Matrix.identity(f, M.dim_at(d))
+        out[d] = [std.column(i) for i in independent_columns(_graded_mM_at(M, d), std)]
     return out
 
 
-def _graded_cover_maps(M: GradedModule, P: GradedModule, gen_degrees, gens) -> dict:
+def graded_cover_maps(M: GradedModule, P: GradedModule, gen_degrees, gens) -> dict:
     """Degreewise matrices P_d -> M_d sending free generators to the chosen ones."""
     A = M.algebra
     f = A.field
@@ -572,12 +549,11 @@ def _graded_cover_maps(M: GradedModule, P: GradedModule, gen_degrees, gens) -> d
             # image = m . vec, computed by iterated variable action
             img = vec
             deg = g
-            ok = True
             for vi, e in enumerate(m):
                 for _ in range(e):
                     img = M.act(vi, deg).apply(img)
                     deg += 1
-            cols.append(img if ok else [f.zero] * M.dim_at(d))
+            cols.append(img)
         out[d] = Matrix.from_columns(f, cols, nrows=M.dim_at(d))
     return out
 

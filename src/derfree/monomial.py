@@ -200,9 +200,6 @@ class MonomialAlgebra:
             return degs.pop()
         return None
 
-    def el_homogeneous(self, u) -> bool:
-        return self.el_degree(u) is not None
-
     def parse_element(self, text: str):
         return exprs.evaluate(text, _GradedEnv(self))
 

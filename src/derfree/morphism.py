@@ -18,14 +18,6 @@ class MorphismError(ValueError):
     pass
 
 
-class NotLocalError(MorphismError):
-    pass
-
-
-class NotWellDefinedError(MorphismError):
-    pass
-
-
 @dataclass(frozen=True)
 class AlgebraMorphism:
     source: object
@@ -91,16 +83,6 @@ class AlgebraMorphism:
             for _ in range(e):
                 term = T.el_mul(term, self.images[i])
         return term
-
-    def require_valid(self):
-        """Raise NotLocal/NotWellDefined instead of returning a report."""
-        rep = self.validate()
-        if rep.valid:
-            return self
-        for issue in rep.issues:
-            if issue.axiom == "local":
-                raise NotLocalError(issue.detail)
-        raise NotWellDefinedError(rep.issues[0].detail)
 
     # -- invariants ---------------------------------------------------------
     def m_source_generator_images(self) -> list:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, column_space_basis, kernel_basis, rank, solve_multi
+from .linalg import (Matrix, column_space_basis, independent_columns, kernel_basis,
+                     rank, solve_multi)
 from .modules import (GradedModule, _graded_generator_columns,
-                      graded_free_module, graded_nu)
+                      graded_cover_maps, graded_free_module, graded_nu)
 from .monomial import MonomialAlgebra
 
 
@@ -131,33 +132,11 @@ def graded_minimal_resolution(M: GradedModule, steps: int) -> GradedResolution:
                 out_steps.append(ResolutionStep((), ()))
             break
         P = graded_free_module(A, gen_degrees, window)
-        cmaps = _cover_maps(cur, P, gen_degrees, gens)
+        cmaps = graded_cover_maps(cur, P, gen_degrees, gens)
         ker_bases = {d: kernel_basis(cmaps[d]) for d in range(window + 1)}
         cur = _kernel_module(P, ker_bases)
         prev_incl = ker_bases
     return GradedResolution(A, tuple(out_steps), window)
-
-
-def _cover_maps(M: GradedModule, P: GradedModule, gen_degrees, gens) -> dict:
-    A = M.algebra
-    f = A.field
-    flat_gens = [(g, vec) for g in sorted(gens) for vec in gens[g]]
-    coords = {d: [(i, m) for i, g in enumerate(gen_degrees) for m in A.basis(d - g)]
-              for d in range(M.window + 1)}
-    out = {}
-    for d in range(M.window + 1):
-        cols = []
-        for (i, m) in coords[d]:
-            g, vec = flat_gens[i]
-            img = vec
-            deg = g
-            for vi, e in enumerate(m):
-                for _ in range(e):
-                    img = M.act(vi, deg).apply(img)
-                    deg += 1
-            cols.append(img)
-        out[d] = Matrix.from_columns(f, cols, nrows=M.dim_at(d))
-    return out
 
 
 def _kernel_module(P: GradedModule, ker_bases: dict) -> GradedModule:
@@ -361,16 +340,8 @@ class GradedModuleComplex:
         for d in range(w + 1):
             B = column_space_basis(self.diff_matrix(i + 1, d))
             bnd[d] = B
-            amb = self.dim_at(i, d)
-            chosen = []
-            cur = B
-            for j in range(amb):
-                v = tuple(f.one if k == j else f.zero for k in range(amb))
-                cand = cur.hstack(Matrix.from_columns(f, [v], nrows=amb))
-                if rank(cand) == cur.ncols + 1:
-                    chosen.append(v)
-                    cur = cand
-            reps[d] = chosen
+            std = Matrix.identity(f, self.dim_at(i, d))
+            reps[d] = [std.column(j) for j in independent_columns(B, std)]
         dims = tuple(len(reps[d]) for d in range(w + 1))
         actions = []
         M0 = self.module(i)

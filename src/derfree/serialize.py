@@ -87,10 +87,6 @@ def algebra_from_dict(doc: dict, field):
 # complexes and chain maps
 
 
-def amatrix_to_rows(m: AMatrix) -> list:
-    return m.to_strings()
-
-
 def complex_to_dict(F: FreeComplex, inline_algebra: bool = True) -> dict:
     out = {"ranks": list(F.ranks),
            "low": F.low,

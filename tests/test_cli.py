@@ -159,3 +159,18 @@ def test_bundle_field_mismatch_is_an_input_error(tmp_path, capsys):
     bundle = export_fixture("ex5.5", str(tmp_path / "qq"), field=QQ)
     assert main(["check", "--theorem", "thm51", bundle]) == 2
     assert "field mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artinian", [False, True], ids=["graded", "artinian"])
+def test_differential_of_the_wrong_shape_exits_2(tmp_path, capsys, artinian):
+    from derfree.monomial import monomial_algebra
+    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4)
+    # ranks [1, 1] need a 1x1 differential; this row has two entries
+    doc = {"algebra": serialize.algebra_to_dict(A.artinize() if artinian else A),
+           "ranks": [1, 1], "differentials": [[["x", "y"]]]}
+    p = str(tmp_path / "bad_shape.json")
+    serialize.save(p, doc)
+    assert main(["homology", p]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "1x1" in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -90,13 +90,18 @@ def test_graded_annihilator_excludes_the_socle_generator():
 
 def test_annihilator_witnesses_satisfy_the_equation():
     A = plane()
-    K = koszul(A, [A.parse_element("x")]).complex
-    ann = derived_annihilator(K)
-    for a, w in zip(ann.basis, ann.witnesses):
-        bd = w.boundary()
-        aid = scalar_endo(K, a)
-        for i in K.degrees():
-            assert bd.component(i).sub(aid.component(i)).is_zero()
+    complexes = [koszul(A, [A.parse_element("x")]).complex]
+    for field in (GF101, QQ):
+        G = monomial_algebra(field, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 6)
+        complexes.append(koszul(G, [G.parse_element("x"), G.parse_element("y")]).complex)
+    for K in complexes:
+        ann = derived_annihilator(K)
+        assert ann.basis and len(ann.witnesses) == len(ann.basis)
+        for a, w in zip(ann.basis, ann.witnesses):
+            bd = w.boundary()
+            aid = scalar_endo(K, a)
+            for i in K.degrees():
+                assert bd.component(i).sub(aid.component(i)).is_zero()
 
 
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from derfree.field import GF, GF101, QQ
-from derfree.linalg import (Matrix, invert, kernel_basis, rank, rref, solve,
-                            solve_and_project, solve_multi, span_equal)
+from derfree.linalg import (Matrix, independent_columns, invert, kernel_basis, rank,
+                            rref, solve, solve_and_project, solve_multi, span_equal)
 
 
 def brute_force_det(field, M):
@@ -195,3 +195,41 @@ def test_span_equal():
     assert span_equal(a, b)
     c = Matrix.from_int_rows(GF101, [[1], [0], [1]])
     assert not span_equal(a, c)
+
+
+def greedy_rank_loop(base, cands):
+    """Reference for independent_columns: one rank computation per candidate."""
+    f = base.field
+    cur = base.columns()
+    cur_rank = rank(Matrix.from_columns(f, cur, nrows=base.nrows))
+    kept = []
+    for j, c in enumerate(cands.columns()):
+        r = rank(Matrix.from_columns(f, cur + [c], nrows=base.nrows))
+        if r == cur_rank + 1:
+            kept.append(j)
+            cur.append(c)
+            cur_rank = r
+    return kept
+
+
+@given(st.sampled_from([GF101, QQ]), st.integers(0, 5), st.data())
+def test_independent_columns_matches_the_greedy_rank_loop(field, n, data):
+    col = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    base = data.draw(st.lists(col, max_size=4))
+    if base:
+        # a dependent base column: the sum of the first and the last
+        base.append([a + b for a, b in zip(base[0], base[-1])])
+    cands = data.draw(st.lists(col, max_size=6))
+    cands += cands[:1]  # a repeated candidate
+    B = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in base], nrows=n)
+    C = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in cands], nrows=n)
+    assert independent_columns(B, C) == greedy_rank_loop(B, C)
+
+
+def test_independent_columns_skips_the_span_of_the_base():
+    e = Matrix.identity(GF101, 3).columns()
+    base = Matrix.from_columns(GF101, [e[0], e[0]], nrows=3)
+    cands = Matrix.from_columns(GF101, [e[0], e[1], e[1], e[2]], nrows=3)
+    assert independent_columns(base, cands) == [1, 3]
+    with pytest.raises(ValueError):
+        independent_columns(base, Matrix.identity(GF101, 2))
