@@ -709,9 +709,7 @@ def select_independent_mod_m2(A: ArtinAlgebra, ann: DerivedAnnihilator, count: i
     in_m = [(a, w) for a, w in zip(ann.basis, ann.witnesses) if A.el_in_m(a)]
     cands = Matrix.from_columns(A.field, [a for a, _ in in_m], nrows=A.dim)
     keep = independent_columns(A.m_power_cols(2), cands)
-    # a count of 0 (a one-term complex) is reported as an obstruction, so
-    # koszul_decompose leaves one-term complexes undecomposed
-    if count == 0 or len(keep) < count:
+    if len(keep) < count:
         return None, None, len(keep)
     chosen = [in_m[j] for j in keep[:count]]
     return [a for a, _ in chosen], [w for _, w in chosen], count

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .complexes import AMatrix, ChainMap, FreeComplex, scalar_endo
-from .linalg import (Matrix, in_span, independent_columns, kernel_basis,
-                     np_kernel, rref, solve_multi)
+from .linalg import (Matrix, in_span, independent_columns, rref, sparse_kernel,
+                     sparse_solve)
 from .monomial import TruncationError
 
 
@@ -95,8 +93,10 @@ class _System:
     equation is graded, so the degree-delta part of any solution solves it.
     Columns run over the unknown entries (i, q, t) in order and rows over
     the equation entries (i, s, t), each entry taking one column or row per
-    coordinate.  Only the coordinate spaces and the multiplication blocks
-    (`left_mult_matrix` or `mult_map`) depend on the backend.
+    coordinate; `rows` holds each row as a sparse {column: scalar} dict,
+    the form the elimination kernel takes.  Only the coordinate spaces and
+    the multiplication blocks (`left_mult_matrix` or `mult_map`) depend on
+    the backend.
     """
 
     def __init__(self, S: FreeComplex, T: FreeComplex, k: int = 1, sign: int = 1,
@@ -120,25 +120,24 @@ class _System:
                         col += n
         self.ncols = col
         self._blocks = {}
-        self.entries = {}  # (row, column) -> scalar
+        self.rows = []  # one {column: scalar} per equation row
         self.equations = {}  # (i, s, t) -> (first row, size, degree)
         one, signed = A.field.one, A.field.from_int(sign)
-        row = 0
         for i in range(self.lo, self.hi + 1):
             dT, dS = T.diff(i + k), S.diff(i)
             for s in range(T.rank(i + k - 1)):
                 for t in range(S.rank(i)):
                     deg = self._degree(i, i + k - 1, s, t)
                     n = self._size(deg, "equation")
+                    row = len(self.rows)
                     self.equations[(i, s, t)] = (row, n, deg)
+                    self.rows.extend({} for _ in range(n))
                     # d^T_{i+k}[s, q] * X_i[q, t]
                     for q in range(T.rank(i + k)):
                         self._add_term(row, n, dT.entries[s][q], (i, q, t), one)
                     # sign * X_{i-1}[s, q] * d^S_i[q, t]
                     for q in range(S.rank(i - 1)):
                         self._add_term(row, n, dS.entries[q][t], (i - 1, s, q), signed)
-                    row += n
-        self.nrows = row
 
     # -- the backend-dependent part: coordinate spaces and blocks ----------
     def _degree(self, i, j, r, c):
@@ -187,33 +186,15 @@ class _System:
         if not nrows or key not in self.unknowns or A.el_is_zero(e):
             return
         col0, _, deg = self.unknowns[key]
-        entries, add, zero = self.entries, A.field.add, A.field.zero
+        add, zero = A.field.add, A.field.zero
         for r, c, v in self._block(e, deg, coeff):
             if r < nrows:
-                rc = (row0 + r, col0 + c)
-                entries[rc] = add(entries.get(rc, zero), v)
-
-    def _matrix(self, entries, ncols) -> Matrix:
-        rows = [[self.A.field.zero] * ncols for _ in range(self.nrows)]
-        for (r, c), v in entries.items():
-            rows[r][c] = v
-        return Matrix(self.A.field, self.nrows, ncols, tuple(map(tuple, rows)))
-
-    def _kernel(self, entries, ncols) -> list:
-        """Canonical kernel basis vectors of the sparse matrix `entries`."""
-        f = self.A.field
-        if f.numpy_safe:
-            arr = np.zeros((self.nrows, ncols), dtype=np.int64)
-            if entries:
-                idx = tuple(np.array(list(entries), dtype=np.int64).T)
-                arr[idx] = list(entries.values())
-            # GF(p) scalars are the ints 0..p-1, which np_kernel returns
-            return np_kernel(arr, f.p).T.tolist()
-        return [list(c) for c in kernel_basis(self._matrix(entries, ncols)).columns()]
+                row, col = self.rows[row0 + r], col0 + c
+                row[col] = add(row.get(col, zero), v)
 
     def rhs_of(self, fmap: ChainMap):
         """Flatten the components of fmap into an equation vector (None: no solution)."""
-        vec = [self.A.field.zero] * self.nrows
+        vec = [self.A.field.zero] * len(self.rows)
         for i in range(self.lo, self.hi + 1):
             comp = fmap.component(i)
             for s in range(comp.nrows):
@@ -257,7 +238,7 @@ class _System:
         rhs = self.rhs_of(fmap)
         if rhs is None:
             return None
-        x = solve_multi(self._matrix(self.entries, self.ncols), [rhs])[0]
+        x = sparse_solve(self.A.field, self.rows, self.ncols, [rhs])[0]
         return None if x is None else self.homotopy(x)
 
     def annihilator(self) -> tuple:
@@ -272,13 +253,13 @@ class _System:
         """
         f = self.A.field
         na = self._size(self.delta, "element")
-        entries = {(r, na + c): v for (r, c), v in self.entries.items()}
+        rows = [{na + c: v for c, v in row.items()} for row in self.rows]
         minus_one = f.neg(f.one)
         for (i, s, t), (row0, _, _) in self.equations.items():
             if s == t:  # a*id sits on the diagonal entries
                 for j in range(na):
-                    entries[(row0 + j, j)] = minus_one
-        ker = self._kernel(entries, na + self.ncols)
+                    rows[row0 + j][j] = minus_one
+        ker = sparse_kernel(f, rows, na + self.ncols)
         a_parts = Matrix.from_columns(f, [v[:na] for v in ker], nrows=na)
         pairs = [ker[j] for j in independent_columns(Matrix.zero(f, na, 0), a_parts)]
         if self.graded:
@@ -322,7 +303,7 @@ def chain_map_space(M: FreeComplex, F: FreeComplex) -> list:
     """k-basis of the space of degree-0 chain maps M -> F (Artinian backend)."""
     sys = _System(M, F, k=0, sign=-1)
     return [ChainMap.from_dict(M, F, sys.unpack(v))
-            for v in sys._kernel(sys.entries, sys.ncols)]
+            for v in sparse_kernel(M.algebra.field, sys.rows, sys.ncols)]
 
 
 def _uniform_component_degree(f: ChainMap) -> int | None:

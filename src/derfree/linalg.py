@@ -1,21 +1,19 @@
-"""Deterministic exact dense linear algebra over a field.
+"""Deterministic exact linear algebra over a field.
 
-RREF is canonical (leftmost pivot, first nonzero row, pivot entries 1,
-pivot columns cleared), so every derived object -- kernel bases ordered by
-free-column index, particular solutions with free variables set to 0,
-projections of kernels -- is reproducible bit-for-bit.  Large systems over a
-field whose `numpy_safe` holds (GF(p), p < 2^31) are routed through an
-equivalent int64 numpy elimination; the output is identical because the
-reduced echelon form is unique.
+RREF is canonical (leftmost pivot, pivot entries 1, pivot columns cleared),
+so every derived object -- kernel bases ordered by free-column index,
+particular solutions with free variables set to 0, projections of kernels
+-- is reproducible bit-for-bit.  One sparse kernel (`sparse_rref`) on rows
+stored as {column: scalar} dicts eliminates for every field and size, with
+all arithmetic done by the field object; `np_rref` stays as a reference.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
-
-_NUMPY_THRESHOLD = 4096  # entries; below this pure python wins
 
 
 @dataclass(frozen=True)
@@ -153,104 +151,110 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols, self.rows))
 
-    # -- numpy bridge (GF(p) only) ---------------------------------------
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
-
-    @staticmethod
-    def from_numpy(field, arr: np.ndarray) -> "Matrix":
-        m, n = arr.shape
-        return Matrix(field, m, n, tuple(map(tuple, (arr % field.p).tolist())))
-
 
 # ---------------------------------------------------------------------------
-# numpy elimination over GF(p)
+# elimination: one sparse kernel for every field
 
-def np_rref(a: np.ndarray, p: int):
-    """In-place RREF of an int64 array mod p; returns (a, pivot_cols)."""
-    a %= p
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+
+def _eliminate(field, row, c, piv):
+    """row -= c * piv, in place, keeping only nonzero entries."""
+    zero, sub, mul = field.zero, field.sub, field.mul
+    for j, v in piv.items():
+        w = sub(row.get(j, zero), mul(c, v))
+        if w == zero:
+            del row[j]
+        else:
+            row[j] = w
+
+
+def sparse_rref(field, rows):
+    """Canonical RREF of sparse rows {column: scalar}: (pivot_rows, pivots).
+
+    Zero entries are dropped; the input dicts are not changed.  Rows leave a
+    heap keyed by (leading column, length): the shortest row with a new lead
+    becomes its pivot row, scaled to lead with 1, and every later row with
+    that lead is reduced by it and pushed back.  Back-substitution then
+    clears the pivot columns, highest pivot first.  The RREF is unique, so
+    the choice of pivot rows changes no entry of the result.
+    """
+    zero, one = field.zero, field.one
+    work = [{j: v for j, v in r.items() if v != zero} for r in rows]
+    heap = [(min(r), len(r), i) for i, r in enumerate(work) if r]
+    heapq.heapify(heap)
+    pivot_row = {}
+    while heap:
+        lead, _, i = heapq.heappop(heap)
+        row = work[i]
+        piv = pivot_row.get(lead)
+        if piv is None:
+            pv = row[lead]
+            if pv != one:
+                inv = field.inv(pv)
+                row = {j: field.mul(inv, v) for j, v in row.items()}
+            pivot_row[lead] = row
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        pv = int(a[r, c])
-        if pv != 1:
-            a[r] = a[r] * pow(pv, p - 2, p) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        _eliminate(field, row, row[lead], piv)
+        if row:
+            heapq.heappush(heap, (min(row), len(row), i))
+    pivots = tuple(sorted(pivot_row))
+    for c in reversed(pivots):
+        row = pivot_row[c]
+        # the rows below are reduced, so clearing one pivot column touches
+        # only that column and non-pivot columns
+        for d in [d for d in row if d != c and d in pivot_row]:
+            _eliminate(field, row, row[d], pivot_row[d])
+    return [pivot_row[c] for c in pivots], pivots
 
 
-def np_kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns form the canonical kernel basis (ordered by free column)."""
-    m, n = a.shape
-    r, pivots = np_rref(a.copy(), p)
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    out = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fcol in enumerate(free):
-        out[fcol, k] = 1
-    if pivots:
-        sub = r[np.ix_(range(len(pivots)), free)] if free else np.zeros((len(pivots), 0), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            out[pc, :] = (-sub[i, :]) % p
+def sparse_kernel(field, rows, ncols) -> list:
+    """Canonical kernel basis of sparse rows as dense vectors, by free column."""
+    pivot_rows, pivots = sparse_rref(field, rows)
+    basis = {j: [field.zero] * ncols for j in sorted(set(range(ncols)) - set(pivots))}
+    for j, v in basis.items():
+        v[j] = field.one
+    for pc, row in zip(pivots, pivot_rows):
+        for j, v in row.items():
+            if j != pc:
+                basis[j][pc] = field.neg(v)
+    return list(basis.values())
+
+
+def sparse_solve(field, rows, ncols, bs) -> list:
+    """Per b, the solution of rows . x = b with free variables 0, or None.
+
+    One elimination of the rows extended by every b serves them all.
+    """
+    zero = field.zero
+    rows = [dict(r) for r in rows]
+    for k, b in enumerate(bs):
+        for row, x in zip(rows, b):
+            row[ncols + k] = x
+    pivot_rows, pivots = sparse_rref(field, rows)
+    solved = [(pc, row) for pc, row in zip(pivots, pivot_rows) if pc < ncols]
+    # a pivot row past the unknowns reads 0 = nonzero for every b it holds
+    bad = {j for pc, row in zip(pivots, pivot_rows) if pc >= ncols for j in row}
+    out = []
+    for col in range(ncols, ncols + len(bs)):
+        x = [zero] * ncols
+        for pc, row in solved:
+            x[pc] = row.get(col, zero)
+        out.append(None if col in bad else tuple(x))
     return out
 
 
-# ---------------------------------------------------------------------------
-# generic (any field) elimination
-
-def _py_rref(field, rows, ncols):
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    zero = field.zero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c] != zero), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != field.one:
-            inv = field.inv(pv)
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        base = rows[r]
-        for i in range(m):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f != zero:
-                ri = rows[i]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(ri, base)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+def _sparse_rows(M: Matrix) -> list:
+    return [dict(enumerate(r)) for r in M.rows]
 
 
 def rref(M: Matrix):
     """Reduced row echelon form; returns (R, pivot_columns, rank)."""
     f = M.field
-    if f.numpy_safe and M.nrows * M.ncols >= _NUMPY_THRESHOLD:
-        arr, pivots = np_rref(M.to_numpy(), f.p)
-        return Matrix.from_numpy(f, arr), tuple(pivots), len(pivots)
-    rows, pivots = _py_rref(f, M.rows, M.ncols)
-    return Matrix.from_rows(f, rows, M.ncols), tuple(pivots), len(pivots)
+    pivot_rows, pivots = sparse_rref(f, _sparse_rows(M))
+    rows = [[f.zero] * M.ncols for _ in range(M.nrows)]
+    for dense, row in zip(rows, pivot_rows):
+        for j, v in row.items():
+            dense[j] = v
+    return Matrix.from_rows(f, rows, M.ncols), pivots, len(pivots)
 
 
 def rank(M: Matrix) -> int:
@@ -259,20 +263,8 @@ def rank(M: Matrix) -> int:
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Basis of the null space as matrix columns, ordered by free column index."""
-    f = M.field
-    n = M.ncols
-    R, pivots, _ = rref(M)
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    zero = f.zero
-    cols = []
-    for fcol in free:
-        v = [zero] * n
-        v[fcol] = f.one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(R.rows[i][fcol])
-        cols.append(v)
-    return Matrix.from_columns(f, cols, nrows=n)
+    return Matrix.from_columns(M.field, sparse_kernel(M.field, _sparse_rows(M), M.ncols),
+                               nrows=M.ncols)
 
 
 def solve(M: Matrix, b) -> tuple | None:
@@ -282,24 +274,7 @@ def solve(M: Matrix, b) -> tuple | None:
 
 def solve_multi(M: Matrix, bs: list) -> list:
     """Solve Mx = b for several right-hand sides with one elimination."""
-    f = M.field
-    n = M.ncols
-    rhs = Matrix.from_columns(f, [tuple(b) for b in bs], nrows=M.nrows)
-    R, pivots, _ = rref(M.hstack(rhs))
-    zero = f.zero
-    rhs_pivot_rows = [i for i, pc in enumerate(pivots) if pc >= n]
-    out = []
-    for k in range(len(bs)):
-        col = n + k
-        if col in pivots or any(R.rows[i][col] != zero for i in rhs_pivot_rows):
-            out.append(None)
-            continue
-        x = [zero] * n
-        for i, pc in enumerate(pivots):
-            if pc < n:
-                x[pc] = R.rows[i][col]
-        out.append(tuple(x))
-    return out
+    return sparse_solve(M.field, _sparse_rows(M), M.ncols, bs)
 
 
 def independent_columns(base: Matrix, cands: Matrix) -> list:
@@ -339,11 +314,7 @@ def in_span(basis_cols: Matrix, v) -> bool:
 def span_equal(A_cols: Matrix, B_cols: Matrix) -> bool:
     """Do two column families span the same subspace?"""
     ra = rank(A_cols.transpose())
-    rb = rank(B_cols.transpose())
-    if ra != rb:
-        return False
-    both = A_cols.transpose().vstack(B_cols.transpose())
-    return rank(both) == ra
+    return ra == rank(B_cols.transpose()) == rank(A_cols.hstack(B_cols).transpose())
 
 
 def invert(M: Matrix) -> Matrix | None:
@@ -355,3 +326,34 @@ def invert(M: Matrix) -> Matrix | None:
     if rk < n or tuple(pivots[:n]) != tuple(range(n)):
         return None
     return Matrix.from_rows(M.field, [row[n:] for row in R.rows[:n]], ncols=n)
+
+
+# ---------------------------------------------------------------------------
+# dense int64 elimination over GF(p), the reference the kernel is tested against
+
+
+def np_rref(a: np.ndarray, p: int):
+    """In-place RREF of an int64 array mod p; returns (a, pivot_cols)."""
+    a %= p
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        pv = int(a[r, c])
+        if pv != 1:
+            a[r] = a[r] * pow(pv, p - 2, p) % p
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots

@@ -66,11 +66,21 @@ def set_truncation_override(value: int | None):
     _TRUNCATION_OVERRIDE = value
 
 
+def _structure_constants(doc: dict) -> list:
+    """The [i, j, k, value] entries of an Artinian document, indices checked."""
+    d = len(doc["labels"])
+    for n, c in enumerate(doc["constants"]):
+        if not (isinstance(c, list) and len(c) == 4
+                and all(type(i) is int and 0 <= i < d for i in c[:3])):
+            raise LoadError(f"algebra constants[{n}]: expected [i, j, k, value] with "
+                            f"basis indices i, j, k below {d}, got {c!r}")
+    return doc["constants"]
+
+
 def algebra_from_dict(doc: dict, field):
     kind = doc.get("kind")
     if kind == "artinian":
-        A = artin_algebra_from_constants(field, doc["labels"],
-                                         [(i, j, k, v) for i, j, k, v in doc["constants"]])
+        A = artin_algebra_from_constants(field, doc["labels"], _structure_constants(doc))
         gens = doc.get("generators")
         if gens:
             pairs = tuple((name, A.parse_element(expr)) for name, expr in sorted(gens.items()))
@@ -266,14 +276,19 @@ def save(path: str, doc: dict):
 def load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise LoadError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
     except OSError as e:
         raise LoadError(f"{path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise LoadError(f"{path}: the top level is a {type(doc).__name__}, not a JSON object")
+    return doc
 
 
 def _resolve(ref, field, base_dir, loader):
+    if not isinstance(ref, (str, dict)):
+        raise LoadError(f"expected a file path or an inline object, got {ref!r}")
     if isinstance(ref, str):
         doc = load(os.path.join(base_dir, ref))
         new_base = os.path.dirname(os.path.join(base_dir, ref))

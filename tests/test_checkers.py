@@ -163,6 +163,16 @@ def test_decompose_koszul_itself():
     assert dec.multiplicity == 1
 
 
+def test_decompose_one_term_complex_is_the_empty_koszul_complex():
+    # K(empty sequence)^2 = A^2 in degree 0: no element is needed, none is chosen
+    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    F = free_complex(A, [2], [])
+    dec = koszul_decompose(F)
+    assert isinstance(dec, Decomposition)
+    assert dec.elements == () and dec.multiplicity == 2
+    assert dec.lift.phi.is_chain_map()
+
+
 def test_decompose_round_trip_small():
     rng = random.Random(4)
     A = monomial_algebra(GF101, ["x", "y", "z"],

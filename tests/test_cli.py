@@ -174,3 +174,27 @@ def test_differential_of_the_wrong_shape_exits_2(tmp_path, capsys, artinian):
     captured = capsys.readouterr()
     assert "error:" in captured.err and "1x1" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_structure_constant_outside_the_labels_exits_2(tmp_path, capsys):
+    from derfree.monomial import monomial_algebra
+    A = monomial_algebra(GF101, ["x"], ["x^3"], 4).artinize()
+    alg = serialize.algebra_to_dict(A)
+    alg["constants"].append([0, 1, len(alg["labels"]), 1])  # basis index past the labels
+    p = str(tmp_path / "bad_constant.json")
+    serialize.save(p, {"algebra": alg, "ranks": [1, 1], "differentials": [[["0"]]]})
+    assert main(["homology", p]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "constants[" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "homology", "annihilator"])
+def test_top_level_array_exits_2(tmp_path, capsys, command):
+    p = str(tmp_path / "array.json")
+    with open(p, "w") as fh:
+        fh.write("[1, 2, 3]\n")
+    assert main([command, p]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "JSON object" in captured.err
+    assert "Traceback" not in captured.out + captured.err

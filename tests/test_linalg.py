@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derfree.field import GF, GF101, QQ
-from derfree.linalg import (Matrix, independent_columns, invert, kernel_basis, rank,
-                            rref, solve, solve_and_project, solve_multi, span_equal)
+from derfree.linalg import (Matrix, independent_columns, invert, kernel_basis, np_rref,
+                            rank, rref, solve, solve_and_project, solve_multi,
+                            span_equal, sparse_rref)
 
 
 def brute_force_det(field, M):
@@ -137,17 +139,87 @@ def test_invert():
     assert invert(Matrix.from_int_rows(GF101, [[1, 2], [2, 4]])) is None
 
 
+def gauss_jordan(field, rows, ncols):
+    """Dense Gauss-Jordan reference: leftmost pivot, first nonzero row."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != field.zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != field.zero:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def reference_rref(M):
+    """RREF by np_rref over GF(p) and by dense Gauss-Jordan over QQ."""
+    if M.field == QQ:
+        return gauss_jordan(QQ, M.rows, M.ncols)
+    arr = np.array(M.rows, dtype=np.int64).reshape(M.nrows, M.ncols)
+    arr, pivots = np_rref(arr, M.field.p)
+    return arr.tolist(), tuple(pivots)
+
+
 def test_numpy_path_matches_python_path():
-    # same canonical RREF regardless of backend routing (RREF is unique)
+    # a dense 65x70 system: the sparse kernel agrees with both references
     import random
     rng = random.Random(3)
     rows = [[rng.randrange(101) for _ in range(70)] for _ in range(65)]
-    big = Matrix.from_int_rows(GF101, rows)  # routed through numpy
-    from derfree.linalg import _py_rref
-    py_rows, py_piv = _py_rref(GF101, big.rows, big.ncols)
+    big = Matrix.from_int_rows(GF101, rows)
     R, piv, rk = rref(big)
-    assert R.rows == tuple(tuple(r) for r in py_rows)
-    assert tuple(py_piv) == piv
+    np_rows, np_piv = reference_rref(big)
+    gj_rows, gj_piv = gauss_jordan(GF101, big.rows, big.ncols)
+    assert R.rows == tuple(map(tuple, np_rows)) == tuple(map(tuple, gj_rows))
+    assert piv == np_piv == gj_piv and rk == len(piv)
+
+
+def sparse_or_dense(field):
+    """Matrices of any shape (empty ones too), mostly zero or mostly not."""
+    if field == QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        scalar = st.integers(0, field.p - 1).map(field.from_int)
+    entry = st.one_of(st.just(field.zero), scalar)
+    sparse_entry = st.one_of(st.just(field.zero), st.just(field.zero), st.just(field.zero),
+                             scalar)
+    return st.tuples(st.integers(0, 8), st.integers(0, 8), st.booleans()).flatmap(
+        lambda t: st.lists(st.lists(sparse_entry if t[2] else entry,
+                                    min_size=t[1], max_size=t[1]),
+                           min_size=t[0], max_size=t[0]).map(
+            lambda rows: Matrix.from_rows(field, rows, ncols=t[1])))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([GF101, QQ]).flatmap(sparse_or_dense), st.data())
+def test_sparse_kernel_matches_the_reference_rref(M, data):
+    # zero rows and zero columns, spliced in at random places
+    if M.nrows and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, M.nrows))
+        M = Matrix(M.field, M.nrows + 1, M.ncols,
+                   M.rows[:k] + ((M.field.zero,) * M.ncols,) + M.rows[k:])
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, M.ncols))
+        M = Matrix(M.field, M.nrows, M.ncols + 1,
+                   tuple(r[:k] + (M.field.zero,) + r[k:] for r in M.rows))
+    R, piv, rk = rref(M)
+    ref_rows, ref_piv = reference_rref(M)
+    assert R.rows == tuple(map(tuple, ref_rows))
+    assert piv == ref_piv and rk == len(ref_piv)
+    # the kernel's own rows, pivot by pivot
+    pivot_rows, pivots = sparse_rref(M.field, [
+        {j: v for j, v in enumerate(r) if v != M.field.zero} for r in M.rows])
+    assert pivots == ref_piv
+    assert [[row.get(j, M.field.zero) for j in range(M.ncols)] for row in pivot_rows] \
+        == [list(r) for r in ref_rows[:rk]]
 
 
 matrices = st.integers(1, 5).flatmap(
