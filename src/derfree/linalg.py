@@ -10,7 +10,6 @@ all arithmetic done by the field object; `np_rref` stays as a reference.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,39 +169,36 @@ def _eliminate(field, row, c, piv):
 def sparse_rref(field, rows):
     """Canonical RREF of sparse rows {column: scalar}: (pivot_rows, pivots).
 
-    Zero entries are dropped; the input dicts are not changed.  Rows leave a
-    heap keyed by (leading column, length): the shortest row with a new lead
-    becomes its pivot row, scaled to lead with 1, and every later row with
-    that lead is reduced by it and pushed back.  Back-substitution then
-    clears the pivot columns, highest pivot first.  The RREF is unique, so
-    the choice of pivot rows changes no entry of the result.
+    Zero entries are dropped; the input dicts are not changed.  The pivot
+    rows are kept fully reduced while rows are inserted shortest first: a
+    new row is cleared of every pivot column in one pass (each pivot row is
+    zero on the other pivot columns), and if anything is left its leading
+    entry is scaled to 1, its column is cleared from the pivot rows, and it
+    joins them.  Keeping the pivot rows reduced keeps them about as sparse
+    as the result, so the work tracks the size of the RREF rather than the
+    fill-in of a forward pass.  The RREF is unique, so the insertion order
+    changes no entry of the result.
     """
     zero, one = field.zero, field.one
     work = [{j: v for j, v in r.items() if v != zero} for r in rows]
-    heap = [(min(r), len(r), i) for i, r in enumerate(work) if r]
-    heapq.heapify(heap)
+    work.sort(key=lambda r: (len(r), min(r, default=-1)))
     pivot_row = {}
-    while heap:
-        lead, _, i = heapq.heappop(heap)
-        row = work[i]
-        piv = pivot_row.get(lead)
-        if piv is None:
-            pv = row[lead]
-            if pv != one:
-                inv = field.inv(pv)
-                row = {j: field.mul(inv, v) for j, v in row.items()}
-            pivot_row[lead] = row
+    for row in work:
+        for c in [c for c in row if c in pivot_row]:
+            _eliminate(field, row, row[c], pivot_row[c])
+        if not row:
             continue
-        _eliminate(field, row, row[lead], piv)
-        if row:
-            heapq.heappush(heap, (min(row), len(row), i))
+        lead = min(row)
+        pv = row[lead]
+        if pv != one:
+            inv = field.inv(pv)
+            row = {j: field.mul(inv, v) for j, v in row.items()}
+        for piv in pivot_row.values():
+            c = piv.get(lead)
+            if c is not None:
+                _eliminate(field, piv, c, row)
+        pivot_row[lead] = row
     pivots = tuple(sorted(pivot_row))
-    for c in reversed(pivots):
-        row = pivot_row[c]
-        # the rows below are reduced, so clearing one pivot column touches
-        # only that column and non-pivot columns
-        for d in [d for d in row if d != c and d in pivot_row]:
-            _eliminate(field, row, row[d], pivot_row[d])
     return [pivot_row[c] for c in pivots], pivots
 
 

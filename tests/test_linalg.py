@@ -222,6 +222,24 @@ def test_sparse_kernel_matches_the_reference_rref(M, data):
         == [list(r) for r in ref_rows[:rk]]
 
 
+@pytest.mark.parametrize("field", [GF101, QQ])
+def test_sparse_kernel_ignores_row_order(field):
+    # a 3%-dense 150x120 system with redundant rows, in two row orders
+    import random
+    rng = random.Random(7)
+    rows = [{j: field.from_int(rng.randrange(1, 101)) for j in range(120)
+             if rng.random() < 0.03} for _ in range(100)]
+    rows += [{j: field.add(a.get(j, field.zero), b.get(j, field.zero)) for j in {*a, *b}}
+             for a, b in zip(rows[:50], rows[50:])]
+    ref_rows, ref_piv = gauss_jordan(
+        field, [[r.get(j, field.zero) for j in range(120)] for r in rows], 120)
+    for order in (rows, rows[::-1]):
+        pivot_rows, pivots = sparse_rref(field, order)
+        assert pivots == ref_piv
+        assert [[row.get(j, field.zero) for j in range(120)] for row in pivot_rows] \
+            == ref_rows[:len(ref_piv)]
+
+
 matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
         lambda n: st.lists(st.lists(st.integers(0, 100), min_size=n, max_size=n),
