@@ -86,7 +86,13 @@ class _ElementEnv(exprs.RingEnv):
 
 @dataclass(frozen=True)
 class ArtinAlgebra:
-    """Finite-dimensional local algebra: basis labels + multiplication table."""
+    """Finite-dimensional local algebra: basis labels + multiplication table.
+
+    Products are computed from a sparse form of the structure constants,
+    built once per algebra: ``_table[i][j]`` holds the nonzero ``(k, c)`` of
+    ``e_i * e_j``.  It is derived from ``mult`` and takes no part in
+    equality or hashing.
+    """
 
     field: object
     labels: tuple
@@ -95,20 +101,20 @@ class ArtinAlgebra:
 
     kind = "artinian"
 
+    def __post_init__(self):
+        f = self.field
+        d = len(self.labels)
+        table = tuple(tuple(tuple((k, c) for k, c in enumerate(self.mult[i][j]) if c)
+                            for j in range(d)) for i in range(d))
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "zero", (f.zero,) * d)
+        object.__setattr__(self, "one", (f.one,) + (f.zero,) * (d - 1) if d else ())
+
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     # -- element arithmetic ----------------------------------------------
-    @property
-    def zero(self) -> Element:
-        return tuple(self.field.zero for _ in range(self.dim))
-
-    @property
-    def one(self) -> Element:
-        f = self.field
-        return tuple(f.one if i == 0 else f.zero for i in range(self.dim))
-
     def basis_element(self, i: int) -> Element:
         f = self.field
         return tuple(f.one if j == i else f.zero for j in range(self.dim))
@@ -129,26 +135,34 @@ class ArtinAlgebra:
         f = self.field
         return tuple(f.mul(c, a) for a in u)
 
-    def el_mul(self, u: Element, v: Element) -> Element:
-        f = self.field
-        zero = f.zero
-        acc = [zero] * self.dim
-        for i, a in enumerate(u):
-            if a == zero:
+    def el_dot(self, pairs) -> Element:
+        """The sum of u * v over the (u, v) in pairs.
+
+        Raw products of the nonzero coordinates are summed per output
+        coordinate, and each sum is reduced once at the end.
+        """
+        table = self._table
+        acc = [0] * len(table)
+        for u, v in pairs:
+            nzv = [(j, b) for j, b in enumerate(v) if b]
+            if not nzv:
                 continue
-            mi = self.mult[i]
-            for j, b in enumerate(v):
-                if b == zero:
+            for i, a in enumerate(u):
+                if not a:
                     continue
-                ab = f.mul(a, b)
-                for k, c in enumerate(mi[j]):
-                    if c != zero:
-                        acc[k] = f.add(acc[k], f.mul(ab, c))
-        return tuple(acc)
+                ti = table[i]
+                for j, b in nzv:
+                    ab = a * b
+                    for k, c in ti[j]:
+                        acc[k] += ab * c
+        reduce, zero = self.field.reduce, self.field.zero
+        return tuple(reduce(x) if x else zero for x in acc)
+
+    def el_mul(self, u: Element, v: Element) -> Element:
+        return self.el_dot(((u, v),))
 
     def el_is_zero(self, u: Element) -> bool:
-        z = self.field.zero
-        return all(a == z for a in u)
+        return not any(u)
 
     def el_in_m(self, u: Element) -> bool:
         return u[0] == self.field.zero
@@ -159,19 +173,17 @@ class ArtinAlgebra:
 
     def left_mult_matrix(self, u: Element) -> Matrix:
         """Matrix of v -> u*v in the algebra basis."""
-        f = self.field
-        zero = f.zero
-        cols = []
-        for j in range(self.dim):
-            col = [zero] * self.dim
-            for i, a in enumerate(u):
-                if a == zero:
-                    continue
-                for k, c in enumerate(self.mult[i][j]):
-                    if c != zero:
-                        col[k] = f.add(col[k], f.mul(a, c))
-            cols.append(col)
-        return Matrix.from_columns(f, cols, nrows=self.dim)
+        d = self.dim
+        acc = [[0] * d for _ in range(d)]
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, entries in enumerate(self._table[i]):
+                for k, c in entries:
+                    acc[k][j] += a * c
+        reduce, zero = self.field.reduce, self.field.zero
+        return Matrix.from_rows(self.field, [[reduce(x) if x else zero for x in r] for r in acc],
+                                ncols=d)
 
     def named_element(self, name: str) -> Element | None:
         for gname, el in self.generators:

@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 input error.
+Exit codes: 0 all checks passed, 1 some check failed, 2 input error,
+3 internal error (an unexpected exception; never a verdict).
 `--json PATH` writes the machine-readable report (canonical JSON, byte
 stable across runs); human-readable lines go to stdout.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import serialize
 from .actions import verify_certificate
@@ -394,6 +396,10 @@ def main(argv=None) -> int:
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a crash must not read as a failed check (exit 1)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     finally:
         serialize.set_truncation_override(None)
 

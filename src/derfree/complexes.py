@@ -97,18 +97,17 @@ class AMatrix:
             raise ComplexError(
                 f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         A = self.algebra
+        is_zero, dot, zero = A.el_is_zero, A.el_dot, A.zero
+        # nonzero pattern of each row of `other`, read once
+        other_nz = [[(j, b) for j, b in enumerate(r) if not is_zero(b)] for r in other.entries]
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = A.zero
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not A.el_is_zero(a) and not A.el_is_zero(b):
-                        acc = A.el_add(acc, A.el_mul(a, b))
-                row.append(acc)
-            out.append(tuple(row))
+        for r in self.entries:
+            pairs = [[] for _ in range(other.ncols)]
+            for k, a in enumerate(r):
+                if other_nz[k] and not is_zero(a):
+                    for j, b in other_nz[k]:
+                        pairs[j].append((a, b))
+            out.append(tuple(dot(p) if p else zero for p in pairs))
         return AMatrix(A, self.nrows, other.ncols, tuple(out))
 
     def is_zero(self) -> bool:
@@ -138,19 +137,13 @@ class AMatrix:
         f = A.field
         d = A.dim
         rows = [[f.zero] * (self.ncols * d) for _ in range(self.nrows * d)]
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                e = self.entries[i][j]
-                if A.el_is_zero(e):
-                    continue
-                L = A.left_mult_matrix(e)
-                for a in range(d):
-                    ra = rows[i * d + a]
-                    Lr = L.rows[a]
-                    for b in range(d):
-                        if Lr[b] != f.zero:
-                            ra[j * d + b] = f.add(ra[j * d + b], Lr[b])
-        return Matrix.from_rows(f, [tuple(r) for r in rows], ncols=self.ncols * d)
+        for i, r in enumerate(self.entries):
+            for j, e in enumerate(r):
+                if not A.el_is_zero(e):
+                    # block (i, j) is multiplication by e
+                    for a, Lr in enumerate(A.left_mult_matrix(e).rows):
+                        rows[i * d + a][j * d:(j + 1) * d] = Lr
+        return Matrix.from_rows(f, rows, ncols=self.ncols * d)
 
     def hstack(self, other: "AMatrix") -> "AMatrix":
         return AMatrix(self.algebra, self.nrows, self.ncols + other.ncols,

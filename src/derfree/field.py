@@ -2,6 +2,9 @@
 
 Scalars are plain Python values: ints in [0, p) for GF(p), fractions.Fraction
 (always in lowest terms) for the rationals.  No floating point anywhere.
+Both kinds support Python's `+`, `*` and truth value, so a hot loop may sum
+raw products and pass the total once through `reduce` to get the canonical
+scalar.
 """
 
 from __future__ import annotations
@@ -75,6 +78,10 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
+    def reduce(self, a: int) -> int:
+        """The scalar equal to a sum of unreduced products of scalars."""
+        return a % self.p
+
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
@@ -107,18 +114,23 @@ class GF:
         return f"GF({self.p})"
 
 
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
+
+
 class Rationals:
     """The field of rationals; scalars are Fraction (auto-reduced)."""
 
     __slots__ = ()
 
+    # Fraction is immutable, so every caller can share one zero and one one
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _FRACTION_ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _FRACTION_ONE
 
     @property
     def characteristic(self) -> int:
@@ -138,6 +150,10 @@ class Rationals:
 
     def mul(self, a, b):
         return a * b
+
+    def reduce(self, a) -> Fraction:
+        """The scalar equal to a sum of products of scalars (already canonical)."""
+        return a
 
     def inv(self, a):
         if a == 0:

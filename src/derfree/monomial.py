@@ -161,21 +161,26 @@ class MonomialAlgebra:
             return ()
         return tuple((m, f.mul(c, a)) for m, a in u)
 
-    def el_mul(self, u, v):
+    def el_dot(self, pairs):
+        """The sum of u * v over the (u, v) in pairs."""
         f = self.field
         acc = {}
-        for m1, c1 in u:
-            for m2, c2 in v:
-                m = mono_mul(m1, m2)
-                if not self.is_standard(m):
-                    continue
-                acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
+        for u, v in pairs:
+            for m1, c1 in u:
+                for m2, c2 in v:
+                    m = mono_mul(m1, m2)
+                    if not self.is_standard(m):
+                        continue
+                    acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
         out = self._canonical(acc)
         for m, _ in out:
             if mono_degree(m) > self.truncation:
                 raise TruncationError(
                     f"product has a term of degree {mono_degree(m)} above truncation {self.truncation}")
         return out
+
+    def el_mul(self, u, v):
+        return self.el_dot(((u, v),))
 
     def el_is_zero(self, u) -> bool:
         return len(u) == 0

@@ -77,7 +77,9 @@ def _structure_constants(doc: dict) -> list:
     return doc["constants"]
 
 
-def algebra_from_dict(doc: dict, field):
+def algebra_from_dict(doc: dict, field, base_dir="."):
+    """Build an algebra; `base_dir` is unused (an algebra names no other file)
+    and is there so every loader takes the signature `_resolve` calls."""
     kind = doc.get("kind")
     if kind == "artinian":
         A = artin_algebra_from_constants(field, doc["labels"], _structure_constants(doc))
@@ -110,13 +112,26 @@ def complex_to_dict(F: FreeComplex, inline_algebra: bool = True) -> dict:
     return out
 
 
+def _entry_rows(rows, where: str) -> list:
+    """A matrix of a document, checked to be a list of rows of entry strings."""
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and all(isinstance(e, str) for e in r) for r in rows)):
+        raise LoadError(f"{where}: expected a list of rows of entry strings, got {rows!r}"[:300])
+    return rows
+
+
 def complex_from_dict(doc: dict, field, algebra=None, base_dir="."):
     if algebra is None:
         algebra = _resolve(doc["algebra"], field, base_dir, algebra_from_dict)
     ranks = [int(r) for r in doc["ranks"]]
     low = int(doc.get("low", 0))
+    diff_docs = doc["differentials"]
+    if not isinstance(diff_docs, list) or len(diff_docs) != max(0, len(ranks) - 1):
+        raise LoadError(f"differentials: expected a list of {max(0, len(ranks) - 1)} matrices "
+                        f"for {len(ranks)} ranks, got {diff_docs!r}"[:300])
     diffs = []
-    for i, rows in enumerate(doc["differentials"]):
+    for i, rows in enumerate(diff_docs):
+        rows = _entry_rows(rows, f"differentials[{i}]")
         diffs.append(AMatrix.from_strings(algebra, rows, ncols=ranks[i + 1]))
     shifts = doc.get("shifts")
     labels = doc.get("labels")
@@ -133,6 +148,7 @@ def endo_from_dict(F: FreeComplex, doc: dict) -> ChainMap:
     maps = {}
     for dstr, rows in sorted(doc["maps"].items(), key=lambda kv: int(kv[0])):
         d = int(dstr)
+        rows = _entry_rows(rows, f"maps[{dstr!r}]")
         maps[d] = AMatrix.from_strings(F.algebra, rows, ncols=F.rank(d))
     return ChainMap.from_dict(F, F, maps)
 
@@ -189,14 +205,15 @@ def certificate_from_dict(doc: dict, field, F: FreeComplex | None = None,
     phi = morphism_from_dict(doc["morphism"], field, source=source, target=target,
                              base_dir=base_dir)
     gens = []
-    for g in doc["generators"]:
+    for n, g in enumerate(doc["generators"]):
         maps = {}
         for dstr, rows in sorted(g["matrices"].items(), key=lambda kv: int(kv[0])):
             d = int(dstr)
+            rows = _entry_rows(rows, f"generators[{n}].matrices[{dstr!r}]")
             maps[d] = AMatrix.from_strings(F.algebra, rows, ncols=F.rank(d))
         gens.append((g["name"], ChainMap.from_dict(F, F, maps)))
     rels = []
-    for r in doc["relations"]:
+    for n, r in enumerate(doc["relations"]):
         w = r.get("witness", "solve")
         if w == "solve":
             rels.append((r["poly"], None))
@@ -204,6 +221,7 @@ def certificate_from_dict(doc: dict, field, F: FreeComplex | None = None,
             maps = {}
             for dstr, rows in sorted(w.items(), key=lambda kv: int(kv[0])):
                 d = int(dstr)
+                rows = _entry_rows(rows, f"relations[{n}].witness[{dstr!r}]")
                 maps[d] = AMatrix.from_strings(F.algebra, rows, ncols=F.rank(d))
             rels.append((r["poly"], witness_from_matrices(F, maps)))
     return ActionCertificate(phi, tuple(gens), tuple(rels)), F
@@ -287,19 +305,15 @@ def load(path: str) -> dict:
 
 
 def _resolve(ref, field, base_dir, loader):
-    if not isinstance(ref, (str, dict)):
-        raise LoadError(f"expected a file path or an inline object, got {ref!r}")
+    """Load a reference (a path relative to base_dir, or an inline object) with
+    `loader(doc, field, base_dir=...)`; a path's own references resolve from
+    its directory."""
     if isinstance(ref, str):
-        doc = load(os.path.join(base_dir, ref))
-        new_base = os.path.dirname(os.path.join(base_dir, ref))
-        try:
-            return loader(doc, field, base_dir=new_base)
-        except TypeError:
-            return loader(doc, field)
-    try:
-        return loader(ref, field, base_dir=base_dir)
-    except TypeError:
-        return loader(ref, field)
+        path = os.path.join(base_dir, ref)
+        ref, base_dir = load(path), os.path.dirname(path)
+    elif not isinstance(ref, dict):
+        raise LoadError(f"expected a file path or an inline object, got {ref!r}")
+    return loader(ref, field, base_dir=base_dir)
 
 
 def document_field(doc: dict, default_field):

@@ -198,3 +198,46 @@ def test_top_level_array_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert "error:" in captured.err and "JSON object" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("differentials, where", [(5, "differentials:"),
+                                                  ([5], "differentials[0]"),
+                                                  ([["x"]], "differentials[0]"),
+                                                  ([[[5]]], "differentials[0]")],
+                         ids=["number", "list-of-number", "row-not-a-list", "entry-not-a-string"])
+def test_differentials_that_are_not_row_lists_exit_2(tmp_path, capsys, differentials, where):
+    from derfree.monomial import monomial_algebra
+    A = monomial_algebra(GF101, ["x"], ["x^3"], 4).artinize()
+    p = str(tmp_path / "bad_differentials.json")
+    serialize.save(p, {"algebra": serialize.algebra_to_dict(A), "ranks": [1, 1],
+                       "differentials": differentials})
+    assert main(["homology", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and where in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_endomorphism_entry_that_is_not_a_string_exits_2(tmp_path, capsys, ex55_files):
+    doc = {"complex": "F.json", "maps": {"0": [[5, "0"], ["0", "0"]]}}
+    p = os.path.join(os.path.dirname(ex55_files["F"]), "endo_bad.json")
+    serialize.save(p, doc)
+    assert main(["homotopy", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "maps['0']" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("boom")],
+                         ids=["RuntimeError", "AssertionError"])
+def test_an_internal_error_exits_3(ex55_files, capsys, monkeypatch, exc):
+    from derfree import cli
+
+    def crash(args):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "homology", crash)
+    assert main(["homology", ex55_files["F"]]) == 3
+    err = capsys.readouterr().err
+    assert f"internal error: {type(exc).__name__}: boom" in err.splitlines()[0]
+    # a failed check still exits 1
+    assert main(["decompose", ex55_files["F"]]) == 1
