@@ -165,7 +165,7 @@ class ArtinAlgebra:
         return not any(u)
 
     def el_in_m(self, u: Element) -> bool:
-        return u[0] == self.field.zero
+        return not u[0]
 
     def el_mod_m(self, u: Element):
         """Image in the residue field k = A/m."""
@@ -201,7 +201,7 @@ class ArtinAlgebra:
         f = self.field
         terms = []
         for i, a in enumerate(u):
-            if a == f.zero:
+            if not a:
                 continue
             coeff = f.to_str(a)
             if i == 0:
@@ -272,7 +272,6 @@ class ArtinAlgebra:
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> ValidationReport:
-        f = self.field
         issues = []
         d = self.dim
         for j in range(d):
@@ -287,7 +286,7 @@ class ArtinAlgebra:
         issues.extend(self._associativity_issues())
         for i in range(d):
             for j in range(1, d):
-                if self.mult[i][j][0] != f.zero:
+                if self.mult[i][j][0]:
                     issues.append(ValidationIssue("ideal", (i, j),
                                                   "e_i*e_j has a unit component although e_j is in m"))
         nilindex = self.nilpotency_index()

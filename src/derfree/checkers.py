@@ -715,8 +715,12 @@ def select_independent_mod_m2(A: ArtinAlgebra, ann: DerivedAnnihilator, count: i
     return [a for a, _ in chosen], [w for _, w in chosen], count
 
 
-def koszul_decompose(F: FreeComplex):
-    """Decompose F as a sum of copies of one Koszul complex, or report why not."""
+def koszul_decompose(F: FreeComplex, annihilator: DerivedAnnihilator | None = None):
+    """Decompose F as a sum of copies of one Koszul complex, or report why not.
+
+    A caller that already holds the derived annihilator of F passes it in,
+    so it is not computed twice.
+    """
     A = F.algebra
     if A.kind != "artinian":
         raise ValueError("decomposition runs on the Artinian backend")
@@ -728,7 +732,7 @@ def koszul_decompose(F: FreeComplex):
     p = p - F.low
     if p > 4:
         raise ValueError("defect above the supported cap of 4")
-    ann = derived_annihilator(F)
+    ann = annihilator if annihilator is not None else derived_annihilator(F)
     chosen, wits, found = select_independent_mod_m2(A, ann, p)
     if chosen is None:
         return DecompositionObstruction(
@@ -840,7 +844,7 @@ def tensor_model_search(F: FreeComplex, z_blocks: list, rng, tries: int = 64):
         combo = None
         for g in maps:
             coeff = f.from_int(rng.randrange(0, 7))
-            if coeff == f.zero:
+            if not coeff:
                 continue
             scaled = g.scale_el(A.el_scale(coeff, A.one))
             combo = scaled if combo is None else combo.add(scaled)

@@ -577,16 +577,16 @@ def _graded_multiply_vector(F: FreeComplex, i: int, n: int, vec, element):
     f = A.field
     src = F.graded_coords(i, n)
     tgt = {c: k for k, c in enumerate(F.graded_coords(i, n + 1))}
-    out = [f.zero] * len(tgt)
+    out = [0] * len(tgt)
     for coeff, (s, m) in zip(vec, src):
-        if coeff == f.zero:
+        if not coeff:
             continue
-        prod = A.el_mul(((m, f.one),), element)
-        for pm, pc in prod:
-            key = (s, pm)
-            if key in tgt:
-                out[tgt[key]] = f.add(out[tgt[key]], f.mul(coeff, pc))
-    return tuple(out)
+        for pm, pc in A.el_mul(((m, f.one),), element):
+            k = tgt.get((s, pm))
+            if k is not None:
+                out[k] += coeff * pc
+    reduce, zero = f.reduce, f.zero
+    return tuple(reduce(x) if x else zero for x in out)
 
 
 def graded_homology_all(F: FreeComplex) -> dict:

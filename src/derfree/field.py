@@ -156,7 +156,7 @@ class Rationals:
         return a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 

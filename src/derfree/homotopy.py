@@ -164,7 +164,7 @@ class _System:
             f = A.field
             L = A.mult_map(e, deg) if self.graded else A.left_mult_matrix(e)
             self._blocks[key] = [(r, c, f.mul(coeff, v)) for r, row in enumerate(L.rows)
-                                 for c, v in enumerate(row) if v != f.zero]
+                                 for c, v in enumerate(row) if v]
         return self._blocks[key]
 
     def _coords(self, e, deg):

@@ -4,8 +4,14 @@ RREF is canonical (leftmost pivot, pivot entries 1, pivot columns cleared),
 so every derived object -- kernel bases ordered by free-column index,
 particular solutions with free variables set to 0, projections of kernels
 -- is reproducible bit-for-bit.  One sparse kernel (`sparse_rref`) on rows
-stored as {column: scalar} dicts eliminates for every field and size, with
-all arithmetic done by the field object; `np_rref` stays as a reference.
+stored as {column: scalar} dicts eliminates for every field and size;
+`np_rref` stays as a reference.
+
+The hot loops (`Matrix.mul`, `Matrix.apply`, `sparse_rref`) work on the
+exact Python scalars directly: they test a scalar for zero by its truth
+value, sum raw products with `+` and `*`, and pass each sum once through
+`field.reduce` to get the canonical scalar (a sum that is zero becomes
+`field.zero`).  Colder code goes through the field's `add`/`mul`.
 """
 
 from __future__ import annotations
@@ -97,30 +103,31 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         f = self.field
-        zero = f.zero
-        ocols = other.columns()
+        reduce, zero = f.reduce, f.zero
+        # nonzero pattern of each row of `other`, read once
+        other_nz = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         out = []
         for r in self.rows:
-            row = []
-            for c in ocols:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a != zero and b != zero:
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(tuple(row))
+            acc = [0] * other.ncols
+            for a, nz in zip(r, other_nz):
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append(tuple(reduce(x) if x else zero for x in acc))
         return Matrix(f, self.nrows, other.ncols, tuple(out))
 
     def apply(self, vec) -> tuple:
         f = self.field
-        zero = f.zero
+        reduce, zero = f.reduce, f.zero
+        nz = [(k, b) for k, b in enumerate(vec) if b]
         out = []
         for r in self.rows:
-            acc = zero
-            for a, b in zip(r, vec):
-                if a != zero and b != zero:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
+            acc = 0
+            for k, b in nz:
+                a = r[k]
+                if a:
+                    acc += a * b
+            out.append(reduce(acc) if acc else zero)
         return tuple(out)
 
     def transpose(self) -> "Matrix":
@@ -139,8 +146,7 @@ class Matrix:
         return Matrix(self.field, self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for r in self.rows for a in r)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
@@ -157,13 +163,13 @@ class Matrix:
 
 def _eliminate(field, row, c, piv):
     """row -= c * piv, in place, keeping only nonzero entries."""
-    zero, sub, mul = field.zero, field.sub, field.mul
+    reduce, get = field.reduce, row.get
     for j, v in piv.items():
-        w = sub(row.get(j, zero), mul(c, v))
-        if w == zero:
-            del row[j]
-        else:
+        w = reduce(get(j, 0) - c * v)
+        if w:
             row[j] = w
+        else:
+            del row[j]
 
 
 def sparse_rref(field, rows):
@@ -171,21 +177,31 @@ def sparse_rref(field, rows):
 
     Zero entries are dropped; the input dicts are not changed.  The pivot
     rows are kept fully reduced while rows are inserted shortest first: a
-    new row is cleared of every pivot column in one pass (each pivot row is
-    zero on the other pivot columns), and if anything is left its leading
-    entry is scaled to 1, its column is cleared from the pivot rows, and it
-    joins them.  Keeping the pivot rows reduced keeps them about as sparse
-    as the result, so the work tracks the size of the RREF rather than the
-    fill-in of a forward pass.  The RREF is unique, so the insertion order
-    changes no entry of the result.
+    new row is cleared of every pivot column in one pass, and if anything
+    is left its leading entry is scaled to 1, its column is cleared from
+    the pivot rows, and it joins them.  Each pivot row is zero on the other
+    pivot columns, so the multipliers of that pass are the new row's own
+    entries: the raw products are summed per column and each touched entry
+    is reduced once.  Keeping the pivot rows reduced keeps them about as
+    sparse as the result, so the work tracks the size of the RREF rather
+    than the fill-in of a forward pass.  The RREF is unique, so neither the
+    insertion order nor the order of the arithmetic changes an entry of the
+    result.
     """
-    zero, one = field.zero, field.one
-    work = [{j: v for j, v in r.items() if v != zero} for r in rows]
+    one, reduce = field.one, field.reduce
+    work = [{j: v for j, v in r.items() if v} for r in rows]
     work.sort(key=lambda r: (len(r), min(r, default=-1)))
     pivot_row = {}
     for row in work:
-        for c in [c for c in row if c in pivot_row]:
-            _eliminate(field, row, row[c], pivot_row[c])
+        hits = [c for c in row if c in pivot_row]
+        if hits:
+            acc = dict(row)
+            get = acc.get
+            for c in hits:
+                m = row[c]
+                for j, v in pivot_row[c].items():
+                    acc[j] = get(j, 0) - m * v
+            row = {j: w for j, w in zip(acc, map(reduce, acc.values())) if w}
         if not row:
             continue
         lead = min(row)

@@ -358,7 +358,7 @@ def ext_dims_via_resolution(M: FiniteModule, N: FiniteModule, steps: int) -> tup
                 for r_i in range(N.dim):
                     for c_i in range(N.dim):
                         v = act.rows[r_i][c_i]
-                        if v != f.zero:
+                        if v:
                             out_m[s * N.dim + r_i][sp * N.dim + c_i] = f.add(
                                 out_m[s * N.dim + r_i][sp * N.dim + c_i], v)
         return Matrix.from_rows(f, [tuple(r) for r in out_m], ncols=b_src * N.dim)

@@ -136,16 +136,15 @@ class MonomialAlgebra:
         return None
 
     def _canonical(self, terms: dict):
-        z = self.field.zero
-        items = [(m, c) for m, c in terms.items() if c != z]
+        """Sorted nonzero terms of {monomial: raw sum}, each sum reduced once."""
+        items = [(m, c) for m, c in zip(terms, map(self.field.reduce, terms.values())) if c]
         items.sort(key=lambda t: mono_key(t[0]))
         return tuple(items)
 
     def el_add(self, u, v):
         acc = dict(u)
-        f = self.field
         for m, c in v:
-            acc[m] = f.add(acc.get(m, f.zero), c)
+            acc[m] = acc.get(m, 0) + c
         return self._canonical(acc)
 
     def el_sub(self, u, v):
@@ -157,21 +156,20 @@ class MonomialAlgebra:
 
     def el_scale(self, c, u):
         f = self.field
-        if c == f.zero:
+        if not c:
             return ()
         return tuple((m, f.mul(c, a)) for m, a in u)
 
     def el_dot(self, pairs):
         """The sum of u * v over the (u, v) in pairs."""
-        f = self.field
         acc = {}
+        get, is_standard = acc.get, self.is_standard
         for u, v in pairs:
             for m1, c1 in u:
                 for m2, c2 in v:
                     m = mono_mul(m1, m2)
-                    if not self.is_standard(m):
-                        continue
-                    acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
+                    if is_standard(m):
+                        acc[m] = get(m, 0) + c1 * c2
         out = self._canonical(acc)
         for m, _ in out:
             if mono_degree(m) > self.truncation:
@@ -230,8 +228,7 @@ class MonomialAlgebra:
         return tuple(lookup.get(m, f.zero) for m in self.basis(d))
 
     def from_coords(self, coords, d: int):
-        f = self.field
-        return tuple((m, c) for m, c in zip(self.basis(d), coords) if c != f.zero)
+        return tuple((m, c) for m, c in zip(self.basis(d), coords) if c)
 
     def mult_map(self, u, src_deg: int) -> Matrix:
         """Matrix of multiplication by homogeneous u from basis(src_deg) to basis(src_deg + deg u)."""

@@ -94,7 +94,7 @@ class GradedResolution:
                 prev_coords_cache[g] = gslice
             col = [f.zero] * len(tgt)
             for coeff, (gj, mono) in zip(img, gslice):
-                if coeff == f.zero:
+                if not coeff:
                     continue
                 prod = A.el_mul(((mono, f.one),), ((m, f.one),))
                 for pm, pc in prod:
@@ -221,7 +221,7 @@ def _hom_matrix(res: GradedResolution, M: GradedModule, n: int, t: int) -> Matri
             # coefficient of generator gj with monomial m in img
             acc = Matrix.zero(f, tgt_dims[gi], src_dims[gj]) if tgt_dims[gi] else None
             for coeff, (gj2, mono) in zip(img, gslice):
-                if gj2 != gj or coeff == f.zero:
+                if gj2 != gj or not coeff:
                     continue
                 mat = monomial_action_matrix(M, mono, src_deg)
                 # mat: M_{src_deg} -> M_{src_deg + |mono|} = M_{t + g}
@@ -448,14 +448,14 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
                 img = res.steps[j].images[gi]
                 gslice = res.free_coords(j - 1, g)
                 for coeff, (gj, mono) in zip(img, gslice):
-                    if coeff == f.zero:
+                    if not coeff:
                         continue
                     gprev = res.steps[j - 1].gen_degrees[gj]
                     mat = monomial_action_matrix(Mq, mono, d_loc)
                     # lands in Mq_{d_loc + |mono|} = Mq_{t - gprev}
                     for r_i in range(mat.nrows):
                         v = mat.rows[r_i][li]
-                        if v != f.zero:
+                        if v:
                             key = (j - 1, q, gj, r_i)
                             if key in tgt_index:
                                 col[tgt_index[key]] = f.add(col[tgt_index[key]],
@@ -466,7 +466,7 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
                 sgn = f.neg(f.one) if j % 2 else f.one
                 for r_i in range(dC.nrows):
                     v = dC.rows[r_i][li]
-                    if v != f.zero:
+                    if v:
                         key = (j, q - 1, gi, r_i)
                         if key in tgt_index:
                             col[tgt_index[key]] = f.add(col[tgt_index[key]], f.mul(sgn, v))

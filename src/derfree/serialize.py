@@ -45,7 +45,7 @@ def algebra_to_dict(A) -> dict:
         for i in range(A.dim):
             for j in range(A.dim):
                 for k, c in enumerate(A.mult[i][j]):
-                    if c != f.zero:
+                    if c:
                         constants.append([i, j, k, _scalar_out(f, c)])
         out = {"kind": "artinian", "labels": list(A.labels), "constants": constants}
         if A.generators:

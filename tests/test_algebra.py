@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from derfree.algebra import (DependentModM2, adapted_basis,
@@ -11,7 +11,7 @@ from derfree.complexes import AMatrix
 from derfree.field import GF101, QQ
 from derfree.linalg import Matrix, rank
 from derfree.modules import minimal_generators, nu, submodule_from_spanning, free_module
-from derfree.monomial import NotArtinianError, TruncationError, monomial_algebra
+from derfree.monomial import NotArtinianError, TruncationError, mono_key, monomial_algebra
 
 
 def plane(field=GF101):
@@ -291,3 +291,77 @@ def test_amatrix_products_match_the_dense_reference(field, case, data):
         for j in range(m):
             block = reference_left_mult(A, X.entries[i][j]).rows
             assert all(flat.rows[i * d + r][j * d:(j + 1) * d] == block[r] for r in range(d))
+
+
+# -- graded products against a dict loop through the field methods -----------
+
+# k[x,y]/(x^2) truncated at degree 3: y^4 and x*y^3 are standard but lie
+# above the truncation, y^3 and x*y^2 sit exactly at it
+GRADED_MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
+
+
+def canonical_terms(field, terms):
+    return tuple(sorted(((m, c) for m, c in terms.items() if c != field.zero),
+                        key=lambda t: mono_key(t[0])))
+
+
+def reference_dot(A, pairs):
+    """Terms of the sum of u * v, or None when one lies above the truncation."""
+    f = A.field
+    acc = {}
+    for u, v in pairs:
+        for m1, c1 in u:
+            for m2, c2 in v:
+                m = tuple(a + b for a, b in zip(m1, m2))
+                if A.is_standard(m):
+                    acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
+    out = canonical_terms(f, acc)
+    return None if any(sum(m) > A.truncation for m, _ in out) else out
+
+
+def graded_scalars(field):
+    if field == QQ:
+        return st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)])
+    return st.integers(1, field.p - 1)
+
+
+def graded_elements(A):
+    coeffs = st.one_of(st.just(A.field.zero), graded_scalars(A.field))
+    return st.tuples(*[coeffs] * len(GRADED_MONOMIALS)).map(
+        lambda cs: canonical_terms(A.field, dict(zip(GRADED_MONOMIALS, cs))))
+
+
+def assert_canonical_terms(field, u):
+    for _, c in u:
+        if field == QQ:
+            assert type(c) is Fraction, c
+        else:
+            assert type(c) is int and 0 < c < field.p, c
+
+
+@FIELDS
+# no explain phase: it spends minutes on a failing example of this test
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data())
+def test_graded_products_match_the_field_method_loop(field, data):
+    A = monomial_algebra(field, ["x", "y"], ["x^2"], 3)
+    pairs = data.draw(st.lists(st.tuples(graded_elements(A), graded_elements(A)), max_size=4))
+    # some products cancelled by their negatives, so terms above the
+    # truncation may vanish from the sum
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs += [(u, tuple((m, field.neg(c)) for m, c in v)) for (u, v), flip in zip(pairs, flips)
+              if flip]
+    expected = reference_dot(A, pairs)
+    if expected is None:
+        with pytest.raises(TruncationError):
+            A.el_dot(pairs)
+    else:
+        got = A.el_dot(pairs)
+        assert got == expected
+        assert_canonical_terms(field, got)
+    u, v = data.draw(graded_elements(A)), data.draw(graded_elements(A))
+    total = dict(u)
+    for m, c in v:
+        total[m] = field.add(total.get(m, field.zero), c)
+    assert A.el_add(u, v) == canonical_terms(field, total)
+    assert_canonical_terms(field, A.el_add(u, v))

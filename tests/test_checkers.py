@@ -184,6 +184,30 @@ def test_decompose_round_trip_small():
     assert dec.multiplicity == 2
 
 
+def test_decompose_takes_the_annihilator_it_is_given(monkeypatch):
+    # a caller holding the annihilator gets the same answer without a second
+    # annihilator computation; ex5.5 covers the obstruction branch
+    import derfree.checkers as checkers
+    from derfree.homotopy import derived_annihilator
+    rng = random.Random(7)
+    A = monomial_algebra(GF101, ["x", "y", "z"],
+                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    xs = [A.parse_element("x"), A.parse_element("y")]
+    cases = [random_transport(koszul(A, xs, multiplicity=2).complex, rng),
+             build_ex55(GF101).F]
+    expected = [koszul_decompose(F) for F in cases]
+    anns = [derived_annihilator(F) for F in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derived_annihilator called although one was passed")
+
+    monkeypatch.setattr(checkers, "derived_annihilator", refuse)
+    for F, ann, want in zip(cases, anns, expected):
+        assert koszul_decompose(F, annihilator=ann) == want
+    assert isinstance(expected[0], Decomposition)
+    assert isinstance(expected[1], DecompositionObstruction)
+
+
 def test_decompose_obstruction_on_ex55():
     dec = koszul_decompose(build_ex55(GF101).F)
     assert isinstance(dec, DecompositionObstruction)

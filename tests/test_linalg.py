@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 import numpy as np
@@ -323,3 +324,63 @@ def test_independent_columns_skips_the_span_of_the_base():
     assert independent_columns(base, cands) == [1, 3]
     with pytest.raises(ValueError):
         independent_columns(base, Matrix.identity(GF101, 2))
+
+
+# -- products against a triple loop through the field methods ----------------
+
+
+def reference_product(field, X, Y):
+    """Rows of X * Y summed entry by entry with field.add / field.mul."""
+    out = []
+    for i in range(X.nrows):
+        row = []
+        for j in range(Y.ncols):
+            acc = field.zero
+            for k in range(X.ncols):
+                acc = field.add(acc, field.mul(X.rows[i][k], Y.rows[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def assert_canonical(field, values):
+    """Each value is the field's canonical scalar: a Fraction, or an int in [0, p)."""
+    for x in values:
+        if field == QQ:
+            assert type(x) is Fraction, x
+        else:
+            assert type(x) is int and 0 <= x < field.p, x
+
+
+def mostly_zero(field, nrows, ncols):
+    """Matrices whose nonzero entries are rare; over QQ they are units and
+    halves that cancel in sums, over GF(p) large enough that sums wrap."""
+    if field == QQ:
+        scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+                                  Fraction(2, 3)])
+    else:
+        scalar = st.integers(1, field.p - 1)
+    entry = st.one_of(*[st.just(field.zero)] * 3, scalar)
+    return st.lists(st.tuples(*[entry] * ncols), min_size=nrows, max_size=nrows).map(
+        lambda rows: Matrix(field, nrows, ncols, tuple(rows)))
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@given(data=st.data())
+def test_matrix_products_match_the_field_method_loop(field, data):
+    n, m, k = (data.draw(st.integers(0, 5)) for _ in range(3))
+    X = data.draw(mostly_zero(field, n, m))
+    Y = data.draw(mostly_zero(field, m, k))
+    P = X.mul(Y)
+    assert (P.nrows, P.ncols) == (n, k)
+    assert P.rows == reference_product(field, X, Y)
+    assert_canonical(field, [x for r in P.rows for x in r])
+    v = data.draw(mostly_zero(field, 1, m)).rows[0]
+    w = X.apply(v)
+    assert w == tuple(r[0] for r in reference_product(field, X, Matrix(field, m, 1,
+                                                                        tuple((x,) for x in v))))
+    assert_canonical(field, w)
+    for M in (X, Y, P, Matrix.zero(field, n, m)):
+        assert M.is_zero() == all(x == field.zero for r in M.rows for x in r)
+    R = rref(X)[0]
+    assert_canonical(field, [x for r in R.rows for x in r])
