@@ -17,7 +17,7 @@ from .complexes import (AMatrix, ChainMap, FreeComplex, graded_homology,
                         homology, scalar_endo)
 from .homotopy import Homotopy, solve_homotopy
 from .linalg import Matrix
-from .modules import FiniteModule
+from .modules import FiniteModule, element_action_matrix
 from .morphism import AlgebraMorphism
 
 
@@ -166,13 +166,9 @@ class InducedHomologyAction:
 
 def _project_endo_to_homology(H, endo_component: AMatrix) -> Matrix:
     """Matrix of a chain endomorphism on the homology representative basis."""
-    A = endo_component.algebra
-    f = A.field
     flat = endo_component.flatten()
-    cols = []
-    for rep in H.reps:
-        cols.append(H.project_cycle(flat.apply(rep)))
-    return Matrix.from_columns(f, cols, nrows=H.dim)
+    return Matrix.from_columns(flat.field, H.project_cycles([flat.apply(r) for r in H.reps]),
+                               nrows=H.dim)
 
 
 def induced_action_on_homology(F: FreeComplex, cert: ActionCertificate) -> InducedHomologyAction:
@@ -354,25 +350,8 @@ def check_quotient_H_action(F: FreeComplex, kernel_elements) -> HLevelReport:
 
 
 def _graded_element_kills(GH, a) -> bool:
-    A = GH.algebra
-    f = A.field
-    da = A.el_degree(a)
+    da = GH.algebra.el_degree(a)
     if da is None:
         raise CertificateError("homogeneous elements only")
-    for d in range(GH.window + 1 - da):
-        if GH.dim_at(d) == 0:
-            continue
-        op = Matrix.identity(f, GH.dim_at(d))
-        # decompose a into monomial terms and act term by term
-        acc = Matrix.zero(f, GH.dim_at(d + da), GH.dim_at(d))
-        for mono, coeff in a:
-            term = Matrix.identity(f, GH.dim_at(d))
-            deg = d
-            for vi, e in enumerate(mono):
-                for _ in range(e):
-                    term = GH.act(vi, deg).mul(term)
-                    deg += 1
-            acc = acc.add(term.scale(coeff))
-        if not acc.is_zero():
-            return False
-    return True
+    return all(element_action_matrix(GH, a, d).is_zero()
+               for d in range(GH.window + 1 - da) if GH.dim_at(d))

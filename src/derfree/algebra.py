@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exprs
-from .field import GF
 from .linalg import Matrix, column_space_basis, independent_columns
 
 Element = tuple  # coordinate vector in the algebra basis
@@ -220,12 +217,7 @@ class ArtinAlgebra:
 
     def ideal_product_cols(self, u_cols: Matrix, v_cols: Matrix) -> Matrix:
         """Canonical basis of span{u*v}."""
-        prods = []
-        for uc in u_cols.columns():
-            for vc in v_cols.columns():
-                prods.append(self.el_mul(uc, vc))
-        if not prods:
-            return Matrix.from_columns(self.field, [], nrows=self.dim)
+        prods = [self.el_mul(uc, vc) for uc in u_cols.columns() for vc in v_cols.columns()]
         return column_space_basis(Matrix.from_columns(self.field, prods, nrows=self.dim))
 
     def m_power_cols(self, k: int) -> Matrix:
@@ -295,35 +287,21 @@ class ArtinAlgebra:
         return ValidationReport(valid=not issues, issues=tuple(issues), nilpotency_index=nilindex)
 
     def _associativity_issues(self):
+        """(e_i*e_j)*e_k against e_i*(e_j*e_k), exactly, from the sparse table."""
+        table, reduce = self._table, self.field.reduce
         d = self.dim
-        f = self.field
-        if isinstance(f, GF) and f.numpy_safe and d >= 8:
-            c = np.zeros((d, d, d), dtype=np.int64)
-            for i in range(d):
-                for j in range(d):
-                    c[i, j] = self.mult[i][j]
-            p = f.p
-            left = np.einsum("ijm,mkl->ijkl", c, c) % p
-            right = np.einsum("jkm,iml->ijkl", c, c) % p
-            bad = np.argwhere(left != right)
-            seen = set()
-            issues = []
-            for i, j, k, _ in bad:
-                key = (int(i), int(j), int(k))
-                if key not in seen:
-                    seen.add(key)
-                    issues.append(ValidationIssue("associativity", key,
-                                                  "(e_i*e_j)*e_k != e_i*(e_j*e_k)"))
-            return issues
         issues = []
         for i in range(d):
-            ei = self.basis_element(i)
             for j in range(d):
-                eij = self.el_mul(ei, self.basis_element(j))
-                ej = self.basis_element(j)
                 for k in range(d):
-                    ek = self.basis_element(k)
-                    if self.el_mul(eij, ek) != self.el_mul(ei, self.el_mul(ej, ek)):
+                    diff = [0] * d
+                    for m, c in table[i][j]:
+                        for n, c2 in table[m][k]:
+                            diff[n] += c * c2
+                    for m, c in table[j][k]:
+                        for n, c2 in table[i][m]:
+                            diff[n] -= c * c2
+                    if any(map(reduce, diff)):
                         issues.append(ValidationIssue("associativity", (i, j, k),
                                                       "(e_i*e_j)*e_k != e_i*(e_j*e_k)"))
         return issues

@@ -22,13 +22,13 @@ from .homotopy import (DerivedAnnihilator, chain_map_space, derived_annihilator,
                        solve_homotopy)
 from .koszul import koszul, subsets
 from .linalg import (Matrix, column_space_basis, independent_columns, invert,
-                     solve_multi)
-from .modules import (MINUS_INFINITY, PLUS_INFINITY, is_free, lemma43_freeness,
-                      nu, poincare_truncated, residue_field_module,
+                     quotient_coords)
+from .modules import (MINUS_INFINITY, PLUS_INFINITY, element_action_matrix, is_free,
+                      lemma43_freeness, nu, poincare_truncated, residue_field_module,
                       graded_is_free, GradedModule)
 from .morphism import AlgebraMorphism, beta0_of_mAB
-from .resolutions import (GradedModuleComplex, element_action_matrix,
-                          graded_depth, graded_free_module, tor_k_dims)
+from .resolutions import (GradedModuleComplex, graded_depth, graded_free_module,
+                          tor_k_dims)
 from .weyl import KoszulLift, koszul_lift
 
 
@@ -484,8 +484,7 @@ def _ideal_minimal_generators(A: ArtinAlgebra, ideal_cols: Matrix) -> list:
     for t in range(1, A.dim):
         for c in ideal_cols.columns():
             m_ideal.append(A.el_mul(A.basis_element(t), c))
-    mI = column_space_basis(Matrix.from_columns(f, m_ideal, nrows=A.dim)) if m_ideal \
-        else Matrix.from_columns(f, [], nrows=A.dim)
+    mI = column_space_basis(Matrix.from_columns(f, m_ideal, nrows=A.dim))
     cols = ideal_cols.columns()
     return [cols[j] for j in independent_columns(mI, ideal_cols)]
 
@@ -579,8 +578,7 @@ def fiber_algebra(phi: AlgebraMorphism) -> ArtinAlgebra:
     for g in gens:
         for t in range(B.dim):
             span.append(B.el_mul(g, B.basis_element(t)))
-    ideal = column_space_basis(Matrix.from_columns(B.field, span, nrows=B.dim)) if span \
-        else Matrix.from_columns(B.field, [], nrows=B.dim)
+    ideal = column_space_basis(Matrix.from_columns(B.field, span, nrows=B.dim))
     return quotient_algebra(B, ideal)
 
 
@@ -589,16 +587,10 @@ def quotient_algebra(B: ArtinAlgebra, ideal_cols: Matrix) -> ArtinAlgebra:
     f = B.field
     rep_idx = independent_columns(ideal_cols, Matrix.identity(f, B.dim))
     reps = [B.basis_element(i) for i in rep_idx]
-    both = ideal_cols.hstack(Matrix.from_columns(f, reps, nrows=B.dim))
     dim = len(reps)
-    mult = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            prod = B.el_mul(reps[i], reps[j])
-            sol = solve_multi(both, [prod])[0]
-            row.append(tuple(sol[ideal_cols.ncols:]))
-        mult.append(tuple(row))
+    coords = quotient_coords(ideal_cols, Matrix.from_columns(f, reps, nrows=B.dim),
+                             [B.el_mul(u, v) for u in reps for v in reps])
+    mult = tuple(tuple(coords[i * dim:(i + 1) * dim]) for i in range(dim))
     labels = tuple(B.labels[i] for i in rep_idx)
     return ArtinAlgebra(f, labels, tuple(mult))
 

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import traceback
+from functools import partial
 
 from . import serialize
 from .actions import verify_certificate
@@ -21,7 +22,7 @@ from .checkers import (InstanceBundle, check_lemma32, check_question,
                        koszul_decompose, prop44_divisibility)
 from .complexes import betti, graded_homology_all, homology_dims, proj_dim
 from .field import GF, GF101, QQ
-from .fixtures import run_fixtures
+from .fixtures import BUILDERS, run_fixtures
 from .homotopy import derived_annihilator, solve_homotopy
 from .koszul import koszul
 from .modules import (MINUS_INFINITY, is_free, lemma43_freeness, nu,
@@ -280,19 +281,14 @@ def _bundle_from_file(args, path) -> InstanceBundle:
     B = serialize._resolve(doc["algebra_B"], field, base, serialize.algebra_from_dict)
     from .morphism import morphism_from_generator_images
     phi = morphism_from_generator_images(A, B, dict(doc["images"]))
-    F = None
+    F = cert = None
     if doc.get("complex") is not None:
-        Fdoc = doc["complex"]
-        if isinstance(Fdoc, str):
-            Fdoc = serialize.load(os.path.join(base, Fdoc))
-        F = serialize.complex_from_dict(Fdoc, field, algebra=A, base_dir=base)
-    cert = None
+        F = serialize._resolve(doc["complex"], field, base,
+                               partial(serialize.complex_from_dict, algebra=A))
     if doc.get("certificate") is not None:
-        cdoc = doc["certificate"]
-        if isinstance(cdoc, str):
-            cdoc = serialize.load(os.path.join(base, cdoc))
-        cert, F2 = serialize.certificate_from_dict(cdoc, field, F=F, source=A, target=B,
-                                                   base_dir=base)
+        cert, F2 = serialize._resolve(doc["certificate"], field, base,
+                                      partial(serialize.certificate_from_dict,
+                                              F=F, source=A, target=B))
         F = F if F is not None else F2
     h_kernel = tuple(A.parse_element(s) for s in doc.get("h_kernel", []))
     return InstanceBundle(doc.get("name", os.path.basename(path)), A, B, phi, F,
@@ -301,16 +297,10 @@ def _bundle_from_file(args, path) -> InstanceBundle:
 
 def cmd_check(args) -> int:
     if args.fixture:
-        from . import fixtures as fx
-        builders = {"ex5.5": fx.build_ex55, "ex5.6": fx.build_ex56,
-                    "ex5.7": fx.build_ex57, "ex2.3": fx.build_ex23,
-                    "ex4.5": fx.build_ex45, "nagata": fx.build_nagata,
-                    "koszul-strict-attempt": fx.build_strict_attempt,
-                    "module-sum": fx.build_two_term_module_complex}
-        if args.fixture not in builders:
+        if args.fixture not in BUILDERS:
             raise LoadError(f"unknown fixture {args.fixture!r}; "
-                            f"choose from {sorted(builders)}")
-        bundle = builders[args.fixture](args.field)
+                            f"choose from {sorted(BUILDERS)}")
+        bundle = BUILDERS[args.fixture](args.field)
     elif args.file:
         bundle = _bundle_from_file(args, args.file)
     else:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (Matrix, column_space_basis, independent_columns, invert,
-                     kernel_basis, rank, solve, solve_multi)
+                     kernel_basis, quotient_coords, rank)
 from .modules import (GradedModule, FiniteModule, MINUS_INFINITY,
-                      PLUS_INFINITY)
+                      PLUS_INFINITY, graded_induced_actions, induced_actions)
 
 
 class ComplexError(ValueError):
@@ -465,14 +465,14 @@ class HomologyModule:
     def dim(self) -> int:
         return self.module.dim
 
-    def project_cycle(self, vec) -> tuple:
-        """Coordinates of a cycle in the representative basis."""
-        amb = self.boundary_cols.nrows
-        rep_cols = Matrix.from_columns(self.module.algebra.field, list(self.reps), nrows=amb)
-        sol = solve(self.boundary_cols.hstack(rep_cols), vec)
-        if sol is None:
-            raise ComplexError("vector is not a cycle modulo boundaries")
-        return tuple(sol[self.boundary_cols.ncols:])
+    def project_cycles(self, vecs) -> list:
+        """Coordinates of cycles in the representative basis."""
+        rep_cols = Matrix.from_columns(self.module.algebra.field, self.reps,
+                                       nrows=self.boundary_cols.nrows)
+        try:
+            return quotient_coords(self.boundary_cols, rep_cols, vecs)
+        except ValueError:
+            raise ComplexError("vector is not a cycle modulo boundaries") from None
 
 
 def homology(F: FreeComplex, i: int) -> HomologyModule:
@@ -480,7 +480,7 @@ def homology(F: FreeComplex, i: int) -> HomologyModule:
     if A.kind != "artinian":
         raise ComplexError("use graded_homology for the graded backend")
     f = A.field
-    n = F.rank(i) * A.dim
+    d = A.dim
     dn = F.diff(i).flatten()
     dn1 = F.diff(i + 1).flatten()
     Z = kernel_basis(dn)
@@ -488,24 +488,13 @@ def homology(F: FreeComplex, i: int) -> HomologyModule:
     # representatives: kernel basis vectors independent of the boundaries, in order
     zcols = Z.columns()
     reps = [zcols[j] for j in independent_columns(B, Z)]
-    rep_cols = Matrix.from_columns(f, reps, nrows=n) if reps else Matrix.from_columns(f, [], nrows=n)
-    both = B.hstack(rep_cols)
-    actions = []
-    for t in range(A.dim):
-        L = A.left_mult_matrix(A.basis_element(t))
-        big_imgs = []
-        for r_vec in reps:
-            img = []
-            for s in range(F.rank(i)):
-                block = r_vec[s * A.dim: (s + 1) * A.dim]
-                img.extend(L.apply(block))
-            big_imgs.append(tuple(img))
-        sols = solve_multi(both, big_imgs) if big_imgs else []
-        cols = [tuple(s[B.ncols:]) for s in sols]
-        actions.append(Matrix.from_columns(f, cols, nrows=len(reps)) if cols
-                       else Matrix.zero(f, len(reps), 0))
-    module = FiniteModule(A, len(reps), tuple(actions))
-    return HomologyModule(i, module, tuple(reps), Z, B)
+    mults = [A.left_mult_matrix(A.basis_element(t)) for t in range(d)]
+
+    def image(t, v):
+        return tuple(x for s in range(F.rank(i)) for x in mults[t].apply(v[s * d:(s + 1) * d]))
+
+    acts = induced_actions(A, image, B, Matrix.from_columns(f, reps, nrows=Z.nrows))
+    return HomologyModule(i, FiniteModule(A, len(reps), acts), tuple(reps), Z, B)
 
 
 def homology_dims(F: FreeComplex) -> dict:
@@ -533,7 +522,7 @@ def graded_homology(F: FreeComplex, i: int) -> GradedModule:
     A = F.algebra
     f = A.field
     window = A.truncation
-    reps_per_deg = {}
+    reps = {}
     boundaries = {}
     for n in range(window + 1):
         dn = F.graded_diff_matrix(i, n)
@@ -541,34 +530,17 @@ def graded_homology(F: FreeComplex, i: int) -> GradedModule:
         Z = kernel_basis(dn)
         B = column_space_basis(dn1)
         zcols = Z.columns()
-        reps_per_deg[n] = [zcols[j] for j in independent_columns(B, Z)]
+        reps[n] = Matrix.from_columns(f, [zcols[j] for j in independent_columns(B, Z)],
+                                      nrows=Z.nrows)
         boundaries[n] = B
-    dims = tuple(len(reps_per_deg[n]) for n in range(window + 1))
-    actions = []
-    for v in range(A.nvars):
-        ve = A.var_element(v)
-        per = []
-        for n in range(window):
-            src = reps_per_deg[n]
-            tgt = reps_per_deg[n + 1]
-            Bn1 = boundaries[n + 1]
-            amb_tgt = len(F.graded_coords(i, n + 1))
-            tgt_cols = Matrix.from_columns(f, tgt, nrows=amb_tgt) if tgt \
-                else Matrix.from_columns(f, [], nrows=amb_tgt)
-            both = Bn1.hstack(tgt_cols)
-            imgs = []
-            for r_vec in src:
-                imgs.append(_graded_multiply_vector(F, i, n, r_vec, ve))
-            sols = solve_multi(both, imgs) if imgs else []
-            cols = []
-            for s in sols:
-                if s is None:
-                    raise ComplexError("variable action left the cycle space")
-                cols.append(tuple(s[Bn1.ncols:]))
-            per.append(Matrix.from_columns(f, cols, nrows=len(tgt)) if cols
-                       else Matrix.zero(f, len(tgt), 0))
-        actions.append(tuple(per))
-    return GradedModule(A, dims, tuple(actions), window)
+    variables = [A.var_element(v) for v in range(A.nvars)]
+    try:
+        actions = graded_induced_actions(
+            A, lambda v, n, vec: _graded_multiply_vector(F, i, n, vec, variables[v]),
+            boundaries, reps, window)
+    except ValueError:
+        raise ComplexError("variable action left the cycle space") from None
+    return GradedModule(A, tuple(reps[n].ncols for n in range(window + 1)), actions, window)
 
 
 def _graded_multiply_vector(F: FreeComplex, i: int, n: int, vec, element):

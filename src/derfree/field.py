@@ -99,11 +99,6 @@ class GF:
     def to_str(self, a: int) -> str:
         return str(a % self.p)
 
-    # numpy int64 products of two reduced scalars must not overflow
-    @property
-    def numpy_safe(self) -> bool:
-        return self.p < 2**31
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GF) and other.p == self.p
 
@@ -169,10 +164,6 @@ class Rationals:
     def to_str(self, a) -> str:
         a = Fraction(a)
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-
-    @property
-    def numpy_safe(self) -> bool:
-        return False
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)

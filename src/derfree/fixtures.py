@@ -394,6 +394,9 @@ BUILDERS = {
     "ex5.7": build_ex57,
     "ex2.3": build_ex23,
     "ex4.5": build_ex45,
+    "nagata": build_nagata,
+    "koszul-strict-attempt": build_strict_attempt,
+    "module-sum": build_two_term_module_complex,
 }
 
 
@@ -407,9 +410,9 @@ def export_fixture(name: str, directory: str, field=None) -> str:
 
     from . import serialize
     field = field if field is not None else GF101
-    if name not in BUILDERS:
+    b = BUILDERS[name](field) if name in BUILDERS else None
+    if b is None or b.F is None:
         raise KeyError(f"fixture {name!r} has no file form")
-    b = BUILDERS[name](field)
     os.makedirs(directory, exist_ok=True)
     prefix = name.replace(".", "_")
     paths = {"algebra_A": f"{prefix}_A.json", "algebra_B": f"{prefix}_B.json",

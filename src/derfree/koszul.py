@@ -116,15 +116,12 @@ def koszul_annihilator_check(K: KoszulComplex) -> dict:
             report["contains_sequence"] = False
     if A.kind == "artinian":
         ann = derived_annihilator(K.complex)
-        ann_cols = Matrix.from_columns(A.field, [list(a) for a in ann.basis], nrows=A.dim) \
-            if ann.basis else Matrix.from_columns(A.field, [], nrows=A.dim)
+        ann_cols = Matrix.from_columns(A.field, ann.basis, nrows=A.dim)
         ideal_span = []
         for x in K.sequence:
             for t in range(A.dim):
                 ideal_span.append(A.el_mul(x, A.basis_element(t)))
-        ideal_cols = column_space_basis(
-            Matrix.from_columns(A.field, ideal_span, nrows=A.dim)) if ideal_span \
-            else Matrix.from_columns(A.field, [], nrows=A.dim)
+        ideal_cols = column_space_basis(Matrix.from_columns(A.field, ideal_span, nrows=A.dim))
         report["equals_ideal"] = span_equal(ann_cols, ideal_cols)
         report["annihilator_dim"] = ann_cols.ncols
         report["ideal_dim"] = ideal_cols.ncols

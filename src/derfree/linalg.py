@@ -5,7 +5,9 @@ so every derived object -- kernel bases ordered by free-column index,
 particular solutions with free variables set to 0, projections of kernels
 -- is reproducible bit-for-bit.  One sparse kernel (`sparse_rref`) on rows
 stored as {column: scalar} dicts eliminates for every field and size;
-`np_rref` stays as a reference.
+`np_rref` stays as a reference.  `quotient_coords` is the one subquotient
+step: coordinates of vectors on representatives modulo a subspace, as
+homology, quotient modules and induced actions need them.
 
 The hot loops (`Matrix.mul`, `Matrix.apply`, `sparse_rref`) work on the
 exact Python scalars directly: they test a scalar for zero by its truth
@@ -287,6 +289,25 @@ def solve(M: Matrix, b) -> tuple | None:
 def solve_multi(M: Matrix, bs: list) -> list:
     """Solve Mx = b for several right-hand sides with one elimination."""
     return sparse_solve(M.field, _sparse_rows(M), M.ncols, bs)
+
+
+def quotient_coords(sub: Matrix, reps: Matrix, vectors) -> list:
+    """Per vector, its coordinates on the columns of `reps` modulo span(sub).
+
+    The columns of [sub | reps] must be independent, so the coordinates are
+    unique.  One elimination of [sub | reps] serves every vector; a vector
+    outside span(sub) + span(reps) raises ValueError.
+    """
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    k = sub.ncols
+    out = []
+    for sol in solve_multi(sub.hstack(reps), vectors):
+        if sol is None:
+            raise ValueError("vector lies outside span(sub) + span(reps)")
+        out.append(sol[k:])
+    return out
 
 
 def independent_columns(base: Matrix, cands: Matrix) -> list:

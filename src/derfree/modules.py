@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import ArtinAlgebra
 from .linalg import (Matrix, column_space_basis, in_span, independent_columns,
-                     kernel_basis, rank, solve_multi)
+                     kernel_basis, quotient_coords, rank)
 from .monomial import MonomialAlgebra
 
 
@@ -92,11 +92,7 @@ class FiniteModule:
     def m_submodule_cols(self) -> Matrix:
         """Canonical basis of m*M."""
         B = self.algebra
-        cols = []
-        for t in range(1, B.dim):
-            cols.extend(self.action[t].columns())
-        if not cols:
-            return Matrix.from_columns(B.field, [], nrows=self.dim)
+        cols = [c for t in range(1, B.dim) for c in self.action[t].columns()]
         return column_space_basis(Matrix.from_columns(B.field, cols, nrows=self.dim))
 
 
@@ -127,6 +123,19 @@ def zero_module(B: ArtinAlgebra) -> FiniteModule:
     return FiniteModule(B, 0, tuple(Matrix.zero(B.field, 0, 0) for _ in range(B.dim)))
 
 
+def induced_actions(B: ArtinAlgebra, image, sub: Matrix, rep_cols: Matrix) -> tuple:
+    """Matrices of the basis elements of B on span(rep_cols) modulo span(sub).
+
+    `image(t, v)` is the image of the vector v under e_t.  One solve of
+    [sub | rep_cols] serves every basis element.
+    """
+    reps = rep_cols.columns()
+    r = len(reps)
+    coords = quotient_coords(sub, rep_cols, [image(t, c) for t in range(B.dim) for c in reps])
+    return tuple(Matrix.from_columns(B.field, coords[t * r:(t + 1) * r], nrows=r)
+                 for t in range(B.dim))
+
+
 def submodule_from_spanning(parent: FiniteModule, vectors) -> tuple:
     """(FiniteModule on the A-closure of the span, inclusion columns).
 
@@ -134,28 +143,17 @@ def submodule_from_spanning(parent: FiniteModule, vectors) -> tuple:
     """
     B = parent.algebra
     f = B.field
-    current = column_space_basis(Matrix.from_columns(f, list(vectors), nrows=parent.dim)) \
-        if vectors else Matrix.from_columns(f, [], nrows=parent.dim)
+    current = column_space_basis(Matrix.from_columns(f, list(vectors), nrows=parent.dim))
     while True:
-        cols = list(current.columns())
-        extra = []
-        for t in range(1, B.dim):
-            for c in cols:
-                extra.append(parent.action[t].apply(c))
-        bigger = column_space_basis(Matrix.from_columns(f, cols + extra, nrows=parent.dim)) \
-            if cols + extra else current
+        cols = current.columns()
+        extra = [parent.action[t].apply(c) for t in range(1, B.dim) for c in cols]
+        bigger = column_space_basis(Matrix.from_columns(f, cols + extra, nrows=parent.dim))
         if bigger.ncols == current.ncols:
             break
         current = bigger
-    inc = current
-    acts = []
-    for t in range(B.dim):
-        imgs = [parent.action[t].apply(c) for c in inc.columns()]
-        sols = solve_multi(inc, imgs) if imgs else []
-        cols = [s for s in sols]
-        acts.append(Matrix.from_columns(f, cols, nrows=inc.ncols) if cols
-                    else Matrix.zero(f, inc.ncols, 0))
-    return FiniteModule(B, inc.ncols, tuple(acts)), inc
+    acts = induced_actions(B, lambda t, v: parent.action[t].apply(v),
+                           Matrix.from_columns(f, [], nrows=parent.dim), current)
+    return FiniteModule(B, current.ncols, acts), current
 
 
 def quotient_module(parent: FiniteModule, sub_cols: Matrix) -> tuple:
@@ -165,21 +163,12 @@ def quotient_module(parent: FiniteModule, sub_cols: Matrix) -> tuple:
     greedily from the standard basis in index order.
     """
     B = parent.algebra
-    f = B.field
     sub = column_space_basis(sub_cols)
-    std = Matrix.identity(f, parent.dim)
-    reps = [std.column(i) for i in independent_columns(sub, std)]
-    rep_cols = Matrix.from_columns(f, reps, nrows=parent.dim) if reps \
-        else Matrix.from_columns(f, [], nrows=parent.dim)
-    both = sub.hstack(rep_cols)
-    acts = []
-    for t in range(B.dim):
-        imgs = [parent.action[t].apply(c) for c in reps]
-        sols = solve_multi(both, imgs) if imgs else []
-        cols = [tuple(s[sub.ncols:]) for s in sols]
-        acts.append(Matrix.from_columns(f, cols, nrows=len(reps)) if cols
-                    else Matrix.zero(f, len(reps), 0))
-    return FiniteModule(B, len(reps), tuple(acts)), rep_cols
+    std = Matrix.identity(B.field, parent.dim)
+    rep_cols = Matrix.from_columns(B.field, [std.column(i) for i in independent_columns(sub, std)],
+                                   nrows=parent.dim)
+    acts = induced_actions(B, lambda t, v: parent.action[t].apply(v), sub, rep_cols)
+    return FiniteModule(B, rep_cols.ncols, acts), rep_cols
 
 
 def nu(M: FiniteModule) -> int:
@@ -203,8 +192,7 @@ def cover_map(M: FiniteModule) -> tuple:
     for s in range(r):
         for t in range(B.dim):
             cols.append(M.action[t].apply(gens[s]))
-    cmap = Matrix.from_columns(B.field, cols, nrows=M.dim) if cols \
-        else Matrix.from_columns(B.field, [], nrows=M.dim)
+    cmap = Matrix.from_columns(B.field, cols, nrows=M.dim)
     return P, cmap, gens
 
 
@@ -405,6 +393,24 @@ class GradedModule:
         return sum(self.dims)
 
 
+def graded_induced_actions(A: MonomialAlgebra, image, subs: dict, reps: dict,
+                           window: int) -> tuple:
+    """Variable actions on span(reps[d]) modulo span(subs[d]), degrees d <= window.
+
+    `image(v, d, vec)` is the image of a degree-d vector under variable v.
+    One solve per degree serves every variable.
+    """
+    per_deg = []
+    for d in range(window):
+        src = reps[d].columns()
+        k = len(src)
+        coords = quotient_coords(subs[d + 1], reps[d + 1],
+                                 [image(v, d, c) for v in range(A.nvars) for c in src])
+        per_deg.append([Matrix.from_columns(A.field, coords[v * k:(v + 1) * k],
+                                            nrows=reps[d + 1].ncols) for v in range(A.nvars)])
+    return tuple(tuple(per[v] for per in per_deg) for v in range(A.nvars))
+
+
 def graded_free_module(A: MonomialAlgebra, gen_degrees, window: int) -> GradedModule:
     """Direct sum of A(-d) for d in gen_degrees, truncated at `window`."""
     f = A.field
@@ -473,8 +479,6 @@ def _graded_mM_at(M: GradedModule, d: int) -> Matrix:
     if d >= 1:
         for v in range(M.algebra.nvars):
             cols.extend(M.act(v, d - 1).columns())
-    if not cols:
-        return Matrix.from_columns(f, [], nrows=M.dim_at(d))
     return column_space_basis(Matrix.from_columns(f, cols, nrows=M.dim_at(d)))
 
 
@@ -558,6 +562,28 @@ def graded_cover_maps(M: GradedModule, P: GradedModule, gen_degrees, gens) -> di
     return out
 
 
+def monomial_action_matrix(M: GradedModule, mono, d: int) -> Matrix:
+    """Action of a monomial as a map M_d -> M_{d+|mono|}."""
+    out = Matrix.identity(M.algebra.field, M.dim_at(d))
+    deg = d
+    for vi, e in enumerate(mono):
+        for _ in range(e):
+            out = M.act(vi, deg).mul(out)
+            deg += 1
+    return out
+
+
+def element_action_matrix(M: GradedModule, el, d: int) -> Matrix:
+    """Action of a homogeneous element as a map out of M_d."""
+    A = M.algebra
+    f = A.field
+    da = A.el_degree(el)
+    acc = Matrix.zero(f, M.dim_at(d + da), M.dim_at(d))
+    for mono, coeff in el:
+        acc = acc.add(monomial_action_matrix(M, mono, d).scale(coeff))
+    return acc
+
+
 def graded_annihilator(M: GradedModule) -> list:
     """Homogeneous annihilator elements (degree, coefficient vector on basis(d)).
 
@@ -575,18 +601,8 @@ def graded_annihilator(M: GradedModule) -> list:
         for d in range(0, M.window + 1 - da):
             if M.dim_at(d) == 0:
                 continue
-            maps = []
-            for m in amb:
-                mat = None
-                img_deg = d
-                vec_map = Matrix.identity(f, M.dim_at(d))
-                for vi, e in enumerate(m):
-                    for _ in range(e):
-                        vec_map = M.act(vi, img_deg).mul(vec_map)
-                        img_deg += 1
-                maps.append(vec_map)
-            tgt_dim = maps[0].nrows if maps else 0
-            for r_i in range(tgt_dim):
+            maps = [monomial_action_matrix(M, m, d) for m in amb]
+            for r_i in range(maps[0].nrows):
                 for c_i in range(M.dim_at(d)):
                     rows.append(tuple(maps[k].rows[r_i][c_i] for k in range(len(amb))))
         # no rows means no constraints: the whole degree-da slice annihilates

@@ -9,9 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (Matrix, column_space_basis, independent_columns, kernel_basis,
-                     rank, solve_multi)
+                     rank)
 from .modules import (GradedModule, _graded_generator_columns,
-                      graded_cover_maps, graded_free_module, graded_nu)
+                      graded_cover_maps, graded_free_module, graded_induced_actions,
+                      graded_nu, monomial_action_matrix)
 from .monomial import MonomialAlgebra
 
 
@@ -24,28 +25,6 @@ def k_graded_module(A: MonomialAlgebra, window: int | None = None) -> GradedModu
         per = [Matrix.zero(f, dims[d + 1], dims[d]) for d in range(w)]
         actions.append(tuple(per))
     return GradedModule(A, dims, tuple(actions), w)
-
-
-def monomial_action_matrix(M: GradedModule, mono, d: int) -> Matrix:
-    """Action of a monomial as a map M_d -> M_{d+|mono|}."""
-    out = Matrix.identity(M.algebra.field, M.dim_at(d))
-    deg = d
-    for vi, e in enumerate(mono):
-        for _ in range(e):
-            out = M.act(vi, deg).mul(out)
-            deg += 1
-    return out
-
-
-def element_action_matrix(M: GradedModule, el, d: int) -> Matrix:
-    """Action of a homogeneous element as a map out of M_d."""
-    A = M.algebra
-    f = A.field
-    da = A.el_degree(el)
-    acc = Matrix.zero(f, M.dim_at(d + da), M.dim_at(d))
-    for mono, coeff in el:
-        acc = acc.add(monomial_action_matrix(M, mono, d).scale(coeff))
-    return acc
 
 
 @dataclass(frozen=True)
@@ -140,27 +119,12 @@ def graded_minimal_resolution(M: GradedModule, steps: int) -> GradedResolution:
 
 
 def _kernel_module(P: GradedModule, ker_bases: dict) -> GradedModule:
-    A = P.algebra
-    f = A.field
-    window = P.window
-    dims = tuple(ker_bases[d].ncols for d in range(window + 1))
-    actions = []
-    for v in range(A.nvars):
-        per = []
-        for d in range(window):
-            src = ker_bases[d]
-            tgt = ker_bases[d + 1]
-            imgs = [P.act(v, d).apply(c) for c in src.columns()]
-            sols = solve_multi(tgt, imgs) if imgs else []
-            cols = []
-            for s in sols:
-                if s is None:
-                    raise AssertionError("kernel is not action-invariant")
-                cols.append(s)
-            per.append(Matrix.from_columns(f, cols, nrows=tgt.ncols) if cols
-                       else Matrix.zero(f, tgt.ncols, 0))
-        actions.append(tuple(per))
-    return GradedModule(A, dims, tuple(actions), window)
+    f = P.algebra.field
+    zero_subs = {d: Matrix.from_columns(f, [], nrows=P.dim_at(d)) for d in range(P.window + 1)}
+    actions = graded_induced_actions(P.algebra, lambda v, d, c: P.act(v, d).apply(c),
+                                     zero_subs, ker_bases, P.window)
+    dims = tuple(ker_bases[d].ncols for d in range(P.window + 1))
+    return GradedModule(P.algebra, dims, actions, P.window)
 
 
 # ---------------------------------------------------------------------------
@@ -331,33 +295,20 @@ class GradedModuleComplex:
 
     def h0_module(self) -> GradedModule:
         """H_low as a graded module (representatives modulo boundaries)."""
-        A = self.algebra
-        f = A.field
-        w = self.window
+        f = self.algebra.field
         i = self.low
-        reps = {}
-        bnd = {}
-        for d in range(w + 1):
-            B = column_space_basis(self.diff_matrix(i + 1, d))
-            bnd[d] = B
+        bnd, reps = {}, {}
+        for d in range(self.window + 1):
+            bnd[d] = column_space_basis(self.diff_matrix(i + 1, d))
             std = Matrix.identity(f, self.dim_at(i, d))
-            reps[d] = [std.column(j) for j in independent_columns(B, std)]
-        dims = tuple(len(reps[d]) for d in range(w + 1))
-        actions = []
+            reps[d] = Matrix.from_columns(
+                f, [std.column(j) for j in independent_columns(bnd[d], std)],
+                nrows=self.dim_at(i, d))
         M0 = self.module(i)
-        for v in range(A.nvars):
-            per = []
-            for d in range(w):
-                tgt_cols = Matrix.from_columns(f, reps[d + 1], nrows=self.dim_at(i, d + 1)) \
-                    if reps[d + 1] else Matrix.from_columns(f, [], nrows=self.dim_at(i, d + 1))
-                both = bnd[d + 1].hstack(tgt_cols)
-                imgs = [M0.act(v, d).apply(r) for r in reps[d]]
-                sols = solve_multi(both, imgs) if imgs else []
-                cols = [tuple(s[bnd[d + 1].ncols:]) for s in sols]
-                per.append(Matrix.from_columns(f, cols, nrows=len(reps[d + 1])) if cols
-                           else Matrix.zero(f, len(reps[d + 1]), 0))
-            actions.append(tuple(per))
-        return GradedModule(A, dims, tuple(actions), w)
+        actions = graded_induced_actions(self.algebra, lambda v, d, c: M0.act(v, d).apply(c),
+                                         bnd, reps, self.window)
+        return GradedModule(self.algebra, tuple(reps[d].ncols for d in range(self.window + 1)),
+                            actions, self.window)
 
 
 def module_as_complex(M: GradedModule, degree: int = 0) -> GradedModuleComplex:

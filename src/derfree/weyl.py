@@ -268,8 +268,7 @@ def structure_map(rep: WModuleRep) -> StructureMapResult:
         cols = []
         for b in blocks:
             cols.extend(b.columns())
-        phi_n = Matrix.from_columns(f, cols, nrows=rep.dim_at(n)) if cols \
-            else Matrix.from_columns(f, [], nrows=rep.dim_at(n))
+        phi_n = Matrix.from_columns(f, cols, nrows=rep.dim_at(n))
         mats.append(phi_n)
         if phi_n.nrows != phi_n.ncols or (phi_n.nrows and invert(phi_n) is None):
             iso = False

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from derfree.algebra import (DependentModM2, adapted_basis,
+from derfree.algebra import (ArtinAlgebra, DependentModM2, adapted_basis,
                              artin_algebra_from_constants)
 from derfree.complexes import AMatrix
-from derfree.field import GF101, QQ
-from derfree.linalg import Matrix, rank
+from derfree.field import GF, GF101, QQ
+from derfree.linalg import Matrix, invert, rank
 from derfree.modules import minimal_generators, nu, submodule_from_spanning, free_module
 from derfree.monomial import NotArtinianError, TruncationError, mono_key, monomial_algebra
 
@@ -34,6 +35,41 @@ def test_validate_broken_associativity_has_witness():
     rep = A.validate()
     assert not rep.valid
     assert any(i.axiom == "ideal" for i in rep.issues)
+
+
+def rebased(A, rng):
+    """A with m in a random basis: e'_0 = e_0 and e'_i = sum_k P[k][i] e_k."""
+    f, d = A.field, A.dim
+    P = None
+    while P is None or invert(P) is None:
+        P = Matrix.from_rows(f, [[f.one if i == j == 0 else
+                                  f.zero if 0 in (i, j) else f.from_int(rng.randrange(f.p))
+                                  for j in range(d)] for i in range(d)])
+    Pinv, cols = invert(P), P.columns()
+    mult = tuple(tuple(Pinv.apply(A.el_mul(cols[i], cols[j])) for j in range(d))
+                 for i in range(d))
+    return ArtinAlgebra(f, A.labels, mult)
+
+
+def test_validate_is_exact_for_a_prime_near_two_to_the_31():
+    # sums of d products of scalars below 2^31 - 1 exceed int64; the check
+    # must not report associativity failures that are overflow
+    f = GF(2**31 - 1)
+    A = rebased(monomial_algebra(f, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 4).artinize(),
+                random.Random(0))
+    assert A.dim == 8
+    assert sum(1 for row in A.mult for e in row for c in e if c) > 300
+    rep = A.validate()
+    assert rep.valid and rep.issues == () and rep.nilpotency_index == 4
+    # doubling e_x*e_y (both orders) keeps commutativity but breaks associativity
+    B = monomial_algebra(f, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 4).artinize()
+    x, y = B.labels.index("x"), B.labels.index("y")
+    mult = [list(row) for row in B.mult]
+    for i, j in ((x, y), (y, x)):
+        mult[i][j] = tuple(f.mul(2, c) for c in mult[i][j])
+    broken = ArtinAlgebra(f, B.labels, tuple(tuple(row) for row in mult))
+    axioms = {i.axiom for i in broken.validate().issues}
+    assert axioms == {"associativity"}
 
 
 def test_validate_uv4_dim10_nilpotency_4():

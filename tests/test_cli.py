@@ -161,6 +161,30 @@ def test_bundle_field_mismatch_is_an_input_error(tmp_path, capsys):
     assert "field mismatch" in capsys.readouterr().err
 
 
+def test_certificate_paths_resolve_from_the_certificate_directory(tmp_path, ex55_files):
+    """A bundle whose certificate lives in a subdirectory and names its complex
+    relative to itself gives the report of the flat layout."""
+    b = build_ex55(GF101)
+    sub = tmp_path / "nested" / "sub"
+    sub.mkdir(parents=True)
+    serialize.save(str(sub / "F.json"), serialize.complex_to_dict(b.F))
+    cert = serialize.certificate_to_dict(b.certificate, b.F)
+    cert["complex"] = "F.json"
+    serialize.save(str(sub / "cert.json"), cert)
+    bundle = json.load(open(ex55_files["bundle"]))
+    bundle.update({"algebra_A": serialize.algebra_to_dict(b.A), "complex": None,
+                   "certificate": "sub/cert.json"})
+    nested = str(tmp_path / "nested" / "bundle.json")
+    serialize.save(nested, bundle)
+    assert main(["verify-action", str(sub / "cert.json")]) == 0
+    reports = []
+    for path in (ex55_files["bundle"], nested):
+        out = str(tmp_path / "report.json")
+        assert main(["--json", out, "check", "--theorem", "question", path]) == 0
+        reports.append(open(out, "rb").read())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("artinian", [False, True], ids=["graded", "artinian"])
 def test_differential_of_the_wrong_shape_exits_2(tmp_path, capsys, artinian):
     from derfree.monomial import monomial_algebra

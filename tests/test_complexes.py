@@ -1,13 +1,17 @@
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from derfree.complexes import (AMatrix, ChainMap, amatrix_inverse,
                                betti, cone, direct_sum, euler_pairing_holds,
                                free_complex, graded_homology, homology,
                                homology_dims, identity_map, inf_sup, is_quasi_iso,
                                proj_dim, random_transport, scalar_endo, shift,
                                transport)
-from derfree.field import GF101
+from derfree.field import GF101, QQ
 from derfree.koszul import koszul
+from derfree.linalg import Matrix
 from derfree.modules import MINUS_INFINITY, PLUS_INFINITY
 from derfree.monomial import monomial_algebra
 
@@ -187,3 +191,27 @@ def test_tor_base_case_bottom_betti_is_minimal_generators():
     assert betti(F)[0] == nu(homology(F, 0).module)
     K = koszul(A, [A.parse_element("x")], multiplicity=3).complex
     assert betti(K)[0] == nu(homology(K, 0).module)
+
+
+TRANSPORT_CASES = {
+    "koszul-x": lambda A: koszul(A, [A.parse_element("x")]).complex,
+    "koszul-xy": lambda A: koszul(A, [A.parse_element(v) for v in "xy"]).complex,
+    "koszul-x-twice": lambda A: koszul(A, [A.parse_element("x")], multiplicity=2).complex,
+    "two-term": two_term,
+}
+
+
+@given(st.sampled_from([GF101, QQ]), st.sampled_from(sorted(TRANSPORT_CASES)),
+       st.integers(0, 2**32 - 1))
+def test_homology_of_a_transport_is_a_module_with_unit_projections(field, case, seed):
+    F = random_transport(TRANSPORT_CASES[case](plane(field)), random.Random(seed))
+    for i in F.degrees():
+        H = homology(F, i)
+        assert H.module.validate() == []
+        units = [tuple(c) for c in Matrix.identity(field, H.dim).columns()]
+        assert H.project_cycles(H.reps) == units
+        # a representative moved by a boundary projects to the same unit vector
+        if H.boundary_cols.ncols:
+            b = H.boundary_cols.column(0)
+            assert H.project_cycles([tuple(field.add(x, y) for x, y in zip(r, b))
+                                     for r in H.reps]) == units

@@ -2,9 +2,12 @@
 
 The cases cover the three consumers of the homotopy system -- the derived
 annihilator (with its Artinian witnesses), the Koszul decomposition and the
-homotopy solver -- on both backends and both fields, plus the chain-map
-space behind ``tensor_model_search``.  Kernels and particular solutions depend on the
-order of the unknowns, so a witness or a basis that moves shows up here.
+homotopy solver -- on both backends and both fields, the chain-map space
+behind ``tensor_model_search``, and the induced actions on homology: the
+A-action on each Artinian H_i, the variable actions on each graded H_i and
+the certificate generators of ex5.7 projected to homology.  Kernels and
+particular solutions depend on the order of the unknowns, so a witness or a
+basis that moves shows up here.
 
 Regenerate ``golden_reports.json`` (only when an output change is intended)
 with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -18,11 +21,13 @@ import sys
 import pytest
 
 from derfree import serialize
+from derfree.actions import induced_action_on_homology
 from derfree.checkers import tensor_model_search
 from derfree.cli import main
-from derfree.complexes import AMatrix, FreeComplex, random_transport, scalar_endo
+from derfree.complexes import (AMatrix, FreeComplex, graded_homology, homology,
+                               random_transport, scalar_endo)
 from derfree.field import GF101, QQ
-from derfree.fixtures import build_ex56
+from derfree.fixtures import build_ex56, build_ex57
 from derfree.homotopy import derived_annihilator
 from derfree.koszul import koszul
 from derfree.monomial import monomial_algebra
@@ -117,8 +122,45 @@ def _witness_report(field) -> str:
         for a, w in zip(ann.basis, ann.witnesses)])
 
 
+def _matrix_strings(M) -> list:
+    return [[M.field.to_str(x) for x in row] for row in M.rows]
+
+
+def _homology_action_report(field) -> str:
+    """The A-action on each H_i of the Artinian complex, on its representative basis."""
+    F = _complex(field, COMPLEXES[0], seed=7)
+    return serialize.dumps({str(i): [_matrix_strings(a) for a in homology(F, i).module.action]
+                            for i in F.degrees()})
+
+
+def _graded_homology_action_report(spec):
+    """The variable actions on each graded H_i, degree by degree."""
+    def report(field) -> str:
+        F = _complex(field, spec, seed=7)
+        out = {}
+        for i in F.degrees():
+            H = graded_homology(F, i)
+            out[str(i)] = {"dims": list(H.dims),
+                           "actions": [[_matrix_strings(m) for m in per]
+                                       for per in H.var_actions]}
+        return serialize.dumps(out)
+    return report
+
+
+def _induced_action_report(field) -> str:
+    """The certificate generators of ex5.7 projected to each H_i."""
+    b = build_ex57(field)
+    action = induced_action_on_homology(b.F, b.certificate)
+    return serialize.dumps({str(i): {name: _matrix_strings(m) for name, m in mats}
+                            for i, mats in action.gen_matrices})
+
+
 API_REPORTS = {"tensor_model_search/ex5.6": _tensor_model_report,
-               "annihilator_witnesses/chain-z3": _witness_report}
+               "annihilator_witnesses/chain-z3": _witness_report,
+               "homology_actions/chain-z3": _homology_action_report,
+               "graded_homology_actions/sq3": _graded_homology_action_report(COMPLEXES[1]),
+               "graded_homology_actions/cube3": _graded_homology_action_report(COMPLEXES[2]),
+               "induced_actions/ex5.7": _induced_action_report}
 
 
 def _all_reports(tmp_dir) -> dict:

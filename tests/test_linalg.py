@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from derfree.field import GF, GF101, QQ
 from derfree.linalg import (Matrix, independent_columns, invert, kernel_basis, np_rref,
-                            rank, rref, solve, solve_and_project, solve_multi,
-                            span_equal, sparse_rref)
+                            quotient_coords, rank, rref, solve, solve_and_project,
+                            solve_multi, span_equal, sparse_rref)
 
 
 def brute_force_det(field, M):
@@ -315,6 +315,32 @@ def test_independent_columns_matches_the_greedy_rank_loop(field, n, data):
     B = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in base], nrows=n)
     C = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in cands], nrows=n)
     assert independent_columns(B, C) == greedy_rank_loop(B, C)
+
+
+@given(st.sampled_from([GF101, QQ]), st.integers(1, 5), st.data())
+def test_quotient_coords_matches_one_solve_per_vector(field, n, data):
+    col = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    drawn = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in
+                                        data.draw(st.lists(col, min_size=1, max_size=5))], nrows=n)
+    # independent columns, split into sub and reps
+    chosen = [drawn.column(j) for j in independent_columns(Matrix.zero(field, n, 0), drawn)]
+    k = data.draw(st.integers(0, len(chosen)))
+    sub = Matrix.from_columns(field, chosen[:k], nrows=n)
+    reps = Matrix.from_columns(field, chosen[k:], nrows=n)
+    both = sub.hstack(reps)
+    coeffs = data.draw(st.lists(st.lists(st.integers(-3, 3).map(field.from_int),
+                                         min_size=len(chosen), max_size=len(chosen)),
+                                min_size=1, max_size=4))
+    vectors = [both.apply(c) for c in coeffs]
+    got = quotient_coords(sub, reps, vectors)
+    assert got == [solve(both, v)[k:] for v in vectors] == [tuple(c[k:]) for c in coeffs]
+    # an empty sub, and no vectors at all
+    assert quotient_coords(Matrix.zero(field, n, 0), both, vectors) == list(map(tuple, coeffs))
+    assert quotient_coords(sub, reps, []) == []
+    outside = [e for e in Matrix.identity(field, n).columns() if solve(both, e) is None]
+    if outside:
+        with pytest.raises(ValueError):
+            quotient_coords(sub, reps, vectors + outside[:1])
 
 
 def test_independent_columns_skips_the_span_of_the_base():
