@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import exprs
 from .complexes import (AMatrix, ChainMap, FreeComplex, graded_homology,
                         homology, scalar_endo)
-from .homotopy import Homotopy, solve_homotopy
+from .homotopy import Homotopy, homotopy_defects, solve_homotopy
 from .linalg import Matrix
 from .modules import FiniteModule, element_action_matrix
 from .morphism import AlgebraMorphism
@@ -122,9 +122,7 @@ def verify_certificate(F: FreeComplex, cert: ActionCertificate) -> CertificateRe
             else:
                 rel_checks.append(RelationCheck(poly, "solved", True, ()))
         else:
-            bd = witness.boundary()
-            residual = tuple(i for i in F.degrees()
-                             if not bd.component(i).sub(fmap.component(i)).is_zero())
+            residual = tuple(homotopy_defects(fmap, witness))
             mode = "exact" if all(m.is_zero() for _, m in witness.maps) else "witness"
             rel_checks.append(RelationCheck(poly, mode, not residual, residual))
     verified = morph_ok and all(gen_ok.values()) and all(rc.passed for rc in rel_checks)

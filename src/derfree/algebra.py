@@ -158,6 +158,24 @@ class ArtinAlgebra:
     def el_mul(self, u: Element, v: Element) -> Element:
         return self.el_dot(((u, v),))
 
+    # -- the basis-key product rule behind complexes' slice products ---------
+    def el_terms(self, u: Element) -> list:
+        """The nonzero (basis index, scalar) terms of u."""
+        return [(i, a) for i, a in enumerate(u) if a] if any(u) else ()
+
+    def key_product(self, i: int, j: int) -> tuple:
+        """The nonzero (k, c) of e_i * e_j."""
+        return self._table[i][j]
+
+    def el_from_raw(self, raw: dict) -> Element:
+        """The element with coordinates {index: unreduced sum}, each sum reduced once."""
+        reduce = self.field.reduce
+        out = list(self.zero)
+        for k, x in raw.items():
+            if x:
+                out[k] = reduce(x)
+        return tuple(out)
+
     def el_is_zero(self, u: Element) -> bool:
         return not any(u)
 

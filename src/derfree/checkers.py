@@ -766,6 +766,8 @@ def prop44_divisibility(F: FreeComplex, c: int,
     """The Betti polynomial must be divisible by (1+t)^c with nonnegative
     quotient when c annihilator elements are independent modulo m^2."""
     A = F.algebra
+    if A.kind != "artinian":
+        raise ValueError("prop44 divisibility runs on the Artinian backend")
     ann = annihilator if annihilator is not None else derived_annihilator(F)
     chosen, _, found = select_independent_mod_m2(A, ann, c)
     if c > 0 and chosen is None:

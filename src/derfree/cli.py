@@ -305,6 +305,8 @@ def cmd_check(args) -> int:
         bundle = _bundle_from_file(args, args.file)
     else:
         raise LoadError("give a bundle file or --fixture NAME")
+    if bundle.F is None and args.theorem in ("question", "lemma32", "thm31", "prop44"):
+        raise LoadError(f"the bundle holds no free complex, which --theorem {args.theorem} needs")
     if args.theorem == "prop44":
         F = bundle.F
         c = args.power

@@ -97,18 +97,13 @@ class AMatrix:
             raise ComplexError(
                 f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         A = self.algebra
-        is_zero, dot, zero = A.el_is_zero, A.el_dot, A.zero
-        # nonzero pattern of each row of `other`, read once
-        other_nz = [[(j, b) for j, b in enumerate(r) if not is_zero(b)] for r in other.entries]
-        out = []
-        for r in self.entries:
-            pairs = [[] for _ in range(other.ncols)]
-            for k, a in enumerate(r):
-                if other_nz[k] and not is_zero(a):
-                    for j, b in other_nz[k]:
-                        pairs[j].append((a, b))
-            out.append(tuple(dot(p) if p else zero for p in pairs))
-        return AMatrix(A, self.nrows, other.ncols, tuple(out))
+        m, n = self.nrows, other.ncols
+        sums = list(_raw_sums(A, m, n, ((False, _slices(A, self, m, self.ncols),
+                                         _slices(A, other, self.ncols, n)),)).items())
+        build = A.el_from_raw
+        return AMatrix(A, m, n, tuple(
+            tuple(build({k: acc[p] for k, acc in sums if acc[p]}) for p in range(r * n, r * n + n))
+            for r in range(m)))
 
     def is_zero(self) -> bool:
         A = self.algebra
@@ -160,6 +155,80 @@ class AMatrix:
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.entries))
+
+
+# ---------------------------------------------------------------------------
+# products on basis-element slices
+#
+# A matrix with algebra entries is the sum over basis keys of e_key (x) M_key,
+# where M_key is a sparse k-matrix.  The product of X and Y adds c * X_i Y_j,
+# unreduced, into slice k for every nonzero structure constant
+# e_i * e_j = c * e_k, and each output coordinate is reduced once.  Only three
+# things come from the backend: an element's nonzero terms (`el_terms`), the
+# product of two basis keys (`key_product`) and the element built from raw
+# sums (`el_from_raw`).
+
+
+def _slices(A, M: AMatrix, nrows: int, ncols: int) -> dict:
+    """{key: {row: [(column, scalar)]}}, the nonzero slices of M, which must be nrows x ncols."""
+    if M.nrows != nrows or M.ncols != ncols:
+        raise ComplexError(f"a {M.nrows}x{M.ncols} matrix where {nrows}x{ncols} is needed")
+    terms = A.el_terms
+    out = {}
+    for r, row in enumerate(M.entries):
+        for c, e in enumerate(row):
+            for key, a in terms(e):
+                rows = out.get(key)
+                if rows is None:
+                    out[key] = rows = {}
+                found = rows.get(r)
+                if found is None:
+                    rows[r] = [(c, a)]
+                else:
+                    found.append((c, a))
+    return out
+
+
+def _raw_sums(A, nrows: int, ncols: int, products, minus=None) -> dict:
+    """Unreduced slices of the sum of +-X*Y over products, less `minus`.
+
+    `products` holds (negate, X, Y) with X and Y given by their `_slices`,
+    and `minus` is given the same way.  The result maps each basis key to
+    the flat list of raw sums of its slice, entry (r, c) at r * ncols + c.
+    """
+    key_product = A.key_product
+    size = nrows * ncols
+    out = {}
+    for negate, xs, ys in products:
+        for i, Xi in xs.items():
+            for j, Yj in ys.items():
+                for k, c in key_product(i, j):
+                    acc = out.get(k)
+                    if acc is None:
+                        out[k] = acc = [0] * size
+                    for r, xrow in Xi.items():
+                        base = r * ncols
+                        for q, a in xrow:
+                            yrow = Yj.get(q)
+                            if yrow is not None:
+                                ca = -(c * a) if negate else c * a
+                                for col, b in yrow:
+                                    acc[base + col] += ca * b
+    for k, rows in (minus or {}).items():
+        acc = out.get(k)
+        if acc is None:
+            out[k] = acc = [0] * size
+        for r, row in rows.items():
+            base = r * ncols
+            for col, a in row:
+                acc[base + col] -= a
+    return out
+
+
+def _sums_vanish(field, sums: dict) -> bool:
+    """Whether every raw sum of `_raw_sums` reduces to 0."""
+    reduce = field.reduce
+    return not any(any(map(reduce, filter(None, acc))) for acc in sums.values())
 
 
 def amatrix_blockdiag(algebra, blocks) -> AMatrix:
@@ -354,16 +423,17 @@ class ChainMap:
         return not self.chain_defects()
 
     def chain_defects(self) -> list:
-        out = []
-        lo = min(self.source.low, self.target.low)
-        hi = max(self.source.top, self.target.top)
-        for i in range(lo + 1, hi + 1):
-            lhs = self.target.diff(i).mul(self.component(i))
-            rhs = self.component(i - 1).mul(self.source.diff(i))
-            if lhs.sub(rhs).is_zero():
-                continue
-            out.append(i)
-        return out
+        """Degrees i where d f_i - f_{i-1} d is not zero."""
+        S, T = self.source, self.target
+        A = S.algebra
+        lo, hi = min(S.low, T.low), max(S.top, T.top)
+        dS = {i: _slices(A, S.diff(i), S.rank(i - 1), S.rank(i)) for i in range(lo + 1, hi + 1)}
+        dT = dS if T is S else {i: _slices(A, T.diff(i), T.rank(i - 1), T.rank(i))
+                                for i in range(lo + 1, hi + 1)}
+        fs = {i: _slices(A, self.component(i), T.rank(i), S.rank(i)) for i in range(lo, hi + 1)}
+        return [i for i in range(lo + 1, hi + 1)
+                if not _sums_vanish(A.field, _raw_sums(A, T.rank(i - 1), S.rank(i), (
+                    (False, dT[i], fs[i]), (True, fs[i - 1], dS[i]))))]
 
     def add(self, other: "ChainMap") -> "ChainMap":
         degs = sorted({d for d, _ in self.maps} | {d for d, _ in other.maps})

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import AMatrix, ChainMap, FreeComplex, scalar_endo
+from .complexes import (AMatrix, ChainMap, FreeComplex, _raw_sums, _slices, _sums_vanish,
+                        scalar_endo)
 from .linalg import (Matrix, in_span, independent_columns, rref, sparse_kernel,
                      sparse_solve)
 from .monomial import TruncationError
@@ -122,9 +123,10 @@ class _System:
         self._blocks = {}
         self.rows = []  # one {column: scalar} per equation row
         self.equations = {}  # (i, s, t) -> (first row, size, degree)
-        one, signed = A.field.one, A.field.from_int(sign)
+        source = "T" if S is T else "S"  # one complex: its entries share their blocks
         for i in range(self.lo, self.hi + 1):
             dT, dS = T.diff(i + k), S.diff(i)
+            bT, bS = self._entry_blocks("T", i + k, dT), self._entry_blocks(source, i, dS)
             for s in range(T.rank(i + k - 1)):
                 for t in range(S.rank(i)):
                     deg = self._degree(i, i + k - 1, s, t)
@@ -134,10 +136,11 @@ class _System:
                     self.rows.extend({} for _ in range(n))
                     # d^T_{i+k}[s, q] * X_i[q, t]
                     for q in range(T.rank(i + k)):
-                        self._add_term(row, n, dT.entries[s][q], (i, q, t), one)
+                        self._add_term(row, n, bT[s][q], dT.entries[s][q], (i, q, t), False)
                     # sign * X_{i-1}[s, q] * d^S_i[q, t]
                     for q in range(S.rank(i - 1)):
-                        self._add_term(row, n, dS.entries[q][t], (i - 1, s, q), signed)
+                        self._add_term(row, n, bS[q][t], dS.entries[q][t], (i - 1, s, q),
+                                       sign < 0)
 
     # -- the backend-dependent part: coordinate spaces and blocks ----------
     def _degree(self, i, j, r, c):
@@ -156,16 +159,18 @@ class _System:
             raise TruncationError(f"homotopy {what} degree {deg} above truncation")
         return len(A.basis(deg))
 
-    def _block(self, e, deg, coeff) -> list:
-        """Nonzero (row, column, value) of coeff * (multiplication by e) on the space of deg."""
-        key = (e, deg, coeff)
-        if key not in self._blocks:
-            A = self.A
-            f = A.field
-            L = A.mult_map(e, deg) if self.graded else A.left_mult_matrix(e)
-            self._blocks[key] = [(r, c, f.mul(coeff, v)) for r, row in enumerate(L.rows)
-                                 for c, v in enumerate(row) if v]
-        return self._blocks[key]
+    def _entry_blocks(self, side, degree, d) -> list:
+        """The block caches of the entries of d, the differential of `side` at `degree`.
+
+        Entry [r][c] maps a coordinate degree to the nonzero (row, column,
+        value) of multiplication by d[r, c] on its space.  The cache is keyed
+        by position, so no scalar is hashed.
+        """
+        caches = self._blocks.get((side, degree))
+        if caches is None:
+            caches = [[{} for _ in range(d.ncols)] for _ in range(d.nrows)]
+            self._blocks[(side, degree)] = caches
+        return caches
 
     def _coords(self, e, deg):
         """Coordinates of e in the space of deg, or None if e lies outside it."""
@@ -180,17 +185,26 @@ class _System:
         return self.A.from_coords(x, deg) if self.graded else tuple(x)
 
     # -- assembly and elimination -----------------------------------------
-    def _add_term(self, row0, nrows, e, key, coeff):
-        """Add coeff * (multiplication by e) from unknown `key` into rows row0.."""
+    def _add_term(self, row0, nrows, cache, e, key, negate):
+        """Write +-(multiplication by e) from unknown `key` into rows row0..
+
+        `cache` is the block cache of e's position (see `_entry_blocks`).
+        An equation meets each unknown through one term only, so every
+        entry is written once.
+        """
         A = self.A
         if not nrows or key not in self.unknowns or A.el_is_zero(e):
             return
         col0, _, deg = self.unknowns[key]
-        add, zero = A.field.add, A.field.zero
-        for r, c, v in self._block(e, deg, coeff):
+        block = cache.get(deg)
+        if block is None:
+            L = A.mult_map(e, deg) if self.graded else A.left_mult_matrix(e)
+            cache[deg] = block = [(r, c, v) for r, row in enumerate(L.rows)
+                                  for c, v in enumerate(row) if v]
+        neg, rows = A.field.neg, self.rows
+        for r, c, v in block:
             if r < nrows:
-                row, col = self.rows[row0 + r], col0 + c
-                row[col] = add(row.get(col, zero), v)
+                rows[row0 + r][col0 + c] = neg(v) if negate else v
 
     def rhs_of(self, fmap: ChainMap):
         """Flatten the components of fmap into an equation vector (None: no solution)."""
@@ -330,11 +344,29 @@ def _uniform_component_degree(f: ChainMap) -> int | None:
     return degs.pop()
 
 
+def homotopy_defects(f: ChainMap, h: Homotopy) -> list:
+    """Degrees i where d h_i + h_{i-1} d - f_i is not zero.
+
+    The sums are accumulated on basis-element slices, each sliced matrix
+    once per call, and each raw sum is tested once; `Homotopy.boundary` is
+    never built.  Only the complexes of f, f itself and h are read.
+    """
+    F, G = f.source, f.target
+    A = F.algebra
+    lo, hi = min(F.low, G.low), max(F.top, G.top)
+    dF = {i: _slices(A, F.diff(i), F.rank(i - 1), F.rank(i)) for i in range(lo, hi + 2)}
+    dG = dF if G is F else {i: _slices(A, G.diff(i), G.rank(i - 1), G.rank(i))
+                            for i in range(lo, hi + 2)}
+    hs = {i: _slices(A, h.component(i), G.rank(i + 1), F.rank(i)) for i in range(lo - 1, hi + 1)}
+    return [i for i in range(lo, hi + 1)
+            if not _sums_vanish(A.field, _raw_sums(
+                A, G.rank(i), F.rank(i), ((False, dG[i + 1], hs[i]), (False, hs[i - 1], dF[i])),
+                minus=_slices(A, f.component(i), G.rank(i), F.rank(i))))]
+
+
 def _check_homotopy(f: ChainMap, h: Homotopy):
-    bd = h.boundary()
-    for i in range(min(f.source.low, f.target.low), max(f.source.top, f.target.top) + 1):
-        if not bd.component(i).sub(f.component(i)).is_zero():
-            raise AssertionError("solver returned an invalid homotopy")
+    if homotopy_defects(f, h):
+        raise AssertionError("solver returned an invalid homotopy")
 
 
 def homotopy_class_eq(f: ChainMap, g: ChainMap) -> bool:

@@ -170,15 +170,32 @@ class MonomialAlgebra:
                     m = mono_mul(m1, m2)
                     if is_standard(m):
                         acc[m] = get(m, 0) + c1 * c2
-        out = self._canonical(acc)
+        return self.el_from_raw(acc)
+
+    def el_mul(self, u, v):
+        return self.el_dot(((u, v),))
+
+    # -- the basis-key product rule behind complexes' slice products ---------
+    def el_terms(self, u):
+        """The nonzero (monomial, scalar) terms of u."""
+        return u
+
+    def key_product(self, m1: Monomial, m2: Monomial) -> tuple:
+        """m1 * m2 as ((monomial, 1),), or () when it lies in the ideal."""
+        m = mono_mul(m1, m2)
+        return ((m, 1),) if self.is_standard(m) else ()
+
+    def el_from_raw(self, raw: dict):
+        """The element with terms {monomial: unreduced sum}, each sum reduced once.
+
+        A nonzero term above the truncation raises TruncationError.
+        """
+        out = self._canonical(raw)
         for m, _ in out:
             if mono_degree(m) > self.truncation:
                 raise TruncationError(
                     f"product has a term of degree {mono_degree(m)} above truncation {self.truncation}")
         return out
-
-    def el_mul(self, u, v):
-        return self.el_dot(((u, v),))
 
     def el_is_zero(self, u) -> bool:
         return len(u) == 0

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import AMatrix, ChainMap, FreeComplex
+from .complexes import AMatrix, ChainMap, FreeComplex, scalar_endo
+from .homotopy import homotopy_defects
 from .koszul import koszul, subsets, wedge_sign
 from .linalg import Matrix, invert, rank
 
@@ -307,13 +308,9 @@ def koszul_lift(F: FreeComplex, xs, hs) -> KoszulLift:
     if F.low != 0:
         raise WeylError("koszul_lift expects the complex to start in degree 0")
     p = len(xs)
-    from .complexes import scalar_endo
     for x, h in zip(xs, hs):
-        bd = h.boundary()
-        xid = scalar_endo(F, x)
-        for i in F.degrees():
-            if not bd.component(i).sub(xid.component(i)).is_zero():
-                raise WeylError("witness does not bound x_i * id exactly")
+        if homotopy_defects(scalar_endo(F, x), h):
+            raise WeylError("witness does not bound x_i * id exactly")
     b = F.rank(0)
     K = koszul(A, list(xs), multiplicity=b).complex
     comps = {}

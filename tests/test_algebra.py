@@ -401,3 +401,64 @@ def test_graded_products_match_the_field_method_loop(field, data):
         total[m] = field.add(total.get(m, field.zero), c)
     assert A.el_add(u, v) == canonical_terms(field, total)
     assert_canonical_terms(field, A.el_add(u, v))
+
+
+def graded_amatrices(A, nrows, ncols, monomials):
+    coeffs = st.one_of(st.just(A.field.zero), graded_scalars(A.field))
+    entries = st.tuples(*[coeffs] * len(monomials)).map(
+        lambda cs: canonical_terms(A.field, dict(zip(monomials, cs))))
+    return st.lists(st.tuples(*[entries] * ncols), min_size=nrows,
+                    max_size=nrows).map(lambda rows: AMatrix(A, nrows, ncols, tuple(rows)))
+
+
+def reference_graded_amatrix_mul(A, X, Y):
+    """Entrywise el_add/el_mul sums, in a copy of A truncated high enough to be exact."""
+    rows = []
+    for i in range(X.nrows):
+        row = []
+        for j in range(Y.ncols):
+            acc = A.zero
+            for k in range(X.ncols):
+                acc = A.el_add(acc, A.el_mul(X.entries[i][k], Y.entries[k][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return rows
+
+
+@FIELDS
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data())
+def test_graded_amatrix_products_match_the_entrywise_loop(field, data):
+    A = monomial_algebra(field, ["x", "y"], ["x^2"], 3)
+    # the drawn entries have degree at most 2, so every product is exact here
+    exact = monomial_algebra(field, ["x", "y"], ["x^2"], 4)
+    n, m, l = (data.draw(st.integers(0, 3)) for _ in range(3))
+    # entries of degree at most 1 never reach the truncation, and x * x = 0
+    # tests the ideal; entries of degree 2 often go above the truncation
+    monomials = data.draw(st.sampled_from([GRADED_MONOMIALS[:3], GRADED_MONOMIALS]))
+    X = data.draw(graded_amatrices(A, n, m, monomials))
+    Y = data.draw(graded_amatrices(A, m, l, monomials))
+    # repeat some inner indices with the right factor negated, so that their
+    # products cancel in the raw sums, terms above the truncation included
+    again = data.draw(st.lists(st.integers(0, m - 1), max_size=2)) if m else []
+    X = AMatrix(A, n, m + len(again),
+                tuple(r + tuple(r[k] for k in again) for r in X.entries))
+    Y = AMatrix(A, m + len(again), l,
+                Y.entries + tuple(tuple(A.el_neg(e) for e in Y.entries[k]) for k in again))
+    expected = reference_graded_amatrix_mul(exact, X, Y)
+    if any(sum(mono) > A.truncation for row in expected for e in row for mono, _ in e):
+        with pytest.raises(TruncationError):
+            X.mul(Y)
+    else:
+        got = X.mul(Y)
+        assert (got.nrows, got.ncols) == (n, l)
+        assert [list(r) for r in got.entries] == [list(r) for r in expected]
+        for row in got.entries:
+            for e in row:
+                assert_canonical_terms(field, e)
+    x, y2 = A.parse_element("x"), A.parse_element("y^2")
+    assert AMatrix.from_rows(A, [[x]]).mul(AMatrix.from_rows(A, [[x]])) == AMatrix.zero(A, 1, 1)
+    with pytest.raises(TruncationError):
+        AMatrix.from_rows(A, [[y2]]).mul(AMatrix.from_rows(A, [[y2]]))
+    cancelled = AMatrix.from_rows(A, [[y2, y2]]).mul(AMatrix.from_rows(A, [[y2], [A.el_neg(y2)]]))
+    assert cancelled == AMatrix.zero(A, 1, 1)

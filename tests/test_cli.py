@@ -265,3 +265,23 @@ def test_an_internal_error_exits_3(ex55_files, capsys, monkeypatch, exc):
     assert f"internal error: {type(exc).__name__}: boom" in err.splitlines()[0]
     # a failed check still exits 1
     assert main(["decompose", ex55_files["F"]]) == 1
+
+
+def test_every_fixture_and_theorem_exits_0_1_or_2(capsys):
+    """A theorem that does not apply to a fixture is an input error, never a crash."""
+    from derfree.fixtures import BUILDERS
+
+    codes = {}
+    for name in sorted(BUILDERS):
+        for theorem in ("question", "lemma32", "thm31", "thm41", "thm51", "prop44"):
+            for field in ("gfp:101", "rational"):
+                code = main(["--field", field, "check", "--theorem", theorem,
+                             "--fixture", name])
+                captured = capsys.readouterr()
+                assert "Traceback" not in captured.out + captured.err, (name, theorem, field)
+                codes[(name, theorem, field)] = code
+    assert len(codes) == 8 * 6 * 2
+    assert {k: c for k, c in codes.items() if c not in (0, 1, 2)} == {}
+    # module-only fixtures hold no free complex; prop44 needs the Artinian backend
+    assert codes[("nagata", "question", "rational")] == 2
+    assert codes[("ex2.3", "prop44", "gfp:101")] == 2

@@ -1,16 +1,19 @@
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from derfree.complexes import AMatrix, ChainMap, free_complex, scalar_endo
+from derfree.complexes import (AMatrix, ChainMap, free_complex, random_transport,
+                               scalar_endo)
 from derfree.field import GF101, QQ
 from derfree.fixtures import build_ex23, build_ex55
-from derfree.homotopy import (derived_annihilator, homotopy_class_eq,
-                              solve_homotopy)
+from derfree.homotopy import (Homotopy, _check_homotopy, derived_annihilator,
+                              homotopy_class_eq, solve_homotopy)
 from derfree.koszul import koszul
 from derfree.linalg import Matrix, in_span
 from derfree.monomial import monomial_algebra
+from derfree.weyl import WeylError, koszul_lift
 
 
 def plane(field=GF101):
@@ -155,3 +158,60 @@ def test_witness_perturbation_still_verifies():
     xid = scalar_endo(K, x)
     for i in K.degrees():
         assert bd.component(i).sub(xid.component(i)).is_zero()
+
+
+def add_unit(A, maps, degree):
+    """The (degree, AMatrix) pairs with the unit added to entry (0, 0) at `degree`."""
+    out = []
+    for i, m in maps:
+        if i == degree:
+            rows = [list(r) for r in m.entries]
+            rows[0][0] = A.el_add(rows[0][0], A.one)
+            m = AMatrix.from_rows(A, rows, ncols=m.ncols)
+        out.append((i, m))
+    return tuple(out)
+
+
+def reference_chain_defects(f):
+    """Degrees where d f_i - f_{i-1} d is nonzero, through AMatrix.mul, sub and is_zero."""
+    S, T = f.source, f.target
+    out = []
+    for i in range(min(S.low, T.low) + 1, max(S.top, T.top) + 1):
+        lhs = T.diff(i).mul(f.component(i))
+        rhs = f.component(i - 1).mul(S.diff(i))
+        if not lhs.sub(rhs).is_zero():
+            out.append(i)
+    return out
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@pytest.mark.parametrize("backend", ["artinian", "graded"])
+def test_perturbed_witness_is_rejected(backend, field):
+    if backend == "artinian":
+        A = monomial_algebra(field, ["x", "y", "z"],
+                             ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+        xs = [A.parse_element("x"), A.parse_element("y")]
+        K = random_transport(koszul(A, xs, multiplicity=2).complex, random.Random(5))
+        hs = [solve_homotopy(scalar_endo(K, x)) for x in xs]
+        assert koszul_lift(K, xs, hs).multiplicity == 2
+    else:
+        A = monomial_algebra(field, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 6)
+        K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
+        ann = derived_annihilator(K)
+        xs, hs = list(ann.basis), list(ann.witnesses)
+    assert xs
+    for n, (x, h) in enumerate(zip(xs, hs)):
+        f = scalar_endo(K, x)
+        _check_homotopy(f, h)
+        degree = next(i for i, m in h.maps if m.nrows and m.ncols)
+        bad = Homotopy(h.source, h.target, add_unit(A, h.maps, degree))
+        with pytest.raises(AssertionError):
+            _check_homotopy(f, bad)
+        if backend == "artinian":
+            with pytest.raises(WeylError):
+                koszul_lift(K, xs, hs[:n] + [bad] + hs[n + 1:])
+        # chain maps and maps perturbed in one degree, against the reference loop
+        assert f.chain_defects() == reference_chain_defects(f) == []
+        for i in K.degrees():
+            g = ChainMap(K, K, add_unit(A, f.maps, i))
+            assert g.chain_defects() == reference_chain_defects(g) != []
