@@ -7,12 +7,15 @@ behind ``tensor_model_search``, and the induced actions on homology: the
 A-action on each Artinian H_i, the variable actions on each graded H_i and
 the certificate generators of ex5.7 projected to homology.  Kernels and
 particular solutions depend on the order of the unknowns, so a witness or a
-basis that moves shows up here.
+basis that moves shows up here.  The theorem checkers are pinned through
+``paper-examples`` in full and through every ``check --fixture`` report
+that exits 0 or 1, by SHA-256 digest.
 
 Regenerate ``golden_reports.json`` (only when an output change is intended)
 with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -27,12 +30,13 @@ from derfree.cli import main
 from derfree.complexes import (AMatrix, FreeComplex, graded_homology, homology,
                                random_transport, scalar_endo)
 from derfree.field import GF101, QQ
-from derfree.fixtures import build_ex56, build_ex57
+from derfree.fixtures import BUILDERS, build_ex56, build_ex57
 from derfree.homotopy import derived_annihilator
 from derfree.koszul import koszul
 from derfree.monomial import monomial_algebra
 
-CLI_COMMANDS = ("annihilator", "decompose", "homotopy")
+CLI_COMMANDS = ("annihilator", "decompose", "homotopy", "paper-examples")
+THEOREMS = ("question", "lemma32", "thm31", "thm41", "thm51", "prop44")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 FIELDS = {"gfp101": (GF101, "gfp:101"), "rational": (QQ, "rational")}
 # (name, variables, ideal, truncation, artinize, Koszul sequence, multiplicity)
@@ -91,6 +95,7 @@ def _cli_cases(tmp_dir):
                 epath = os.path.join(tmp_dir, f"{name}-{fname}-{el}id.json")
                 serialize.save(epath, doc)
                 cases.append((f"homotopy/{name}/{el}id/{fname}", fargs + ["homotopy", epath]))
+        cases.append((f"paper-examples/{fname}", fargs + ["paper-examples"]))
     return cases
 
 
@@ -99,6 +104,24 @@ def _run_cli(argv, tmp_dir) -> str:
     code = main(["--json", out] + argv)
     with open(out, encoding="utf-8") as fh:
         return f"exit {code}\n" + fh.read()
+
+
+def _check_digests(tmp_dir) -> dict:
+    """SHA-256 of every ``check --fixture`` report that exits 0 or 1, with its exit code."""
+    out = {}
+    for name in sorted(BUILDERS):
+        for theorem in THEOREMS:
+            for fname, (_, flag) in FIELDS.items():
+                path = os.path.join(tmp_dir, "report.json")
+                if os.path.exists(path):
+                    os.remove(path)
+                code = main(["--json", path, "--field", flag, "check",
+                             "--theorem", theorem, "--fixture", name])
+                if code in (0, 1):
+                    with open(path, "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    out[f"check/{name}/{theorem}/{fname}"] = f"exit {code}\nsha256 {digest}"
+    return out
 
 
 def _tensor_model_report(field) -> str:
@@ -165,6 +188,7 @@ API_REPORTS = {"tensor_model_search/ex5.6": _tensor_model_report,
 
 def _all_reports(tmp_dir) -> dict:
     out = {name: _run_cli(argv, tmp_dir) for name, argv in _cli_cases(tmp_dir)}
+    out.update(_check_digests(tmp_dir))
     for fname, (field, _) in FIELDS.items():
         for prefix, report in API_REPORTS.items():
             out[f"{prefix}/{fname}"] = report(field)
@@ -181,6 +205,15 @@ def test_cli_reports_are_pinned(tmp_path, capsys):
     got = {name: _run_cli(argv, str(tmp_path)) for name, argv in _cli_cases(str(tmp_path))}
     capsys.readouterr()
     assert sorted(got) == sorted(k for k in expected if k.split("/")[0] in CLI_COMMANDS)
+    for name in sorted(got):
+        assert got[name] == expected[name], name
+
+
+def test_check_reports_are_pinned(tmp_path, capsys):
+    expected = {k: v for k, v in _golden().items() if k.startswith("check/")}
+    got = _check_digests(str(tmp_path))
+    capsys.readouterr()
+    assert sorted(got) == sorted(expected)
     for name in sorted(got):
         assert got[name] == expected[name], name
 
