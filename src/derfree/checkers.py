@@ -10,22 +10,24 @@ the report says which).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import comb
 
-from .actions import (ActionCertificate, check_quotient_H_action,
-                      homology_module_over_target, induced_action_on_homology,
-                      verify_certificate)
+from .actions import (ActionCertificate, InducedHomologyAction,
+                      check_quotient_H_action, homology_module_over_target,
+                      induced_action_on_homology, verify_certificate)
 from .algebra import ArtinAlgebra, adapted_basis, AlgebraError
-from .complexes import (AMatrix, FreeComplex, betti, graded_homology,
-                        homology, inf_sup, proj_dim, scalar_endo)
+from .complexes import (FreeComplex, betti, graded_homology, homology,
+                        nonzero_range, proj_dim, scalar_endo)
 from .homotopy import (DerivedAnnihilator, chain_map_space, derived_annihilator,
                        solve_homotopy)
-from .koszul import koszul, subsets
+from .koszul import koszul, koszul_differentials, subsets
 from .linalg import (Matrix, column_space_basis, independent_columns, invert,
                      quotient_coords)
-from .modules import (MINUS_INFINITY, PLUS_INFINITY, element_action_matrix, is_free,
-                      lemma43_freeness, nu, poincare_truncated, residue_field_module,
-                      graded_is_free, GradedModule)
+from .modules import (MINUS_INFINITY, PLUS_INFINITY, FiniteModule, GradedModule,
+                      dim_module, element_action_matrix, graded_dim_module, graded_is_free,
+                      is_free, lemma43_freeness, nu, poincare_truncated,
+                      residue_field_module)
 from .morphism import AlgebraMorphism, beta0_of_mAB
 from .resolutions import (GradedModuleComplex, graded_depth, graded_free_module,
                           tor_k_dims)
@@ -148,48 +150,99 @@ class InstanceBundle:
     module_complex: GradedModuleComplex | None = None  # strict complexes
 
 
-def certificate_status(bundle: InstanceBundle):
-    """(verified, report_or_None)."""
-    if bundle.certificate is None:
-        return False, None
-    rep = verify_certificate(bundle.F, bundle.certificate)
-    return rep.verified, rep
+@dataclass(frozen=True)
+class Analysis:
+    """The facts about one bundle that its checks share, each computed once.
+
+    An Analysis lives for one command and keeps its caches to itself:
+    nothing is stored on the bundle, its complex or its certificate.
+    """
+
+    bundle: InstanceBundle
+    _homology: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def homology(self, i: int):
+        """H_i(F): a HomologyModule, or a GradedModule up to the truncation."""
+        if i not in self._homology:
+            F = self.bundle.F
+            H = homology(F, i) if F.algebra.kind == "artinian" else graded_homology(F, i)
+            self._homology[i] = H
+        return self._homology[i]
+
+    @cached_property
+    def certificate_status(self) -> tuple:
+        """(verified, report_or_None)."""
+        b = self.bundle
+        if b.certificate is None:
+            return False, None
+        rep = verify_certificate(b.F, b.certificate)
+        return rep.verified, rep
+
+    @cached_property
+    def induced_action(self) -> InducedHomologyAction:
+        return induced_action_on_homology(self.bundle.F, self.bundle.certificate, self.homology)
+
+    @cached_property
+    def h0_over_target(self) -> FiniteModule:
+        """H_0(F) as a B-module through the induced action (Artinian)."""
+        return homology_module_over_target(self.induced_action, self.bundle.F.low)
+
+    @cached_property
+    def h_level_status(self) -> tuple:
+        """Does the homology carry a B-action?  True via certificate or kernel check."""
+        b = self.bundle
+        if self.certificate_status[0]:
+            return True, "verified derived-action certificate"
+        if b.h_kernel and b.phi.is_surjective():
+            hrep = check_quotient_H_action(b.F, b.h_kernel, self.homology)
+            return hrep.valid, "kernel generators act as zero on homology" if hrep.valid \
+                else "kernel generators do not kill homology"
+        return False, "no action data"
+
+    @cached_property
+    def h0_freeness(self) -> tuple:
+        """(free?, rank_or_None, note) for H_0(F) as a B-module."""
+        b = self.bundle
+        if b.A.kind == "artinian":
+            if not self.certificate_status[0]:
+                return None, None, "no verified certificate to transport H_0 to B"
+            M0 = self.h0_over_target
+            free, rk = is_free(M0)
+            verdict = lemma43_freeness(M0)
+            if free != verdict.free:
+                raise AssertionError("freeness oracles disagree")
+            return free, (rk if free else None), f"dim_k H_0 = {M0.dim}, nu = {nu(M0)}"
+        verdict = graded_is_free(graded_restrict_along(b.phi, self.homology(b.F.low), b.h_kernel))
+        return verdict.free, verdict.rank, verdict.note
+
+    @cached_property
+    def inf_sup(self) -> tuple:
+        """(inf, sup) of the nonvanishing homology degrees (graded: within window)."""
+        F = self.bundle.F
+        graded = F.algebra.kind != "artinian"
+        return nonzero_range({i: self.homology(i).total_dim() if graded else self.homology(i).dim
+                              for i in F.degrees()})
+
+    @cached_property
+    def betti(self) -> dict:
+        return betti(self.bundle.F)
+
+    @cached_property
+    def proj_dim(self):
+        return nonzero_range(self.betti)[1]
+
+    @cached_property
+    def beta0_of_mAB(self) -> tuple:
+        return beta0_of_mAB(self.bundle.phi)
+
+    @cached_property
+    def fiber_algebra(self) -> ArtinAlgebra:
+        return fiber_algebra(self.bundle.phi)
 
 
-def h_level_status(bundle: InstanceBundle):
-    """Does the homology carry a B-action?  True via certificate or kernel check."""
-    ok, rep = certificate_status(bundle)
-    if ok:
-        return True, "verified derived-action certificate"
-    if bundle.h_kernel and bundle.phi.is_surjective():
-        hrep = check_quotient_H_action(bundle.F, bundle.h_kernel)
-        return hrep.valid, "kernel generators act as zero on homology" if hrep.valid \
-            else "kernel generators do not kill homology"
-    return False, "no action data"
-
-
-def h0_freeness(bundle: InstanceBundle):
-    """(free?, rank_or_None, note) for H_0(F) as a B-module."""
-    A = bundle.A
-    if A.kind == "artinian":
-        ok, _ = certificate_status(bundle)
-        if not ok:
-            return None, None, "no verified certificate to transport H_0 to B"
-        action = induced_action_on_homology(bundle.F, bundle.certificate)
-        M0 = homology_module_over_target(action, bundle.F.low)
-        free, rk = is_free(M0)
-        verdict = lemma43_freeness(M0)
-        if free != verdict.free:
-            raise AssertionError("freeness oracles disagree")
-        return free, (rk if free else None), f"dim_k H_0 = {M0.dim}, nu = {nu(M0)}"
-    H0 = graded_homology(bundle.F, bundle.F.low)
-    MB = graded_restrict_along(bundle.phi, H0, bundle.h_kernel)
-    verdict = graded_is_free(MB)
-    if verdict.free is False:
-        return False, None, verdict.note
-    if verdict.free is True:
-        return True, verdict.rank, verdict.note
-    return None, verdict.rank, verdict.note
+def analysis_of(subject) -> Analysis:
+    """The Analysis a checker reads: the one given, or a new one of a bare bundle."""
+    return subject if isinstance(subject, Analysis) else Analysis(subject)
 
 
 def graded_restrict_along(phi: AlgebraMorphism, M: GradedModule, kernel_elements=()):
@@ -225,12 +278,14 @@ def graded_restrict_along(phi: AlgebraMorphism, M: GradedModule, kernel_elements
 # the question itself
 
 
-def check_question(bundle: InstanceBundle) -> CheckReport:
+def check_question(subject: Analysis | InstanceBundle) -> CheckReport:
     """Hypotheses and empirical conclusion of the freeness question."""
+    an = analysis_of(subject)
+    bundle = an.bundle
     checks = []
     caveats = []
     data = {}
-    cert_ok, cert_rep = certificate_status(bundle)
+    cert_ok, cert_rep = an.certificate_status
     if bundle.certificate is None:
         detail = "no derived-action certificate supplied"
         if bundle.h_kernel and bundle.A.kind == "graded":
@@ -249,15 +304,15 @@ def check_question(bundle: InstanceBundle) -> CheckReport:
                            "certificate verified" if cert_ok else "certificate failed"))
         if cert_rep is not None:
             data["certificate"] = cert_rep.as_dict()
-    infH, supH = inf_sup(bundle.F)
+    infH, supH = an.inf_sup
     checks.append(_chk("inf_H_is_zero", "hypothesis", infH == bundle.F.low and infH == 0,
                        f"inf H = {infH}"))
-    p = proj_dim(bundle.F)
+    p = an.proj_dim
     ea, eb = edim_of(bundle.A), edim_of(bundle.B)
     data.update({"proj_dim": _ser(p), "edim_A": ea, "edim_B": eb})
     checks.append(_chk("defect_bound", "hypothesis", ext_ge(ea - eb, p),
                        f"proj dim = {_ser(p)} <= edim A - edim B = {ea - eb}"))
-    free, rk, note = h0_freeness(bundle)
+    free, rk, note = an.h0_freeness
     if free is None and rk is None:
         checks.append(Check("H0_free_over_B", "conclusion", "skip", note))
         caveats.append(note)
@@ -272,7 +327,7 @@ def check_question(bundle: InstanceBundle) -> CheckReport:
             caveats.append(note)
         if rk is not None:
             data["H0_rank"] = rk
-    applicable = _theorem_coverage(bundle, p, ea, eb)
+    applicable = _theorem_coverage(an, p, ea, eb)
     data["theorem_coverage"] = applicable
     if not any(applicable.values()):
         checks.append(Check("covered_by_a_theorem", "info", "fail",
@@ -284,12 +339,12 @@ def check_question(bundle: InstanceBundle) -> CheckReport:
     return CheckReport("question", tuple(checks), tuple(caveats), data)
 
 
-def _theorem_coverage(bundle, p, ea, eb) -> dict:
+def _theorem_coverage(an: Analysis, p, ea, eb) -> dict:
+    bundle = an.bundle
     out = {"ci_fiber_criterion": False, "regular_case_criterion": False}
     if bundle.A.kind == "artinian" and bundle.B.kind == "artinian":
-        C = fiber_algebra(bundle.phi)
-        ci, exact, _ = artinian_ci_test(C)
-        b0, _ = beta0_of_mAB(bundle.phi)
+        ci, exact, _ = artinian_ci_test(an.fiber_algebra)
+        b0, _ = an.beta0_of_mAB
         hyp51 = ext_ge(ea - b0, p)
         out["ci_fiber_criterion"] = bool(ci) and exact and hyp51
         out["theorem51_hypothesis"] = hyp51
@@ -311,17 +366,19 @@ def _ser(v):
 # the numerical inequalities
 
 
-def check_lemma32(bundle: InstanceBundle) -> CheckReport:
+def check_lemma32(subject: Analysis | InstanceBundle) -> CheckReport:
+    an = analysis_of(subject)
+    bundle = an.bundle
     checks = []
     caveats = []
-    h_ok, h_note = h_level_status(bundle)
+    h_ok, h_note = an.h_level_status
     checks.append(_chk("H_carries_B_action", "precondition", h_ok, h_note))
     F = bundle.F
-    p = proj_dim(F)
+    p = an.proj_dim
     depth_a, e1 = ring_depth(bundle.A)
     dim_a, e2 = ring_dim(bundle.A)
     dim_b, e3 = ring_dim(bundle.B)
-    infH, supH = inf_sup(F)
+    infH, supH = an.inf_sup
     if not (e1 and e2 and e3):
         caveats.append("ring invariants carry truncation caveats")
     rhs1 = ext_add(ext_sub(depth_a, dim_b), supH)
@@ -332,7 +389,7 @@ def check_lemma32(bundle: InstanceBundle) -> CheckReport:
                        f"proj dim = {_ser(p)} >= dim A - dim B = {_ser(rhs2)}"))
     # equality criterion; depth of a perfect complex comes from the
     # depth-sensitivity formula depth F = depth A - proj dim F
-    dims_h = _homology_dims_over_A(F)
+    dims_h = _homology_dims_over_A(an)
     dim_f = MINUS_INFINITY
     for n, dn in dims_h.items():
         cand = ext_sub(dn, n)
@@ -354,30 +411,24 @@ def check_lemma32(bundle: InstanceBundle) -> CheckReport:
     return CheckReport("lemma32", tuple(checks), tuple(caveats), data)
 
 
-def _homology_dims_over_A(F: FreeComplex) -> dict:
-    from .modules import dim_module, graded_dim_module
-    out = {}
+def _homology_dims_over_A(an: Analysis) -> dict:
+    """Krull dimension of each H_i(F) as a module over A."""
+    F = an.bundle.F
     if F.algebra.kind == "artinian":
-        for i in F.degrees():
-            H = homology(F, i)
-            out[i] = dim_module(H.module)
-    else:
-        for i in F.degrees():
-            GH = graded_homology(F, i)
-            val, exact, _ = graded_dim_module(GH)
-            out[i] = val
-    return out
+        return {i: dim_module(an.homology(i).module) for i in F.degrees()}
+    return {i: graded_dim_module(an.homology(i))[0] for i in F.degrees()}
 
 
-def check_thm31(bundle: InstanceBundle) -> CheckReport:
+def check_thm31(subject: Analysis | InstanceBundle) -> CheckReport:
+    an = analysis_of(subject)
+    bundle = an.bundle
     checks = []
     caveats = []
-    h_ok, h_note = h_level_status(bundle)
+    h_ok, h_note = an.h_level_status
     checks.append(_chk("H_carries_B_action", "precondition", h_ok, h_note))
-    F = bundle.F
-    infH, supH = inf_sup(F)
+    infH, supH = an.inf_sup
     checks.append(_chk("inf_H_is_zero", "hypothesis", infH == 0, f"inf H = {_ser(infH)}"))
-    p = proj_dim(F)
+    p = an.proj_dim
     ea, eb = edim_of(bundle.A), edim_of(bundle.B)
     depth_a, e1 = ring_depth(bundle.A)
     dim_b, e2 = ring_dim(bundle.B)
@@ -394,7 +445,7 @@ def check_thm31(bundle: InstanceBundle) -> CheckReport:
             "depth_A": _ser(depth_a), "dim_B": _ser(dim_b)}
     if not (hyp1 and hyp2 and h_ok and infH == 0):
         return CheckReport("thm31", tuple(checks), tuple(caveats), data)
-    free, rk, note = h0_freeness(bundle)
+    free, rk, note = an.h0_freeness
     if free is None:
         checks.append(Check("H0_free_over_B", "conclusion", "skip", note))
     else:
@@ -493,8 +544,9 @@ def _ideal_minimal_generators(A: ArtinAlgebra, ideal_cols: Matrix) -> list:
 # strict complexes of B-modules
 
 
-def check_thm41(bundle: InstanceBundle, hom_bound: int = 3) -> CheckReport:
+def check_thm41(subject: Analysis | InstanceBundle, hom_bound: int = 3) -> CheckReport:
     """Flat-dimension hypothesis and conclusions for strict B-module complexes."""
+    bundle = analysis_of(subject).bundle
     checks = []
     caveats = []
     data = {}
@@ -572,14 +624,7 @@ def check_thm41(bundle: InstanceBundle, hom_bound: int = 3) -> CheckReport:
 
 def fiber_algebra(phi: AlgebraMorphism) -> ArtinAlgebra:
     """B/m_A B for Artinian source and target."""
-    B = phi.target
-    gens = [g for g in phi.m_source_generator_images() if not B.el_is_zero(g)]
-    span = []
-    for g in gens:
-        for t in range(B.dim):
-            span.append(B.el_mul(g, B.basis_element(t)))
-    ideal = column_space_basis(Matrix.from_columns(B.field, span, nrows=B.dim))
-    return quotient_algebra(B, ideal)
+    return quotient_algebra(phi.target, phi.extension_ideal_cols())
 
 
 def quotient_algebra(B: ArtinAlgebra, ideal_cols: Matrix) -> ArtinAlgebra:
@@ -617,24 +662,25 @@ def artinian_ci_test(C: ArtinAlgebra):
     return False, True, f"Betti numbers {bt[:4]} deviate from the CI pattern {expected}"
 
 
-def check_thm51(bundle: InstanceBundle) -> CheckReport:
+def check_thm51(subject: Analysis | InstanceBundle) -> CheckReport:
+    an = analysis_of(subject)
     checks = []
     caveats = []
     data = {}
-    A, B, phi, F = bundle.A, bundle.B, bundle.phi, bundle.F
+    A, B, F = an.bundle.A, an.bundle.B, an.bundle.F
     if A.kind != "artinian" or B.kind != "artinian":
         checks.append(Check("finite_over_A", "precondition", "fail",
                             "B must be module-finite over A (Artinian backends)"))
         return CheckReport("thm51", tuple(checks), (), data)
-    cert_ok, cert_rep = certificate_status(bundle)
+    cert_ok, cert_rep = an.certificate_status
     checks.append(_chk("certificate_verified", "precondition", cert_ok))
     if cert_rep is not None:
         data["certificate"] = cert_rep.as_dict()
-    infH, supH = inf_sup(F)
+    infH, supH = an.inf_sup
     checks.append(_chk("inf_H_is_zero", "hypothesis", infH == 0, f"inf H = {_ser(infH)}"))
-    p = proj_dim(F)
+    p = an.proj_dim
     ea = edim_of(A)
-    b0, b0_exact = beta0_of_mAB(phi)
+    b0, b0_exact = an.beta0_of_mAB
     data.update({"proj_dim": _ser(p), "edim_A": ea, "beta0_mAB": b0})
     hyp = ext_ge(ea - b0, p)
     checks.append(_chk("defect_bound_via_beta0", "hypothesis", hyp,
@@ -642,16 +688,15 @@ def check_thm51(bundle: InstanceBundle) -> CheckReport:
     if not (cert_ok and hyp and infH == 0):
         return CheckReport("thm51", tuple(checks), tuple(caveats), data)
     # (1) freeness and the first Betti number of M = H_0(F)
-    free, rk, note = h0_freeness(bundle)
+    free, rk, note = an.h0_freeness
     checks.append(_chk("H0_free_over_B", "conclusion", bool(free), note))
-    H0 = homology(F, F.low)
-    bettis = poincare_truncated(H0.module, 1)
+    bettis = poincare_truncated(an.homology(F.low).module, 1)
     checks.append(_chk("beta1_equals_p_beta0", "conclusion",
                        bettis[1] == p * bettis[0],
                        f"beta_1(M) = {bettis[1]}, p * beta_0(M) = {p} * {bettis[0]}"))
     data["betti_M"] = list(bettis)
     # (2) the fiber is a zero-dimensional complete intersection
-    C = fiber_algebra(phi)
+    C = an.fiber_algebra
     ci, ci_exact, ci_note = artinian_ci_test(C)
     checks.append(_chk("fiber_is_zero_dim_ci", "conclusion", ci, ci_note))
     if not ci_exact:
@@ -663,7 +708,7 @@ def check_thm51(bundle: InstanceBundle) -> CheckReport:
                        p == ea - b0 and p == ea - eb,
                        f"p = {_ser(p)}, edim A - beta0 = {ea - b0}, edim A - edim B = {ea - eb}"))
     # (4) binomial Betti numbers
-    bt = betti(F)
+    bt = an.betti
     b_bottom = bt.get(F.low, 0)
     binom_ok = all(bt.get(F.low + i, 0) == comb(p, i) * b_bottom for i in range(p + 1)) \
         and all(v == 0 for d, v in bt.items() if d > F.low + p)
@@ -799,25 +844,7 @@ def koszul_tensor_model(A, z_blocks: list, b: int) -> FreeComplex:
             if not z_blocks[i].mul(z_blocks[j]).sub(z_blocks[j].mul(z_blocks[i])).is_zero():
                 raise ValueError("the candidate actions must commute")
     ranks = [len(subsets(c, n)) * b for n in range(c + 1)]
-    diffs = []
-    for n in range(1, c + 1):
-        src = subsets(c, n)
-        tgt = subsets(c, n - 1)
-        tgt_index = {I: k for k, I in enumerate(tgt)}
-        rows = [[A.zero] * (len(src) * b) for _ in range(len(tgt) * b)]
-        for col, I in enumerate(src):
-            for j, idx in enumerate(I):
-                rest = I[:j] + I[j + 1:]
-                blk = z_blocks[idx] if j % 2 == 0 else z_blocks[idx].neg()
-                r0 = tgt_index[rest] * b
-                for r_i in range(b):
-                    for c_i in range(b):
-                        e = blk.entries[r_i][c_i]
-                        if not A.el_is_zero(e):
-                            rows[r0 + r_i][col * b + c_i] = A.el_add(
-                                rows[r0 + r_i][col * b + c_i], e)
-        diffs.append(AMatrix.from_rows(A, [tuple(r) for r in rows], ncols=len(src) * b))
-    return FreeComplex(A, 0, tuple(ranks), tuple(diffs))
+    return FreeComplex(A, 0, tuple(ranks), koszul_differentials(A, z_blocks))
 
 
 def tensor_model_search(F: FreeComplex, z_blocks: list, rng, tries: int = 64):

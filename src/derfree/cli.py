@@ -12,15 +12,15 @@ import argparse
 import os
 import sys
 import traceback
-from functools import partial
+from functools import cache, partial
 
 from . import serialize
 from .actions import verify_certificate
-from .checkers import (InstanceBundle, check_lemma32, check_question,
+from .checkers import (Analysis, InstanceBundle, check_lemma32, check_question,
                        check_thm31, check_thm41, check_thm51,
                        DecompositionObstruction,
                        koszul_decompose, prop44_divisibility)
-from .complexes import betti, graded_homology_all, homology_dims, proj_dim
+from .complexes import betti, graded_homology_all, homology_dims, nonzero_range
 from .field import GF, GF101, QQ
 from .fixtures import BUILDERS, run_fixtures
 from .homotopy import derived_annihilator, solve_homotopy
@@ -39,7 +39,13 @@ def parse_field(spec: str):
     raise argparse.ArgumentTypeError(f"unknown field {spec!r} (use gfp:P or rational)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Every in-process call of `main` shares it, so nothing may change it
+    after it is built; `parse_args` writes only the Namespace it returns.
+    """
     ap = argparse.ArgumentParser(
         prog="derfree",
         description="exact freeness and Koszul-decomposition certification "
@@ -115,16 +121,14 @@ def _emit(args, human_lines, report, failed: bool) -> int:
     return 1 if failed else 0
 
 
-def _load_doc(path: str) -> dict:
-    return serialize.load(path)
-
-
-def _load_complex(args, doc, base_dir):
-    return serialize.complex_from_dict(doc, args.field, base_dir=base_dir)
+def _load_complex(args):
+    """The complex file named on the command line."""
+    return serialize.complex_from_dict(serialize.load(args.file), args.field,
+                                       base_dir=os.path.dirname(args.file))
 
 
 def cmd_validate(args) -> int:
-    doc = _load_doc(args.file)
+    doc = serialize.load(args.file)
     base = os.path.dirname(args.file)
     kind = doc.get("kind")
     if kind in ("artinian", "monomial_quotient"):
@@ -137,7 +141,7 @@ def cmd_validate(args) -> int:
             lines.append(f"  nilpotency index: {rep.nilpotency_index}")
         return _emit(args, lines, rep.as_dict(), not rep.valid)
     if "ranks" in doc:
-        F = _load_complex(args, doc, base)
+        F = serialize.complex_from_dict(doc, args.field, base_dir=base)
         issues = F.validate()
         lines = [f"complex: {'valid' if not issues else 'INVALID'}",
                  f"  minimal: {F.is_minimal()}"]
@@ -153,8 +157,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    doc = _load_doc(args.file)
-    F = _load_complex(args, doc, os.path.dirname(args.file))
+    F = _load_complex(args)
     lines = []
     if F.algebra.kind == "artinian":
         dims = homology_dims(F)
@@ -172,10 +175,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    doc = _load_doc(args.file)
-    F = _load_complex(args, doc, os.path.dirname(args.file))
+    F = _load_complex(args)
     bt = betti(F)
-    p = proj_dim(F)
+    p = nonzero_range(bt)[1]
     lines = [f"betti: {[bt[i] for i in sorted(bt)]} (degrees {min(bt)}..{max(bt)})",
              f"proj_dim: {p if p is not MINUS_INFINITY else '-inf'}"]
     return _emit(args, lines, {"betti": {str(i): bt[i] for i in bt},
@@ -183,10 +185,10 @@ def cmd_betti(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    doc = _load_doc(args.file)
+    doc = serialize.load(args.file)
     base = os.path.dirname(args.file)
     if "ranks" in doc:
-        F = _load_complex(args, doc, base)
+        F = serialize.complex_from_dict(doc, args.field, base_dir=base)
         if F.algebra.kind != "artinian":
             raise LoadError("module Betti numbers need the Artinian backend")
         from .complexes import homology
@@ -199,8 +201,7 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_annihilator(args) -> int:
-    doc = _load_doc(args.file)
-    F = _load_complex(args, doc, os.path.dirname(args.file))
+    F = _load_complex(args)
     ann = derived_annihilator(F)
     A = F.algebra
     lines = [f"derived annihilator: dimension {len(ann.basis)}"]
@@ -214,7 +215,7 @@ def cmd_annihilator(args) -> int:
 
 
 def cmd_homotopy(args) -> int:
-    doc = _load_doc(args.file)
+    doc = serialize.load(args.file)
     base = os.path.dirname(args.file)
     F = serialize._resolve(doc["complex"], args.field, base, serialize.complex_from_dict)
     fmap = serialize.endo_from_dict(F, doc)
@@ -229,7 +230,7 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_verify_action(args) -> int:
-    doc = _load_doc(args.file)
+    doc = serialize.load(args.file)
     cert, F = serialize.certificate_from_dict(doc, args.field,
                                               base_dir=os.path.dirname(args.file))
     rep = verify_certificate(F, cert)
@@ -240,8 +241,7 @@ def cmd_verify_action(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    doc = _load_doc(args.file)
-    F = _load_complex(args, doc, os.path.dirname(args.file))
+    F = _load_complex(args)
     result = koszul_decompose(F)
     A = F.algebra
     if isinstance(result, DecompositionObstruction):
@@ -258,7 +258,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_freeness(args) -> int:
-    doc = _load_doc(args.file)
+    doc = serialize.load(args.file)
     M = serialize.module_from_dict(doc, args.field, base_dir=os.path.dirname(args.file))
     free, rk = is_free(M)
     verdict = lemma43_freeness(M, args.trunc)
@@ -274,7 +274,7 @@ def cmd_freeness(args) -> int:
 
 
 def _bundle_from_file(args, path) -> InstanceBundle:
-    doc = _load_doc(path)
+    doc = serialize.load(path)
     base = os.path.dirname(path)
     field = serialize.document_field(doc, args.field)
     A = serialize._resolve(doc["algebra_A"], field, base, serialize.algebra_from_dict)
@@ -307,11 +307,12 @@ def cmd_check(args) -> int:
         raise LoadError("give a bundle file or --fixture NAME")
     if bundle.F is None and args.theorem in ("question", "lemma32", "thm31", "prop44"):
         raise LoadError(f"the bundle holds no free complex, which --theorem {args.theorem} needs")
+    an = Analysis(bundle)
     if args.theorem == "prop44":
         F = bundle.F
         c = args.power
         if c is None:
-            p = proj_dim(F)
+            p = an.proj_dim
             c = 0 if p is MINUS_INFINITY else p - F.low
         res = prop44_divisibility(F, c)
         lines = [f"divisibility by (1+t)^{c}: {'holds' if res.holds else 'FAILS'}"]
@@ -323,7 +324,7 @@ def cmd_check(args) -> int:
     checker = {"question": check_question, "lemma32": check_lemma32,
                "thm31": check_thm31, "thm41": check_thm41,
                "thm51": check_thm51}[args.theorem]
-    rep = checker(bundle)
+    rep = checker(an)
     lines = [f"{rep.checker}: {rep.verdict}"]
     for c in rep.checks:
         lines.append(f"  [{c.kind}] {c.name}: {c.status}"
@@ -347,7 +348,7 @@ def cmd_paper_examples(args) -> int:
 
 
 def cmd_koszul(args) -> int:
-    adoc = _load_doc(args.algebra)
+    adoc = serialize.load(args.algebra)
     A = serialize.algebra_from_dict(adoc, args.field)
     elements = [A.parse_element(s.strip()) for s in args.vars.split(",") if s.strip()]
     K = koszul(A, elements, multiplicity=args.multiplicity)
@@ -379,8 +380,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     serialize.set_truncation_override(getattr(args, "trunc_global", None))
     try:
         return COMMANDS[args.command](args)

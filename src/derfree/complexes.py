@@ -574,13 +574,17 @@ def homology_dims(F: FreeComplex) -> dict:
     return {i: sum(h.dims) for i, h in gh.items()}
 
 
-def inf_sup(F: FreeComplex) -> tuple:
-    """(inf, sup) of the nonvanishing homology degrees (graded: within window)."""
-    dims = homology_dims(F)
+def nonzero_range(dims: dict) -> tuple:
+    """(first, last) degree with a positive value; (+inf, -inf) when none is."""
     nonzero = [i for i, d in sorted(dims.items()) if d > 0]
     if not nonzero:
         return (PLUS_INFINITY, MINUS_INFINITY)
     return (nonzero[0], nonzero[-1])
+
+
+def inf_sup(F: FreeComplex) -> tuple:
+    """(inf, sup) of the nonvanishing homology degrees (graded: within window)."""
+    return nonzero_range(homology_dims(F))
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +656,7 @@ def betti(F: FreeComplex) -> dict:
 
 def proj_dim(F: FreeComplex):
     """sup of the nonvanishing Betti numbers; -inf if none."""
-    bt = betti(F)
-    nonzero = [i for i, b in sorted(bt.items()) if b > 0]
-    return nonzero[-1] if nonzero else MINUS_INFINITY
+    return nonzero_range(betti(F))[1]
 
 
 def euler_pairing_holds(F: FreeComplex) -> bool:

@@ -11,20 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import (ActionCertificate, check_quotient_H_action,
-                      homology_module_over_target, induced_action_on_homology,
-                      verify_certificate, witness_from_matrices, zero_witness)
-from .checkers import (DecompositionObstruction, InstanceBundle, check_lemma32,
+from .actions import (ActionCertificate, check_quotient_H_action, witness_from_matrices,
+                      zero_witness)
+from .checkers import (Analysis, DecompositionObstruction, InstanceBundle, check_lemma32,
                        check_question, check_thm31, check_thm41, check_thm51,
                        koszul_decompose)
-from .complexes import (AMatrix, ChainMap, amatrix_blockdiag, betti,
-                        free_complex, graded_homology, scalar_endo)
+from .complexes import AMatrix, ChainMap, amatrix_blockdiag, free_complex, scalar_endo
 from .field import GF101, field_to_config
 from .homotopy import solve_homotopy
 from .koszul import koszul, koszul_annihilator_check
 from .modules import graded_nu, graded_quotient_ring_module, is_free, nu
 from .monomial import monomial_algebra
-from .morphism import beta0_of_mAB, morphism_from_generator_images
+from .morphism import morphism_from_generator_images
 from .resolutions import (GradedModuleComplex, direct_sum_complex,
                           module_as_complex)
 
@@ -189,7 +187,8 @@ def _item(name, prov, ok, detail="") -> FixtureItem:
 
 
 def run_ex55(field) -> FixtureResult:
-    b = build_ex55(field)
+    an = Analysis(build_ex55(field))
+    b = an.bundle
     A, F = b.A, b.F
     items = []
     U = b.certificate.generator("u")
@@ -199,12 +198,11 @@ def run_ex55(field) -> FixtureResult:
     items.append(_item("U2_equals_x_id_exactly", "PAPER",
                        all(U2.component(i).sub(xid.component(i)).is_zero()
                            for i in F.degrees())))
-    rep = verify_certificate(F, b.certificate)
+    rep = an.certificate_status[1]
     items.append(_item("U3_homotopic_to_y_id_with_witness_minus_id", "PAPER",
                        rep.verified and rep.relation_checks[1].passed,
                        "witness -id on the middle degree"))
-    act = induced_action_on_homology(F, b.certificate)
-    M0 = homology_module_over_target(act, 0)
+    M0 = an.h0_over_target
     items.append(_item("H0_dim_4_nu_1", "DERIVED", M0.dim == 4 and nu(M0) == 1,
                        f"dim {M0.dim}, nu {nu(M0)}"))
     free, rk = is_free(M0)
@@ -213,8 +211,8 @@ def run_ex55(field) -> FixtureResult:
     items.append(_item("koszul_decompose_fails_with_obstruction", "PAPER",
                        isinstance(dec, DecompositionObstruction),
                        dec.note if isinstance(dec, DecompositionObstruction) else ""))
-    q = check_question(b)
-    t = check_thm51(b)
+    q = check_question(an)
+    t = check_thm51(an)
     items.append(_item("question_hypotheses_and_conclusion", "PAPER", q.verdict == "pass"))
     items.append(_item("thm51_all_conclusions", "PAPER", t.verdict == "pass"))
     return FixtureResult(
@@ -225,7 +223,8 @@ def run_ex55(field) -> FixtureResult:
 
 
 def run_ex56(field) -> FixtureResult:
-    b = build_ex56(field)
+    an = Analysis(build_ex56(field))
+    b = an.bundle
     A, F = b.A, b.F
     items = []
     U = b.certificate.generator("u")
@@ -235,23 +234,22 @@ def run_ex56(field) -> FixtureResult:
     items.append(_item("U3_equals_x_id_exactly", "PAPER",
                        all(U3.component(i).sub(xid.component(i)).is_zero()
                            for i in F.degrees())))
-    rep = verify_certificate(F, b.certificate)
+    rep = an.certificate_status[1]
     items.append(_item("U4_homotopic_to_y_id_solver", "PAPER", rep.relation_checks[1].passed))
     items.append(_item("U5_homotopic_to_z_id_solver", "PAPER", rep.relation_checks[2].passed))
-    bt = betti(F)
+    bt = an.betti
     items.append(_item("ranks_are_binomial_3_6_3", "PAPER",
                        (bt[0], bt[1], bt[2]) == (3, 6, 3)))
-    act = induced_action_on_homology(F, b.certificate)
-    M0 = homology_module_over_target(act, 0)
+    M0 = an.h0_over_target
     free, rk = is_free(M0)
     items.append(_item("H0_free_rank_1_over_B", "PAPER", free and rk == 1,
                        f"dim {M0.dim}"))
-    u = act.matrices_at(0)["u"]
+    u = an.induced_action.matrices_at(0)["u"]
     power = u
     for _ in range(5):
         power = power.mul(u)
     items.append(_item("u_to_the_6_vanishes_on_H0", "DERIVED", power.is_zero()))
-    t = check_thm51(b)
+    t = check_thm51(an)
     items.append(_item("thm51_all_four_conclusions", "PAPER", t.verdict == "pass"))
     return FixtureResult(
         "ex5.6",
@@ -261,7 +259,8 @@ def run_ex56(field) -> FixtureResult:
 
 
 def run_ex57(field) -> FixtureResult:
-    b = build_ex57(field)
+    an = Analysis(build_ex57(field))
+    b = an.bundle
     A, F = b.A, b.F
     items = []
     U = b.certificate.generator("u")
@@ -271,23 +270,22 @@ def run_ex57(field) -> FixtureResult:
     d = F.diff(1)
     comm = V.component(0).mul(U.component(0)).sub(U.component(0).mul(V.component(0)))
     items.append(_item("d_equals_V0U0_minus_U0V0", "PAPER", comm.sub(d).is_zero()))
-    rep = verify_certificate(F, b.certificate)
+    rep = an.certificate_status[1]
     items.append(_item("all_five_relations_verified", "PAPER",
                        rep.verified and len(rep.relation_checks) == 5,
                        "; ".join(f"{rc.poly}: {rc.mode}" for rc in rep.relation_checks)))
-    b0, exact = beta0_of_mAB(b.phi)
+    b0, exact = an.beta0_of_mAB
     items.append(_item("beta0_of_mAB_is_3", "DERIVED", b0 == 3 and exact))
-    t = check_thm51(b)
+    t = check_thm51(an)
     hyp = [c for c in t.checks if c.name == "defect_bound_via_beta0"][0]
     items.append(_item("thm51_hypothesis_fails", "PAPER",
                        t.verdict == "not_applicable" and hyp.status == "fail",
                        hyp.detail))
-    q = check_question(b)
+    q = check_question(an)
     items.append(_item("question_conclusion_holds_open_instance", "PAPER",
                        q.verdict == "pass" and q.data.get("open_instance") is True,
                        "no implemented criterion applies"))
-    act = induced_action_on_homology(F, b.certificate)
-    M0 = homology_module_over_target(act, 0)
+    M0 = an.h0_over_target
     free, rk = is_free(M0)
     items.append(_item("H0_free_rank_1_over_B", "DERIVED",
                        free and rk == 1 and M0.dim == 10))
@@ -299,31 +297,31 @@ def run_ex57(field) -> FixtureResult:
 
 
 def run_ex23(field) -> FixtureResult:
-    b = build_ex23(field)
+    an = Analysis(build_ex23(field))
+    b = an.bundle
     A = b.A
     items = []
-    H0 = graded_homology(b.F, 0)
+    H0 = an.homology(0)
     items.append(_item("H0_is_the_residue_field", "PAPER",
                        H0.hilbert(5) == (1, 0, 0, 0, 0, 0)))
-    from .checkers import h0_freeness
-    free, rk, note = h0_freeness(b)
+    free, rk, note = an.h0_freeness
     items.append(_item("H0_not_free_over_B", "PAPER", free is False, note))
-    hrep = check_quotient_H_action(b.F, b.h_kernel)
+    hrep = check_quotient_H_action(b.F, b.h_kernel, an.homology)
     items.append(_item("x_kills_homology", "PAPER", hrep.valid))
-    hrep_y = check_quotient_H_action(b.F, (A.parse_element("y"),))
+    hrep_y = check_quotient_H_action(b.F, (A.parse_element("y"),), an.homology)
     items.append(_item("y_does_not_kill_homology", "DERIVED", not hrep_y.valid))
     x = A.parse_element("x")
     items.append(_item("x_id_not_null_homotopic", "DERIVED",
                        solve_homotopy(scalar_endo(b.F, x)) is None,
                        "solver infeasibility is a proof over this backend"))
-    q = check_question(b)
+    q = check_question(an)
     items.append(_item("question_rejected_without_certificate", "DERIVED",
                        q.verdict == "not_applicable"
                        and "certificate_impossible_for" in q.data))
-    t31 = check_thm31(b)
+    t31 = check_thm31(an)
     items.append(_item("thm31_hypotheses_not_met", "PAPER",
                        t31.verdict == "not_applicable"))
-    l32 = check_lemma32(b)
+    l32 = check_lemma32(an)
     items.append(_item("lemma32_inequalities_hold", "DERIVED", l32.verdict == "pass"))
     return FixtureResult(
         "ex2.3",
@@ -333,13 +331,14 @@ def run_ex23(field) -> FixtureResult:
 
 
 def run_ex45(field) -> FixtureResult:
-    b = build_ex45(field)
+    an = Analysis(build_ex45(field))
+    b = an.bundle
     A = b.A
     items = []
-    H0 = graded_homology(b.F, 0)
+    H0 = an.homology(0)
     items.append(_item("H0_matches_B_hilbert_function", "PAPER",
                        H0.hilbert(5) == tuple(len(b.B.basis(d)) for d in range(6))))
-    H1 = graded_homology(b.F, 1)
+    H1 = an.homology(1)
     m_hf = tuple(len(A.basis(d)) for d in range(1, 6))  # m in degrees 1..5
     h1_twisted = tuple(H1.dim_at(d + 1) for d in range(1, 6))
     items.append(_item("H1_matches_m_hilbert_function_deg_le_5", "PAPER",
@@ -350,7 +349,7 @@ def run_ex45(field) -> FixtureResult:
                        f"generator counts by degree: {per_deg[:4]}"))
     ann_rep = koszul_annihilator_check(koszul(A, [A.parse_element("x")]))
     items.append(_item("annihilator_contains_x", "DERIVED", ann_rep["contains_sequence"]))
-    q = check_question(b)
+    q = check_question(an)
     items.append(_item("question_hypothesis_and_conclusion_hold", "PAPER",
                        q.verdict == "pass"))
     return FixtureResult(
@@ -361,15 +360,12 @@ def run_ex45(field) -> FixtureResult:
 
 
 def run_nagata(field) -> FixtureResult:
-    b = build_nagata(field)
-    t = check_thm41(b)
+    t = check_thm41(Analysis(build_nagata(field)))
     items = [_item("thm41_hypotheses_and_conclusions", "PAPER", t.verdict == "pass")]
-    bs = build_strict_attempt(field)
-    ts = check_thm41(bs)
+    ts = check_thm41(Analysis(build_strict_attempt(field)))
     items.append(_item("free_koszul_term_is_not_a_strict_B_complex", "DERIVED",
                        ts.verdict == "not_applicable"))
-    bm = build_two_term_module_complex(field)
-    tm = check_thm41(bm)
+    tm = check_thm41(Analysis(build_two_term_module_complex(field)))
     items.append(_item("tor_vanishing_fails_for_the_module_sum", "DERIVED",
                        tm.verdict == "not_applicable"))
     return FixtureResult(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .complexes import (AMatrix, ChainMap, FreeComplex, _raw_sums, _slices, _sums_vanish,
                         scalar_endo)
-from .linalg import (Matrix, in_span, independent_columns, rref, sparse_kernel,
+from .linalg import (Matrix, in_span, kernel_vectors, rref, sparse_kernel, sparse_rref,
                      sparse_solve)
 from .monomial import TruncationError
 
@@ -260,24 +260,32 @@ class _System:
 
         Each kernel vector of [-a*id | system] is a pair (a, h) with
         a*id = dh + hd.  The pairs whose a-parts grow the span are kept, in
-        the canonical kernel order.  On the graded backend the kept pairs
-        are then brought to RREF: their a-parts become the canonical basis
-        of the projection of the kernel, and their h-parts its witnesses.
-        Every witness is substituted back into its equation.
+        the canonical kernel order.  The a-parts are read off the RREF, and
+        only the kept pairs are built as whole vectors.  On the graded
+        backend the kept pairs are then brought to RREF: their a-parts
+        become the canonical basis of the projection of the kernel, and
+        their h-parts its witnesses.  Every witness is substituted back
+        into its equation.
         """
         f = self.A.field
         na = self._size(self.delta, "element")
+        ncols = na + self.ncols
         rows = [{na + c: v for c, v in row.items()} for row in self.rows]
         minus_one = f.neg(f.one)
         for (i, s, t), (row0, _, _) in self.equations.items():
             if s == t:  # a*id sits on the diagonal entries
                 for j in range(na):
                     rows[row0 + j][j] = minus_one
-        ker = sparse_kernel(f, rows, na + self.ncols)
-        a_parts = Matrix.from_columns(f, [v[:na] for v in ker], nrows=na)
-        pairs = [ker[j] for j in independent_columns(Matrix.zero(f, na, 0), a_parts)]
+        pivot_rows, pivots = sparse_rref(f, rows)
+        # coordinate r < na of the kernel vector of free column j: 1 when
+        # r = j, -row[j] when r is the pivot of row; the pivots of these rows
+        # are the free columns a greedy scan keeps
+        a_rows = [{j: f.neg(v) for j, v in row.items() if j != pc}
+                  for pc, row in zip(pivots, pivot_rows) if pc < na]
+        a_rows += [{j: f.one} for j in set(range(na)) - set(pivots)]
+        pairs = kernel_vectors(f, pivot_rows, pivots, ncols, sparse_rref(f, a_rows)[1])
         if self.graded:
-            pairs = rref(Matrix.from_rows(f, pairs, ncols=na + self.ncols))[0].rows
+            pairs = rref(Matrix.from_rows(f, pairs, ncols=ncols))[0].rows
         basis, witnesses = [], []
         for v in pairs:
             a = self._element(v[:na], self.delta)

@@ -58,6 +58,29 @@ class KoszulComplex:
         return out
 
 
+def koszul_differentials(A, blocks) -> tuple:
+    """d_1..d_c of the Koszul pattern on b x b blocks z_1..z_c.
+
+    The basis in degree n is e_I (x) v_s, ordered by I and then s, and
+    d(e_I (x) v) = sum_j (-1)^j e_{I minus i_j} (x) z_{i_j} v.
+    """
+    c = len(blocks)
+    b = blocks[0].nrows if blocks else 0
+    negs = [z.neg() for z in blocks]
+    diffs = []
+    for n in range(1, c + 1):
+        src = subsets(c, n)
+        tgt_index = {I: k for k, I in enumerate(subsets(c, n - 1))}
+        entries = [[A.zero] * (len(src) * b) for _ in range(len(tgt_index) * b)]
+        for col, I in enumerate(src):
+            for j, idx in enumerate(I):
+                row = tgt_index[I[:j] + I[j + 1:]] * b
+                for r, line in enumerate((blocks if j % 2 == 0 else negs)[idx].entries):
+                    entries[row + r][col * b:(col + 1) * b] = line
+        diffs.append(AMatrix.from_rows(A, [tuple(r) for r in entries], ncols=len(src) * b))
+    return tuple(diffs)
+
+
 def koszul(algebra, elements, multiplicity: int = 1) -> KoszulComplex:
     """K(x_1..x_c) tensored with a free module of the given rank."""
     A = algebra
@@ -70,20 +93,7 @@ def koszul(algebra, elements, multiplicity: int = 1) -> KoszulComplex:
         ranks.append(len(sub) * b)
         labels.append(tuple(f"e_{{{','.join(str(i + 1) for i in I)}}}[{s}]" if I else f"1[{s}]"
                             for I in sub for s in range(b)))
-    diffs = []
-    for n in range(1, c + 1):
-        src = subsets(c, n)
-        tgt = subsets(c, n - 1)
-        tgt_index = {I: k for k, I in enumerate(tgt)}
-        entries = [[A.zero] * (len(src) * b) for _ in range(len(tgt) * b)]
-        for col, I in enumerate(src):
-            for j, idx in enumerate(I):
-                rest = I[:j] + I[j + 1:]
-                coeff = elements[idx] if j % 2 == 0 else A.el_neg(elements[idx])
-                row = tgt_index[rest]
-                for s in range(b):
-                    entries[row * b + s][col * b + s] = coeff
-        diffs.append(AMatrix.from_rows(A, [tuple(r) for r in entries], ncols=len(src) * b))
+    diffs = koszul_differentials(A, [AMatrix.scalar(A, x, b) for x in elements])
     shifts = None
     if A.kind == "graded":
         degs = []

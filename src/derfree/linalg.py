@@ -223,12 +223,18 @@ def sparse_rref(field, rows):
 def sparse_kernel(field, rows, ncols) -> list:
     """Canonical kernel basis of sparse rows as dense vectors, by free column."""
     pivot_rows, pivots = sparse_rref(field, rows)
-    basis = {j: [field.zero] * ncols for j in sorted(set(range(ncols)) - set(pivots))}
+    return kernel_vectors(field, pivot_rows, pivots, ncols,
+                          sorted(set(range(ncols)) - set(pivots)))
+
+
+def kernel_vectors(field, pivot_rows, pivots, ncols, free) -> list:
+    """The canonical kernel vectors of a sparse RREF, for the free columns `free` only."""
+    basis = {j: [field.zero] * ncols for j in free}
     for j, v in basis.items():
         v[j] = field.one
     for pc, row in zip(pivots, pivot_rows):
         for j, v in row.items():
-            if j != pc:
+            if j in basis:
                 basis[j][pc] = field.neg(v)
     return list(basis.values())
 

@@ -92,6 +92,13 @@ class AlgebraMorphism:
             return [self.images[i] for i in range(1, S.dim)]
         return list(self.images)
 
+    def extension_ideal_cols(self) -> Matrix:
+        """k-basis (columns) of the ideal m_source * target, Artinian target."""
+        T = self.target
+        span = [T.el_mul(g, T.basis_element(t)) for g in self.m_source_generator_images()
+                if not T.el_is_zero(g) for t in range(T.dim)]
+        return column_space_basis(Matrix.from_columns(T.field, span, nrows=T.dim))
+
     def as_linear_map(self) -> Matrix:
         """k-linear matrix of the morphism (Artinian source and target only)."""
         S, T = self.source, self.target
@@ -184,15 +191,8 @@ def beta0_of_mAB(phi: AlgebraMorphism):
     truncation window may hide generators.
     """
     T = phi.target
-    gens = [g for g in phi.m_source_generator_images() if not T.el_is_zero(g)]
     if T.kind == "artinian":
-        if not gens:
-            return 0, True
-        span = []
-        for g in gens:
-            for j in range(T.dim):
-                span.append(T.el_mul(g, T.basis_element(j)))
-        N = column_space_basis(Matrix.from_columns(T.field, span, nrows=T.dim))
+        N = phi.extension_ideal_cols()
         if N.ncols == 0:
             return 0, True
         msub = []
@@ -202,6 +202,7 @@ def beta0_of_mAB(phi: AlgebraMorphism):
         mN = column_space_basis(Matrix.from_columns(T.field, msub, nrows=T.dim))
         return N.ncols - mN.ncols, True
     # graded target: degreewise Nakayama within the window
+    gens = [g for g in phi.m_source_generator_images() if not T.el_is_zero(g)]
     window = T.truncation - 1
     total = 0
     exact = True

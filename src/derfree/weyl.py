@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .complexes import AMatrix, ChainMap, FreeComplex, scalar_endo
 from .homotopy import homotopy_defects
 from .koszul import koszul, subsets, wedge_sign
-from .linalg import Matrix, invert, rank
+from .linalg import Matrix, invert
 
 
 class WeylError(ValueError):
@@ -297,8 +297,9 @@ def koszul_lift(F: FreeComplex, xs, hs) -> KoszulLift:
     """Assemble Phi: K(x) (x) F_0 -> F from homotopies with x_i id = d h_i + h_i d.
 
     Requires F minimal and each witness exact for its element; the map is
-    checked to be a chain map and invertible modulo m, which certifies
-    invertibility over the local ring.
+    checked to be a chain map and invertible modulo m.  A square matrix over
+    a local ring is invertible exactly when it is invertible modulo m, so
+    that check certifies invertibility over the ring.
     """
     A = F.algebra
     if A.kind != "artinian":
@@ -337,10 +338,6 @@ def koszul_lift(F: FreeComplex, xs, hs) -> KoszulLift:
         reduced = comps[n].mod_m()
         if reduced.nrows != reduced.ncols or (reduced.nrows and invert(reduced) is None):
             raise NotInvertibleModM(f"Phi is not invertible mod m in degree {n}")
-        # certification over the local ring: the flattened map is bijective
-        flat = comps[n].flatten()
-        if flat.nrows and rank(flat) != flat.nrows:
-            raise NotInvertibleModM(f"flattened Phi is singular in degree {n}")
     return KoszulLift(K, F, phi, b)
 
 

@@ -314,3 +314,46 @@ def test_thm51_never_fails_on_certified_koszul_instances():
                 bundle = InstanceBundle(f"rand-{p}-{b}", A, B, phi, G, certificate=cert)
                 rep = check_thm51(bundle)
                 assert rep.verdict == "pass", (variables, p, b, rep.as_dict())
+
+
+def test_one_fixture_replay_verifies_each_certificate_once(monkeypatch):
+    """One Analysis per bundle: 4 certificate checks and one homology per (complex, degree)."""
+    import sys
+
+    from derfree import actions, complexes
+    from derfree.field import QQ
+    from derfree.fixtures import run_fixtures
+
+    calls = []
+    held = []  # keeps every argument alive, so no id is reused during the replay
+
+    def counting(fn):
+        def wrapper(*args):
+            held.append(args)
+            calls.append((fn.__name__,) + tuple(a if isinstance(a, int) else id(a)
+                                                for a in args))
+            return fn(*args)
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("derfree")]
+    for fn in (actions.verify_certificate, complexes.homology, complexes.graded_homology):
+        wrapper = counting(fn)
+        for mod in modules:
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    _, report = run_fixtures(QQ)
+    assert report["all_passed"]
+    assert len([c for c in calls if c[0] == "verify_certificate"]) == 4
+    assert len(calls) == len(set(calls))
+
+
+def test_an_analysis_stores_nothing_on_its_inputs():
+    from derfree.checkers import Analysis
+    for build in (build_ex23, build_ex45, build_ex55, build_ex56, build_ex57):
+        b = build(GF101)
+        inputs = (b, b.F, b.certificate) if b.certificate is not None else (b, b.F)
+        before = [dict(vars(x)) for x in inputs]
+        an = Analysis(b)
+        for check in (check_question, check_lemma32, check_thm31, check_thm51):
+            check(an)
+        assert [dict(vars(x)) for x in inputs] == before

@@ -285,3 +285,26 @@ def test_every_fixture_and_theorem_exits_0_1_or_2(capsys):
     # module-only fixtures hold no free complex; prop44 needs the Artinian backend
     assert codes[("nagata", "question", "rational")] == 2
     assert codes[("ex2.3", "prop44", "gfp:101")] == 2
+
+
+def test_main_shares_one_parser_without_carrying_state_between_calls(tmp_path, capsys):
+    """A, B, A in one process: each call reads only its own options."""
+    from derfree.field import QQ
+    from derfree.koszul import koszul
+    from derfree.monomial import monomial_algebra
+    A = monomial_algebra(QQ, ["x", "y"], ["x^2", "y^3"], 6)
+    path = str(tmp_path / "K.json")
+    serialize.save(path, serialize.complex_to_dict(koszul(A, [A.parse_element("x")]).complex))
+    out = str(tmp_path / "a.json")
+    argv_a = ["--field", "rational", "--trunc", "4", "--json", out, "homology", path]
+    argv_b = ["--json", "-", "homology", path]  # gfp:101 and the file's truncation
+    reports = []
+    for argv in (argv_a, argv_b, argv_a):
+        assert main(argv) == 0
+        if argv is argv_a:
+            reports.append(open(out, "rb").read())
+        else:
+            stdout = capsys.readouterr().out
+            assert json.loads(stdout[stdout.index("{"):])["window"] == 6
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["window"] == 4

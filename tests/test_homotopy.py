@@ -8,10 +8,10 @@ from derfree.complexes import (AMatrix, ChainMap, free_complex, random_transport
                                scalar_endo)
 from derfree.field import GF101, QQ
 from derfree.fixtures import build_ex23, build_ex55
-from derfree.homotopy import (Homotopy, _check_homotopy, derived_annihilator,
+from derfree.homotopy import (Homotopy, _check_homotopy, _System, derived_annihilator,
                               homotopy_class_eq, solve_homotopy)
 from derfree.koszul import koszul
-from derfree.linalg import Matrix, in_span
+from derfree.linalg import Matrix, in_span, independent_columns, rref, sparse_kernel
 from derfree.monomial import monomial_algebra
 from derfree.weyl import WeylError, koszul_lift
 
@@ -105,6 +105,40 @@ def test_annihilator_witnesses_satisfy_the_equation():
             aid = scalar_endo(K, a)
             for i in K.degrees():
                 assert bd.component(i).sub(aid.component(i)).is_zero()
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@pytest.mark.parametrize("backend", ["artinian", "graded"])
+def test_annihilator_pairs_match_the_full_kernel_selection(backend, field, monkeypatch):
+    """The pairs read off the RREF are those of a greedy scan over every kernel vector."""
+    from derfree import homotopy
+    rng = random.Random(3)
+    if backend == "artinian":
+        A = monomial_algebra(field, ["x", "y", "z"],
+                             ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6).artinize()
+        Ks = [random_transport(koszul(A, [A.parse_element(v) for v in seq],
+                                      multiplicity=b).complex, rng)
+              for seq, b in (("x", 1), ("xy", 2), ("xyz", 1))]
+        systems = [_System(K, K) for K in Ks]
+    else:
+        A = monomial_algebra(field, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 6)
+        K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
+        systems = [_System(K, K, delta=d) for d in (1, 2)]
+    eliminated = []  # the rows of [-a*id | system], as the annihilator eliminates them
+    real = homotopy.sparse_rref
+    monkeypatch.setattr(homotopy, "sparse_rref",
+                        lambda f, rows: eliminated.append(rows) or real(f, rows))
+    for sys in systems:
+        eliminated.clear()
+        basis, witnesses = sys.annihilator()
+        na = sys._size(sys.delta, "element")
+        ker = sparse_kernel(field, eliminated[0], na + sys.ncols)
+        a_parts = Matrix.from_columns(field, [v[:na] for v in ker], nrows=na)
+        pairs = [ker[j] for j in independent_columns(Matrix.zero(field, na, 0), a_parts)]
+        if backend == "graded":
+            pairs = rref(Matrix.from_rows(field, pairs, ncols=na + sys.ncols))[0].rows
+        assert basis and list(basis) == [sys._element(v[:na], sys.delta) for v in pairs]
+        assert [w.maps for w in witnesses] == [sys.homotopy(v[na:]).maps for v in pairs]
 
 
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))

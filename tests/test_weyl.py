@@ -11,7 +11,7 @@ from derfree.homotopy import solve_homotopy
 from derfree.koszul import koszul
 from derfree.linalg import Matrix
 from derfree.monomial import monomial_algebra
-from derfree.weyl import (WeylError, check_lemmaA1,
+from derfree.weyl import (NotInvertibleModM, WeylError, check_lemmaA1,
                           check_weyl_relations, conjugate, exterior_model,
                           koszul_lift, random_graded_conjugate, structure_map,
                           weyl_rep_from_witnesses)
@@ -122,6 +122,18 @@ def test_koszul_lift_rejects_bad_witness():
     fake = Homotopy(F, F, ())
     with pytest.raises(WeylError):
         koszul_lift(F, [x], [fake])
+
+
+def test_koszul_lift_rejects_a_sequence_dependent_modulo_m2():
+    """x and 2x both bound homotopies on K(x, y), but Phi_1 is singular mod m."""
+    A = monomial_algebra(GF101, ["x", "y", "z"],
+                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    x = A.parse_element("x")
+    K = koszul(A, [x, A.parse_element("y")]).complex
+    xs = [x, A.el_scale(GF101.from_int(2), x)]
+    hs = [solve_homotopy(scalar_endo(K, e)) for e in xs]
+    with pytest.raises(NotInvertibleModM, match="degree 1"):
+        koszul_lift(K, xs, hs)
 
 
 def test_weyl_rep_from_ex56_witnesses():
