@@ -119,11 +119,13 @@ def test_annihilator_pairs_match_the_full_kernel_selection(backend, field, monke
         Ks = [random_transport(koszul(A, [A.parse_element(v) for v in seq],
                                       multiplicity=b).complex, rng)
               for seq, b in (("x", 1), ("xy", 2), ("xyz", 1))]
-        systems = [_System(K, K) for K in Ks]
+        # on the zero complex every a-column is free and every a is kept
+        systems = [_System(K, K) for K in Ks + [free_complex(A, [0], [])]]
     else:
         A = monomial_algebra(field, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 6)
         K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
-        systems = [_System(K, K, delta=d) for d in (1, 2)]
+        Z = free_complex(A, [0], [])
+        systems = [_System(K, K, delta=d) for d in (1, 2)] + [_System(Z, Z, delta=1)]
     eliminated = []  # the rows of [-a*id | system], as the annihilator eliminates them
     real = homotopy.sparse_rref
     monkeypatch.setattr(homotopy, "sparse_rref",
