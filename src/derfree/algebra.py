@@ -132,31 +132,22 @@ class ArtinAlgebra:
         f = self.field
         return tuple(f.mul(c, a) for a in u)
 
-    def el_dot(self, pairs) -> Element:
-        """The sum of u * v over the (u, v) in pairs.
-
-        Raw products of the nonzero coordinates are summed per output
-        coordinate, and each sum is reduced once at the end.
-        """
+    def el_mul(self, u: Element, v: Element) -> Element:
+        """u * v: raw products of the nonzero coordinates are summed per
+        output coordinate, and each sum is reduced once at the end."""
         table = self._table
         acc = [0] * len(table)
-        for u, v in pairs:
-            nzv = [(j, b) for j, b in enumerate(v) if b]
-            if not nzv:
+        nzv = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if not a:
                 continue
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                ti = table[i]
-                for j, b in nzv:
-                    ab = a * b
-                    for k, c in ti[j]:
-                        acc[k] += ab * c
+            ti = table[i]
+            for j, b in nzv:
+                ab = a * b
+                for k, c in ti[j]:
+                    acc[k] += ab * c
         reduce, zero = self.field.reduce, self.field.zero
         return tuple(reduce(x) if x else zero for x in acc)
-
-    def el_mul(self, u: Element, v: Element) -> Element:
-        return self.el_dot(((u, v),))
 
     # -- the basis-key product rule behind complexes' slice products ---------
     def el_terms(self, u: Element) -> list:

@@ -349,38 +349,10 @@ class FreeComplex:
     def is_minimal(self) -> bool:
         return all(d.entries_in_m() for d in self.diffs)
 
-    # -- graded coordinates -------------------------------------------------
-    def graded_coords(self, i: int, n: int) -> list:
-        """[(slot, monomial)] basis of the internal-degree-n part of F_i."""
-        A = self.algebra
-        out = []
-        for s, sh in enumerate(self.shift_of(i)):
-            if n - sh >= 0:
-                out.extend((s, m) for m in A.basis(n - sh))
-        return out
-
     def graded_diff_matrix(self, i: int, n: int) -> Matrix:
         """k-matrix of d_i on the internal-degree-n parts."""
-        A = self.algebra
-        f = A.field
-        src = self.graded_coords(i, n)
-        tgt = self.graded_coords(i - 1, n)
-        tgt_index = {c: k for k, c in enumerate(tgt)}
-        d = self.diff(i)
-        cols = []
-        for (s, m) in src:
-            col = [f.zero] * len(tgt)
-            for r in range(d.nrows):
-                e = d.entries[r][s]
-                if A.el_is_zero(e):
-                    continue
-                prod = A.el_mul(((m, f.one),), e)
-                for pm, pc in prod:
-                    key = (r, pm)
-                    if key in tgt_index:
-                        col[tgt_index[key]] = f.add(col[tgt_index[key]], pc)
-            cols.append(col)
-        return Matrix.from_columns(f, cols, nrows=len(tgt))
+        return self.algebra.map_matrix(self.diff(i).entries, self.shift_of(i),
+                                       self.shift_of(i - 1), n)
 
 
 def free_complex(algebra, ranks, diff_rows, low: int = 0, shifts=None, labels=None) -> FreeComplex:
@@ -607,32 +579,22 @@ def graded_homology(F: FreeComplex, i: int) -> GradedModule:
         reps[n] = Matrix.from_columns(f, [zcols[j] for j in independent_columns(B, Z)],
                                       nrows=Z.nrows)
         boundaries[n] = B
-    variables = [A.var_element(v) for v in range(A.nvars)]
+    shifts = F.shift_of(i)
+    var_maps = {}
+
+    def image(v, n, vec):
+        """Variable v applied to a degree-n vector of F_i."""
+        M = var_maps.get((v, n))
+        if M is None:
+            x = AMatrix.scalar(A, A.var_element(v), len(shifts))
+            M = var_maps[v, n] = A.map_matrix(x.entries, shifts, shifts, n, 1)
+        return M.apply(vec)
+
     try:
-        actions = graded_induced_actions(
-            A, lambda v, n, vec: _graded_multiply_vector(F, i, n, vec, variables[v]),
-            boundaries, reps, window)
+        actions = graded_induced_actions(A, image, boundaries, reps, window)
     except ValueError:
         raise ComplexError("variable action left the cycle space") from None
     return GradedModule(A, tuple(reps[n].ncols for n in range(window + 1)), actions, window)
-
-
-def _graded_multiply_vector(F: FreeComplex, i: int, n: int, vec, element):
-    """Multiply a degree-n vector of F_i by a homogeneous degree-1 element."""
-    A = F.algebra
-    f = A.field
-    src = F.graded_coords(i, n)
-    tgt = {c: k for k, c in enumerate(F.graded_coords(i, n + 1))}
-    out = [0] * len(tgt)
-    for coeff, (s, m) in zip(vec, src):
-        if not coeff:
-            continue
-        for pm, pc in A.el_mul(((m, f.one),), element):
-            k = tgt.get((s, pm))
-            if k is not None:
-                out[k] += coeff * pc
-    reduce, zero = f.reduce, f.zero
-    return tuple(reduce(x) if x else zero for x in out)
 
 
 def graded_homology_all(F: FreeComplex) -> dict:

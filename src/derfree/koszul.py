@@ -39,22 +39,27 @@ class KoszulComplex:
         return self.complex.algebra
 
     def contraction(self, i: int) -> dict:
-        """Degree +1 maps of left wedge by e_i; a homotopy for x_i * id."""
+        """Degree +1 maps of left wedge by e_i (x) identity; a homotopy for x_i * id.
+
+        Laid out in the block order of `koszul_differentials`: e_I (x) v_s by
+        I and then s.
+        """
         A = self.algebra
+        b = self.complex.rank(0)
+        minus_one = A.el_neg(A.one)
         out = {}
         for n in range(self.c):
             src = subsets(self.c, n)
-            tgt = subsets(self.c, n + 1)
-            tgt_index = {I: k for k, I in enumerate(tgt)}
-            entries = [[A.zero] * len(src) for _ in range(len(tgt))]
+            tgt_index = {I: k for k, I in enumerate(subsets(self.c, n + 1))}
+            entries = [[A.zero] * (len(src) * b) for _ in range(len(tgt_index) * b)]
             for col, I in enumerate(src):
                 if i in I:
                     continue
-                J = tuple(sorted(I + (i,)))
-                sgn = wedge_sign(i, I)
-                val = A.one if sgn == 1 else A.el_neg(A.one)
-                entries[tgt_index[J]][col] = val
-            out[n] = AMatrix.from_rows(A, [tuple(r) for r in entries], ncols=len(src))
+                row = tgt_index[tuple(sorted(I + (i,)))]
+                val = A.one if wedge_sign(i, I) == 1 else minus_one
+                for s in range(b):
+                    entries[row * b + s][col * b + s] = val
+            out[n] = AMatrix.from_rows(A, [tuple(r) for r in entries], ncols=len(src) * b)
         return out
 
 

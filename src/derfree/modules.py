@@ -413,28 +413,14 @@ def graded_induced_actions(A: MonomialAlgebra, image, subs: dict, reps: dict,
 
 def graded_free_module(A: MonomialAlgebra, gen_degrees, window: int) -> GradedModule:
     """Direct sum of A(-d) for d in gen_degrees, truncated at `window`."""
-    f = A.field
-    coords = {d: [(i, m) for i, g in enumerate(gen_degrees) for m in A.basis(d - g)]
-              for d in range(window + 1)}
-    dims = tuple(len(coords[d]) for d in range(window + 1))
+    n = len(gen_degrees)
+    dims = tuple(len(A.free_coords(gen_degrees, d)) for d in range(window + 1))
     actions = []
     for v in range(A.nvars):
-        ve = A.var_element(v)
-        per_deg = []
-        for d in range(window):
-            src = coords[d]
-            tgt = {c: i for i, c in enumerate(coords[d + 1])}
-            cols = []
-            for (i, m) in src:
-                col = [f.zero] * len(tgt)
-                prod = A.el_mul(((m, f.one),), ve)
-                for pm, pc in prod:
-                    key = (i, pm)
-                    if key in tgt:
-                        col[tgt[key]] = pc
-                cols.append(col)
-            per_deg.append(Matrix.from_columns(f, cols, nrows=len(tgt)))
-        actions.append(tuple(per_deg))
+        x = A.var_element(v)
+        diag = tuple(tuple(x if r == s else A.zero for s in range(n)) for r in range(n))
+        actions.append(tuple(A.map_matrix(diag, gen_degrees, gen_degrees, d, 1)
+                             for d in range(window)))
     return GradedModule(A, dims, tuple(actions), window)
 
 
@@ -542,13 +528,10 @@ def graded_cover_maps(M: GradedModule, P: GradedModule, gen_degrees, gens) -> di
     A = M.algebra
     f = A.field
     flat_gens = [(g, vec) for g in sorted(gens) for vec in gens[g]]
-    # order must match graded_free_module coordinates: (generator index, monomial)
-    coords = {d: [(i, m) for i, g in enumerate(gen_degrees) for m in A.basis(d - g)]
-              for d in range(M.window + 1)}
     out = {}
     for d in range(M.window + 1):
         cols = []
-        for (i, m) in coords[d]:
+        for (i, m) in A.free_coords(gen_degrees, d):
             g, vec = flat_gens[i]
             # image = m . vec, computed by iterated variable action
             img = vec

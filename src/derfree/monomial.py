@@ -160,20 +160,14 @@ class MonomialAlgebra:
             return ()
         return tuple((m, f.mul(c, a)) for m, a in u)
 
-    def el_dot(self, pairs):
-        """The sum of u * v over the (u, v) in pairs."""
-        acc = {}
-        get, is_standard = acc.get, self.is_standard
-        for u, v in pairs:
-            for m1, c1 in u:
-                for m2, c2 in v:
-                    m = mono_mul(m1, m2)
-                    if is_standard(m):
-                        acc[m] = get(m, 0) + c1 * c2
-        return self.el_from_raw(acc)
-
     def el_mul(self, u, v):
-        return self.el_dot(((u, v),))
+        acc = {}
+        get, key_product = acc.get, self.key_product
+        for m1, c1 in u:
+            for m2, c2 in v:
+                for m, _ in key_product(m1, m2):
+                    acc[m] = get(m, 0) + c1 * c2
+        return self.el_from_raw(acc)
 
     # -- the basis-key product rule behind complexes' slice products ---------
     def el_terms(self, u):
@@ -247,17 +241,43 @@ class MonomialAlgebra:
     def from_coords(self, coords, d: int):
         return tuple((m, c) for m, c in zip(self.basis(d), coords) if c)
 
+    # -- graded free modules: the one place their coordinates are laid out ---
+    def free_coords(self, shifts, d: int) -> list:
+        """[(slot, monomial)] basis of the degree-d part of (+) A(-s) over s in shifts."""
+        return [(s, m) for s, sh in enumerate(shifts) for m in self.basis(d - sh)]
+
+    def map_matrix(self, entries, src_shifts, tgt_shifts, d: int, delta: int = 0) -> Matrix:
+        """k-matrix of the map with algebra entries[r][s], degree d to degree d + delta.
+
+        The map goes from (+) A(-src_shifts) to (+) A(-tgt_shifts); column (s, m)
+        is m times column s of `entries`.  A product outside the target
+        coordinates is dropped, and each coordinate's raw sum is reduced once.
+        """
+        f = self.field
+        tgt = {c: k for k, c in enumerate(self.free_coords(tgt_shifts, d + delta))}
+        nonzero = [[(r, row[s]) for r, row in enumerate(entries) if row[s]]
+                   for s in range(len(src_shifts))]
+        key_product, get = self.key_product, tgt.get
+        reduce, zero = f.reduce, f.zero
+        cols = []
+        for s, m in self.free_coords(src_shifts, d):
+            acc = [0] * len(tgt)
+            for r, e in nonzero[s]:
+                for em, c in e:
+                    # a product of monomials has coefficient 1
+                    for pm, _ in key_product(m, em):
+                        k = get((r, pm))
+                        if k is not None:
+                            acc[k] += c
+            cols.append([reduce(x) if x else zero for x in acc])
+        return Matrix.from_columns(f, cols, nrows=len(tgt))
+
     def mult_map(self, u, src_deg: int) -> Matrix:
         """Matrix of multiplication by homogeneous u from basis(src_deg) to basis(src_deg + deg u)."""
         du = self.el_degree(u)
         if du is None:
             raise ValueError("multiplication map needs a homogeneous element")
-        tgt = src_deg + du
-        cols = []
-        for m in self.basis(src_deg):
-            prod = self.el_mul(((m, self.field.one),), u)
-            cols.append(self.coords(prod, tgt))
-        return Matrix.from_columns(self.field, cols, nrows=len(self.basis(tgt)))
+        return self.map_matrix(((u,),), (0,), (0,), src_deg, du)
 
     def krull_dim(self) -> int:
         """Largest set of variables supporting no ideal generator."""

@@ -211,13 +211,9 @@ def beta0_of_mAB(phi: AlgebraMorphism):
         dg = T.el_degree(g)
         if dg is None:
             raise MorphismError("graded beta0 needs homogeneous generator images")
-        for d in range(window + 1):
-            tgt = d + dg
-            if tgt > window:
-                continue
-            for m in T.basis(d):
-                prod = T.el_mul(((m, T.field.one),), g)
-                span_by_deg.setdefault(tgt, []).append(T.coords(prod, tgt))
+        for d in range(window + 1 - dg):
+            span_by_deg.setdefault(d + dg, []).extend(
+                T.map_matrix(((g,),), (0,), (0,), d, dg).columns())
     prev_basis = {}
     for d in range(window + 1):
         vecs = span_by_deg.get(d, [])
@@ -235,9 +231,8 @@ def beta0_of_mAB(phi: AlgebraMorphism):
             below = prev_basis.get(d - 1)
             if below is None or below.ncols == 0:
                 continue
-            for col in below.columns():
-                el = T.from_coords(col, d - 1)
-                mvecs.append(T.coords(T.el_mul(el, v), d))
+            mv = T.map_matrix(((v,),), (0,), (0,), d - 1, 1)
+            mvecs.extend(mv.apply(col) for col in below.columns())
         if mvecs:
             mN = column_space_basis(Matrix.from_columns(T.field, mvecs, nrows=nb))
             total += Nd.ncols - mN.ncols

@@ -12,7 +12,7 @@ from .linalg import (Matrix, column_space_basis, independent_columns, kernel_bas
                      rank)
 from .modules import (GradedModule, _graded_generator_columns,
                       graded_cover_maps, graded_free_module, graded_induced_actions,
-                      graded_nu, monomial_action_matrix)
+                      element_action_matrix, graded_nu)
 from .monomial import MonomialAlgebra
 
 
@@ -30,9 +30,9 @@ def k_graded_module(A: MonomialAlgebra, window: int | None = None) -> GradedModu
 @dataclass(frozen=True)
 class ResolutionStep:
     gen_degrees: tuple
-    # images[g] = coordinate vector of the g-th generator inside the previous
-    # free module's internal-degree slice (its own degree); empty for step 0
-    images: tuple
+    # diff[j][g]: the algebra entry of the differential from generator g of
+    # this free module to generator j of the previous one; empty for step 0
+    diff: tuple
 
 
 @dataclass(frozen=True)
@@ -44,67 +44,31 @@ class GradedResolution:
     def betti(self) -> tuple:
         return tuple(len(s.gen_degrees) for s in self.steps)
 
-    def free_coords(self, i: int, d: int) -> list:
-        """(generator index, monomial) coordinates of P_i in internal degree d."""
-        A = self.algebra
-        out = []
-        for gi, g in enumerate(self.steps[i].gen_degrees):
-            if d - g >= 0:
-                out.extend((gi, m) for m in A.basis(d - g))
-    # note: free modules here always follow graded_free_module's ordering
-        return out
-
-    def diff_matrix(self, i: int, d: int) -> Matrix:
-        """d_i : (P_i)_d -> (P_{i-1})_d as a k-matrix."""
-        A = self.algebra
-        f = A.field
-        src = self.free_coords(i, d)
-        tgt = self.free_coords(i - 1, d)
-        tgt_index = {c: k for k, c in enumerate(tgt)}
-        step = self.steps[i]
-        prev_coords_cache = {}
-        cols = []
-        for (gi, m) in src:
-            g = step.gen_degrees[gi]
-            img = step.images[gi]  # vector in (P_{i-1})_g coordinates
-            gslice = prev_coords_cache.get(g)
-            if gslice is None:
-                gslice = self.free_coords(i - 1, g)
-                prev_coords_cache[g] = gslice
-            col = [f.zero] * len(tgt)
-            for coeff, (gj, mono) in zip(img, gslice):
-                if not coeff:
-                    continue
-                prod = A.el_mul(((mono, f.one),), ((m, f.one),))
-                for pm, pc in prod:
-                    key = (gj, pm)
-                    if key in tgt_index:
-                        col[tgt_index[key]] = f.add(col[tgt_index[key]], f.mul(coeff, pc))
-            cols.append(col)
-        return Matrix.from_columns(f, cols, nrows=len(tgt))
-
 
 def graded_minimal_resolution(M: GradedModule, steps: int) -> GradedResolution:
     """Iterated minimal covers; generator counts are exact inside the window."""
     A = M.algebra
-    f = A.field
     window = M.window
     out_steps = []
     cur = M
+    prev_degrees = ()
     prev_incl = None  # per-degree kernel bases inside the previous free module
     for i in range(steps + 1):
         total, per_deg = graded_nu(cur)
         gen_degrees = tuple(d for d in range(window + 1) for _ in range(per_deg[d]))
         gens = _graded_generator_columns(cur, per_deg)
-        if i == 0:
-            images = tuple(tuple(v) for d in sorted(gens) for v in gens[d])
-        else:
-            imgs = []
+        cols = []
+        if i > 0:
             for d in sorted(gens):
                 for v in gens[d]:
-                    imgs.append(tuple(prev_incl[d].apply(v)))
-            images = tuple(imgs)
-        out_steps.append(ResolutionStep(gen_degrees, images))
+                    # the image of a degree-d generator, split by slot of P_{i-1}
+                    terms = [[] for _ in prev_degrees]
+                    for c, (j, m) in zip(prev_incl[d].apply(v), A.free_coords(prev_degrees, d)):
+                        if c:
+                            terms[j].append((m, c))
+                    cols.append(terms)
+        diff = tuple(tuple(tuple(col[j]) for col in cols) for j in range(len(prev_degrees)))
+        out_steps.append(ResolutionStep(gen_degrees, diff))
         if not gen_degrees:
             # pad the remaining steps with zeros
             for _ in range(i + 1, steps + 1):
@@ -114,7 +78,7 @@ def graded_minimal_resolution(M: GradedModule, steps: int) -> GradedResolution:
         cmaps = graded_cover_maps(cur, P, gen_degrees, gens)
         ker_bases = {d: kernel_basis(cmaps[d]) for d in range(window + 1)}
         cur = _kernel_module(P, ker_bases)
-        prev_incl = ker_bases
+        prev_degrees, prev_incl = gen_degrees, ker_bases
     return GradedResolution(A, tuple(out_steps), window)
 
 
@@ -161,43 +125,25 @@ def _hom_space_dims(res: GradedResolution, M: GradedModule, n: int, t: int) -> l
 
 def _hom_matrix(res: GradedResolution, M: GradedModule, n: int, t: int) -> Matrix:
     """Hom(P_{n-1}, M)_t -> Hom(P_n, M)_t, precomposition with d_n."""
-    A = res.algebra
-    f = A.field
+    f = res.algebra.field
     src_degs = _hom_space_dims(res, M, n - 1, t)
     tgt_degs = _hom_space_dims(res, M, n, t)
     src_dims = [M.dim_at(d) if d >= 0 else 0 for d in src_degs]
     tgt_dims = [M.dim_at(d) if d >= 0 else 0 for d in tgt_degs]
-    rows_total = sum(tgt_dims)
-    cols_total = sum(src_dims)
-    out = [[f.zero] * cols_total for _ in range(rows_total)]
-    step = res.steps[n]
-    prev_degs = res.steps[n - 1].gen_degrees
+    out = [[f.zero] * sum(src_dims) for _ in range(sum(tgt_dims))]
+    diff = res.steps[n].diff
     row0 = 0
-    for gi, g in enumerate(step.gen_degrees):
-        img = step.images[gi]
-        gslice = res.free_coords(n - 1, g)
+    for gi, tdim in enumerate(tgt_dims):
         col0 = 0
-        for gj, gdeg in enumerate(prev_degs):
-            src_deg = t + gdeg
-            if src_deg < 0 or M.dim_at(src_deg) == 0:
-                col0 += src_dims[gj]
-                continue
-            # coefficient of generator gj with monomial m in img
-            acc = Matrix.zero(f, tgt_dims[gi], src_dims[gj]) if tgt_dims[gi] else None
-            for coeff, (gj2, mono) in zip(img, gslice):
-                if gj2 != gj or not coeff:
-                    continue
-                mat = monomial_action_matrix(M, mono, src_deg)
-                # mat: M_{src_deg} -> M_{src_deg + |mono|} = M_{t + g}
-                if acc is not None:
-                    acc = acc.add(mat.scale(coeff))
-            if acc is not None and tgt_dims[gi]:
-                for r_i in range(tgt_dims[gi]):
-                    for c_i in range(src_dims[gj]):
-                        out[row0 + r_i][col0 + c_i] = acc.rows[r_i][c_i]
-            col0 += src_dims[gj]
-        row0 += tgt_dims[gi]
-    return Matrix.from_rows(f, [tuple(r) for r in out], ncols=cols_total)
+        for gj, sdim in enumerate(src_dims):
+            e = diff[gj][gi]
+            if tdim and sdim and e:
+                # the action of e maps M_{t + deg gj} to M_{t + deg gi}
+                for r_i, row in enumerate(element_action_matrix(M, e, src_degs[gj]).rows):
+                    out[row0 + r_i][col0:col0 + sdim] = row
+            col0 += sdim
+        row0 += tdim
+    return Matrix.from_rows(f, [tuple(r) for r in out], ncols=sum(src_dims))
 
 
 def _ext_dim_at(res: GradedResolution, M: GradedModule, n: int, t: int) -> int:
@@ -396,21 +342,16 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
             d_loc = t - g
             # horizontal: d_P (x) 1
             if j >= 1:
-                img = res.steps[j].images[gi]
-                gslice = res.free_coords(j - 1, g)
-                for coeff, (gj, mono) in zip(img, gslice):
-                    if not coeff:
-                        continue
-                    gprev = res.steps[j - 1].gen_degrees[gj]
-                    mat = monomial_action_matrix(Mq, mono, d_loc)
-                    # lands in Mq_{d_loc + |mono|} = Mq_{t - gprev}
-                    for r_i in range(mat.nrows):
-                        v = mat.rows[r_i][li]
-                        if v:
-                            key = (j - 1, q, gj, r_i)
-                            if key in tgt_index:
-                                col[tgt_index[key]] = f.add(col[tgt_index[key]],
-                                                            f.mul(coeff, v))
+                for gj, row in enumerate(res.steps[j].diff):
+                    if row[gi]:
+                        # lands in Mq_{d_loc + deg row[gi]} = Mq_{t - deg gj}
+                        mat = element_action_matrix(Mq, row[gi], d_loc)
+                        for r_i in range(mat.nrows):
+                            v = mat.rows[r_i][li]
+                            if v:
+                                key = (j - 1, q, gj, r_i)
+                                if key in tgt_index:
+                                    col[tgt_index[key]] = f.add(col[tgt_index[key]], v)
             # vertical: (-1)^j 1 (x) d_C
             dC = C.diff_matrix(q, d_loc) if d_loc >= 0 else None
             if dC is not None and dC.nrows:

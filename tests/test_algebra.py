@@ -300,11 +300,8 @@ def test_differential_test_algebras_are_valid(field, case):
 def test_element_products_match_the_dense_reference(field, case, data):
     A = algebra_for(case, field)
     pairs = data.draw(st.lists(st.tuples(elements(A), elements(A)), max_size=4))
-    expected = A.zero
     for u, v in pairs:
         assert A.el_mul(u, v) == reference_mul(A, u, v)
-        expected = A.el_add(expected, reference_mul(A, u, v))
-    assert A.el_dot(pairs) == expected
     u = data.draw(elements(A))
     assert A.left_mult_matrix(u) == reference_left_mult(A, u)
 
@@ -341,16 +338,15 @@ def canonical_terms(field, terms):
                         key=lambda t: mono_key(t[0])))
 
 
-def reference_dot(A, pairs):
-    """Terms of the sum of u * v, or None when one lies above the truncation."""
+def reference_graded_mul(A, u, v):
+    """Terms of u * v, or None when one lies above the truncation."""
     f = A.field
     acc = {}
-    for u, v in pairs:
-        for m1, c1 in u:
-            for m2, c2 in v:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if A.is_standard(m):
-                    acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
+    for m1, c1 in u:
+        for m2, c2 in v:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            if A.is_standard(m):
+                acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
     out = canonical_terms(f, acc)
     return None if any(sum(m) > A.truncation for m, _ in out) else out
 
@@ -382,19 +378,15 @@ def assert_canonical_terms(field, u):
 def test_graded_products_match_the_field_method_loop(field, data):
     A = monomial_algebra(field, ["x", "y"], ["x^2"], 3)
     pairs = data.draw(st.lists(st.tuples(graded_elements(A), graded_elements(A)), max_size=4))
-    # some products cancelled by their negatives, so terms above the
-    # truncation may vanish from the sum
-    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    pairs += [(u, tuple((m, field.neg(c)) for m, c in v)) for (u, v), flip in zip(pairs, flips)
-              if flip]
-    expected = reference_dot(A, pairs)
-    if expected is None:
-        with pytest.raises(TruncationError):
-            A.el_dot(pairs)
-    else:
-        got = A.el_dot(pairs)
-        assert got == expected
-        assert_canonical_terms(field, got)
+    for u, v in pairs:
+        expected = reference_graded_mul(A, u, v)
+        if expected is None:
+            with pytest.raises(TruncationError):
+                A.el_mul(u, v)
+        else:
+            got = A.el_mul(u, v)
+            assert got == expected
+            assert_canonical_terms(field, got)
     u, v = data.draw(graded_elements(A)), data.draw(graded_elements(A))
     total = dict(u)
     for m, c in v:
@@ -462,3 +454,55 @@ def test_graded_amatrix_products_match_the_entrywise_loop(field, data):
         AMatrix.from_rows(A, [[y2]]).mul(AMatrix.from_rows(A, [[y2]]))
     cancelled = AMatrix.from_rows(A, [[y2, y2]]).mul(AMatrix.from_rows(A, [[y2], [A.el_neg(y2)]]))
     assert cancelled == AMatrix.zero(A, 1, 1)
+
+
+def reference_map_matrix(A, entries, src_shifts, tgt_shifts, d, delta):
+    """The degreewise matrix of an algebra-entry map, one el_mul per entry and coordinate."""
+    f = A.field
+
+    def coords(shifts, n):
+        out = []
+        for s, sh in enumerate(shifts):
+            if n - sh >= 0:
+                out.extend((s, m) for m in A.basis(n - sh))
+        return out
+
+    tgt = coords(tgt_shifts, d + delta)
+    tgt_index = {c: k for k, c in enumerate(tgt)}
+    cols = []
+    for (s, m) in coords(src_shifts, d):
+        col = [f.zero] * len(tgt)
+        for r, row in enumerate(entries):
+            if A.el_is_zero(row[s]):
+                continue
+            for pm, pc in A.el_mul(((m, f.one),), row[s]):
+                if (r, pm) in tgt_index:
+                    k = tgt_index[r, pm]
+                    col[k] = f.add(col[k], pc)
+        cols.append(col)
+    return Matrix.from_columns(f, cols, nrows=len(tgt))
+
+
+@FIELDS
+@given(data=st.data())
+def test_graded_map_matrix_matches_the_entrywise_loop(field, data):
+    A = monomial_algebra(field, ["x", "y"], ["x^2"], 4)
+    delta = data.draw(st.sampled_from([0, 1]))
+    src_shifts = data.draw(st.lists(st.integers(0, 2), max_size=3))
+    tgt_shifts = data.draw(st.lists(st.integers(0, 2), max_size=3))
+    d = data.draw(st.integers(0, A.truncation - delta))
+    coeffs = st.one_of(st.just(field.zero), graded_scalars(field))
+
+    def entry(degree):
+        monomials = A.basis(degree)
+        return st.tuples(*[coeffs] * len(monomials)).map(
+            lambda cs: canonical_terms(field, dict(zip(monomials, cs))))
+
+    # entry (r, s) is homogeneous of the degree that makes the map raise degree by delta
+    entries = tuple(tuple(data.draw(entry(s - t + delta)) for s in src_shifts)
+                    for t in tgt_shifts)
+    got = A.map_matrix(entries, src_shifts, tgt_shifts, d, delta)
+    assert got == reference_map_matrix(A, entries, src_shifts, tgt_shifts, d, delta)
+    for row in got.rows:
+        for c in row:
+            assert type(c) is (Fraction if field == QQ else int), c
