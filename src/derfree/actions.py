@@ -18,7 +18,7 @@ from .complexes import (AMatrix, ChainMap, FreeComplex, graded_homology,
                         homology, scalar_endo)
 from .homotopy import Homotopy, homotopy_defects, solve_homotopy
 from .linalg import Matrix
-from .modules import FiniteModule, element_action_matrix
+from .modules import FiniteModule, graded_element_kills
 from .morphism import AlgebraMorphism
 
 
@@ -267,14 +267,7 @@ def homology_module_over_target(action: InducedHomologyAction, degree: int) -> F
 
 def _label_action(H, mats: dict, label: str, f) -> Matrix | None:
     m = Matrix.identity(f, H.dim)
-    if label == "1":
-        return m
-    for part in label.replace(" ", "").split("*"):
-        if "^" in part:
-            name, e = part.split("^")
-            reps = int(e)
-        else:
-            name, reps = part, 1
+    for name, reps in exprs.word_factors(label):
         if name not in mats:
             return None
         for _ in range(reps):
@@ -350,14 +343,7 @@ def check_quotient_H_action(F: FreeComplex, kernel_elements, homology_at=None) -
         for i in F.degrees():
             GH = homology_at(i)
             for a in kernel_elements:
-                ok = _graded_element_kills(GH, a)
+                ok = graded_element_kills(GH, a)
                 checks.append((f"{A.element_to_str(a)} kills H_{i} up to degree {GH.window}", ok))
     return HLevelReport(tuple(checks), all(p for _, p in checks))
 
-
-def _graded_element_kills(GH, a) -> bool:
-    da = GH.algebra.el_degree(a)
-    if da is None:
-        raise CertificateError("homogeneous elements only")
-    return all(element_action_matrix(GH, a, d).is_zero()
-               for d in range(GH.window + 1 - da) if GH.dim_at(d))

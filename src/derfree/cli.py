@@ -12,11 +12,11 @@ import argparse
 import os
 import sys
 import traceback
-from functools import cache, partial
+from functools import cache
 
 from . import serialize
 from .actions import verify_certificate
-from .checkers import (Analysis, InstanceBundle, check_lemma32, check_question,
+from .checkers import (Analysis, check_lemma32, check_question,
                        check_thm31, check_thm41, check_thm51,
                        DecompositionObstruction,
                        koszul_decompose, prop44_divisibility)
@@ -121,18 +121,17 @@ def _emit(args, human_lines, report, failed: bool) -> int:
     return 1 if failed else 0
 
 
-def _load_complex(args):
-    """The complex file named on the command line."""
-    return serialize.complex_from_dict(serialize.load(args.file), args.field,
-                                       base_dir=os.path.dirname(args.file))
+def _read(args, path, loader, doc=None):
+    """`loader` on the file at `path`, or on `doc` when that file is already loaded."""
+    ctx = serialize.LoadContext(args.field, os.path.dirname(path), args.trunc_global)
+    return ctx.resolve(os.path.basename(path) if doc is None else doc, loader)
 
 
 def cmd_validate(args) -> int:
     doc = serialize.load(args.file)
-    base = os.path.dirname(args.file)
     kind = doc.get("kind")
     if kind in ("artinian", "monomial_quotient"):
-        A = serialize.algebra_from_dict(doc, args.field)
+        A = _read(args, args.file, serialize.algebra_from_dict, doc)
         rep = A.validate()
         lines = [f"algebra: {'valid' if rep.valid else 'INVALID'}"]
         for issue in rep.issues:
@@ -141,7 +140,7 @@ def cmd_validate(args) -> int:
             lines.append(f"  nilpotency index: {rep.nilpotency_index}")
         return _emit(args, lines, rep.as_dict(), not rep.valid)
     if "ranks" in doc:
-        F = serialize.complex_from_dict(doc, args.field, base_dir=base)
+        F = _read(args, args.file, serialize.complex_from_dict, doc)
         issues = F.validate()
         lines = [f"complex: {'valid' if not issues else 'INVALID'}",
                  f"  minimal: {F.is_minimal()}"]
@@ -149,7 +148,7 @@ def cmd_validate(args) -> int:
         return _emit(args, lines, {"valid": not issues, "issues": issues,
                                    "minimal": F.is_minimal()}, bool(issues))
     if "generators" in doc and "relations" in doc:
-        cert, F = serialize.certificate_from_dict(doc, args.field, base_dir=base)
+        cert, F = _read(args, args.file, serialize.certificate_from_dict, doc)
         rep = verify_certificate(F, cert)
         lines = [f"certificate: {'verified' if rep.verified else 'FAILED'}"]
         return _emit(args, lines, rep.as_dict(), not rep.verified)
@@ -157,7 +156,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    F = _load_complex(args)
+    F = _read(args, args.file, serialize.complex_from_dict)
     lines = []
     if F.algebra.kind == "artinian":
         dims = homology_dims(F)
@@ -175,7 +174,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    F = _load_complex(args)
+    F = _read(args, args.file, serialize.complex_from_dict)
     bt = betti(F)
     p = nonzero_range(bt)[1]
     lines = [f"betti: {[bt[i] for i in sorted(bt)]} (degrees {min(bt)}..{max(bt)})",
@@ -186,22 +185,21 @@ def cmd_betti(args) -> int:
 
 def cmd_poincare(args) -> int:
     doc = serialize.load(args.file)
-    base = os.path.dirname(args.file)
     if "ranks" in doc:
-        F = serialize.complex_from_dict(doc, args.field, base_dir=base)
+        F = _read(args, args.file, serialize.complex_from_dict, doc)
         if F.algebra.kind != "artinian":
             raise LoadError("module Betti numbers need the Artinian backend")
         from .complexes import homology
         M = homology(F, F.low).module
     else:
-        M = serialize.module_from_dict(doc, args.field, base_dir=base)
+        M = _read(args, args.file, serialize.module_from_dict, doc)
     bt = poincare_truncated(M, args.trunc)
     lines = [f"poincare: {list(bt)}"]
     return _emit(args, lines, {"betti": list(bt)}, False)
 
 
 def cmd_annihilator(args) -> int:
-    F = _load_complex(args)
+    F = _read(args, args.file, serialize.complex_from_dict)
     ann = derived_annihilator(F)
     A = F.algebra
     lines = [f"derived annihilator: dimension {len(ann.basis)}"]
@@ -215,24 +213,18 @@ def cmd_annihilator(args) -> int:
 
 
 def cmd_homotopy(args) -> int:
-    doc = serialize.load(args.file)
-    base = os.path.dirname(args.file)
-    F = serialize._resolve(doc["complex"], args.field, base, serialize.complex_from_dict)
-    fmap = serialize.endo_from_dict(F, doc)
-    h = solve_homotopy(fmap)
+    h = solve_homotopy(_read(args, args.file, serialize.endo_from_dict))
     if h is None:
         lines = ["no homotopy exists (the linear system is infeasible)"]
         return _emit(args, lines, {"solvable": False}, True)
     lines = ["homotopy found; dh + hd = f verified exactly"]
     report = {"solvable": True,
-              "witness": {str(d): m.to_strings() for d, m in h.maps}}
+              "witness": serialize.chain_map_to_dict(h)["maps"]}
     return _emit(args, lines, report, False)
 
 
 def cmd_verify_action(args) -> int:
-    doc = serialize.load(args.file)
-    cert, F = serialize.certificate_from_dict(doc, args.field,
-                                              base_dir=os.path.dirname(args.file))
+    cert, F = _read(args, args.file, serialize.certificate_from_dict)
     rep = verify_certificate(F, cert)
     lines = [f"certificate: {'verified' if rep.verified else 'FAILED'}"]
     for rc in rep.relation_checks:
@@ -241,7 +233,7 @@ def cmd_verify_action(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    F = _load_complex(args)
+    F = _read(args, args.file, serialize.complex_from_dict)
     result = koszul_decompose(F)
     A = F.algebra
     if isinstance(result, DecompositionObstruction):
@@ -258,8 +250,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_freeness(args) -> int:
-    doc = serialize.load(args.file)
-    M = serialize.module_from_dict(doc, args.field, base_dir=os.path.dirname(args.file))
+    M = _read(args, args.file, serialize.module_from_dict)
     free, rk = is_free(M)
     verdict = lemma43_freeness(M, args.trunc)
     agree = (free == verdict.free)
@@ -273,28 +264,6 @@ def cmd_freeness(args) -> int:
                                "oracles_agree": agree}, not agree)
 
 
-def _bundle_from_file(args, path) -> InstanceBundle:
-    doc = serialize.load(path)
-    base = os.path.dirname(path)
-    field = serialize.document_field(doc, args.field)
-    A = serialize._resolve(doc["algebra_A"], field, base, serialize.algebra_from_dict)
-    B = serialize._resolve(doc["algebra_B"], field, base, serialize.algebra_from_dict)
-    from .morphism import morphism_from_generator_images
-    phi = morphism_from_generator_images(A, B, dict(doc["images"]))
-    F = cert = None
-    if doc.get("complex") is not None:
-        F = serialize._resolve(doc["complex"], field, base,
-                               partial(serialize.complex_from_dict, algebra=A))
-    if doc.get("certificate") is not None:
-        cert, F2 = serialize._resolve(doc["certificate"], field, base,
-                                      partial(serialize.certificate_from_dict,
-                                              F=F, source=A, target=B))
-        F = F if F is not None else F2
-    h_kernel = tuple(A.parse_element(s) for s in doc.get("h_kernel", []))
-    return InstanceBundle(doc.get("name", os.path.basename(path)), A, B, phi, F,
-                          certificate=cert, h_kernel=h_kernel)
-
-
 def cmd_check(args) -> int:
     if args.fixture:
         if args.fixture not in BUILDERS:
@@ -302,7 +271,7 @@ def cmd_check(args) -> int:
                             f"choose from {sorted(BUILDERS)}")
         bundle = BUILDERS[args.fixture](args.field)
     elif args.file:
-        bundle = _bundle_from_file(args, args.file)
+        bundle = _read(args, args.file, serialize.bundle_from_dict)
     else:
         raise LoadError("give a bundle file or --fixture NAME")
     if bundle.F is None and args.theorem in ("question", "lemma32", "thm31", "prop44"):
@@ -348,8 +317,7 @@ def cmd_paper_examples(args) -> int:
 
 
 def cmd_koszul(args) -> int:
-    adoc = serialize.load(args.algebra)
-    A = serialize.algebra_from_dict(adoc, args.field)
+    A = _read(args, args.algebra, serialize.algebra_from_dict)
     elements = [A.parse_element(s.strip()) for s in args.vars.split(",") if s.strip()]
     K = koszul(A, elements, multiplicity=args.multiplicity)
     doc = serialize.complex_to_dict(K.complex)
@@ -381,7 +349,6 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    serialize.set_truncation_override(getattr(args, "trunc_global", None))
     try:
         return COMMANDS[args.command](args)
     except (LoadError, NotArtinianError, TruncationError, KeyError,
@@ -392,8 +359,6 @@ def main(argv=None) -> int:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         traceback.print_exc()
         return 3
-    finally:
-        serialize.set_truncation_override(None)
 
 
 if __name__ == "__main__":

@@ -15,12 +15,26 @@ from __future__ import annotations
 import re
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+_FACTOR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?")
 
 
 class ExprError(ValueError):
     def __init__(self, msg: str, pos: int):
         super().__init__(f"{msg} at position {pos}")
         self.pos = pos
+
+
+def word_factors(word: str) -> list:
+    """The (name, exponent) factors of a monomial word such as "x*y^2"; ""
+    and "1" factors are skipped, and a malformed one such as "x^" raises."""
+    factors = []
+    for part in word.replace(" ", "").split("*"):
+        m = _FACTOR.fullmatch(part)
+        if m:
+            factors.append((m.group(1), int(m.group(2) or 1)))
+        elif part not in ("", "1"):
+            raise ExprError(f"malformed factor {part!r} in {word!r}", word.find(part))
+    return factors
 
 
 def tokenize(text: str):

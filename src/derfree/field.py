@@ -182,9 +182,9 @@ GF101 = GF(101)
 
 def field_from_config(cfg: dict):
     """Build a field from {"field": "gfp", "p": 101} or {"field": "rational"}."""
-    kind = cfg.get("field")
-    if kind == "gfp":
-        return GF(int(cfg["p"]))
+    kind = cfg.get("field") if isinstance(cfg, dict) else None
+    if kind == "gfp" and type(cfg.get("p")) is int:
+        return GF(cfg["p"])
     if kind == "rational":
         return QQ
     raise ValueError(f"unknown field config {cfg!r}")

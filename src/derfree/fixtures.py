@@ -411,28 +411,13 @@ def export_fixture(name: str, directory: str, field=None) -> str:
         raise KeyError(f"fixture {name!r} has no file form")
     os.makedirs(directory, exist_ok=True)
     prefix = name.replace(".", "_")
-    paths = {"algebra_A": f"{prefix}_A.json", "algebra_B": f"{prefix}_B.json",
-             "complex": f"{prefix}_F.json"}
-    serialize.save(os.path.join(directory, paths["algebra_A"]),
-                   serialize.algebra_to_dict(b.A))
-    serialize.save(os.path.join(directory, paths["algebra_B"]),
-                   serialize.algebra_to_dict(b.B))
-    serialize.save(os.path.join(directory, paths["complex"]),
-                   serialize.complex_to_dict(b.F, inline_algebra=True))
-    bundle = {"name": name,
-              "field": serialize.field_to_config(field),
-              "algebra_A": paths["algebra_A"],
-              "algebra_B": paths["algebra_B"],
-              "images": serialize.morphism_to_dict(b.phi, inline=False)["images"],
-              "complex": paths["complex"],
-              "certificate": None}
-    if b.certificate is not None:
-        cpath = f"{prefix}_cert.json"
-        serialize.save(os.path.join(directory, cpath),
-                       serialize.certificate_to_dict(b.certificate, b.F))
-        bundle["certificate"] = cpath
-    if b.h_kernel:
-        bundle["h_kernel"] = [b.A.element_to_str(a) for a in b.h_kernel]
+    bundle = serialize.bundle_to_dict(b)
+    for key, suffix in (("algebra_A", "A"), ("algebra_B", "B"), ("complex", "F"),
+                        ("certificate", "cert")):
+        if bundle[key] is not None:
+            path = f"{prefix}_{suffix}.json"
+            serialize.save(os.path.join(directory, path), bundle[key])
+            bundle[key] = path
     bundle_path = os.path.join(directory, f"{prefix}_bundle.json")
     serialize.save(bundle_path, bundle)
     return bundle_path

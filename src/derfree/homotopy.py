@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import AlgebraError
 from .complexes import (AMatrix, ChainMap, FreeComplex, _raw_sums, _slices, _sums_vanish,
                         scalar_endo)
 from .linalg import (Matrix, in_span, kernel_vectors, rref, sparse_kernel, sparse_rref,
@@ -374,6 +375,10 @@ def homotopy_defects(f: ChainMap, h: Homotopy) -> list:
 
 def _check_homotopy(f: ChainMap, h: Homotopy):
     if homotopy_defects(f, h):
+        A = f.source.algebra
+        if A.kind == "artinian" and not A.validate().valid:  # an input error
+            raise AlgebraError("the structure constants break the algebra axioms (see "
+                               "`derfree validate`), so no homotopy can be certified")
         raise AssertionError("solver returned an invalid homotopy")
 
 

@@ -567,6 +567,15 @@ def element_action_matrix(M: GradedModule, el, d: int) -> Matrix:
     return acc
 
 
+def graded_element_kills(M: GradedModule, a) -> bool:
+    """Does the homogeneous element `a` act as zero on M within its window?"""
+    da = M.algebra.el_degree(a)
+    if da is None:
+        raise ValueError("homogeneous elements only")
+    return all(element_action_matrix(M, a, d).is_zero()
+               for d in range(M.window + 1 - da) if M.dim_at(d))
+
+
 def graded_annihilator(M: GradedModule) -> list:
     """Homogeneous annihilator elements (degree, coefficient vector on basis(d)).
 

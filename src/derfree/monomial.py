@@ -363,11 +363,9 @@ def monomial_algebra(field, variables, ideal_strings, truncation: int) -> Monomi
     gens = []
     for s in ideal_strings:
         expo = [0] * len(variables)
-        for part in s.replace(" ", "").split("*"):
-            if "^" in part:
-                name, e = part.split("^")
-                expo[variables.index(name)] += int(e)
-            elif part and part != "1":
-                expo[variables.index(part)] += 1
+        for name, e in exprs.word_factors(s):
+            if name not in variables:
+                raise ValueError(f"ideal generator {s!r} uses unknown variable {name!r}")
+            expo[variables.index(name)] += e
         gens.append(tuple(expo))
     return MonomialAlgebra(field, variables, tuple(gens), truncation)

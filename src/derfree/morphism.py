@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ValidationIssue, ValidationReport
+from .exprs import word_factors
 from .linalg import Matrix, column_space_basis, kernel_basis, rank
 from .monomial import TruncationError
 
@@ -171,12 +172,7 @@ def morphism_from_generator_images(S, T, images: dict) -> AlgebraMorphism:
 
 def _eval_label(label: str, genenv: dict, T):
     acc = T.one
-    for part in label.replace(" ", "").split("*"):
-        if "^" in part:
-            name, e = part.split("^")
-            reps = int(e)
-        else:
-            name, reps = part, 1
+    for name, reps in word_factors(label):
         if name not in genenv:
             raise MorphismError(f"label {label!r} uses unknown generator {name!r}")
         for _ in range(reps):

@@ -7,6 +7,7 @@ reported together with it; nothing beyond the window is ever extrapolated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .linalg import (Matrix, column_space_basis, independent_columns, kernel_basis,
                      rank)
@@ -311,13 +312,15 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
     P of the residue field; returns {i: (total_dim, valid_range)}.
     """
     A = C.algebra
+    f = A.field
     w = C.window
     res = graded_minimal_resolution(k_graded_module(A, w), hom_bound + 1)
     maxgen = [max(s.gen_degrees) if s.gen_degrees else 0 for s in res.steps]
 
-    def tot_coords(n: int, t: int) -> list:
-        """[(j, q, gi, local index)] coordinates of T_n at internal degree t."""
-        out = []
+    def blocks(n: int, t: int) -> tuple:
+        """({(j, q, gi): offset} of the nonzero blocks P_j (x) C_q of T_n at
+        internal degree t, one per generator gi of P_j; and dim_k (T_n)_t)."""
+        offsets, size = {}, 0
         for j in range(0, min(n - C.low, hom_bound + 1) + 1):
             q = n - j
             Mq = C.module(q)
@@ -325,45 +328,41 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
                 continue
             for gi, g in enumerate(res.steps[j].gen_degrees):
                 dim = Mq.dim_at(t - g) if t - g >= 0 else 0
-                for li in range(dim):
-                    out.append((j, q, gi, li))
-        return out
+                if dim:
+                    offsets[(j, q, gi)] = size
+                    size += dim
+        return offsets, size
 
-    def tot_diff(n: int, t: int) -> Matrix:
-        f = A.field
-        src = tot_coords(n, t)
-        tgt = tot_coords(n - 1, t)
-        tgt_index = {c: k for k, c in enumerate(tgt)}
-        cols = []
-        for (j, q, gi, li) in src:
-            col = [f.zero] * len(tgt)
-            Mq = C.module(q)
-            g = res.steps[j].gen_degrees[gi]
-            d_loc = t - g
-            # horizontal: d_P (x) 1
+    @cache
+    def action(q: int, el, d: int) -> tuple:
+        """Rows of the action of a resolution entry el on (C_q)_d."""
+        return element_action_matrix(C.module(q), el, d).rows
+
+    @cache
+    def tot_rank(n: int, t: int) -> int:
+        """Rank of the total differential (T_n)_t -> (T_{n-1})_t."""
+        src, nsrc = blocks(n, t)
+        tgt, ntgt = blocks(n - 1, t)
+        out = [[f.zero] * nsrc for _ in range(ntgt)]
+
+        def place(r0, c0, rows):
+            for r_i, row in enumerate(rows):
+                out[r0 + r_i][c0:c0 + len(row)] = row
+
+        for (j, q, gi), c0 in src.items():
+            d_loc = t - res.steps[j].gen_degrees[gi]
+            # horizontal: d_P (x) 1, one block per nonzero entry of d_P
             if j >= 1:
                 for gj, row in enumerate(res.steps[j].diff):
-                    if row[gi]:
-                        # lands in Mq_{d_loc + deg row[gi]} = Mq_{t - deg gj}
-                        mat = element_action_matrix(Mq, row[gi], d_loc)
-                        for r_i in range(mat.nrows):
-                            v = mat.rows[r_i][li]
-                            if v:
-                                key = (j - 1, q, gj, r_i)
-                                if key in tgt_index:
-                                    col[tgt_index[key]] = f.add(col[tgt_index[key]], v)
+                    r0 = tgt.get((j - 1, q, gj))
+                    if row[gi] and r0 is not None:
+                        place(r0, c0, action(q, row[gi], d_loc))
             # vertical: (-1)^j 1 (x) d_C
-            dC = C.diff_matrix(q, d_loc) if d_loc >= 0 else None
-            if dC is not None and dC.nrows:
-                sgn = f.neg(f.one) if j % 2 else f.one
-                for r_i in range(dC.nrows):
-                    v = dC.rows[r_i][li]
-                    if v:
-                        key = (j, q - 1, gi, r_i)
-                        if key in tgt_index:
-                            col[tgt_index[key]] = f.add(col[tgt_index[key]], f.mul(sgn, v))
-            cols.append(col)
-        return Matrix.from_columns(f, cols, nrows=len(tgt))
+            r0 = tgt.get((j, q - 1, gi))
+            if r0 is not None:
+                rows = C.diff_matrix(q, d_loc).rows
+                place(r0, c0, [[f.neg(v) for v in r] for r in rows] if j % 2 else rows)
+        return rank(Matrix.from_rows(f, out, ncols=nsrc))
 
     out = {}
     for i in range(C.low, C.top + hom_bound + 1):
@@ -371,10 +370,7 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
         lim = max(maxgen[: min(len(maxgen), i - C.low + 2)] or [0])
         t_hi = w - lim
         for t in range(0, max(t_hi, -1) + 1):
-            dn = tot_diff(i, t)
-            dn1 = tot_diff(i + 1, t)
-            n_dim = len(tot_coords(i, t))
-            total += n_dim - rank(dn) - rank(dn1)
+            total += blocks(i, t)[1] - tot_rank(i, t) - tot_rank(i + 1, t)
         # total counts classes of internal degree <= t_hi only; degrees above
         # the window are never extrapolated
         out[i] = (total, t_hi)

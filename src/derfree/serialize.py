@@ -4,15 +4,19 @@ Documents are UTF-8 JSON.  Scalars serialize as ints (GF(p)) or "num/den"
 strings (rationals).  Wherever a document references another object it may
 inline it or give a path string, resolved relative to the referring file.
 Printing is canonical (sorted keys), so saved documents are byte-stable.
+Every document is read through a `LoadContext`; a malformed value raises
+`LoadError` naming its key.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass, replace
 
 from .actions import ActionCertificate, witness_from_matrices
 from .algebra import ArtinAlgebra, artin_algebra_from_constants
+from .checkers import InstanceBundle
 from .complexes import AMatrix, ChainMap, FreeComplex
 from .field import field_from_config, field_to_config
 from .linalg import Matrix
@@ -26,12 +30,63 @@ class LoadError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class LoadContext:
+    """How documents are read: over `field`, with relative paths resolved
+    from `base_dir`, and with every graded truncation degree replaced by
+    `truncation` when it is set (the CLI's --trunc)."""
+
+    field: object
+    base_dir: str = "."
+    truncation: int | None = None
+
+    def resolve(self, ref, loader, **kw):
+        """`loader(doc, ctx, **kw)` on a reference: a path relative to
+        `base_dir`, or an inline object.  A path's own references resolve
+        from its directory."""
+        if isinstance(ref, str):
+            path = os.path.join(self.base_dir, ref)
+            return loader(load(path), replace(self, base_dir=os.path.dirname(path)), **kw)
+        if not isinstance(ref, dict):
+            raise _bad("reference", "a file path or an inline object", ref)
+        return loader(ref, self, **kw)
+
+
+_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+
+
+def _bad(where: str, expected: str, value) -> LoadError:
+    return LoadError(f"{where}: expected {expected}, got {value!r}"[:300])
+
+
+def _typed(v, where: str, kind: type, item: type | None = None):
+    """`v` when it is a `kind` whose items (values, for an object) are all
+    `item`s; else a LoadError naming `where`."""
+    if type(v) is not kind or item is not None and any(
+            type(x) is not item for x in (v.values() if kind is dict else v)):
+        raise _bad(where, _NAMES[kind] + (f" of {item.__name__} values" if item else ""), v)
+    return v
+
+
+def _entry_rows(rows, where: str) -> list:
+    """A matrix of a document: a list of rows of entry strings."""
+    for r in _typed(rows, where, list, list):
+        _typed(r, where, list, str)
+    return rows
+
+
 def _scalar_out(field, s):
     return field.to_str(s) if field_to_config(field)["field"] == "rational" else int(s)
 
 
-def _scalar_in(field, v):
-    return field.parse(str(v))
+def _scalar_matrix(field, rows, nrows: int, ncols: int, where: str) -> Matrix:
+    """An nrows x ncols grid of int or string scalars; an empty grid is zero."""
+    if not _typed(rows, where, list, list):
+        return Matrix.zero(field, nrows, ncols)
+    if len(rows) != nrows or any(len(r) != ncols or any(type(x) not in (int, str) for x in r)
+                                 for r in rows):
+        raise _bad(where, f"a {nrows}x{ncols} grid of int or string scalars", rows)
+    return Matrix.from_rows(field, [[field.parse(str(x)) for x in r] for r in rows], ncols=ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -57,41 +112,33 @@ def algebra_to_dict(A) -> dict:
             "truncation": A.truncation}
 
 
-_TRUNCATION_OVERRIDE = None
-
-
-def set_truncation_override(value: int | None):
-    """Session-wide override of graded truncation degrees (the CLI's --trunc)."""
-    global _TRUNCATION_OVERRIDE
-    _TRUNCATION_OVERRIDE = value
-
-
-def _structure_constants(doc: dict) -> list:
+def _structure_constants(doc: dict, d: int) -> list:
     """The [i, j, k, value] entries of an Artinian document, indices checked."""
-    d = len(doc["labels"])
-    for n, c in enumerate(doc["constants"]):
+    for n, c in enumerate(_typed(doc["constants"], "algebra constants", list)):
         if not (isinstance(c, list) and len(c) == 4
-                and all(type(i) is int and 0 <= i < d for i in c[:3])):
-            raise LoadError(f"algebra constants[{n}]: expected [i, j, k, value] with "
-                            f"basis indices i, j, k below {d}, got {c!r}")
+                and all(type(i) is int and 0 <= i < d for i in c[:3])
+                and type(c[3]) in (int, str)):
+            raise _bad(f"algebra constants[{n}]", f"[i, j, k, value] with basis indices "
+                       f"i, j, k below {d} and an int or string value", c)
     return doc["constants"]
 
 
-def algebra_from_dict(doc: dict, field, base_dir="."):
-    """Build an algebra; `base_dir` is unused (an algebra names no other file)
-    and is there so every loader takes the signature `_resolve` calls."""
+def algebra_from_dict(doc: dict, ctx: LoadContext):
     kind = doc.get("kind")
     if kind == "artinian":
-        A = artin_algebra_from_constants(field, doc["labels"], _structure_constants(doc))
+        labels = _typed(doc["labels"], "algebra labels", list, str)
+        A = artin_algebra_from_constants(ctx.field, labels, _structure_constants(doc, len(labels)))
         gens = doc.get("generators")
         if gens:
+            gens = _typed(gens, "algebra generators", dict, str)
             pairs = tuple((name, A.parse_element(expr)) for name, expr in sorted(gens.items()))
             A = ArtinAlgebra(A.field, A.labels, A.mult, pairs)
         return A
     if kind == "monomial_quotient":
-        trunc = _TRUNCATION_OVERRIDE if _TRUNCATION_OVERRIDE is not None \
-            else int(doc["truncation"])
-        return monomial_algebra(field, doc["vars"], doc["ideal"], trunc)
+        trunc = ctx.truncation if ctx.truncation is not None \
+            else _typed(doc["truncation"], "algebra truncation", int)
+        return monomial_algebra(ctx.field, _typed(doc["vars"], "algebra vars", list, str),
+                                _typed(doc["ideal"], "algebra ideal", list, str), trunc)
     raise LoadError(f"unknown algebra kind {kind!r}")
 
 
@@ -112,45 +159,52 @@ def complex_to_dict(F: FreeComplex, inline_algebra: bool = True) -> dict:
     return out
 
 
-def _entry_rows(rows, where: str) -> list:
-    """A matrix of a document, checked to be a list of rows of entry strings."""
-    if not (isinstance(rows, list)
-            and all(isinstance(r, list) and all(isinstance(e, str) for e in r) for r in rows)):
-        raise LoadError(f"{where}: expected a list of rows of entry strings, got {rows!r}"[:300])
-    return rows
+def _per_rank(rows, ranks, where: str, entry: type) -> tuple:
+    """One row of `entry` values per rank, each of that rank's length."""
+    if len(_typed(rows, where, list, list)) != len(ranks) or any(
+            len(_typed(r, where, list, entry)) != n for r, n in zip(rows, ranks)):
+        raise _bad(where, f"one row per rank of {ranks}", rows)
+    return tuple(tuple(r) for r in rows)
 
 
-def complex_from_dict(doc: dict, field, algebra=None, base_dir="."):
+def complex_from_dict(doc: dict, ctx: LoadContext, algebra=None):
     if algebra is None:
-        algebra = _resolve(doc["algebra"], field, base_dir, algebra_from_dict)
-    ranks = [int(r) for r in doc["ranks"]]
-    low = int(doc.get("low", 0))
+        algebra = ctx.resolve(doc["algebra"], algebra_from_dict)
+    ranks = _typed(doc["ranks"], "ranks", list, int)
+    low = _typed(doc.get("low", 0), "low", int)
     diff_docs = doc["differentials"]
     if not isinstance(diff_docs, list) or len(diff_docs) != max(0, len(ranks) - 1):
-        raise LoadError(f"differentials: expected a list of {max(0, len(ranks) - 1)} matrices "
-                        f"for {len(ranks)} ranks, got {diff_docs!r}"[:300])
-    diffs = []
-    for i, rows in enumerate(diff_docs):
-        rows = _entry_rows(rows, f"differentials[{i}]")
-        diffs.append(AMatrix.from_strings(algebra, rows, ncols=ranks[i + 1]))
+        raise _bad("differentials", f"a list of {max(0, len(ranks) - 1)} matrices for "
+                   f"{len(ranks)} ranks", diff_docs)
+    diffs = [AMatrix.from_strings(algebra, _entry_rows(rows, f"differentials[{i}]"),
+                                  ncols=ranks[i + 1]) for i, rows in enumerate(diff_docs)]
     shifts = doc.get("shifts")
     labels = doc.get("labels")
     return FreeComplex(algebra, low, tuple(ranks), tuple(diffs),
-                       tuple(tuple(int(x) for x in s) for s in shifts) if shifts else None,
-                       tuple(tuple(l) for l in labels) if labels else None)
+                       _per_rank(shifts, ranks, "shifts", int) if shifts else None,
+                       _per_rank(labels, ranks, "labels", str) if labels else None)
 
 
-def chain_map_to_dict(f: ChainMap) -> dict:
+def chain_map_to_dict(f) -> dict:
+    """The per-degree maps of a chain map or a homotopy."""
     return {"maps": {str(d): m.to_strings() for d, m in f.maps}}
 
 
-def endo_from_dict(F: FreeComplex, doc: dict) -> ChainMap:
+def _degree_maps(doc, F: FreeComplex, where: str) -> dict:
+    """{degree: AMatrix} of an object of entry rows keyed by degree strings."""
     maps = {}
-    for dstr, rows in sorted(doc["maps"].items(), key=lambda kv: int(kv[0])):
-        d = int(dstr)
-        rows = _entry_rows(rows, f"maps[{dstr!r}]")
-        maps[d] = AMatrix.from_strings(F.algebra, rows, ncols=F.rank(d))
-    return ChainMap.from_dict(F, F, maps)
+    for dstr, rows in _typed(doc, where, dict).items():
+        if not dstr.lstrip("-").isdigit():
+            raise _bad(where, "integer degree keys", dstr)
+        rows = _entry_rows(rows, f"{where}[{dstr!r}]")
+        maps[int(dstr)] = AMatrix.from_strings(F.algebra, rows, ncols=F.rank(int(dstr)))
+    return maps
+
+
+def endo_from_dict(doc: dict, ctx: LoadContext) -> ChainMap:
+    """An endomorphism of the complex the document names."""
+    F = ctx.resolve(doc["complex"], complex_from_dict)
+    return ChainMap.from_dict(F, F, _degree_maps(doc["maps"], F, "maps"))
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +226,21 @@ def morphism_to_dict(phi: AlgebraMorphism, inline: bool = True) -> dict:
     return out
 
 
-def morphism_from_dict(doc: dict, field, source=None, target=None, base_dir="."):
+def morphism_from_dict(doc: dict, ctx: LoadContext, source=None, target=None):
     if source is None:
-        source = _resolve(doc["source"], field, base_dir, algebra_from_dict)
+        source = ctx.resolve(doc["source"], algebra_from_dict)
     if target is None:
-        target = _resolve(doc["target"], field, base_dir, algebra_from_dict)
-    return morphism_from_generator_images(source, target, dict(doc["images"]))
+        target = ctx.resolve(doc["target"], algebra_from_dict)
+    images = _typed(doc["images"], "images", dict, str)
+    return morphism_from_generator_images(source, target, images)
 
 
 def certificate_to_dict(cert: ActionCertificate, F: FreeComplex,
                         inline: bool = True) -> dict:
     gens = [{"name": name, "matrices": chain_map_to_dict(g)["maps"]}
             for name, g in cert.generators]
-    rels = []
-    for poly, witness in cert.relations:
-        if witness is None:
-            rels.append({"poly": poly, "witness": "solve"})
-        else:
-            rels.append({"poly": poly,
-                         "witness": {str(d): m.to_strings() for d, m in witness.maps}})
+    rels = [{"poly": poly, "witness": "solve" if w is None else chain_map_to_dict(w)["maps"]}
+            for poly, w in cert.relations]
     out = {"morphism": morphism_to_dict(cert.morphism, inline=inline),
            "generators": gens, "relations": rels}
     if inline:
@@ -198,33 +248,49 @@ def certificate_to_dict(cert: ActionCertificate, F: FreeComplex,
     return out
 
 
-def certificate_from_dict(doc: dict, field, F: FreeComplex | None = None,
-                          source=None, target=None, base_dir="."):
+def certificate_from_dict(doc: dict, ctx: LoadContext, F: FreeComplex | None = None,
+                          source=None, target=None):
     if F is None:
-        F = _resolve(doc["complex"], field, base_dir, complex_from_dict)
-    phi = morphism_from_dict(doc["morphism"], field, source=source, target=target,
-                             base_dir=base_dir)
+        F = ctx.resolve(doc["complex"], complex_from_dict)
+    phi = morphism_from_dict(_typed(doc["morphism"], "morphism", dict), ctx, source, target)
     gens = []
-    for n, g in enumerate(doc["generators"]):
-        maps = {}
-        for dstr, rows in sorted(g["matrices"].items(), key=lambda kv: int(kv[0])):
-            d = int(dstr)
-            rows = _entry_rows(rows, f"generators[{n}].matrices[{dstr!r}]")
-            maps[d] = AMatrix.from_strings(F.algebra, rows, ncols=F.rank(d))
-        gens.append((g["name"], ChainMap.from_dict(F, F, maps)))
+    for n, g in enumerate(_typed(doc["generators"], "generators", list, dict)):
+        maps = _degree_maps(g["matrices"], F, f"generators[{n}].matrices")
+        gens.append((_typed(g["name"], f"generators[{n}].name", str),
+                     ChainMap.from_dict(F, F, maps)))
     rels = []
-    for n, r in enumerate(doc["relations"]):
+    for n, r in enumerate(_typed(doc["relations"], "relations", list, dict)):
+        poly = _typed(r["poly"], f"relations[{n}].poly", str)
         w = r.get("witness", "solve")
-        if w == "solve":
-            rels.append((r["poly"], None))
-        else:
-            maps = {}
-            for dstr, rows in sorted(w.items(), key=lambda kv: int(kv[0])):
-                d = int(dstr)
-                rows = _entry_rows(rows, f"relations[{n}].witness[{dstr!r}]")
-                maps[d] = AMatrix.from_strings(F.algebra, rows, ncols=F.rank(d))
-            rels.append((r["poly"], witness_from_matrices(F, maps)))
+        rels.append((poly, None if w == "solve" else
+                     witness_from_matrices(F, _degree_maps(w, F, f"relations[{n}].witness"))))
     return ActionCertificate(phi, tuple(gens), tuple(rels)), F
+
+
+def bundle_to_dict(b: InstanceBundle) -> dict:
+    """The bundle document of `b`, every reference inline."""
+    return {"name": b.name, "field": field_to_config(b.A.field),
+            "algebra_A": algebra_to_dict(b.A), "algebra_B": algebra_to_dict(b.B),
+            "images": morphism_to_dict(b.phi, inline=False)["images"],
+            "complex": complex_to_dict(b.F) if b.F is not None else None,
+            "certificate": certificate_to_dict(b.certificate, b.F) if b.certificate else None,
+            "h_kernel": [b.A.element_to_str(a) for a in b.h_kernel]}
+
+
+def bundle_from_dict(doc: dict, ctx: LoadContext) -> InstanceBundle:
+    """An instance bundle; a `field` it declares must be the context's."""
+    ctx = replace(ctx, field=document_field(doc, ctx.field))
+    A = ctx.resolve(doc["algebra_A"], algebra_from_dict)
+    B = ctx.resolve(doc["algebra_B"], algebra_from_dict)
+    phi = morphism_from_dict(doc, ctx, A, B)
+    F = cert = None
+    if doc.get("complex") is not None:
+        F = ctx.resolve(doc["complex"], complex_from_dict, algebra=A)
+    if doc.get("certificate") is not None:
+        cert, F = ctx.resolve(doc["certificate"], certificate_from_dict, F=F, source=A, target=B)
+    h_kernel = _typed(doc.get("h_kernel", []), "h_kernel", list, str)
+    return InstanceBundle(_typed(doc.get("name", "bundle"), "name", str), A, B, phi, F,
+                          certificate=cert, h_kernel=tuple(map(A.parse_element, h_kernel)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +307,16 @@ def module_to_dict(M: FiniteModule, inline: bool = True) -> dict:
     return out
 
 
-def module_from_dict(doc: dict, field, algebra=None, base_dir="."):
+def module_from_dict(doc: dict, ctx: LoadContext, algebra=None):
+    field = ctx.field
     if algebra is None:
-        algebra = _resolve(doc["algebra"], field, base_dir, algebra_from_dict)
-    dim = int(doc["dim"])
-    acts = []
-    for rows in doc["action"]:
-        acts.append(Matrix.from_rows(field,
-                                     [[_scalar_in(field, x) for x in row] for row in rows],
-                                     ncols=dim))
-    return FiniteModule(algebra, dim, tuple(acts))
+        algebra = ctx.resolve(doc["algebra"], algebra_from_dict)
+    dim = _typed(doc["dim"], "dim", int)
+    grids = _typed(doc["action"], "action", list)
+    if algebra.kind != "artinian" or len(grids) != algebra.dim:
+        raise _bad("action", "one grid per basis element of an Artinian algebra", grids)
+    return FiniteModule(algebra, dim, tuple(_scalar_matrix(field, rows, dim, dim, f"action[{n}]")
+                                            for n, rows in enumerate(grids)))
 
 
 def rep_to_dict(rep: WModuleRep) -> dict:
@@ -261,20 +327,18 @@ def rep_to_dict(rep: WModuleRep) -> dict:
             "T": [[grid(m) for m in per] for per in rep.T]}
 
 
-def rep_from_dict(doc: dict, field) -> WModuleRep:
-    dims = [int(d) for d in doc["dims"]]
-    p = int(doc["p"])
+def rep_from_dict(doc: dict, ctx: LoadContext) -> WModuleRep:
+    field = ctx.field
+    dims = _typed(doc["dims"], "dims", list, int)
+    p = _typed(doc["p"], "p", int)
     top = len(dims) - 1
-
-    def mat(rows, nrows, ncols):
-        return Matrix.from_rows(field, [[_scalar_in(field, x) for x in row] for row in rows],
-                                ncols=ncols) if rows or nrows == 0 else Matrix.zero(field, nrows, ncols)
-
     S = []
     T = []
     for i in range(p):
-        S.append(tuple(mat(doc["S"][i][d], dims[d + 1], dims[d]) for d in range(top)))
-        T.append(tuple(mat(doc["T"][i][d], dims[d], dims[d + 1]) for d in range(top)))
+        S.append(tuple(_scalar_matrix(field, doc["S"][i][d], dims[d + 1], dims[d], f"S[{i}][{d}]")
+                       for d in range(top)))
+        T.append(tuple(_scalar_matrix(field, doc["T"][i][d], dims[d], dims[d + 1], f"T[{i}][{d}]")
+                       for d in range(top)))
     return WModuleRep(field, p, tuple(dims), tuple(S), tuple(T))
 
 
@@ -302,18 +366,6 @@ def load(path: str) -> dict:
     if not isinstance(doc, dict):
         raise LoadError(f"{path}: the top level is a {type(doc).__name__}, not a JSON object")
     return doc
-
-
-def _resolve(ref, field, base_dir, loader):
-    """Load a reference (a path relative to base_dir, or an inline object) with
-    `loader(doc, field, base_dir=...)`; a path's own references resolve from
-    its directory."""
-    if isinstance(ref, str):
-        path = os.path.join(base_dir, ref)
-        ref, base_dir = load(path), os.path.dirname(path)
-    elif not isinstance(ref, dict):
-        raise LoadError(f"expected a file path or an inline object, got {ref!r}")
-    return loader(ref, field, base_dir=base_dir)
 
 
 def document_field(doc: dict, default_field):

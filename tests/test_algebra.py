@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from derfree.algebra import (ArtinAlgebra, DependentModM2, adapted_basis,
                              artin_algebra_from_constants)
 from derfree.complexes import AMatrix
+from derfree.exprs import ExprError, word_factors
 from derfree.field import GF, GF101, QQ
 from derfree.linalg import Matrix, invert, rank
 from derfree.modules import minimal_generators, nu, submodule_from_spanning, free_module
@@ -17,6 +18,16 @@ from derfree.monomial import NotArtinianError, TruncationError, mono_key, monomi
 
 def plane(field=GF101):
     return monomial_algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+
+
+def test_monomial_words_parse_into_factors_and_malformed_factors_raise():
+    assert word_factors("x*y^2") == [("x", 1), ("y", 2)]
+    assert word_factors(" x * 1 ") == [("x", 1)] and word_factors("1") == []
+    for bad in ("x^", "x^y", "2x", "x+y"):
+        with pytest.raises(ExprError):
+            word_factors(bad)
+    with pytest.raises(ExprError):
+        monomial_algebra(GF101, ["x"], ["x^"], 3)
 
 
 def test_validate_square_zero_plane(any_field):

@@ -110,6 +110,21 @@ def test_thm41_fixtures():
     assert check_thm41(build_two_term_module_complex(GF101)).verdict == "not_applicable"
 
 
+@pytest.mark.parametrize("build", [build_nagata, build_two_term_module_complex])
+def test_tor_builds_each_action_block_once(monkeypatch, build):
+    from derfree import resolutions
+    real, seen = resolutions.element_action_matrix, []
+
+    def counted(M, el, d):
+        seen.append((id(M), el, d))
+        return real(M, el, d)
+
+    monkeypatch.setattr(resolutions, "element_action_matrix", counted)
+    C = build(GF101).module_complex
+    tor = resolutions.tor_k_dims(C, 3)
+    assert seen and len(seen) == len(set(seen)), tor
+
+
 def test_thm51_examples():
     assert check_thm51(build_ex55(GF101)).verdict == "pass"
     assert check_thm51(build_ex56(GF101)).verdict == "pass"

@@ -81,7 +81,7 @@ def test_koszul_emits_complex(tmp_path, ex55_files):
                  "--out", out]) == 0
     doc = serialize.load(out)
     assert doc["ranks"] == [1, 2, 1]
-    K = serialize.complex_from_dict(doc, GF101)
+    K = serialize.complex_from_dict(doc, serialize.LoadContext(GF101))
     assert K.validate() == []
 
 
@@ -308,3 +308,17 @@ def test_main_shares_one_parser_without_carrying_state_between_calls(tmp_path, c
             assert json.loads(stdout[stdout.index("{"):])["window"] == 6
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["window"] == 4
+
+
+@pytest.mark.parametrize("name, theorem", [("ex2.3", "question"), ("ex2.3", "lemma32"),
+                                           ("ex2.3", "thm31"), ("ex4.5", "question")])
+def test_non_homogeneous_kernel_element_exits_2(tmp_path, capsys, name, theorem):
+    from derfree.fixtures import export_fixture
+    bundle = export_fixture(name, str(tmp_path))
+    doc = serialize.load(bundle)
+    doc["h_kernel"] = ["x + y^2"]
+    serialize.save(bundle, doc)
+    assert main(["check", "--theorem", theorem, bundle]) == 2
+    captured = capsys.readouterr()
+    assert "homogeneous elements only" in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -9,7 +9,7 @@ from derfree.field import GF, GF101, QQ, field_from_config, field_to_config
 from derfree.fixtures import build_ex23, build_ex55, build_ex56
 from derfree.modules import free_module
 from derfree.monomial import monomial_algebra
-from derfree.serialize import LoadError
+from derfree.serialize import LoadContext, LoadError
 from derfree.weyl import exterior_model
 
 
@@ -21,27 +21,50 @@ def test_field_config_round_trip():
 def test_algebra_round_trip(any_field):
     b = build_ex55(any_field)
     doc = serialize.algebra_to_dict(b.A)
-    back = serialize.algebra_from_dict(doc, any_field)
+    back = serialize.algebra_from_dict(doc, LoadContext(any_field))
     assert back == b.A
     gdoc = serialize.algebra_to_dict(build_ex23(any_field).A)
-    gback = serialize.algebra_from_dict(gdoc, any_field)
+    gback = serialize.algebra_from_dict(gdoc, LoadContext(any_field))
     assert gback == build_ex23(any_field).A
 
 
 def test_complex_round_trip(any_field):
     for builder in (build_ex55, build_ex56):
         F = builder(any_field).F
-        back = serialize.complex_from_dict(serialize.complex_to_dict(F), any_field)
+        back = serialize.complex_from_dict(serialize.complex_to_dict(F), LoadContext(any_field))
         assert back == F
     F23 = build_ex23(any_field).F
-    back = serialize.complex_from_dict(serialize.complex_to_dict(F23), any_field)
+    back = serialize.complex_from_dict(serialize.complex_to_dict(F23), LoadContext(any_field))
     assert back == F23
+
+
+def test_field_config_rejects_a_non_object_or_a_non_integer_p():
+    for cfg in ([1, 2], "gfp", {"field": "gfp", "p": "101"}, {"field": "gfp", "p": None}):
+        with pytest.raises(ValueError):
+            field_from_config(cfg)
+
+
+def test_truncation_override_comes_from_the_context():
+    doc = serialize.algebra_to_dict(build_ex23(GF101).A)
+    assert serialize.algebra_from_dict(doc, LoadContext(GF101, truncation=3)).truncation == 3
+    assert serialize.algebra_from_dict(doc, LoadContext(GF101)).truncation == doc["truncation"]
+
+
+@pytest.mark.parametrize("build", [build_ex55, build_ex23])
+def test_bundle_round_trip(build):
+    b = build(GF101)
+    back = serialize.bundle_from_dict(serialize.bundle_to_dict(b), LoadContext(GF101))
+    assert (back.name, back.A, back.B, back.F, back.h_kernel) == (b.name, b.A, b.B, b.F, b.h_kernel)
+    assert back.phi.images == b.phi.images
+    assert (back.certificate is None) == (b.certificate is None)
+    with pytest.raises(LoadError, match="field mismatch"):
+        serialize.bundle_from_dict(serialize.bundle_to_dict(b), LoadContext(QQ))
 
 
 def test_certificate_round_trip():
     b = build_ex55(GF101)
     doc = serialize.certificate_to_dict(b.certificate, b.F)
-    cert, F = serialize.certificate_from_dict(doc, GF101)
+    cert, F = serialize.certificate_from_dict(doc, LoadContext(GF101))
     assert F == b.F
     assert verify_certificate(F, cert).verified
     assert cert.relations[0][0] == "u^2 - x"
@@ -51,13 +74,13 @@ def test_module_round_trip():
     B = monomial_algebra(GF101, ["u"], ["u^4"], 8).artinize()
     M = free_module(B, 2)
     doc = serialize.module_to_dict(M)
-    back = serialize.module_from_dict(doc, GF101)
+    back = serialize.module_from_dict(doc, LoadContext(GF101))
     assert back == M
 
 
 def test_rep_round_trip():
     rep = exterior_model(GF101, 3, 2)
-    back = serialize.rep_from_dict(serialize.rep_to_dict(rep), GF101)
+    back = serialize.rep_from_dict(serialize.rep_to_dict(rep), LoadContext(GF101))
     assert back == rep
 
 
@@ -88,7 +111,7 @@ def test_path_references_resolve(tmp_path):
     fdoc["algebra"] = "A.json"
     serialize.save(str(tmp_path / "F.json"), fdoc)
     loaded = serialize.complex_from_dict(serialize.load(str(tmp_path / "F.json")),
-                                         GF101, base_dir=str(tmp_path))
+                                         LoadContext(GF101, str(tmp_path)))
     assert loaded == b.F
 
 
@@ -96,7 +119,7 @@ def test_save_load_file_identity(tmp_path):
     b = build_ex56(GF101)
     path = str(tmp_path / "c.json")
     serialize.save(path, serialize.complex_to_dict(b.F))
-    assert serialize.complex_from_dict(serialize.load(path), GF101) == b.F
+    assert serialize.complex_from_dict(serialize.load(path), LoadContext(GF101)) == b.F
     # byte stability
     first = open(path, "rb").read()
     serialize.save(path, serialize.complex_to_dict(b.F))
