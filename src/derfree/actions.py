@@ -300,27 +300,6 @@ class HLevelReport:
                 "valid": self.valid}
 
 
-def check_H_action_only(F: FreeComplex, gen_matrices: dict, relations) -> HLevelReport:
-    """Verify target-algebra axioms on homology from bare matrices.
-
-    `gen_matrices` maps generator names to per-degree matrices on the chosen
-    homology bases; the relation polynomials must vanish exactly (Artinian
-    backend).  No homotopy data is consulted.
-    """
-    checks = []
-    for i in F.degrees():
-        H = homology(F, i)
-        if H.dim == 0:
-            checks.append((f"H_{i} is zero", True))
-            continue
-        mats = {name: per.get(i, Matrix.zero(H.module.algebra.field, H.dim, H.dim))
-                for name, per in gen_matrices.items()}
-        for poly in relations:
-            val = exprs.evaluate(poly, _HomologyEnv(H, mats))
-            checks.append((f"{poly} vanishes on H_{i}", val.is_zero()))
-    return HLevelReport(tuple(checks), all(p for _, p in checks))
-
-
 def check_quotient_H_action(F: FreeComplex, kernel_elements, homology_at=None) -> HLevelReport:
     """Does the A-action on H_*(F) descend to A/(kernel_elements)?
 

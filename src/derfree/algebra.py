@@ -268,9 +268,6 @@ class ArtinAlgebra:
         from .linalg import kernel_basis
         return kernel_basis(stacked)
 
-    def is_field(self) -> bool:
-        return self.dim == 1
-
     # -- validation ---------------------------------------------------------
     def validate(self) -> ValidationReport:
         issues = []

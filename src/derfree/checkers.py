@@ -760,8 +760,6 @@ def koszul_decompose(F: FreeComplex, annihilator: DerivedAnnihilator | None = No
     if p is MINUS_INFINITY:
         raise ValueError("zero complex")
     p = p - F.low
-    if p > 4:
-        raise ValueError("defect above the supported cap of 4")
     ann = annihilator if annihilator is not None else derived_annihilator(F)
     chosen, wits, found = select_independent_mod_m2(A, ann, p)
     if chosen is None:

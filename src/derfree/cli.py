@@ -124,7 +124,7 @@ def _emit(args, human_lines, report, failed: bool) -> int:
 def _read(args, path, loader, doc=None):
     """`loader` on the file at `path`, or on `doc` when that file is already loaded."""
     ctx = serialize.LoadContext(args.field, os.path.dirname(path), args.trunc_global)
-    return ctx.resolve(os.path.basename(path) if doc is None else doc, loader)
+    return loader(serialize.load(path) if doc is None else doc, ctx)
 
 
 def cmd_validate(args) -> int:

@@ -59,10 +59,6 @@ class GF:
     def one(self) -> int:
         return 1
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
     def from_int(self, n: int) -> int:
         return n % self.p
 
@@ -126,10 +122,6 @@ class Rationals:
     @property
     def one(self) -> Fraction:
         return _FRACTION_ONE
-
-    @property
-    def characteristic(self) -> int:
-        return 0
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)

@@ -2,9 +2,9 @@
 
 Artinian modules are a k-basis plus one action matrix per algebra basis
 element.  Graded modules are degreewise k-spaces with one degree-raising
-action map per variable, valid up to a stated window.  Depth and dimension
-use the sup/inf conventions with explicit +/- infinity sentinels (never
-floats).
+action map per variable, valid up to a stated window.  Dimension, and
+depth elsewhere, use the sup/inf conventions with the explicit +/- infinity
+sentinels defined here (never floats).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import ArtinAlgebra
 from .linalg import (Matrix, column_space_basis, in_span, independent_columns,
-                     kernel_basis, quotient_coords, rank)
+                     kernel_basis, quotient_coords)
 from .monomial import MonomialAlgebra
 
 
@@ -244,122 +244,9 @@ def lemma43_freeness(M: FiniteModule, bound: int = 1) -> FreenessVerdict:
     return FreenessVerdict(False, None, betti, "nonzero first Betti number")
 
 
-def annihilator_cols(M: FiniteModule) -> Matrix:
-    """k-basis (columns) of ann_B(M) = {b : b*M = 0}."""
-    B = M.algebra
-    f = B.field
-    if M.dim == 0:
-        return column_space_basis(Matrix.identity(f, B.dim))
-    rows = []
-    for i in range(M.dim):
-        for j in range(M.dim):
-            rows.append(tuple(M.action[t].rows[i][j] for t in range(B.dim)))
-    return kernel_basis(Matrix.from_rows(f, rows, ncols=B.dim))
-
-
-def is_faithful(M: FiniteModule) -> bool:
-    return annihilator_cols(M).ncols == 0
-
-
-def socle_cols(M: FiniteModule) -> Matrix:
-    """{v : m*v = 0} as columns."""
-    B = M.algebra
-    f = B.field
-    if B.dim == 1:
-        return column_space_basis(Matrix.identity(f, M.dim))
-    stacked = M.action[1]
-    for t in range(2, B.dim):
-        stacked = stacked.vstack(M.action[t])
-    return kernel_basis(stacked)
-
-
-def depth(M: FiniteModule):
-    """depth over an Artinian algebra: +inf for 0, else 0 (nonzero socle)."""
-    if M.dim == 0:
-        return PLUS_INFINITY
-    # M != 0 finite over Artinian local: the socle is nonzero, so Hom(k, M) != 0
-    assert socle_cols(M).ncols > 0
-    return 0
-
-
 def dim_module(M: FiniteModule):
     """Krull dimension: -inf for 0, else 0 over an Artinian algebra."""
     return MINUS_INFINITY if M.dim == 0 else 0
-
-
-def minimal_free_resolution(M: FiniteModule, steps: int) -> tuple:
-    """Minimal free resolution data up to homological degree `steps`.
-
-    Returns (ranks, ds): ranks[i] is the rank of P_i; ds[i] is the flattened
-    k-matrix of P_{i+1} -> P_i in free-module coordinates (size
-    ranks[i]*dimB x ranks[i+1]*dimB).
-    """
-    B = M.algebra
-    ranks = []
-    ds = []
-    cur = M
-    prev_incl = None
-    for i in range(steps + 1):
-        if cur.dim == 0:
-            ranks.append(0)
-            if i > 0:
-                ds.append(Matrix.zero(B.field, ranks[i - 1] * B.dim, 0))
-            cur = zero_module(B)
-            prev_incl = None
-            continue
-        P, cmap, gens = cover_map(cur)
-        ranks.append(len(gens))
-        if i > 0:
-            if prev_incl is None:
-                ds.append(Matrix.zero(B.field, ranks[i - 1] * B.dim, len(gens) * B.dim))
-            else:
-                ds.append(prev_incl.mul(cmap))
-        ker = kernel_basis(cmap)
-        cur, prev_incl = submodule_from_spanning(P, ker.columns())
-    return tuple(ranks), tuple(ds)
-
-
-def free_entry(B: ArtinAlgebra, flat: Matrix, s_out: int, s_in: int):
-    """Algebra entry (s_out, s_in) of a flattened map between free modules."""
-    col = flat.column(s_in * B.dim)
-    return tuple(col[s_out * B.dim: (s_out + 1) * B.dim])
-
-
-def ext_dims_via_resolution(M: FiniteModule, N: FiniteModule, steps: int) -> tuple:
-    """dim_k Ext^n(M, N) for n = 0..steps via the minimal free resolution of M."""
-    B = M.algebra
-    f = B.field
-    ranks, ds = minimal_free_resolution(M, steps + 1)
-
-    def hom_map(step: int) -> Matrix:
-        """Hom(P_{step-1}, N) -> Hom(P_step, N), precomposition with d_step."""
-        b_src = ranks[step - 1]
-        b_tgt = ranks[step]
-        if b_src == 0 or b_tgt == 0:
-            return Matrix.zero(f, b_tgt * N.dim, b_src * N.dim)
-        d = ds[step - 1]
-        out_m = [[f.zero] * (b_src * N.dim) for _ in range(b_tgt * N.dim)]
-        for s in range(b_tgt):
-            for sp in range(b_src):
-                a_entry = free_entry(B, d, sp, s)
-                act = N.act_element(a_entry)
-                for r_i in range(N.dim):
-                    for c_i in range(N.dim):
-                        v = act.rows[r_i][c_i]
-                        if v:
-                            out_m[s * N.dim + r_i][sp * N.dim + c_i] = f.add(
-                                out_m[s * N.dim + r_i][sp * N.dim + c_i], v)
-        return Matrix.from_rows(f, [tuple(r) for r in out_m], ncols=b_src * N.dim)
-
-    out = []
-    for n_idx in range(steps + 1):
-        hom_n = ranks[n_idx] * N.dim
-        incoming = hom_map(n_idx) if n_idx >= 1 else Matrix.zero(f, hom_n, 0)
-        outgoing = hom_map(n_idx + 1) if n_idx + 1 <= steps + 1 and n_idx + 1 < len(ranks) \
-            else Matrix.zero(f, 0, hom_n)
-        zcount = hom_n - rank(outgoing)
-        out.append(zcount - rank(incoming))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

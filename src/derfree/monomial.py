@@ -111,9 +111,6 @@ class MonomialAlgebra:
             raise TruncationError(f"degree {d} above truncation {self.truncation}")
         return _monomial_basis(self.variables, self.ideal, d)
 
-    def basis_dims(self, up_to: int) -> tuple:
-        return tuple(len(self.basis(d)) for d in range(up_to + 1))
-
     # -- elements: canonical sorted tuples of (monomial, scalar) -----------
     @property
     def zero(self):

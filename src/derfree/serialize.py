@@ -1,4 +1,4 @@
-"""JSON file formats and round-trip serialization for every value type.
+"""JSON file formats of algebras, complexes, maps, certificates, modules and bundles.
 
 Documents are UTF-8 JSON.  Scalars serialize as ints (GF(p)) or "num/den"
 strings (rationals).  Wherever a document references another object it may
@@ -23,7 +23,6 @@ from .linalg import Matrix
 from .modules import FiniteModule
 from .monomial import mono_str, monomial_algebra
 from .morphism import AlgebraMorphism, morphism_from_generator_images
-from .weyl import WModuleRep
 
 
 class LoadError(ValueError):
@@ -40,15 +39,16 @@ class LoadContext:
     base_dir: str = "."
     truncation: int | None = None
 
-    def resolve(self, ref, loader, **kw):
-        """`loader(doc, ctx, **kw)` on a reference: a path relative to
-        `base_dir`, or an inline object.  A path's own references resolve
-        from its directory."""
+    def resolve(self, doc: dict, key: str, loader, **kw):
+        """`loader(doc, ctx, **kw)` on the reference `doc[key]`: a path
+        relative to `base_dir`, or an inline object.  A path's own
+        references resolve from its directory."""
+        ref = doc[key]
         if isinstance(ref, str):
             path = os.path.join(self.base_dir, ref)
             return loader(load(path), replace(self, base_dir=os.path.dirname(path)), **kw)
         if not isinstance(ref, dict):
-            raise _bad("reference", "a file path or an inline object", ref)
+            raise _bad(key, "a file path or an inline object", ref)
         return loader(ref, self, **kw)
 
 
@@ -169,7 +169,7 @@ def _per_rank(rows, ranks, where: str, entry: type) -> tuple:
 
 def complex_from_dict(doc: dict, ctx: LoadContext, algebra=None):
     if algebra is None:
-        algebra = ctx.resolve(doc["algebra"], algebra_from_dict)
+        algebra = ctx.resolve(doc, "algebra", algebra_from_dict)
     ranks = _typed(doc["ranks"], "ranks", list, int)
     low = _typed(doc.get("low", 0), "low", int)
     diff_docs = doc["differentials"]
@@ -203,7 +203,7 @@ def _degree_maps(doc, F: FreeComplex, where: str) -> dict:
 
 def endo_from_dict(doc: dict, ctx: LoadContext) -> ChainMap:
     """An endomorphism of the complex the document names."""
-    F = ctx.resolve(doc["complex"], complex_from_dict)
+    F = ctx.resolve(doc, "complex", complex_from_dict)
     return ChainMap.from_dict(F, F, _degree_maps(doc["maps"], F, "maps"))
 
 
@@ -228,9 +228,9 @@ def morphism_to_dict(phi: AlgebraMorphism, inline: bool = True) -> dict:
 
 def morphism_from_dict(doc: dict, ctx: LoadContext, source=None, target=None):
     if source is None:
-        source = ctx.resolve(doc["source"], algebra_from_dict)
+        source = ctx.resolve(doc, "source", algebra_from_dict)
     if target is None:
-        target = ctx.resolve(doc["target"], algebra_from_dict)
+        target = ctx.resolve(doc, "target", algebra_from_dict)
     images = _typed(doc["images"], "images", dict, str)
     return morphism_from_generator_images(source, target, images)
 
@@ -251,7 +251,7 @@ def certificate_to_dict(cert: ActionCertificate, F: FreeComplex,
 def certificate_from_dict(doc: dict, ctx: LoadContext, F: FreeComplex | None = None,
                           source=None, target=None):
     if F is None:
-        F = ctx.resolve(doc["complex"], complex_from_dict)
+        F = ctx.resolve(doc, "complex", complex_from_dict)
     phi = morphism_from_dict(_typed(doc["morphism"], "morphism", dict), ctx, source, target)
     gens = []
     for n, g in enumerate(_typed(doc["generators"], "generators", list, dict)):
@@ -280,21 +280,21 @@ def bundle_to_dict(b: InstanceBundle) -> dict:
 def bundle_from_dict(doc: dict, ctx: LoadContext) -> InstanceBundle:
     """An instance bundle; a `field` it declares must be the context's."""
     ctx = replace(ctx, field=document_field(doc, ctx.field))
-    A = ctx.resolve(doc["algebra_A"], algebra_from_dict)
-    B = ctx.resolve(doc["algebra_B"], algebra_from_dict)
+    A = ctx.resolve(doc, "algebra_A", algebra_from_dict)
+    B = ctx.resolve(doc, "algebra_B", algebra_from_dict)
     phi = morphism_from_dict(doc, ctx, A, B)
     F = cert = None
     if doc.get("complex") is not None:
-        F = ctx.resolve(doc["complex"], complex_from_dict, algebra=A)
+        F = ctx.resolve(doc, "complex", complex_from_dict, algebra=A)
     if doc.get("certificate") is not None:
-        cert, F = ctx.resolve(doc["certificate"], certificate_from_dict, F=F, source=A, target=B)
+        cert, F = ctx.resolve(doc, "certificate", certificate_from_dict, F=F, source=A, target=B)
     h_kernel = _typed(doc.get("h_kernel", []), "h_kernel", list, str)
     return InstanceBundle(_typed(doc.get("name", "bundle"), "name", str), A, B, phi, F,
                           certificate=cert, h_kernel=tuple(map(A.parse_element, h_kernel)))
 
 
 # ---------------------------------------------------------------------------
-# modules and Weyl representations
+# modules
 
 
 def module_to_dict(M: FiniteModule, inline: bool = True) -> dict:
@@ -310,36 +310,13 @@ def module_to_dict(M: FiniteModule, inline: bool = True) -> dict:
 def module_from_dict(doc: dict, ctx: LoadContext, algebra=None):
     field = ctx.field
     if algebra is None:
-        algebra = ctx.resolve(doc["algebra"], algebra_from_dict)
+        algebra = ctx.resolve(doc, "algebra", algebra_from_dict)
     dim = _typed(doc["dim"], "dim", int)
     grids = _typed(doc["action"], "action", list)
     if algebra.kind != "artinian" or len(grids) != algebra.dim:
         raise _bad("action", "one grid per basis element of an Artinian algebra", grids)
     return FiniteModule(algebra, dim, tuple(_scalar_matrix(field, rows, dim, dim, f"action[{n}]")
                                             for n, rows in enumerate(grids)))
-
-
-def rep_to_dict(rep: WModuleRep) -> dict:
-    f = rep.field
-    grid = lambda m: [[_scalar_out(f, x) for x in row] for row in m.rows]
-    return {"p": rep.p, "dims": list(rep.dims),
-            "S": [[grid(m) for m in per] for per in rep.S],
-            "T": [[grid(m) for m in per] for per in rep.T]}
-
-
-def rep_from_dict(doc: dict, ctx: LoadContext) -> WModuleRep:
-    field = ctx.field
-    dims = _typed(doc["dims"], "dims", list, int)
-    p = _typed(doc["p"], "p", int)
-    top = len(dims) - 1
-    S = []
-    T = []
-    for i in range(p):
-        S.append(tuple(_scalar_matrix(field, doc["S"][i][d], dims[d + 1], dims[d], f"S[{i}][{d}]")
-                       for d in range(top)))
-        T.append(tuple(_scalar_matrix(field, doc["T"][i][d], dims[d], dims[d + 1], f"T[{i}][{d}]")
-                       for d in range(top)))
-    return WModuleRep(field, p, tuple(dims), tuple(S), tuple(T))
 
 
 # ---------------------------------------------------------------------------

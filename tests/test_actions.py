@@ -1,8 +1,10 @@
 import random
 
-from derfree.actions import (ActionCertificate,
+import pytest
+
+from derfree.actions import (ActionCertificate, RelationFailsOnHomology,
                              check_quotient_H_action, evaluate_relation,
-                             homology_module_over_target,
+                             homology_module_over_target, homology_relation_defects,
                              induced_action_on_homology, verify_certificate,
                              witness_from_matrices, zero_witness)
 from derfree.complexes import AMatrix, ChainMap, free_complex, homology, scalar_endo
@@ -130,15 +132,10 @@ def test_relation_polynomial_evaluation_is_left_to_right():
 
 
 def test_check_H_action_only_with_matrices():
-    from derfree.actions import check_H_action_only, _project_endo_to_homology
-    from derfree.complexes import homology
+    # the relations are evaluated on the homology matrices of the generators
     b = build_ex55(GF101)
-    U = b.certificate.generator("u")
-    per = {}
-    for i in b.F.degrees():
-        H = homology(b.F, i)
-        per[i] = _project_endo_to_homology(H, U.component(i))
-    rep = check_H_action_only(b.F, {"u": per}, ["u^2 - x", "u^3 - y"])
-    assert rep.valid
-    bad = check_H_action_only(b.F, {"u": per}, ["u^2 - y"])
-    assert not bad.valid
+    act = induced_action_on_homology(b.F, b.certificate)
+    assert homology_relation_defects(act) == []
+    bad = ActionCertificate(b.phi, b.certificate.generators, (("u^2 - y", None),))
+    with pytest.raises(RelationFailsOnHomology):
+        induced_action_on_homology(b.F, bad)

@@ -199,6 +199,18 @@ def test_decompose_round_trip_small():
     assert dec.multiplicity == 2
 
 
+def test_decompose_defect_five():
+    # the defect has no cap: K(a, b, c, d, e) over m^2 in five variables
+    rng = random.Random(5)
+    names = ["a", "b", "c", "d", "e"]
+    m2 = [f"{u}*{v}" for i, u in enumerate(names) for v in names[i:]]
+    A = monomial_algebra(GF101, names, m2, 3).artinize()
+    G = random_transport(koszul(A, [A.parse_element(v) for v in names]).complex, rng)
+    dec = koszul_decompose(G)
+    assert isinstance(dec, Decomposition)
+    assert dec.multiplicity == 1 and len(dec.elements) == 5
+
+
 def test_decompose_takes_the_annihilator_it_is_given(monkeypatch):
     # a caller holding the annihilator gets the same answer without a second
     # annihilator computation; ex5.5 covers the obstruction branch

@@ -251,6 +251,17 @@ def test_endomorphism_entry_that_is_not_a_string_exits_2(tmp_path, capsys, ex55_
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_a_reference_that_is_neither_path_nor_object_names_its_key(capsys, ex55_files):
+    bundle = serialize.load(ex55_files["bundle"])
+    bundle["algebra_A"] = 5
+    p = os.path.join(os.path.dirname(ex55_files["bundle"]), "bad_reference.json")
+    serialize.save(p, bundle)
+    assert main(["check", "--theorem", "thm51", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "algebra_A" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("boom")],
                          ids=["RuntimeError", "AssertionError"])
 def test_an_internal_error_exits_3(ex55_files, capsys, monkeypatch, exc):

@@ -2,12 +2,10 @@ import random
 
 from derfree.field import GF101
 from derfree.linalg import Matrix, column_space_basis
-from derfree.modules import (MINUS_INFINITY, PLUS_INFINITY, depth, dim_module,
-                             ext_dims_via_resolution, free_module,
-                             graded_dim_module, graded_free_module, graded_is_free,
-                             graded_nu, graded_quotient_ring_module, is_faithful,
-                             is_free, lemma43_freeness, nu, poincare_truncated,
-                             quotient_module, residue_field_module,
+from derfree.modules import (MINUS_INFINITY, dim_module, free_module, graded_dim_module,
+                             graded_free_module, graded_is_free, graded_nu,
+                             graded_quotient_ring_module, is_free, lemma43_freeness, nu,
+                             poincare_truncated, quotient_module, residue_field_module,
                              submodule_from_spanning, zero_module)
 from derfree.monomial import monomial_algebra
 from derfree.resolutions import graded_depth, graded_free_module as gfm
@@ -41,29 +39,10 @@ def test_is_free_examples():
     assert is_free(zero_module(B)) == (True, 0)
 
 
-def test_faithful_examples():
-    B = chain()
-    assert is_faithful(free_module(B, 1))
-    assert not is_faithful(residue_field_module(B))
-
-
 def test_depth_dim_sentinels():
     B = chain()
-    assert depth(free_module(B, 1)) == 0
-    assert depth(zero_module(B)) is PLUS_INFINITY
     assert dim_module(zero_module(B)) is MINUS_INFINITY
     assert dim_module(free_module(B, 1)) == 0
-    k_field = monomial_algebra(GF101, ["x"], ["x"], 4).artinize()
-    assert depth(residue_field_module(k_field)) == 0
-
-
-def test_depth_cross_check_with_ext():
-    # general path: depth = inf { n : Ext^n(k, M) != 0 } must agree with the
-    # socle shortcut on Artinian backends
-    B = plane()
-    M = free_module(B, 1)
-    exts = ext_dims_via_resolution(residue_field_module(B), M, 2)
-    assert exts[0] > 0 and depth(M) == 0
 
 
 def test_poincare_examples():

@@ -10,7 +10,6 @@ from derfree.fixtures import build_ex23, build_ex55, build_ex56
 from derfree.modules import free_module
 from derfree.monomial import monomial_algebra
 from derfree.serialize import LoadContext, LoadError
-from derfree.weyl import exterior_model
 
 
 def test_field_config_round_trip():
@@ -76,12 +75,6 @@ def test_module_round_trip():
     doc = serialize.module_to_dict(M)
     back = serialize.module_from_dict(doc, LoadContext(GF101))
     assert back == M
-
-
-def test_rep_round_trip():
-    rep = exterior_model(GF101, 3, 2)
-    back = serialize.rep_from_dict(serialize.rep_to_dict(rep), LoadContext(GF101))
-    assert back == rep
 
 
 def test_dumps_is_canonical():
