@@ -10,7 +10,7 @@ from .complexes import (AMatrix, ChainMap, FreeComplex, betti, cone, direct_sum,
                         is_quasi_iso, proj_dim, shift)
 from .koszul import KoszulComplex, koszul, koszul_annihilator_check
 from .homotopy import (DerivedAnnihilator, Homotopy, derived_annihilator,
-                       homotopy_class_eq, is_chain_map, solve_homotopy)
+                       homotopy_class_eq, solve_homotopy)
 from .actions import (ActionCertificate, check_quotient_H_action,
                       induced_action_on_homology, verify_certificate)
 from .modules import (FiniteModule, GradedModule, dim_module, is_free, lemma43_freeness,

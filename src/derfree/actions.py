@@ -43,38 +43,24 @@ class ActionCertificate:
         raise KeyError(name)
 
 
-class _EndoEnv(exprs.RingEnv):
-    """Evaluate noncommutative polynomials as chain endomorphisms."""
-
-    def __init__(self, F: FreeComplex, gens: dict):
-        from .complexes import identity_map
-        self.F = F
-        self.gens = gens
-        super().__init__(
-            lambda a, b: a.add(b), lambda a, b: a.sub(b),
-            lambda a: ChainMap(a.source, a.target, tuple((d, m.neg()) for d, m in a.maps)),
-            lambda a, b: a.compose(b), lambda: identity_map(F))
-
-    def integer(self, n: int):
-        A = self.F.algebra
-        return scalar_endo(self.F, A.el_scale(A.field.from_int(n), A.one))
-
-    def rational(self, num: int, den: int):
-        A = self.F.algebra
-        f = A.field
-        return scalar_endo(self.F, A.el_scale(f.div(f.from_int(num), f.from_int(den)), A.one))
-
-    def lookup(self, name: str, pos: int):
-        if name in self.gens:
-            return self.gens[name]
-        el = self.F.algebra.named_element(name)
-        if el is None:
-            raise exprs.ExprError(f"unknown name {name!r} in relation", pos)
-        return scalar_endo(self.F, el)
+def _relation_env(A, gens: dict, act, add, sub, neg, mul, scalar) -> exprs.RingEnv:
+    """Relation polynomials in the generators `gens`, where a named element
+    of the algebra A acts through `act`."""
+    def lookup(name):
+        if name in gens:
+            return gens[name]
+        el = A.named_element(name)
+        return None if el is None else act(el)
+    return exprs.RingEnv(A.field, add, sub, neg, mul, scalar, lookup)
 
 
 def evaluate_relation(F: FreeComplex, gens: dict, poly: str) -> ChainMap:
-    return exprs.evaluate(poly, _EndoEnv(F, gens))
+    A = F.algebra
+    endo = partial(scalar_endo, F)
+    return exprs.evaluate(poly, _relation_env(
+        A, gens, endo, ChainMap.add, ChainMap.sub,
+        lambda a: ChainMap(a.source, a.target, tuple((d, m.neg()) for d, m in a.maps)),
+        ChainMap.compose, lambda c: endo(A.el_scale(c, A.one))))
 
 
 @dataclass(frozen=True)
@@ -193,43 +179,18 @@ def induced_action_on_homology(F: FreeComplex, cert: ActionCertificate,
     return action
 
 
-class _HomologyEnv(exprs.RingEnv):
-    """Evaluate relation polynomials as matrices on one homology module."""
-
-    def __init__(self, H, gen_mats: dict):
-        f = H.module.algebra.field
-        self.H = H
-        self.f = f
-        self.gen_mats = gen_mats
-        super().__init__(lambda a, b: a.add(b), lambda a, b: a.sub(b),
-                         lambda a: a.neg(), lambda a, b: a.mul(b),
-                         lambda: Matrix.identity(f, H.dim))
-
-    def integer(self, n: int):
-        return Matrix.identity(self.f, self.H.dim).scale(self.f.from_int(n))
-
-    def rational(self, num: int, den: int):
-        return Matrix.identity(self.f, self.H.dim).scale(
-            self.f.div(self.f.from_int(num), self.f.from_int(den)))
-
-    def lookup(self, name: str, pos: int):
-        if name in self.gen_mats:
-            return self.gen_mats[name]
-        el = self.H.module.algebra.named_element(name)
-        if el is None:
-            raise exprs.ExprError(f"unknown name {name!r}", pos)
-        return self.H.module.act_element(el)
-
-
 def homology_relation_defects(action: InducedHomologyAction) -> list:
     out = []
     for i, _ in action.homologies:
         H = action.homology_at(i)
         if H.dim == 0:
             continue
-        mats = action.matrices_at(i)
+        A = H.module.algebra
+        env = _relation_env(A, action.matrices_at(i), H.module.act_element, Matrix.add,
+                            Matrix.sub, Matrix.neg, Matrix.mul,
+                            Matrix.identity(A.field, H.dim).scale)
         for poly, _ in action.certificate.relations:
-            val = exprs.evaluate(poly, _HomologyEnv(H, mats))
+            val = exprs.evaluate(poly, env)
             if not val.is_zero():
                 out.append((i, poly))
     return out

@@ -61,26 +61,6 @@ class ValidationReport:
         }
 
 
-class _ElementEnv(exprs.RingEnv):
-    def __init__(self, algebra):
-        super().__init__(algebra.el_add, algebra.el_sub, algebra.el_neg,
-                         algebra.el_mul, lambda: algebra.one)
-        self.algebra = algebra
-
-    def integer(self, n: int):
-        return self.algebra.el_scale(self.algebra.field.from_int(n), self.algebra.one)
-
-    def rational(self, num: int, den: int):
-        f = self.algebra.field
-        return self.algebra.el_scale(f.div(f.from_int(num), f.from_int(den)), self.algebra.one)
-
-    def lookup(self, name: str, pos: int):
-        el = self.algebra.named_element(name)
-        if el is None:
-            raise exprs.ExprError(f"unknown element name {name!r}", pos)
-        return el
-
-
 @dataclass(frozen=True)
 class ArtinAlgebra:
     """Finite-dimensional local algebra: basis labels + multiplication table.
@@ -201,7 +181,7 @@ class ArtinAlgebra:
         return None
 
     def parse_element(self, text: str) -> Element:
-        return exprs.evaluate(text, _ElementEnv(self))
+        return exprs.parse_element(self, text)
 
     def element_to_str(self, u: Element) -> str:
         f = self.field

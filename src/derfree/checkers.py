@@ -22,8 +22,7 @@ from .complexes import (FreeComplex, betti, graded_homology, homology,
 from .homotopy import (DerivedAnnihilator, chain_map_space, derived_annihilator,
                        solve_homotopy)
 from .koszul import koszul, koszul_differentials, subsets
-from .linalg import (Matrix, column_space_basis, independent_columns, invert,
-                     quotient_coords)
+from .linalg import Matrix, independent_columns, invert, quotient_coords
 from .modules import (MINUS_INFINITY, PLUS_INFINITY, FiniteModule, GradedModule,
                       dim_module, graded_dim_module, graded_element_kills, graded_is_free,
                       is_free, lemma43_freeness, nu, poincare_truncated,
@@ -232,7 +231,7 @@ class Analysis:
         return nonzero_range(self.betti)[1]
 
     @cached_property
-    def beta0_of_mAB(self) -> tuple:
+    def beta0_of_mAB(self) -> int:
         return beta0_of_mAB(self.bundle.phi)
 
     @cached_property
@@ -342,7 +341,7 @@ def _theorem_coverage(an: Analysis, p, ea, eb) -> dict:
     out = {"ci_fiber_criterion": False, "regular_case_criterion": False}
     if bundle.A.kind == "artinian" and bundle.B.kind == "artinian":
         ci, exact, _ = artinian_ci_test(an.fiber_algebra)
-        b0, _ = an.beta0_of_mAB
+        b0 = an.beta0_of_mAB
         hyp51 = ext_ge(ea - b0, p)
         out["ci_fiber_criterion"] = bool(ci) and exact and hyp51
         out["theorem51_hypothesis"] = hyp51
@@ -528,12 +527,7 @@ def is_exceptional_ci_surjective(phi: AlgebraMorphism) -> ECIResult:
 
 def _ideal_minimal_generators(A: ArtinAlgebra, ideal_cols: Matrix) -> list:
     """Lifts of a basis of I/mI, greedy over the supplied ideal basis."""
-    f = A.field
-    m_ideal = []
-    for t in range(1, A.dim):
-        for c in ideal_cols.columns():
-            m_ideal.append(A.el_mul(A.basis_element(t), c))
-    mI = column_space_basis(Matrix.from_columns(f, m_ideal, nrows=A.dim))
+    mI = A.ideal_product_cols(A.m_cols(), ideal_cols)
     cols = ideal_cols.columns()
     return [cols[j] for j in independent_columns(mI, ideal_cols)]
 
@@ -673,7 +667,7 @@ def check_thm51(subject: Analysis | InstanceBundle) -> CheckReport:
     checks.append(_chk("inf_H_is_zero", "hypothesis", infH == 0, f"inf H = {_ser(infH)}"))
     p = an.proj_dim
     ea = edim_of(A)
-    b0, b0_exact = an.beta0_of_mAB
+    b0 = an.beta0_of_mAB
     data.update({"proj_dim": _ser(p), "edim_A": ea, "beta0_mAB": b0})
     hyp = ext_ge(ea - b0, p)
     checks.append(_chk("defect_bound_via_beta0", "hypothesis", hyp,

@@ -621,15 +621,6 @@ def proj_dim(F: FreeComplex):
     return nonzero_range(betti(F))[1]
 
 
-def euler_pairing_holds(F: FreeComplex) -> bool:
-    """Alternating rank sum times dim A equals alternating homology dims (Artinian)."""
-    A = F.algebra
-    sign = lambda i: -1 if i % 2 else 1
-    lhs = sum(sign(i) * F.rank(i) for i in F.degrees()) * A.dim
-    rhs = sum(sign(i) * homology(F, i).dim for i in F.degrees())
-    return lhs == rhs
-
-
 def is_quasi_iso(f: ChainMap) -> bool:
     """All homology of the cone vanishes (graded: within the window)."""
     C = cone(f)

@@ -119,7 +119,7 @@ class _Parser:
                 k3, den, pos3 = self.take()
                 if k3 != "int":
                     raise ExprError("denominator must be an integer literal", pos3)
-                return self.env.rational(val, den)
+                return self.env.rational(val, den, pos)
             return self.env.integer(val)
         if kind == "ident":
             return self.env.lookup(val, pos)
@@ -143,32 +143,43 @@ def evaluate(text: str, env):
 
 
 class RingEnv:
-    """Environment over an associative ring with a scalar action.
+    """Environment over a ring that is an algebra over `field`.
 
-    Subclasses provide `integer`, `rational`, and `lookup`; the ring
-    operations default to the obvious delegation.
+    It takes the ring operations, `scalar(c)` (c times the unit) and
+    `lookup(name)`, which returns None for an unknown name; literals,
+    powers and the unknown-name error are evaluated here.
     """
 
-    def __init__(self, add, sub, neg, mul, one):
-        self.add = add
-        self.sub = sub
-        self.neg = neg
-        self.mul = mul
-        self._one = one
+    def __init__(self, field, add, sub, neg, mul, scalar, lookup):
+        self.field = field
+        self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
+        self.scalar = scalar
+        self._lookup = lookup
 
     def power(self, base, n: int):
-        if n < 0:
-            raise ExprError("negative exponents are not supported", 0)
-        acc = self._one()
+        acc = self.scalar(self.field.one)
         for _ in range(n):
             acc = self.mul(acc, base)
         return acc
 
     def integer(self, n: int):
-        raise NotImplementedError
+        return self.scalar(self.field.from_int(n))
 
-    def rational(self, num: int, den: int):
-        raise NotImplementedError
+    def rational(self, num: int, den: int, pos: int):
+        f = self.field
+        d = f.from_int(den)
+        if not d:
+            raise ExprError(f"zero denominator in {num}/{den}", pos)
+        return self.scalar(f.div(f.from_int(num), d))
 
     def lookup(self, name: str, pos: int):
-        raise NotImplementedError
+        value = self._lookup(name)
+        if value is None:
+            raise ExprError(f"unknown name {name!r}", pos)
+        return value
+
+
+def parse_element(A, text: str):
+    """The element of the algebra `A` (either backend) that `text` names."""
+    return evaluate(text, RingEnv(A.field, A.el_add, A.el_sub, A.el_neg, A.el_mul,
+                                  lambda c: A.el_scale(c, A.one), A.named_element))

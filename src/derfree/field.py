@@ -89,7 +89,10 @@ class GF:
     def parse(self, tok: str) -> int:
         if "/" in tok:
             num, den = tok.split("/", 1)
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
+            d = self.from_int(int(den))
+            if not d:
+                raise ValueError(f"zero denominator in {tok!r}")
+            return self.div(self.from_int(int(num)), d)
         return self.from_int(int(tok))
 
     def to_str(self, a: int) -> str:
@@ -151,7 +154,10 @@ class Rationals:
         return Fraction(a) / b
 
     def parse(self, tok: str) -> Fraction:
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {tok!r}") from None
 
     def to_str(self, a) -> str:
         a = Fraction(a)

@@ -273,8 +273,7 @@ def run_ex57(field) -> FixtureResult:
     items.append(_item("all_five_relations_verified", "PAPER",
                        rep.verified and len(rep.relation_checks) == 5,
                        "; ".join(f"{rc.poly}: {rc.mode}" for rc in rep.relation_checks)))
-    b0, exact = an.beta0_of_mAB
-    items.append(_item("beta0_of_mAB_is_3", "DERIVED", b0 == 3 and exact))
+    items.append(_item("beta0_of_mAB_is_3", "DERIVED", an.beta0_of_mAB == 3))
     t = check_thm51(an)
     hyp = [c for c in t.checks if c.name == "defect_bound_via_beta0"][0]
     items.append(_item("thm51_hypothesis_fails", "PAPER",

@@ -301,10 +301,6 @@ class _System:
 # public operations
 
 
-def is_chain_map(f: ChainMap) -> bool:
-    return f.is_chain_map()
-
-
 def solve_homotopy(f: ChainMap) -> Homotopy | None:
     """Find h with dh + hd = f exactly, or return None (a proof of absence).
 

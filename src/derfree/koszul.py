@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import AMatrix, FreeComplex
-from .linalg import Matrix, column_space_basis, span_equal
+from .linalg import Matrix, span_equal
 
 
 def subsets(c: int, n: int) -> list:
@@ -132,11 +132,8 @@ def koszul_annihilator_check(K: KoszulComplex) -> dict:
     if A.kind == "artinian":
         ann = derived_annihilator(K.complex)
         ann_cols = Matrix.from_columns(A.field, ann.basis, nrows=A.dim)
-        ideal_span = []
-        for x in K.sequence:
-            for t in range(A.dim):
-                ideal_span.append(A.el_mul(x, A.basis_element(t)))
-        ideal_cols = column_space_basis(Matrix.from_columns(A.field, ideal_span, nrows=A.dim))
+        ideal_cols = A.ideal_product_cols(Matrix.from_columns(A.field, K.sequence, nrows=A.dim),
+                                          Matrix.identity(A.field, A.dim))
         report["equals_ideal"] = span_equal(ann_cols, ideal_cols)
         report["annihilator_dim"] = ann_cols.ncols
         report["ideal_dim"] = ideal_cols.ncols

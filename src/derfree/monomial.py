@@ -63,26 +63,6 @@ def _exponents_of_degree(nvars: int, d: int):
             yield (first,) + rest
 
 
-class _GradedEnv(exprs.RingEnv):
-    def __init__(self, algebra):
-        super().__init__(algebra.el_add, algebra.el_sub, algebra.el_neg,
-                         algebra.el_mul, lambda: algebra.one)
-        self.algebra = algebra
-
-    def integer(self, n: int):
-        return self.algebra.el_scale(self.algebra.field.from_int(n), self.algebra.one)
-
-    def rational(self, num: int, den: int):
-        f = self.algebra.field
-        return self.algebra.el_scale(f.div(f.from_int(num), f.from_int(den)), self.algebra.one)
-
-    def lookup(self, name: str, pos: int):
-        el = self.algebra.named_element(name)
-        if el is None:
-            raise exprs.ExprError(f"unknown variable {name!r}", pos)
-        return el
-
-
 @dataclass(frozen=True)
 class MonomialAlgebra:
     field: object
@@ -212,7 +192,7 @@ class MonomialAlgebra:
         return None
 
     def parse_element(self, text: str):
-        return exprs.evaluate(text, _GradedEnv(self))
+        return exprs.parse_element(self, text)
 
     def element_to_str(self, u) -> str:
         from .algebra import _join_signed

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import ValidationIssue, ValidationReport
 from .exprs import word_factors
-from .linalg import Matrix, column_space_basis, kernel_basis, rank
+from .linalg import Matrix, kernel_basis, rank
 from .monomial import TruncationError
 
 
@@ -36,11 +36,7 @@ class AlgebraMorphism:
             return acc
         acc = T.zero
         for mono, coeff in u:
-            term = T.one
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    term = T.el_mul(term, self.images[i])
-            acc = T.el_add(acc, T.el_scale(coeff, term))
+            acc = T.el_add(acc, T.el_scale(coeff, self._monomial_image(mono)))
         return acc
 
     def validate(self) -> ValidationReport:
@@ -96,9 +92,8 @@ class AlgebraMorphism:
     def extension_ideal_cols(self) -> Matrix:
         """k-basis (columns) of the ideal m_source * target, Artinian target."""
         T = self.target
-        span = [T.el_mul(g, T.basis_element(t)) for g in self.m_source_generator_images()
-                if not T.el_is_zero(g) for t in range(T.dim)]
-        return column_space_basis(Matrix.from_columns(T.field, span, nrows=T.dim))
+        gens = Matrix.from_columns(T.field, self.m_source_generator_images(), nrows=T.dim)
+        return T.ideal_product_cols(gens, Matrix.identity(T.field, T.dim))
 
     def as_linear_map(self) -> Matrix:
         """k-linear matrix of the morphism (Artinian source and target only)."""
@@ -180,60 +175,11 @@ def _eval_label(label: str, genenv: dict, T):
     return acc
 
 
-def beta0_of_mAB(phi: AlgebraMorphism):
-    """Minimal number of generators of the ideal m_A B in B.
-
-    Returns (count, exact) where exact is False when a graded target's
-    truncation window may hide generators.
-    """
+def beta0_of_mAB(phi: AlgebraMorphism) -> int:
+    """Minimal number of generators of the ideal N = m_A B in an Artinian B:
+    dim N - dim m_B N, by Nakayama."""
     T = phi.target
-    if T.kind == "artinian":
-        N = phi.extension_ideal_cols()
-        if N.ncols == 0:
-            return 0, True
-        msub = []
-        for i in range(1, T.dim):
-            for col in N.columns():
-                msub.append(T.el_mul(T.basis_element(i), col))
-        mN = column_space_basis(Matrix.from_columns(T.field, msub, nrows=T.dim))
-        return N.ncols - mN.ncols, True
-    # graded target: degreewise Nakayama within the window
-    gens = [g for g in phi.m_source_generator_images() if not T.el_is_zero(g)]
-    window = T.truncation - 1
-    total = 0
-    exact = True
-    span_by_deg = {}
-    for g in gens:
-        dg = T.el_degree(g)
-        if dg is None:
-            raise MorphismError("graded beta0 needs homogeneous generator images")
-        for d in range(window + 1 - dg):
-            span_by_deg.setdefault(d + dg, []).extend(
-                T.map_matrix(((g,),), (0,), (0,), d, dg).columns())
-    prev_basis = {}
-    for d in range(window + 1):
-        vecs = span_by_deg.get(d, [])
-        nb = len(T.basis(d))
-        if not vecs or nb == 0:
-            prev_basis[d] = Matrix.from_columns(T.field, [], nrows=nb)
-            continue
-        Nd = column_space_basis(Matrix.from_columns(T.field, vecs, nrows=nb))
-        prev_basis[d] = Nd
-        mvecs = []
-        for i in range(T.nvars):
-            v = T.var_element(i)
-            if not v or d == 0:
-                continue
-            below = prev_basis.get(d - 1)
-            if below is None or below.ncols == 0:
-                continue
-            mv = T.map_matrix(((v,),), (0,), (0,), d - 1, 1)
-            mvecs.extend(mv.apply(col) for col in below.columns())
-        if mvecs:
-            mN = column_space_basis(Matrix.from_columns(T.field, mvecs, nrows=nb))
-            total += Nd.ncols - mN.ncols
-        else:
-            total += Nd.ncols
-    if any((d == window and Nd.ncols) for d, Nd in prev_basis.items()):
-        exact = False
-    return total, exact
+    if T.kind != "artinian":
+        raise MorphismError("beta0 of m_A B needs an Artinian target")
+    N = phi.extension_ideal_cols()
+    return N.ncols - T.ideal_product_cols(T.m_cols(), N).ncols

@@ -68,6 +68,15 @@ def _typed(v, where: str, kind: type, item: type | None = None):
     return v
 
 
+def _located(where: str, build, *args, **kw):
+    """`build(*args, **kw)`; the ValueError of a malformed entry or scalar
+    in it is a LoadError naming `where`."""
+    try:
+        return build(*args, **kw)
+    except ValueError as e:
+        raise LoadError(f"{where}: {e}") from e
+
+
 def _entry_rows(rows, where: str) -> list:
     """A matrix of a document: a list of rows of entry strings."""
     for r in _typed(rows, where, list, list):
@@ -86,7 +95,8 @@ def _scalar_matrix(field, rows, nrows: int, ncols: int, where: str) -> Matrix:
     if len(rows) != nrows or any(len(r) != ncols or any(type(x) not in (int, str) for x in r)
                                  for r in rows):
         raise _bad(where, f"a {nrows}x{ncols} grid of int or string scalars", rows)
-    return Matrix.from_rows(field, [[field.parse(str(x)) for x in r] for r in rows], ncols=ncols)
+    return Matrix.from_rows(field, [[_located(where, field.parse, str(x)) for x in r]
+                                    for r in rows], ncols=ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -112,26 +122,30 @@ def algebra_to_dict(A) -> dict:
             "truncation": A.truncation}
 
 
-def _structure_constants(doc: dict, d: int) -> list:
-    """The [i, j, k, value] entries of an Artinian document, indices checked."""
+def _structure_constants(doc: dict, d: int, field) -> list:
+    """The (i, j, k, scalar) entries of an Artinian document, checked."""
+    out = []
     for n, c in enumerate(_typed(doc["constants"], "algebra constants", list)):
         if not (isinstance(c, list) and len(c) == 4
                 and all(type(i) is int and 0 <= i < d for i in c[:3])
                 and type(c[3]) in (int, str)):
             raise _bad(f"algebra constants[{n}]", f"[i, j, k, value] with basis indices "
                        f"i, j, k below {d} and an int or string value", c)
-    return doc["constants"]
+        out.append((*c[:3], _located(f"algebra constants[{n}]", field.parse, str(c[3]))))
+    return out
 
 
 def algebra_from_dict(doc: dict, ctx: LoadContext):
     kind = doc.get("kind")
     if kind == "artinian":
         labels = _typed(doc["labels"], "algebra labels", list, str)
-        A = artin_algebra_from_constants(ctx.field, labels, _structure_constants(doc, len(labels)))
+        A = artin_algebra_from_constants(ctx.field, labels,
+                                         _structure_constants(doc, len(labels), ctx.field))
         gens = doc.get("generators")
         if gens:
             gens = _typed(gens, "algebra generators", dict, str)
-            pairs = tuple((name, A.parse_element(expr)) for name, expr in sorted(gens.items()))
+            pairs = tuple((name, _located(f"algebra generators[{name!r}]", A.parse_element, expr))
+                          for name, expr in sorted(gens.items()))
             A = ArtinAlgebra(A.field, A.labels, A.mult, pairs)
         return A
     if kind == "monomial_quotient":
@@ -176,8 +190,9 @@ def complex_from_dict(doc: dict, ctx: LoadContext, algebra=None):
     if not isinstance(diff_docs, list) or len(diff_docs) != max(0, len(ranks) - 1):
         raise _bad("differentials", f"a list of {max(0, len(ranks) - 1)} matrices for "
                    f"{len(ranks)} ranks", diff_docs)
-    diffs = [AMatrix.from_strings(algebra, _entry_rows(rows, f"differentials[{i}]"),
-                                  ncols=ranks[i + 1]) for i, rows in enumerate(diff_docs)]
+    diffs = [_located(f"differentials[{i}]", AMatrix.from_strings, algebra,
+                      _entry_rows(rows, f"differentials[{i}]"), ncols=ranks[i + 1])
+             for i, rows in enumerate(diff_docs)]
     shifts = doc.get("shifts")
     labels = doc.get("labels")
     return FreeComplex(algebra, low, tuple(ranks), tuple(diffs),
@@ -196,8 +211,9 @@ def _degree_maps(doc, F: FreeComplex, where: str) -> dict:
     for dstr, rows in _typed(doc, where, dict).items():
         if not dstr.lstrip("-").isdigit():
             raise _bad(where, "integer degree keys", dstr)
-        rows = _entry_rows(rows, f"{where}[{dstr!r}]")
-        maps[int(dstr)] = AMatrix.from_strings(F.algebra, rows, ncols=F.rank(int(dstr)))
+        key = f"{where}[{dstr!r}]"
+        maps[int(dstr)] = _located(key, AMatrix.from_strings, F.algebra, _entry_rows(rows, key),
+                                   ncols=F.rank(int(dstr)))
     return maps
 
 
@@ -232,7 +248,7 @@ def morphism_from_dict(doc: dict, ctx: LoadContext, source=None, target=None):
     if target is None:
         target = ctx.resolve(doc, "target", algebra_from_dict)
     images = _typed(doc["images"], "images", dict, str)
-    return morphism_from_generator_images(source, target, images)
+    return _located("images", morphism_from_generator_images, source, target, images)
 
 
 def certificate_to_dict(cert: ActionCertificate, F: FreeComplex,
@@ -288,9 +304,10 @@ def bundle_from_dict(doc: dict, ctx: LoadContext) -> InstanceBundle:
         F = ctx.resolve(doc, "complex", complex_from_dict, algebra=A)
     if doc.get("certificate") is not None:
         cert, F = ctx.resolve(doc, "certificate", certificate_from_dict, F=F, source=A, target=B)
-    h_kernel = _typed(doc.get("h_kernel", []), "h_kernel", list, str)
+    h_kernel = tuple(_located(f"h_kernel[{n}]", A.parse_element, s) for n, s in
+                     enumerate(_typed(doc.get("h_kernel", []), "h_kernel", list, str)))
     return InstanceBundle(_typed(doc.get("name", "bundle"), "name", str), A, B, phi, F,
-                          certificate=cert, h_kernel=tuple(map(A.parse_element, h_kernel)))
+                          certificate=cert, h_kernel=h_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .algebra import ArtinAlgebra
 from .complexes import AMatrix, ChainMap, FreeComplex, scalar_endo
 from .homotopy import homotopy_defects
-from .koszul import koszul, subsets, wedge_sign
+from .koszul import koszul, koszul_differentials, subsets
 from .linalg import Matrix, invert
 
 
@@ -74,45 +75,19 @@ class WModuleRep:
 
 
 def exterior_model(field, p: int, coeff_dim: int) -> WModuleRep:
-    """Exterior algebra on p letters tensor k^coeff_dim; s = wedge, t = contraction."""
-    dims = tuple(len(subsets(p, n)) * coeff_dim for n in range(p + 1))
-    S = []
-    T = []
-    for i in range(p):
-        s_per = []
-        t_per = []
-        for d in range(p):
-            src = subsets(p, d)
-            tgt = subsets(p, d + 1)
-            tgt_index = {I: k for k, I in enumerate(tgt)}
-            s_rows = [[field.zero] * (len(src) * coeff_dim)
-                      for _ in range(len(tgt) * coeff_dim)]
-            t_rows = [[field.zero] * (len(tgt) * coeff_dim)
-                      for _ in range(len(src) * coeff_dim)]
-            for col, I in enumerate(src):
-                if i in I:
-                    continue
-                J = tuple(sorted(I + (i,)))
-                sgn = wedge_sign(i, I)
-                val = field.one if sgn == 1 else field.neg(field.one)
-                for s_i in range(coeff_dim):
-                    s_rows[tgt_index[J] * coeff_dim + s_i][col * coeff_dim + s_i] = val
-            for col, J in enumerate(tgt):
-                if i not in J:
-                    continue
-                pos = J.index(i)
-                I = J[:pos] + J[pos + 1:]
-                src_index = {Ii: k for k, Ii in enumerate(src)}
-                val = field.one if pos % 2 == 0 else field.neg(field.one)
-                for s_i in range(coeff_dim):
-                    t_rows[src_index[I] * coeff_dim + s_i][col * coeff_dim + s_i] = val
-            s_per.append(Matrix.from_rows(field, [tuple(r) for r in s_rows],
-                                          ncols=len(src) * coeff_dim))
-            t_per.append(Matrix.from_rows(field, [tuple(r) for r in t_rows],
-                                          ncols=len(tgt) * coeff_dim))
-        S.append(tuple(s_per))
-        T.append(tuple(t_per))
-    return WModuleRep(field, p, dims, tuple(S), tuple(T))
+    """Exterior algebra on p letters tensor k^coeff_dim; s = wedge, t = contraction.
+
+    Read off the Koszul complex K(0, .., 0) over the residue field k:
+    s_i is its contraction by e_i and t_i the Koszul differential of the
+    sequence whose i-th block alone is the identity.
+    """
+    k = ArtinAlgebra(field, ("1",), (((field.one,),),))
+    K = koszul(k, [k.zero] * p, multiplicity=coeff_dim)
+    one, zero = AMatrix.identity(k, coeff_dim), AMatrix.zero(k, coeff_dim, coeff_dim)
+    S = tuple(tuple(m.mod_m() for m in K.contraction(i).values()) for i in range(p))
+    T = tuple(tuple(d.mod_m() for d in koszul_differentials(
+        k, [one if j == i else zero for j in range(p)])) for i in range(p))
+    return WModuleRep(field, p, K.complex.ranks, S, T)
 
 
 def conjugate(rep: WModuleRep, gs: list) -> WModuleRep:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,8 @@ from derfree.actions import (ActionCertificate, RelationFailsOnHomology,
                              induced_action_on_homology, verify_certificate,
                              witness_from_matrices, zero_witness)
 from derfree.complexes import AMatrix, ChainMap, free_complex, homology, scalar_endo
-from derfree.field import GF101
+from derfree.exprs import ExprError
+from derfree.field import GF101, QQ
 from derfree.fixtures import build_ex23, build_ex55, build_ex56, build_ex57
 from derfree.modules import is_free
 from derfree.monomial import monomial_algebra
@@ -139,3 +141,26 @@ def test_check_H_action_only_with_matrices():
     bad = ActionCertificate(b.phi, b.certificate.generators, (("u^2 - y", None),))
     with pytest.raises(RelationFailsOnHomology):
         induced_action_on_homology(b.F, bad)
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+def test_relations_with_integer_and_rational_literals(field):
+    b = build_ex55(field)
+    cert = ActionCertificate(b.phi, b.certificate.generators,
+                             (("2*u^2 - 2*x", zero_witness(b.F)), ("1/2*u^2 - 1/2*x", None)))
+    rep = verify_certificate(b.F, cert)
+    assert rep.verified
+    assert [rc.mode for rc in rep.relation_checks] == ["exact", "solved"]
+    scaled = ActionCertificate(b.phi, b.certificate.generators, (("3*u^2 - 3/1*x", None),))
+    assert homology_relation_defects(induced_action_on_homology(b.F, scaled)) == []
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+def test_a_relation_with_an_unknown_name_raises(field):
+    b = build_ex55(field)
+    bad = ActionCertificate(b.phi, b.certificate.generators, (("u^2 - q", None),))
+    with pytest.raises(ExprError):
+        verify_certificate(b.F, bad)
+    action = replace(induced_action_on_homology(b.F, b.certificate), certificate=bad)
+    with pytest.raises(ExprError):
+        homology_relation_defects(action)

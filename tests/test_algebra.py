@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from derfree.algebra import (ArtinAlgebra, DependentModM2, adapted_basis,
                              artin_algebra_from_constants)
 from derfree.complexes import AMatrix
-from derfree.exprs import ExprError, word_factors
+from derfree.exprs import ExprError, parse_element, word_factors
 from derfree.field import GF, GF101, QQ
 from derfree.linalg import Matrix, invert, rank
 from derfree.modules import minimal_generators, nu, submodule_from_spanning, free_module
@@ -516,3 +516,21 @@ def test_graded_map_matrix_matches_the_entrywise_loop(field, data):
     for row in got.rows:
         for c in row:
             assert type(c) is (Fraction if field == QQ else int), c
+
+
+@FIELDS
+@pytest.mark.parametrize("graded", [False, True], ids=["artinian", "graded"])
+@given(a=st.integers(-10**4, 10**4), c=st.integers(-10**4, 10**4),
+       b=st.one_of(st.integers(1, 10**4), st.integers(0, 3).map(lambda n: 101 * n)))
+def test_parsed_literals_match_the_scaled_elements(field, graded, a, b, c):
+    """The text a/b*x + c parses to a/b times x plus c times the unit; a
+    denominator that is zero in the field raises at its literal."""
+    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"], 4)
+    A = A if graded else A.artinize()
+    text = f"{a}/{b}*x {'-' if c < 0 else '+'} {abs(c)}"
+    if not field.from_int(b):
+        with pytest.raises(ExprError, match="zero denominator"):
+            parse_element(A, text)
+        return
+    scaled_x = A.el_scale(field.div(field.from_int(a), field.from_int(b)), A.named_element("x"))
+    assert parse_element(A, text) == A.el_add(scaled_x, A.el_scale(field.from_int(c), A.one))

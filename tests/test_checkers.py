@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from derfree.checkers import (Decomposition, DecompositionObstruction,
+from derfree.checkers import (Decomposition, DecompositionObstruction, ECIResult,
                               InstanceBundle, artinian_ci_test, check_lemma32,
                               check_question, check_thm31, check_thm41,
                               check_thm51, divide_by_power_of_one_plus_t,
@@ -12,7 +12,7 @@ from derfree.checkers import (Decomposition, DecompositionObstruction,
                               tensor_model_search)
 from derfree.complexes import (AMatrix, direct_sum, free_complex,
                                random_transport, shift)
-from derfree.field import GF101
+from derfree.field import GF101, QQ
 from derfree.fixtures import (build_ex23, build_ex45, build_ex55, build_ex56,
                               build_ex57, build_nagata, build_strict_attempt,
                               build_two_term_module_complex)
@@ -384,3 +384,19 @@ def test_an_analysis_stores_nothing_on_its_inputs():
         for check in (check_question, check_lemma32, check_thm31, check_thm51):
             check(an)
         assert [dict(vars(x)) for x in inputs] == before
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@pytest.mark.parametrize("source, target, images, expected", [
+    ((["x"], ["x^3"]), (["x"], ["x^2"]), {"x": "x"},
+     ECIResult(False, True, "kernel generators do not extend a minimal generating set of m")),
+    ((["x", "y"], ["x^2", "x*y", "y^2"]), (["y"], ["y^2"]), {"x": "0", "y": "y"},
+     ECIResult(False, True,
+               "first Koszul homology of the kernel generators is nonzero (dim 2)")),
+    ((["x", "y"], ["x^2", "x*y", "y^2"]), (["x", "y"], ["x^2", "x*y", "y^2"]),
+     {"x": "x", "y": "y"}, ECIResult(True, True, "zero kernel: empty regular sequence")),
+], ids=["x3-onto-x2", "plane-onto-y2", "plane-identity"])
+def test_eci_on_artinian_quotients(field, source, target, images, expected):
+    A = monomial_algebra(field, *source, 4).artinize()
+    B = monomial_algebra(field, *target, 4).artinize()
+    assert is_exceptional_ci_surjective(morphism_from_generator_images(A, B, images)) == expected

@@ -333,3 +333,70 @@ def test_non_homogeneous_kernel_element_exits_2(tmp_path, capsys, name, theorem)
     captured = capsys.readouterr()
     assert "homogeneous elements only" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def _ex55_complex_with_entry(entry):
+    doc = serialize.complex_to_dict(build_ex55(GF101).F)
+    doc["differentials"][0][0][0] = entry
+    return doc
+
+
+def _module_with_action_scalar(value):
+    from derfree.modules import free_module
+    from derfree.monomial import monomial_algebra
+    doc = serialize.module_to_dict(
+        free_module(monomial_algebra(GF101, ["u"], ["u^2"], 4).artinize(), 1))
+    doc["action"][1][0][0] = value
+    return doc
+
+
+def _ex55_bundle_with(key, value):
+    doc = serialize.bundle_to_dict(build_ex55(GF101))
+    doc[key] = value
+    return doc
+
+
+def _algebra_with_constant(value):
+    from derfree.monomial import monomial_algebra
+    doc = serialize.algebra_to_dict(monomial_algebra(GF101, ["x"], ["x^2"], 4).artinize())
+    doc["constants"][0][3] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, command, doc, where", [
+    ("gfp:101", "homology", _ex55_complex_with_entry("1/0"), "differentials[0]"),
+    ("rational", "homology", _ex55_complex_with_entry("1/0"), "differentials[0]"),
+    ("gfp:101", "homology", _ex55_complex_with_entry("1/101*x"), "differentials[0]"),
+    ("gfp:101", "validate", _algebra_with_constant("1/0"), "constants["),
+    ("gfp:101", "freeness", _module_with_action_scalar("1/0"), "action[1]"),
+    ("gfp:101", "check", _ex55_bundle_with("images", {"x": "1/0*u^2", "y": "u^3"}), "images"),
+    ("gfp:101", "check", _ex55_bundle_with("h_kernel", ["1/0"]), "h_kernel[0]"),
+], ids=["entry-gfp", "entry-rational", "entry-p-in-denominator", "structure-constant",
+        "action-scalar", "morphism-image", "kernel-element"])
+def test_a_zero_denominator_exits_2_and_names_its_key(tmp_path, capsys, field, command,
+                                                      doc, where):
+    p = str(tmp_path / "zero_denominator.json")
+    serialize.save(p, doc)
+    argv = ["check", "--theorem", "question"] if command == "check" else [command]
+    assert main(["--field", field] + argv + [p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and where in captured.err
+    assert "zero denominator" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_poincare_of_a_complex_file(ex55_files, capsys):
+    assert main(["--json", "-", "poincare", "--trunc", "3", ex55_files["F"]]) == 0
+    out = capsys.readouterr().out
+    assert "poincare: [2, 2, 4, 8]" in out
+    assert json.loads(out[out.index("{"):]) == {"betti": [2, 2, 4, 8]}
+
+
+def test_poincare_of_a_graded_complex_exits_2(tmp_path, capsys):
+    from derfree.fixtures import build_ex23
+    p = str(tmp_path / "F.json")
+    serialize.save(p, serialize.complex_to_dict(build_ex23(GF101).F))
+    assert main(["poincare", p]) == 2
+    captured = capsys.readouterr()
+    assert "Artinian backend" in captured.err
+    assert "Traceback" not in captured.out + captured.err
