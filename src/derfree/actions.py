@@ -54,6 +54,14 @@ def _relation_env(A, gens: dict, act, add, sub, neg, mul, scalar) -> exprs.RingE
     return exprs.RingEnv(A.field, add, sub, neg, mul, scalar, lookup)
 
 
+def check_relation(A, names, poly: str) -> None:
+    """Parse `poly` and resolve its names as `evaluate_relation` does, without
+    evaluating it: a malformed polynomial or an unknown name raises ExprError."""
+    def const(*_):
+        return 0
+    exprs.evaluate(poly, _relation_env(A, dict.fromkeys(names, 0), *[const] * 6))
+
+
 def evaluate_relation(F: FreeComplex, gens: dict, poly: str) -> ChainMap:
     A = F.algebra
     endo = partial(scalar_endo, F)

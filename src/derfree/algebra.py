@@ -67,8 +67,9 @@ class ArtinAlgebra:
 
     Products are computed from a sparse form of the structure constants,
     built once per algebra: ``_table[i][j]`` holds the nonzero ``(k, c)`` of
-    ``e_i * e_j``.  It is derived from ``mult`` and takes no part in
-    equality or hashing.
+    ``e_i * e_j``, and ``_raw_table`` the same constants as raw ints over
+    their common denominator ``key_den`` (see ``field.to_raw``).  Both are
+    derived from ``mult`` and take no part in equality or hashing.
     """
 
     field: object
@@ -83,7 +84,12 @@ class ArtinAlgebra:
         d = len(self.labels)
         table = tuple(tuple(tuple((k, c) for k, c in enumerate(self.mult[i][j]) if c)
                             for j in range(d)) for i in range(d))
+        ints, den = f.to_raw([c for ti in table for tij in ti for _, c in tij])
+        ints = iter(ints)
+        raw = tuple(tuple(tuple((k, next(ints)) for k, _ in tij) for tij in ti) for ti in table)
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_raw_table", raw)
+        object.__setattr__(self, "key_den", den)
         object.__setattr__(self, "zero", (f.zero,) * d)
         object.__setattr__(self, "one", (f.one,) + (f.zero,) * (d - 1) if d else ())
 
@@ -135,16 +141,17 @@ class ArtinAlgebra:
         return [(i, a) for i, a in enumerate(u) if a] if any(u) else ()
 
     def key_product(self, i: int, j: int) -> tuple:
-        """The nonzero (k, c) of e_i * e_j."""
-        return self._table[i][j]
+        """The nonzero (k, c) of e_i * e_j, c raw over the denominator `key_den`."""
+        return self._raw_table[i][j]
 
-    def el_from_raw(self, raw: dict) -> Element:
-        """The element with coordinates {index: unreduced sum}, each sum reduced once."""
-        reduce = self.field.reduce
+    def el_from_raw(self, raw: dict, den: int) -> Element:
+        """The element with coordinates {index: raw int sum / den}, each
+        coordinate divided once."""
+        from_raw = self.field.from_raw
         out = list(self.zero)
         for k, x in raw.items():
             if x:
-                out[k] = reduce(x)
+                out[k] = from_raw(x, den)
         return tuple(out)
 
     def el_is_zero(self, u: Element) -> bool:

@@ -6,11 +6,20 @@ flattens to exact k-linear algebra.  Over the graded backend complexes
 carry generator degrees per term, differentials must be homogeneous of
 internal degree 0 with respect to them, and homology is computed per
 internal degree up to the truncation (reported with the window).
+
+Products of matrices with algebra entries and the witness checks
+(`AMatrix.mul`, `ChainMap.chain_defects`, `homotopy.homotopy_defects`) run
+on basis-element slices in raw Python ints: each matrix is sliced and
+scaled to ints over one common denominator once (`AMatrix.raw_slices`;
+`field.to_raw`, the identity over GF(p)), the sums share one denominator,
+and each output coordinate is divided once (`field.from_raw`); a check only
+tests the ints against 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .linalg import (Matrix, column_space_basis, independent_columns, invert,
                      kernel_basis, quotient_coords, rank)
@@ -98,12 +107,43 @@ class AMatrix:
                 f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         A = self.algebra
         m, n = self.nrows, other.ncols
-        sums = list(_raw_sums(A, m, n, ((False, _slices(A, self, m, self.ncols),
-                                         _slices(A, other, self.ncols, n)),)).items())
+        raw, den = _raw_sums(A, m, n, ((False, _slices(self, m, self.ncols),
+                                         _slices(other, self.ncols, n)),))
+        sums = list(raw.items())
         build = A.el_from_raw
         return AMatrix(A, m, n, tuple(
-            tuple(build({k: acc[p] for k, acc in sums if acc[p]}) for p in range(r * n, r * n + n))
+            tuple(build({k: acc[p] for k, acc in sums if acc[p]}, den)
+                  for p in range(r * n, r * n + n))
             for r in range(m)))
+
+    def raw_slices(self) -> tuple:
+        """(slices, den): the nonzero basis-element slices {key: {row: [(column,
+        int)]}} of this matrix as raw ints over one common denominator den,
+        built once per matrix (see "products on basis-element slices")."""
+        cached = self.__dict__.get("_raw_slices")
+        if cached is not None:
+            return cached
+        terms = self.algebra.el_terms
+        out = {}
+        for r, row in enumerate(self.entries):
+            for c, e in enumerate(row):
+                for key, a in terms(e):
+                    rows = out.get(key)
+                    if rows is None:
+                        out[key] = rows = {}
+                    found = rows.get(r)
+                    if found is None:
+                        rows[r] = [(c, a)]
+                    else:
+                        found.append((c, a))
+        values = (a for rows in out.values() for found in rows.values() for _, a in found)
+        ints, den = self.algebra.field.to_raw(values)
+        if ints is not values:  # over GF(p) the scalars are the raw ints
+            ints = iter(ints)
+            out = {key: {r: [(c, next(ints)) for c, _ in found] for r, found in rows.items()}
+                   for key, rows in out.items()}
+        object.__setattr__(self, "_raw_slices", (out, den))
+        return out, den
 
     def is_zero(self) -> bool:
         A = self.algebra
@@ -163,72 +203,74 @@ class AMatrix:
 # A matrix with algebra entries is the sum over basis keys of e_key (x) M_key,
 # where M_key is a sparse k-matrix.  The product of X and Y adds c * X_i Y_j,
 # unreduced, into slice k for every nonzero structure constant
-# e_i * e_j = c * e_k, and each output coordinate is reduced once.  Only three
-# things come from the backend: an element's nonzero terms (`el_terms`), the
-# product of two basis keys (`key_product`) and the element built from raw
-# sums (`el_from_raw`).
+# e_i * e_j = c * e_k, and each output coordinate is reduced once.  The
+# sums are taken on raw Python ints: each sliced matrix is scaled to ints
+# over one common denominator (`field.to_raw`), the backend gives its
+# structure constants over one denominator `key_den`, and each product
+# gets one integer factor so that all sums share one denominator.  Only
+# three things come from the backend: an element's nonzero terms
+# (`el_terms`), the raw product of two basis keys (`key_product`) and the
+# element built from raw sums over their denominator (`el_from_raw`).
 
 
-def _slices(A, M: AMatrix, nrows: int, ncols: int) -> dict:
-    """{key: {row: [(column, scalar)]}}, the nonzero slices of M, which must be nrows x ncols."""
+def _slices(M: AMatrix, nrows: int, ncols: int) -> tuple:
+    """`M.raw_slices()`; M must be nrows x ncols."""
     if M.nrows != nrows or M.ncols != ncols:
         raise ComplexError(f"a {M.nrows}x{M.ncols} matrix where {nrows}x{ncols} is needed")
-    terms = A.el_terms
-    out = {}
-    for r, row in enumerate(M.entries):
-        for c, e in enumerate(row):
-            for key, a in terms(e):
-                rows = out.get(key)
-                if rows is None:
-                    out[key] = rows = {}
-                found = rows.get(r)
-                if found is None:
-                    rows[r] = [(c, a)]
-                else:
-                    found.append((c, a))
-    return out
+    return M.raw_slices()
 
 
-def _raw_sums(A, nrows: int, ncols: int, products, minus=None) -> dict:
-    """Unreduced slices of the sum of +-X*Y over products, less `minus`.
+def _raw_sums(A, nrows: int, ncols: int, products, minus=None) -> tuple:
+    """(sums, den): the slices of the sum of +-X*Y over products, less
+    `minus`, as raw int sums over the one denominator den.
 
     `products` holds (negate, X, Y) with X and Y given by their `_slices`,
-    and `minus` is given the same way.  The result maps each basis key to
-    the flat list of raw sums of its slice, entry (r, c) at r * ncols + c.
+    and `minus` is given the same way.  `sums` maps each basis key to the
+    flat list of raw sums of its slice, entry (r, c) at r * ncols + c.
     """
-    key_product = A.key_product
+    key_product, key_den = A.key_product, A.key_den
+    den = minus[1] if minus else 1
+    for _, (_, xd), (_, yd) in products:
+        den = lcm(den, key_den * xd * yd)
     size = nrows * ncols
     out = {}
-    for negate, xs, ys in products:
+    for negate, (xs, xd), (ys, yd) in products:
+        factor = den // (key_den * xd * yd)
+        if negate:
+            factor = -factor
         for i, Xi in xs.items():
             for j, Yj in ys.items():
                 for k, c in key_product(i, j):
                     acc = out.get(k)
                     if acc is None:
                         out[k] = acc = [0] * size
+                    c *= factor
                     for r, xrow in Xi.items():
                         base = r * ncols
                         for q, a in xrow:
                             yrow = Yj.get(q)
                             if yrow is not None:
-                                ca = -(c * a) if negate else c * a
+                                ca = c * a
                                 for col, b in yrow:
                                     acc[base + col] += ca * b
-    for k, rows in (minus or {}).items():
-        acc = out.get(k)
-        if acc is None:
-            out[k] = acc = [0] * size
-        for r, row in rows.items():
-            base = r * ncols
-            for col, a in row:
-                acc[base + col] -= a
-    return out
+    if minus:
+        ms, md = minus
+        factor = den // md
+        for k, rows in ms.items():
+            acc = out.get(k)
+            if acc is None:
+                out[k] = acc = [0] * size
+            for r, row in rows.items():
+                base = r * ncols
+                for col, a in row:
+                    acc[base + col] -= factor * a
+    return out, den
 
 
-def _sums_vanish(field, sums: dict) -> bool:
-    """Whether every raw sum of `_raw_sums` reduces to 0."""
+def _sums_vanish(field, sums: tuple) -> bool:
+    """Whether every raw sum of `_raw_sums` is 0 in the field."""
     reduce = field.reduce
-    return not any(any(map(reduce, filter(None, acc))) for acc in sums.values())
+    return not any(any(map(reduce, filter(None, acc))) for acc in sums[0].values())
 
 
 def amatrix_blockdiag(algebra, blocks) -> AMatrix:
@@ -399,10 +441,10 @@ class ChainMap:
         S, T = self.source, self.target
         A = S.algebra
         lo, hi = min(S.low, T.low), max(S.top, T.top)
-        dS = {i: _slices(A, S.diff(i), S.rank(i - 1), S.rank(i)) for i in range(lo + 1, hi + 1)}
-        dT = dS if T is S else {i: _slices(A, T.diff(i), T.rank(i - 1), T.rank(i))
+        dS = {i: _slices(S.diff(i), S.rank(i - 1), S.rank(i)) for i in range(lo + 1, hi + 1)}
+        dT = dS if T is S else {i: _slices(T.diff(i), T.rank(i - 1), T.rank(i))
                                 for i in range(lo + 1, hi + 1)}
-        fs = {i: _slices(A, self.component(i), T.rank(i), S.rank(i)) for i in range(lo, hi + 1)}
+        fs = {i: _slices(self.component(i), T.rank(i), S.rank(i)) for i in range(lo, hi + 1)}
         return [i for i in range(lo + 1, hi + 1)
                 if not _sums_vanish(A.field, _raw_sums(A, T.rank(i - 1), S.rank(i), (
                     (False, dT[i], fs[i]), (True, fs[i - 1], dS[i]))))]

@@ -5,11 +5,29 @@ Scalars are plain Python values: ints in [0, p) for GF(p), fractions.Fraction
 Both kinds support Python's `+`, `*` and truth value, so a hot loop may sum
 raw products and pass the total once through `reduce` to get the canonical
 scalar.
+
+The hot kernels (`linalg.sparse_rref`, the slice products of `complexes`)
+compute on raw Python ints instead, through three hooks:
+
+- `to_raw(values)` gives an iterable of scalars as a list of ints over one
+  common denominator, `(ints, den)`;
+- `from_raw(n, den)` gives the scalar n / den back;
+- `primitive(row, lead)` scales a row of raw ints, in place, to the
+  representative the elimination keeps.
+
+Over GF(p) the scalars already are ints: `to_raw` hands back its argument
+itself over the denominator 1, without reading it, so a kernel that gets
+its own argument back keeps the values it has; `from_raw(n, 1)` is n mod p,
+and `primitive` makes the lead 1.
+Over QQ `to_raw` clears the denominators, `from_raw` builds the Fraction
+once, and `primitive` divides out the content and makes the lead positive,
+so that a sum of products of Fractions becomes a sum of ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -78,6 +96,20 @@ class GF:
         """The scalar equal to a sum of unreduced products of scalars."""
         return a % self.p
 
+    # -- raw-integer hooks (see the module docstring) --------------------
+    def to_raw(self, values) -> tuple:
+        return values, 1
+
+    def from_raw(self, n: int, den: int) -> int:
+        return n % self.p if den == 1 else n * self.inv(den) % self.p
+
+    def primitive(self, row: dict, lead) -> None:
+        pv = row[lead]
+        if pv != 1:
+            p, inv = self.p, self.inv(pv)
+            for j, v in row.items():
+                row[j] = v * inv % p
+
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
@@ -144,6 +176,25 @@ class Rationals:
     def reduce(self, a) -> Fraction:
         """The scalar equal to a sum of products of scalars (already canonical)."""
         return a
+
+    # -- raw-integer hooks (see the module docstring) --------------------
+    def to_raw(self, values) -> tuple:
+        ratios = [v.as_integer_ratio() for v in values]
+        den = lcm(*[d for _, d in ratios])
+        if den == 1:
+            return [n for n, _ in ratios], 1
+        return [n * (den // d) for n, d in ratios], den
+
+    def from_raw(self, n: int, den: int) -> Fraction:
+        return Fraction(n) if den == 1 else Fraction(n, den)
+
+    def primitive(self, row: dict, lead) -> None:
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            for j, v in row.items():
+                row[j] = v // g
 
     def inv(self, a):
         if not a:

@@ -352,21 +352,22 @@ def _uniform_component_degree(f: ChainMap) -> int | None:
 def homotopy_defects(f: ChainMap, h: Homotopy) -> list:
     """Degrees i where d h_i + h_{i-1} d - f_i is not zero.
 
-    The sums are accumulated on basis-element slices, each sliced matrix
-    once per call, and each raw sum is tested once; `Homotopy.boundary` is
-    never built.  Only the complexes of f, f itself and h are read.
+    The sums are accumulated on basis-element slices (each matrix is
+    sliced once, `AMatrix.raw_slices`), and each raw sum is tested once;
+    `Homotopy.boundary` is never built.  Only the complexes of f, f itself
+    and h are read.
     """
     F, G = f.source, f.target
     A = F.algebra
     lo, hi = min(F.low, G.low), max(F.top, G.top)
-    dF = {i: _slices(A, F.diff(i), F.rank(i - 1), F.rank(i)) for i in range(lo, hi + 2)}
-    dG = dF if G is F else {i: _slices(A, G.diff(i), G.rank(i - 1), G.rank(i))
+    dF = {i: _slices(F.diff(i), F.rank(i - 1), F.rank(i)) for i in range(lo, hi + 2)}
+    dG = dF if G is F else {i: _slices(G.diff(i), G.rank(i - 1), G.rank(i))
                             for i in range(lo, hi + 2)}
-    hs = {i: _slices(A, h.component(i), G.rank(i + 1), F.rank(i)) for i in range(lo - 1, hi + 1)}
+    hs = {i: _slices(h.component(i), G.rank(i + 1), F.rank(i)) for i in range(lo - 1, hi + 1)}
     return [i for i in range(lo, hi + 1)
             if not _sums_vanish(A.field, _raw_sums(
                 A, G.rank(i), F.rank(i), ((False, dG[i + 1], hs[i]), (False, hs[i - 1], dF[i])),
-                minus=_slices(A, f.component(i), G.rank(i), F.rank(i))))]
+                minus=_slices(f.component(i), G.rank(i), F.rank(i))))]
 
 
 def _check_homotopy(f: ChainMap, h: Homotopy):

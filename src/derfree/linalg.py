@@ -9,16 +9,23 @@ stored as {column: scalar} dicts eliminates for every field and size;
 step: coordinates of vectors on representatives modulo a subspace, as
 homology, quotient modules and induced actions need them.
 
-The hot loops (`Matrix.mul`, `Matrix.apply`, `sparse_rref`) work on the
-exact Python scalars directly: they test a scalar for zero by its truth
-value, sum raw products with `+` and `*`, and pass each sum once through
-`field.reduce` to get the canonical scalar (a sum that is zero becomes
-`field.zero`).  Colder code goes through the field's `add`/`mul`.
+The products `Matrix.mul` and `Matrix.apply` work on the exact Python
+scalars directly: they test a scalar for zero by its truth value, sum raw
+products with `+` and `*`, and pass each sum once through `field.reduce` to
+get the canonical scalar (a sum that is zero becomes `field.zero`).
+`sparse_rref` works on raw Python ints through the field's hooks (see
+`field`): `to_raw` turns the input rows into ints over one common
+denominator, the elimination is fraction-free (a row is reduced by
+L * row - m * piv and pivot rows are kept primitive), and `from_raw`
+divides each pivot row by its lead once, when it is returned.  Over GF(p)
+the hooks are the identity and every lead is 1.  Colder code goes through
+the field's `add`/`mul`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 import numpy as np
 
@@ -163,8 +170,18 @@ class Matrix:
 # elimination: one sparse kernel for every field
 
 
-def _eliminate(field, row, c, piv):
-    """row -= c * piv, in place, keeping only nonzero entries."""
+def _eliminate(field, row, c, piv, scale):
+    """row <- scale * row - c * piv, in place, keeping only nonzero entries.
+
+    A row that was scaled is then made primitive; without scaling its lead
+    is unchanged, so its content stays a divisor of the lead.
+    """
+    if scale != 1:
+        g = gcd(scale, c)
+        scale //= g
+        c //= g
+        for j, v in row.items():
+            row[j] = scale * v
     reduce, get = field.reduce, row.get
     for j, v in piv.items():
         w = reduce(get(j, 0) - c * v)
@@ -172,52 +189,73 @@ def _eliminate(field, row, c, piv):
             row[j] = w
         else:
             del row[j]
+    if scale != 1:
+        field.primitive(row, min(row))
 
 
 def sparse_rref(field, rows):
     """Canonical RREF of sparse rows {column: scalar}: (pivot_rows, pivots).
 
-    Zero entries are dropped; the input dicts are not changed.  The pivot
-    rows are kept fully reduced while rows are inserted shortest first: a
-    new row is cleared of every pivot column in one pass, and if anything
-    is left its leading entry is scaled to 1, its column is cleared from
-    the pivot rows, and it joins them.  Each pivot row is zero on the other
-    pivot columns, so the multipliers of that pass are the new row's own
-    entries: the raw products are summed per column and each touched entry
-    is reduced once.  Keeping the pivot rows reduced keeps them about as
-    sparse as the result, so the work tracks the size of the RREF rather
-    than the fill-in of a forward pass.  The RREF is unique, so neither the
-    insertion order nor the order of the arithmetic changes an entry of the
-    result.
+    Zero entries are dropped; the input dicts are not changed.  The rows are
+    turned into raw ints over their common denominator (`field.to_raw`, the
+    identity over GF(p)) and eliminated fraction-free: a pivot row is an
+    integer multiple of its row of the RREF, made primitive when it joins
+    (`field.primitive`), so its lead L is 1 over GF(p) and a positive
+    integer over QQ.  The pivot rows are kept fully reduced while rows are
+    inserted shortest first: a new row is cleared of every pivot column in
+    one pass, and if anything is left it is made primitive, its column is
+    cleared from the pivot rows (L * piv - c * row), and it joins them.
+    Each pivot row is zero on the other pivot columns, so that pass
+    computes s * row - sum (s * row[c] / L_c) * piv_c, s the lcm of the
+    leads L_c it meets (1 over GF(p)); the raw products are summed per
+    column and each touched entry is reduced once.  Keeping the pivot rows
+    reduced keeps them about as sparse as the result, so the work tracks
+    the size of the RREF rather than the fill-in of a forward pass.  A
+    pivot row is divided by its lead only when it is returned
+    (`field.from_raw`).  The RREF is unique, so neither the insertion order
+    nor the order of the arithmetic changes an entry of the result.
     """
-    one, reduce = field.one, field.reduce
-    work = [{j: v for j, v in r.items() if v} for r in rows]
+    reduce, primitive, zero = field.reduce, field.primitive, field.zero
+    # most zeros of a dense row are the shared `field.zero`
+    work = [{j: v for j, v in r.items() if v is not zero and v} for r in rows]
+    flat = (v for r in work for v in r.values())
+    ints = field.to_raw(flat)[0]
+    raw_is_scalar = ints is flat  # over GF(p) the scalars are the raw ints
+    if not raw_is_scalar:
+        ints = iter(ints)
+        work = [{j: next(ints) for j in r} for r in work]
     work.sort(key=lambda r: (len(r), min(r, default=-1)))
     pivot_row = {}
+    scaled = False  # whether some pivot row leads with L != 1 (never over GF(p))
     for row in work:
         hits = [c for c in row if c in pivot_row]
         if hits:
-            acc = dict(row)
+            s = lcm(*[pivot_row[c][c] for c in hits]) if scaled else 1
+            acc = dict(row) if s == 1 else {j: s * v for j, v in row.items()}
             get = acc.get
             for c in hits:
-                m = row[c]
+                m = row[c] if s == 1 else row[c] * s // pivot_row[c][c]
                 for j, v in pivot_row[c].items():
                     acc[j] = get(j, 0) - m * v
             row = {j: w for j, w in zip(acc, map(reduce, acc.values())) if w}
         if not row:
             continue
         lead = min(row)
-        pv = row[lead]
-        if pv != one:
-            inv = field.inv(pv)
-            row = {j: field.mul(inv, v) for j, v in row.items()}
+        if row[lead] != 1:  # a lead of 1 makes the content 1 already
+            primitive(row, lead)
+        scale = row[lead]
+        scaled = scaled or scale != 1
         for piv in pivot_row.values():
             c = piv.get(lead)
             if c is not None:
-                _eliminate(field, piv, c, row)
+                _eliminate(field, piv, c, row, scale)
         pivot_row[lead] = row
     pivots = tuple(sorted(pivot_row))
-    return [pivot_row[c] for c in pivots], pivots
+    if raw_is_scalar and not scaled:  # monic rows of the field's own scalars
+        return [pivot_row[c] for c in pivots], pivots
+    from_raw = field.from_raw
+    return [{j: from_raw(v, pivot_row[c][c]) for j, v in pivot_row[c].items()}
+            for c in pivots], pivots
 
 
 def sparse_kernel(field, rows, ncols) -> list:

@@ -71,6 +71,7 @@ class MonomialAlgebra:
     truncation: int
 
     kind = "graded"
+    key_den = 1  # a product of monomials has coefficient 1
 
     def __post_init__(self):
         for g in self.ideal:
@@ -144,7 +145,7 @@ class MonomialAlgebra:
             for m2, c2 in v:
                 for m, _ in key_product(m1, m2):
                     acc[m] = get(m, 0) + c1 * c2
-        return self.el_from_raw(acc)
+        return self._within_truncation(self._canonical(acc))
 
     # -- the basis-key product rule behind complexes' slice products ---------
     def el_terms(self, u):
@@ -156,12 +157,18 @@ class MonomialAlgebra:
         m = mono_mul(m1, m2)
         return ((m, 1),) if self.is_standard(m) else ()
 
-    def el_from_raw(self, raw: dict):
-        """The element with terms {monomial: unreduced sum}, each sum reduced once.
+    def el_from_raw(self, raw: dict, den: int):
+        """The element with terms {monomial: raw int sum / den}, each term
+        divided once.
 
         A nonzero term above the truncation raises TruncationError.
         """
-        out = self._canonical(raw)
+        from_raw = self.field.from_raw
+        return self._within_truncation(
+            self._canonical({m: from_raw(x, den) for m, x in raw.items() if x}))
+
+    def _within_truncation(self, out):
+        """The canonical element `out`; a term above the truncation raises TruncationError."""
         for m, _ in out:
             if mono_degree(m) > self.truncation:
                 raise TruncationError(

@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-from .actions import ActionCertificate, witness_from_matrices
+from .actions import ActionCertificate, check_relation, witness_from_matrices
 from .algebra import ArtinAlgebra, artin_algebra_from_constants
 from .checkers import InstanceBundle
 from .complexes import AMatrix, ChainMap, FreeComplex
@@ -277,6 +277,7 @@ def certificate_from_dict(doc: dict, ctx: LoadContext, F: FreeComplex | None = N
     rels = []
     for n, r in enumerate(_typed(doc["relations"], "relations", list, dict)):
         poly = _typed(r["poly"], f"relations[{n}].poly", str)
+        _located(f"relations[{n}].poly", check_relation, F.algebra, [g for g, _ in gens], poly)
         w = r.get("witness", "solve")
         rels.append((poly, None if w == "solve" else
                      witness_from_matrices(F, _degree_maps(w, F, f"relations[{n}].witness"))))

@@ -109,6 +109,18 @@ def test_verify_action_command(ex55_files):
     assert main(["verify-action", ex55_files["cert"]]) == 0
 
 
+def test_bad_relation_polynomial_is_rejected_at_its_key(tmp_path, capsys):
+    b = build_ex55(GF101)
+    cert = serialize.certificate_to_dict(b.certificate, b.F)
+    cert["relations"][0]["poly"] = "u^2 - q"
+    p = str(tmp_path / "cert.json")
+    serialize.save(p, cert)
+    assert main(["verify-action", p]) == 2
+    err = capsys.readouterr().err
+    assert "relations[0].poly: unknown name 'q' at position 5" in err
+    assert "Traceback" not in err
+
+
 def test_freeness_command(tmp_path):
     from derfree.modules import free_module
     from derfree.monomial import monomial_algebra

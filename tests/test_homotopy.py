@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -196,13 +197,15 @@ def test_witness_perturbation_still_verifies():
         assert bd.component(i).sub(xid.component(i)).is_zero()
 
 
-def add_unit(A, maps, degree):
-    """The (degree, AMatrix) pairs with the unit added to entry (0, 0) at `degree`."""
+def add_unit(A, maps, degree, c=None):
+    """The (degree, AMatrix) pairs with the unit, times the scalar c if given,
+    added to entry (0, 0) at `degree`."""
+    unit = A.one if c is None else A.el_scale(c, A.one)
     out = []
     for i, m in maps:
         if i == degree:
             rows = [list(r) for r in m.entries]
-            rows[0][0] = A.el_add(rows[0][0], A.one)
+            rows[0][0] = A.el_add(rows[0][0], unit)
             m = AMatrix.from_rows(A, rows, ncols=m.ncols)
         out.append((i, m))
     return tuple(out)
@@ -220,9 +223,8 @@ def reference_chain_defects(f):
     return out
 
 
-@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
-@pytest.mark.parametrize("backend", ["artinian", "graded"])
-def test_perturbed_witness_is_rejected(backend, field):
+def perturbation_case(backend, field):
+    """(A, K, xs, hs): a complex and elements x with homotopies for x * id."""
     if backend == "artinian":
         A = monomial_algebra(field, ["x", "y", "z"],
                              ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
@@ -236,6 +238,13 @@ def test_perturbed_witness_is_rejected(backend, field):
         ann = derived_annihilator(K)
         xs, hs = list(ann.basis), list(ann.witnesses)
     assert xs
+    return A, K, xs, hs
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@pytest.mark.parametrize("backend", ["artinian", "graded"])
+def test_perturbed_witness_is_rejected(backend, field):
+    A, K, xs, hs = perturbation_case(backend, field)
     for n, (x, h) in enumerate(zip(xs, hs)):
         f = scalar_endo(K, x)
         _check_homotopy(f, h)
@@ -251,3 +260,47 @@ def test_perturbed_witness_is_rejected(backend, field):
         for i in K.degrees():
             g = ChainMap(K, K, add_unit(A, f.maps, i))
             assert g.chain_defects() == reference_chain_defects(g) != []
+
+
+def rational_map(A, nrows, ncols, den, rng):
+    """An nrows x ncols map with entries a + b * v, v a variable and a != 0
+    and b integers over `den`."""
+    def entry():
+        v = A.parse_element(rng.choice(["x", "y", "z"]))
+        return A.el_add(A.el_scale(Fraction(rng.randrange(1, 10), den), A.one),
+                        A.el_scale(Fraction(rng.randrange(-9, 10), den), v))
+    return AMatrix.from_rows(A, [[entry() for _ in range(ncols)] for _ in range(nrows)],
+                             ncols=ncols)
+
+
+@pytest.mark.parametrize("backend", ["artinian", "graded"])
+def test_tiny_perturbation_is_caught_over_qq(backend):
+    # Each chain map f is moved to g = f + d tau + tau d, and its homotopy h
+    # to h + tau + d sigma - sigma d, with tau_i over the denominator 3 + 2i
+    # and sigma over 13, which cancels from g: one witness check then adds
+    # slices over different denominators, and g over a smaller one.  A
+    # perturbation by 1/(2^61 - 1) must still show.
+    tiny = Fraction(1, 2**61 - 1)
+    rng = random.Random(3)
+    A, K, xs, hs = perturbation_case(backend, QQ)
+    tau = {i: rational_map(A, K.rank(i + 1), K.rank(i), 3 + 2 * (i - K.low), rng)
+           for i in range(K.low - 1, K.top + 1)}
+    sigma = {i: rational_map(A, K.rank(i + 2), K.rank(i), 13, rng)
+             for i in range(K.low - 1, K.top + 1)}
+    # d_i has a nonzero first column, so d_i (g_i + tiny * E_00) - g_{i-1} d_i != 0
+    i = next(i for i in K.degrees() if K.diff(i).ncols and K.diff(i).nrows
+             and any(not A.el_is_zero(r[0]) for r in K.diff(i).entries))
+    for x, h in zip(xs, hs):
+        f = scalar_endo(K, x)
+        g = ChainMap(K, K, tuple(
+            (j, f.component(j).add(K.diff(j + 1).mul(tau[j])).add(tau[j - 1].mul(K.diff(j))))
+            for j in K.degrees()))
+        h = Homotopy(K, K, tuple(
+            (j, h.component(j).add(tau[j]).add(K.diff(j + 2).mul(sigma[j]))
+             .sub(sigma[j - 1].mul(K.diff(j)))) for j in K.degrees()))
+        assert g.chain_defects() == []
+        _check_homotopy(g, h)
+        degree = next(j for j, m in h.maps if m.nrows and m.ncols)
+        with pytest.raises(AssertionError):
+            _check_homotopy(g, Homotopy(K, K, add_unit(A, h.maps, degree, tiny)))
+        assert i in ChainMap(K, K, add_unit(A, g.maps, i, tiny)).chain_defects()

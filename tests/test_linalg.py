@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from derfree.field import GF, GF101, QQ
 from derfree.linalg import (Matrix, independent_columns, invert, kernel_basis, np_rref,
                             quotient_coords, rank, rref, solve, solve_and_project,
-                            solve_multi, span_equal, sparse_rref)
+                            solve_multi, span_equal, sparse_rref, sparse_solve)
 
 
 def brute_force_det(field, M):
@@ -239,6 +240,79 @@ def test_sparse_kernel_ignores_row_order(field):
         assert pivots == ref_piv
         assert [[row.get(j, field.zero) for j in range(120)] for row in pivot_rows] \
             == ref_rows[:len(ref_piv)]
+
+
+WIDE = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))
+
+
+@st.composite
+def wide_rational_rows(draw):
+    """Rows of rationals with numerators and denominators up to 10^9, plus
+    copies of them scaled by a common factor, duplicates and zero rows, in
+    a drawn order."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(QQ.zero), WIDE)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    extra = []
+    for r in rows:
+        kind = draw(st.sampled_from(["none", "scaled", "integral", "duplicate"]))
+        if kind == "scaled":
+            c = draw(WIDE.filter(bool))
+            extra.append([c * x for x in r])
+        elif kind == "integral":
+            # clear the denominators, then give every entry the factor k
+            k = draw(st.integers(2, 10**9))
+            den = math.lcm(*[x.denominator for x in r])
+            extra.append([Fraction(k * x * den) for x in r])
+        elif kind == "duplicate":
+            extra.append(list(r))
+    extra += [[QQ.zero] * ncols] * draw(st.integers(0, 2))
+    rows = draw(st.permutations(rows + extra))
+    return ncols, rows
+
+
+def assert_fractions(values):
+    for x in values:
+        assert type(x) is Fraction, x
+
+
+@given(wide_rational_rows(), st.data())
+def test_wide_rationals_match_the_dense_reference(shape, data):
+    ncols, rows = shape
+    ref_rows, ref_piv = gauss_jordan(QQ, rows, ncols)
+    rk = len(ref_piv)
+    pivot_rows, pivots = sparse_rref(QQ, [dict(enumerate(r)) for r in rows])
+    assert pivots == ref_piv
+    assert [[row.get(j, QQ.zero) for j in range(ncols)] for row in pivot_rows] == ref_rows[:rk]
+    assert_fractions(v for row in pivot_rows for v in row.values())
+    # the canonical kernel: e_j less the pivot entries of free column j
+    M = Matrix.from_rows(QQ, rows, ncols) if rows else Matrix.zero(QQ, 0, ncols)
+    K = kernel_basis(M)
+    free = [j for j in range(ncols) if j not in ref_piv]
+    ref_kernel = []
+    for j in free:
+        v = [QQ.zero] * ncols
+        v[j] = QQ.one
+        for pc, r in zip(ref_piv, ref_rows):
+            v[pc] = -r[j]
+        ref_kernel.append(tuple(v))
+    assert K.columns() == ref_kernel
+    assert_fractions(x for r in K.rows for x in r)
+    # one right-hand side in the column span, one drawn freely
+    x = data.draw(st.lists(st.one_of(st.just(QQ.zero), WIDE), min_size=ncols, max_size=ncols))
+    bs = [M.apply(x), tuple(data.draw(st.lists(WIDE, min_size=len(rows), max_size=len(rows))))]
+    sols = sparse_solve(QQ, [dict(enumerate(r)) for r in rows], ncols, bs)
+    for b, sol in zip(bs, sols):
+        aug_rows, aug_piv = gauss_jordan(QQ, [list(r) + [y] for r, y in zip(rows, b)], ncols + 1)
+        if ncols in aug_piv:
+            assert sol is None
+            continue
+        ref = [QQ.zero] * ncols
+        for pc, r in zip(aug_piv, aug_rows):
+            ref[pc] = r[ncols]
+        assert sol == tuple(ref)
+        assert_fractions(sol)
+    assert sols[0] is not None
 
 
 matrices = st.integers(1, 5).flatmap(
