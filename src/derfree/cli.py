@@ -20,7 +20,7 @@ from .checkers import (Analysis, check_lemma32, check_question,
                        check_thm31, check_thm41, check_thm51,
                        DecompositionObstruction,
                        koszul_decompose, prop44_divisibility)
-from .complexes import betti, graded_homology_all, homology_dims, nonzero_range
+from .complexes import betti, graded_homology_dims, homology_dims, nonzero_range
 from .field import GF, GF101, QQ
 from .fixtures import BUILDERS, run_fixtures
 from .homotopy import derived_annihilator, solve_homotopy
@@ -164,12 +164,13 @@ def cmd_homology(args) -> int:
             lines.append(f"H_{i}: dim_k {dims[i]}")
         report = {"homology_dims": {str(i): d for i, d in dims.items()}}
     else:
-        gh = graded_homology_all(F)
-        report = {"homology_hilbert": {}, "window": F.algebra.truncation}
-        for i in sorted(gh):
-            hf = gh[i].hilbert(gh[i].window)
-            lines.append(f"H_{i}: hilbert {list(hf)} (up to degree {gh[i].window})")
-            report["homology_hilbert"][str(i)] = list(hf)
+        hilbert = graded_homology_dims(F)
+        window = F.algebra.truncation
+        report = {"homology_hilbert": {}, "window": window}
+        for i in sorted(hilbert):
+            hf = list(hilbert[i])
+            lines.append(f"H_{i}: hilbert {hf} (up to degree {window})")
+            report["homology_hilbert"][str(i)] = hf
     return _emit(args, lines, report, False)
 
 

@@ -7,6 +7,12 @@ carry generator degrees per term, differentials must be homogeneous of
 internal degree 0 with respect to them, and homology is computed per
 internal degree up to the truncation (reported with the window).
 
+Homology dimensions (`homology_dims`, and per internal degree
+`graded_homology_dims`) come from one rank per differential by
+rank-nullity, dim H_i = dim F_i - rk d_i - rk d_{i+1}, after `validate`
+has found d^2 = 0; only `homology` and `graded_homology` build modules
+with representatives and induced actions.
+
 Products of matrices with algebra entries and the witness checks
 (`AMatrix.mul`, `ChainMap.chain_defects`, `homotopy.homotopy_defects`) run
 on basis-element slices in raw Python ints: each matrix is sliced and
@@ -581,11 +587,29 @@ def homology(F: FreeComplex, i: int) -> HomologyModule:
     return HomologyModule(i, FiniteModule(A, len(reps), acts), tuple(reps), Z, B)
 
 
+def _require_complex(F: FreeComplex) -> None:
+    """Raise ComplexError with the first issue of `F.validate()`, if any.
+
+    The rank formula of the homology dimensions holds only when d^2 = 0
+    (and, on the graded backend, when every differential is homogeneous).
+    """
+    issues = F.validate()
+    if issues:
+        raise ComplexError(issues[0])
+
+
 def homology_dims(F: FreeComplex) -> dict:
-    if F.algebra.kind == "artinian":
-        return {i: homology(F, i).dim for i in F.degrees()}
-    gh = graded_homology_all(F)
-    return {i: sum(h.dims) for i, h in gh.items()}
+    """dim_k H_i(F) per degree (graded: summed over the window), from ranks.
+
+    dim H_i = dim F_i - rk d_i - rk d_{i+1}, with one rank per differential;
+    a family of maps that is not a complex raises ComplexError.
+    """
+    if F.algebra.kind != "artinian":
+        return {i: sum(h) for i, h in graded_homology_dims(F).items()}
+    _require_complex(F)
+    rk = {i: rank(F.diff(i).flatten()) for i in range(F.low + 1, F.top + 1)}
+    d = F.algebra.dim
+    return {i: F.rank(i) * d - rk.get(i, 0) - rk.get(i + 1, 0) for i in F.degrees()}
 
 
 def nonzero_range(dims: dict) -> tuple:
@@ -643,6 +667,23 @@ def graded_homology_all(F: FreeComplex) -> dict:
     return {i: graded_homology(F, i) for i in F.degrees()}
 
 
+def graded_homology_dims(F: FreeComplex) -> dict:
+    """{i: Hilbert function of H_i(F) in internal degrees 0..window}, from ranks.
+
+    Per internal degree n, dim H_i(F)_n = dim (F_i)_n - rk d_i - rk d_{i+1}
+    on the degree-n parts, with one rank per differential and degree; a
+    family of maps that is not a homogeneous complex raises ComplexError.
+    """
+    _require_complex(F)
+    A = F.algebra
+    window = A.truncation
+    rk = {(i, n): rank(F.graded_diff_matrix(i, n))
+          for i in range(F.low + 1, F.top + 1) for n in range(window + 1)}
+    return {i: tuple(len(A.free_coords(F.shift_of(i), n)) - rk.get((i, n), 0)
+                     - rk.get((i + 1, n), 0) for n in range(window + 1))
+            for i in F.degrees()}
+
+
 # ---------------------------------------------------------------------------
 # Betti numbers (both backends: reduce the differential mod m)
 
@@ -664,7 +705,11 @@ def proj_dim(F: FreeComplex):
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    """All homology of the cone vanishes (graded: within the window)."""
+    """All homology of the cone vanishes (graded: within the window).
+
+    A map that is not a chain map has a cone with d^2 != 0, which raises
+    ComplexError.
+    """
     C = cone(f)
     dims = homology_dims(C)
     return all(d == 0 for d in dims.values())

@@ -5,9 +5,11 @@ so every derived object -- kernel bases ordered by free-column index,
 particular solutions with free variables set to 0, projections of kernels
 -- is reproducible bit-for-bit.  One sparse kernel (`sparse_rref`) on rows
 stored as {column: scalar} dicts eliminates for every field and size;
-`np_rref` stays as a reference.  `quotient_coords` is the one subquotient
-step: coordinates of vectors on representatives modulo a subspace, as
-homology, quotient modules and induced actions need them.
+`np_rref` stays as a dense GF(p) reference, and it is the only function
+that loads numpy (when it is first called), so importing the package does
+not.  `quotient_coords` is the one subquotient step: coordinates of
+vectors on representatives modulo a subspace, as homology, quotient
+modules and induced actions need them.
 
 The products `Matrix.mul` and `Matrix.apply` work on the exact Python
 scalars directly: they test a scalar for zero by its truth value, sum raw
@@ -26,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -409,8 +409,10 @@ def invert(M: Matrix) -> Matrix | None:
 # dense int64 elimination over GF(p), the reference the kernel is tested against
 
 
-def np_rref(a: np.ndarray, p: int):
-    """In-place RREF of an int64 array mod p; returns (a, pivot_cols)."""
+def np_rref(a, p: int):
+    """In-place RREF of an int64 numpy array mod p; returns (a, pivot_cols)."""
+    import numpy as np
+
     a %= p
     m, n = a.shape
     pivots = []

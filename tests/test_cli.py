@@ -412,3 +412,22 @@ def test_poincare_of_a_graded_complex_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Artinian backend" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("artinian", [False, True], ids=["graded", "artinian"])
+def test_homology_of_a_non_complex_exits_2_and_names_the_degree(tmp_path, capsys, artinian):
+    from derfree.monomial import monomial_algebra
+    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4)
+    # d_1 d_2 = x * id is not zero
+    doc = {"algebra": serialize.algebra_to_dict(A.artinize() if artinian else A),
+           "ranks": [2, 2, 2],
+           "differentials": [[["x", "0"], ["0", "x"]], [["1", "0"], ["0", "1"]]]}
+    if not artinian:
+        doc["shifts"] = [[0, 0], [1, 1], [1, 1]]
+    p = str(tmp_path / "not_a_complex.json")
+    serialize.save(p, doc)
+    assert main(["homology", p]) == 2
+    captured = capsys.readouterr()
+    assert "error: d^2 != 0 at degree 2" in captured.err
+    assert "H_" not in captured.out
+    assert "Traceback" not in captured.out + captured.err
