@@ -43,7 +43,7 @@ class ActionCertificate:
         raise KeyError(name)
 
 
-def _relation_env(A, gens: dict, act, add, sub, neg, mul, scalar) -> exprs.RingEnv:
+def _relation_env(A, gens: dict, act, one, add, sub, neg, mul, scale) -> exprs.RingEnv:
     """Relation polynomials in the generators `gens`, where a named element
     of the algebra A acts through `act`."""
     def lookup(name):
@@ -51,7 +51,7 @@ def _relation_env(A, gens: dict, act, add, sub, neg, mul, scalar) -> exprs.RingE
             return gens[name]
         el = A.named_element(name)
         return None if el is None else act(el)
-    return exprs.RingEnv(A.field, add, sub, neg, mul, scalar, lookup)
+    return exprs.RingEnv(A.field, one, add, sub, neg, mul, scale, lookup)
 
 
 def check_relation(A, names, poly: str) -> None:
@@ -59,16 +59,16 @@ def check_relation(A, names, poly: str) -> None:
     evaluating it: a malformed polynomial or an unknown name raises ExprError."""
     def const(*_):
         return 0
-    exprs.evaluate(poly, _relation_env(A, dict.fromkeys(names, 0), *[const] * 6))
+    exprs.evaluate(poly, _relation_env(A, dict.fromkeys(names, 0), const, 0, *[const] * 5))
 
 
 def evaluate_relation(F: FreeComplex, gens: dict, poly: str) -> ChainMap:
     A = F.algebra
     endo = partial(scalar_endo, F)
     return exprs.evaluate(poly, _relation_env(
-        A, gens, endo, ChainMap.add, ChainMap.sub,
+        A, gens, endo, endo(A.one), ChainMap.add, ChainMap.sub,
         lambda a: ChainMap(a.source, a.target, tuple((d, m.neg()) for d, m in a.maps)),
-        ChainMap.compose, lambda c: endo(A.el_scale(c, A.one))))
+        ChainMap.compose, lambda c, g: g.scale_el(A.el_scale(c, A.one))))
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,9 @@ def homology_relation_defects(action: InducedHomologyAction) -> list:
         if H.dim == 0:
             continue
         A = H.module.algebra
-        env = _relation_env(A, action.matrices_at(i), H.module.act_element, Matrix.add,
-                            Matrix.sub, Matrix.neg, Matrix.mul,
-                            Matrix.identity(A.field, H.dim).scale)
+        env = _relation_env(A, action.matrices_at(i), H.module.act_element,
+                            Matrix.identity(A.field, H.dim), Matrix.add, Matrix.sub,
+                            Matrix.neg, Matrix.mul, lambda c, M: M.scale(c))
         for poly, _ in action.certificate.relations:
             val = exprs.evaluate(poly, env)
             if not val.is_zero():

@@ -68,8 +68,10 @@ class ArtinAlgebra:
     Products are computed from a sparse form of the structure constants,
     built once per algebra: ``_table[i][j]`` holds the nonzero ``(k, c)`` of
     ``e_i * e_j``, and ``_raw_table`` the same constants as raw ints over
-    their common denominator ``key_den`` (see ``field.to_raw``).  Both are
-    derived from ``mult`` and take no part in equality or hashing.
+    their common denominator ``key_den`` (see ``field.to_raw``).  Names
+    resolve through ``_names``, also built once, and each power of m is kept
+    in ``_m_powers`` when it is first asked for.  All are derived from
+    ``mult`` and ``generators`` and take no part in equality or hashing.
     """
 
     field: object
@@ -92,6 +94,13 @@ class ArtinAlgebra:
         object.__setattr__(self, "key_den", den)
         object.__setattr__(self, "zero", (f.zero,) * d)
         object.__setattr__(self, "one", (f.one,) + (f.zero,) * (d - 1) if d else ())
+        names = {}  # the first generator of a name wins, and generators win over labels
+        for name, el in self.generators:
+            names.setdefault(name, el)
+        for i, lab in enumerate(self.labels):
+            names.setdefault(lab, self.basis_element(i))
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_m_powers", {})
 
     @property
     def dim(self) -> int:
@@ -102,21 +111,25 @@ class ArtinAlgebra:
         f = self.field
         return tuple(f.one if j == i else f.zero for j in range(self.dim))
 
+    # a zero coordinate is passed through, not computed with: a Fraction
+    # operation on zero costs as much as any other
     def el_add(self, u: Element, v: Element) -> Element:
-        f = self.field
-        return tuple(f.add(a, b) for a, b in zip(u, v))
+        add = self.field.add
+        return tuple(add(a, b) if a and b else a or b for a, b in zip(u, v))
 
     def el_sub(self, u: Element, v: Element) -> Element:
-        f = self.field
-        return tuple(f.sub(a, b) for a, b in zip(u, v))
+        sub, neg = self.field.sub, self.field.neg
+        return tuple((sub(a, b) if a else neg(b)) if b else a for a, b in zip(u, v))
 
     def el_neg(self, u: Element) -> Element:
-        f = self.field
-        return tuple(f.neg(a) for a in u)
+        neg = self.field.neg
+        return tuple(neg(a) if a else a for a in u)
 
     def el_scale(self, c, u: Element) -> Element:
-        f = self.field
-        return tuple(f.mul(c, a) for a in u)
+        if not c:
+            return self.zero
+        mul = self.field.mul
+        return tuple(mul(c, a) if a else a for a in u)
 
     def el_mul(self, u: Element, v: Element) -> Element:
         """u * v: raw products of the nonzero coordinates are summed per
@@ -164,28 +177,26 @@ class ArtinAlgebra:
         """Image in the residue field k = A/m."""
         return u[0]
 
-    def left_mult_matrix(self, u: Element) -> Matrix:
-        """Matrix of v -> u*v in the algebra basis."""
-        d = self.dim
-        acc = [[0] * d for _ in range(d)]
+    def left_mult_rows(self, u: Element) -> list:
+        """The rows of `left_mult_matrix(u)` as {column: scalar} dicts of
+        their nonzero entries."""
+        acc = [{} for _ in range(self.dim)]
         for i, a in enumerate(u):
             if not a:
                 continue
             for j, entries in enumerate(self._table[i]):
                 for k, c in entries:
-                    acc[k][j] += a * c
-        reduce, zero = self.field.reduce, self.field.zero
-        return Matrix.from_rows(self.field, [[reduce(x) if x else zero for x in r] for r in acc],
-                                ncols=d)
+                    row = acc[k]
+                    row[j] = row.get(j, 0) + a * c
+        reduce = self.field.reduce
+        return [{j: x for j, x in zip(r, map(reduce, r.values())) if x} for r in acc]
+
+    def left_mult_matrix(self, u: Element) -> Matrix:
+        """Matrix of v -> u*v in the algebra basis."""
+        return Matrix.from_sparse_rows(self.field, self.left_mult_rows(u), self.dim)
 
     def named_element(self, name: str) -> Element | None:
-        for gname, el in self.generators:
-            if gname == name:
-                return el
-        for i, lab in enumerate(self.labels):
-            if lab == name:
-                return self.basis_element(i)
-        return None
+        return self._names.get(name)
 
     def parse_element(self, text: str) -> Element:
         return exprs.parse_element(self, text)
@@ -217,26 +228,28 @@ class ArtinAlgebra:
         return column_space_basis(Matrix.from_columns(self.field, prods, nrows=self.dim))
 
     def m_power_cols(self, k: int) -> Matrix:
-        """Canonical basis of m^k."""
-        if k <= 0:
-            return column_space_basis(Matrix.identity(self.field, self.dim))
-        acc = column_space_basis(self.m_cols())
-        for _ in range(k - 1):
-            acc = self.ideal_product_cols(self.m_cols(), acc)
-        return acc
+        """Canonical basis of m^k, computed once per algebra and k."""
+        k = max(k, 0)
+        cached = self._m_powers.get(k)
+        if cached is None:
+            if k == 0:
+                cached = column_space_basis(Matrix.identity(self.field, self.dim))
+            elif k == 1:
+                cached = column_space_basis(self.m_cols())
+            else:
+                cached = self.ideal_product_cols(self.m_cols(), self.m_power_cols(k - 1))
+            self._m_powers[k] = cached
+        return cached
 
     def nilpotency_index(self, cap: int | None = None) -> int | None:
         """Least N with m^N = 0, or None if m is not nilpotent."""
         cap = cap if cap is not None else self.dim + 1
-        acc = column_space_basis(self.m_cols())
         n = 1
-        while acc.ncols > 0:
+        while self.m_power_cols(n).ncols > 0:
             if n > cap:
                 return None
-            nxt = self.ideal_product_cols(self.m_cols(), acc)
-            if nxt.ncols == acc.ncols:
+            if self.m_power_cols(n + 1).ncols == self.m_power_cols(n).ncols:
                 return None  # stabilized nonzero: not nilpotent
-            acc = nxt
             n += 1
         return n
 

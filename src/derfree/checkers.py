@@ -22,7 +22,7 @@ from .complexes import (FreeComplex, betti, graded_homology, homology,
 from .homotopy import (DerivedAnnihilator, chain_map_space, derived_annihilator,
                        solve_homotopy)
 from .koszul import koszul, koszul_differentials, subsets
-from .linalg import Matrix, independent_columns, invert, quotient_coords
+from .linalg import Matrix, independent_columns, is_invertible, quotient_coords
 from .modules import (MINUS_INFINITY, PLUS_INFINITY, FiniteModule, GradedModule,
                       dim_module, graded_dim_module, graded_element_kills, graded_is_free,
                       is_free, lemma43_freeness, nu, poincare_truncated,
@@ -858,8 +858,7 @@ def tensor_model_search(F: FreeComplex, z_blocks: list, rng, tries: int = 64):
             continue
         ok = True
         for i in model.degrees():
-            red = combo.component(i).mod_m()
-            if red.nrows != red.ncols or (red.nrows and invert(red) is None):
+            if not is_invertible(combo.component(i).mod_m()):
                 ok = False
                 break
         if ok:

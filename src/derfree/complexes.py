@@ -10,8 +10,10 @@ internal degree up to the truncation (reported with the window).
 Homology dimensions (`homology_dims`, and per internal degree
 `graded_homology_dims`) come from one rank per differential by
 rank-nullity, dim H_i = dim F_i - rk d_i - rk d_{i+1}, after `validate`
-has found d^2 = 0; only `homology` and `graded_homology` build modules
-with representatives and induced actions.
+has found d^2 = 0; each rank is taken on sparse rows (`AMatrix.flat_rows`,
+the graded `map_columns`, and `AMatrix.mod_m_rows` for the Betti numbers),
+without a dense matrix.  Only `homology` and `graded_homology` build
+modules with representatives and induced actions.
 
 Products of matrices with algebra entries and the witness checks
 (`AMatrix.mul`, `ChainMap.chain_defects`, `homotopy.homotopy_defects`) run
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (Matrix, column_space_basis, independent_columns, invert,
-                     kernel_basis, quotient_coords, rank)
+                     kernel_basis, quotient_coords, sparse_rank)
 from .modules import (GradedModule, FiniteModule, MINUS_INFINITY,
                       PLUS_INFINITY, graded_induced_actions, induced_actions)
 
@@ -170,21 +172,34 @@ class AMatrix:
         return Matrix.from_rows(
             A.field, [[A.el_mod_m(e) for e in r] for r in self.entries], ncols=self.ncols)
 
-    def flatten(self) -> Matrix:
-        """k-linear matrix on flattened coordinates (Artinian backend)."""
+    def mod_m_rows(self) -> list:
+        """The rows of `mod_m()` as {column: scalar} dicts of their nonzero entries."""
+        residue = self.algebra.el_mod_m
+        return [{j: x for j, x in enumerate(map(residue, r)) if x} for r in self.entries]
+
+    def flat_rows(self) -> list:
+        """The rows of `flatten()` as {column: scalar} dicts of their nonzero entries."""
         A = self.algebra
         if A.kind != "artinian":
             raise ComplexError("flatten requires the Artinian backend")
-        f = A.field
         d = A.dim
-        rows = [[f.zero] * (self.ncols * d) for _ in range(self.nrows * d)]
-        for i, r in enumerate(self.entries):
+        out = []
+        for r in self.entries:
+            block = [{} for _ in range(d)]
             for j, e in enumerate(r):
                 if not A.el_is_zero(e):
-                    # block (i, j) is multiplication by e
-                    for a, Lr in enumerate(A.left_mult_matrix(e).rows):
-                        rows[i * d + a][j * d:(j + 1) * d] = Lr
-        return Matrix.from_rows(f, rows, ncols=self.ncols * d)
+                    # the block in column j is multiplication by e
+                    off = j * d
+                    for row, lr in zip(block, A.left_mult_rows(e)):
+                        for b, x in lr.items():
+                            row[off + b] = x
+            out.extend(block)
+        return out
+
+    def flatten(self) -> Matrix:
+        """k-linear matrix on flattened coordinates (Artinian backend)."""
+        A = self.algebra
+        return Matrix.from_sparse_rows(A.field, self.flat_rows(), self.ncols * A.dim)
 
     def hstack(self, other: "AMatrix") -> "AMatrix":
         return AMatrix(self.algebra, self.nrows, self.ncols + other.ncols,
@@ -607,8 +622,8 @@ def homology_dims(F: FreeComplex) -> dict:
     if F.algebra.kind != "artinian":
         return {i: sum(h) for i, h in graded_homology_dims(F).items()}
     _require_complex(F)
-    rk = {i: rank(F.diff(i).flatten()) for i in range(F.low + 1, F.top + 1)}
-    d = F.algebra.dim
+    f, d = F.algebra.field, F.algebra.dim
+    rk = {i: sparse_rank(f, F.diff(i).flat_rows()) for i in range(F.low + 1, F.top + 1)}
     return {i: F.rank(i) * d - rk.get(i, 0) - rk.get(i + 1, 0) for i in F.degrees()}
 
 
@@ -677,7 +692,9 @@ def graded_homology_dims(F: FreeComplex) -> dict:
     _require_complex(F)
     A = F.algebra
     window = A.truncation
-    rk = {(i, n): rank(F.graded_diff_matrix(i, n))
+    # rk d_i is the rank of its columns, which `map_columns` gives sparse
+    rk = {(i, n): sparse_rank(A.field, A.map_columns(F.diff(i).entries, F.shift_of(i),
+                                                     F.shift_of(i - 1), n))
           for i in range(F.low + 1, F.top + 1) for n in range(window + 1)}
     return {i: tuple(len(A.free_coords(F.shift_of(i), n)) - rk.get((i, n), 0)
                      - rk.get((i + 1, n), 0) for n in range(window + 1))
@@ -691,12 +708,8 @@ def graded_homology_dims(F: FreeComplex) -> dict:
 def betti(F: FreeComplex) -> dict:
     """beta_i = dim_k H_i(F (x) k); exact on both backends."""
     f = F.algebra.field
-    out = {}
-    for i in F.degrees():
-        dn = F.diff(i).mod_m()
-        dn1 = F.diff(i + 1).mod_m()
-        out[i] = F.rank(i) - rank(dn) - rank(dn1)
-    return out
+    rk = {i: sparse_rank(f, F.diff(i).mod_m_rows()) for i in range(F.low + 1, F.top + 1)}
+    return {i: F.rank(i) - rk.get(i, 0) - rk.get(i + 1, 0) for i in F.degrees()}
 
 
 def proj_dim(F: FreeComplex):

@@ -97,7 +97,7 @@ class _System:
     the equation entries (i, s, t), each entry taking one column or row per
     coordinate; `rows` holds each row as a sparse {column: scalar} dict,
     the form the elimination kernel takes.  Only the coordinate spaces and
-    the multiplication blocks (`left_mult_matrix` or `mult_map`) depend on
+    the multiplication blocks (`left_mult_rows` or `mult_map`) depend on
     the backend.
     """
 
@@ -128,6 +128,7 @@ class _System:
         for i in range(self.lo, self.hi + 1):
             dT, dS = T.diff(i + k), S.diff(i)
             bT, bS = self._entry_blocks("T", i + k, dT), self._entry_blocks(source, i, dS)
+            nT, nS = T.rank(i + k), S.rank(i - 1)
             for s in range(T.rank(i + k - 1)):
                 for t in range(S.rank(i)):
                     deg = self._degree(i, i + k - 1, s, t)
@@ -136,10 +137,10 @@ class _System:
                     self.equations[(i, s, t)] = (row, n, deg)
                     self.rows.extend({} for _ in range(n))
                     # d^T_{i+k}[s, q] * X_i[q, t]
-                    for q in range(T.rank(i + k)):
+                    for q in range(nT):
                         self._add_term(row, n, bT[s][q], dT.entries[s][q], (i, q, t), False)
                     # sign * X_{i-1}[s, q] * d^S_i[q, t]
-                    for q in range(S.rank(i - 1)):
+                    for q in range(nS):
                         self._add_term(row, n, bS[q][t], dS.entries[q][t], (i - 1, s, q),
                                        sign < 0)
 
@@ -199,9 +200,13 @@ class _System:
         col0, _, deg = self.unknowns[key]
         block = cache.get(deg)
         if block is None:
-            L = A.mult_map(e, deg) if self.graded else A.left_mult_matrix(e)
-            cache[deg] = block = [(r, c, v) for r, row in enumerate(L.rows)
-                                  for c, v in enumerate(row) if v]
+            if self.graded:
+                block = [(r, c, v) for r, row in enumerate(A.mult_map(e, deg).rows)
+                         for c, v in enumerate(row) if v]
+            else:
+                block = [(r, c, v) for r, row in enumerate(A.left_mult_rows(e))
+                         for c, v in row.items()]
+            cache[deg] = block
         neg, rows = A.field.neg, self.rows
         for r, c, v in block:
             if r < nrows:

@@ -4,7 +4,9 @@ RREF is canonical (leftmost pivot, pivot entries 1, pivot columns cleared),
 so every derived object -- kernel bases ordered by free-column index,
 particular solutions with free variables set to 0, projections of kernels
 -- is reproducible bit-for-bit.  One sparse kernel (`sparse_rref`) on rows
-stored as {column: scalar} dicts eliminates for every field and size;
+stored as {column: scalar} dicts eliminates for every field and size, and
+a rank is the pivot count of its RREF (`sparse_rank`, on the sparse rows a
+caller already has, or `rank` on the nonzero entries of a `Matrix`);
 `np_rref` stays as a dense GF(p) reference, and it is the only function
 that loads numpy (when it is first called), so importing the package does
 not.  `quotient_coords` is the one subquotient step: coordinates of
@@ -66,6 +68,17 @@ class Matrix:
     @staticmethod
     def from_int_rows(field, rows, ncols: int | None = None) -> "Matrix":
         return Matrix.from_rows(field, [[field.from_int(x) for x in r] for r in rows], ncols)
+
+    @staticmethod
+    def from_sparse_rows(field, rows, ncols: int) -> "Matrix":
+        """The matrix whose rows hold the entries {column: scalar} of `rows`."""
+        zero, out = field.zero, []
+        for r in rows:
+            dense = [zero] * ncols
+            for j, v in r.items():
+                dense[j] = v
+            out.append(tuple(dense))
+        return Matrix(field, len(out), ncols, tuple(out))
 
     @staticmethod
     def from_columns(field, cols, nrows: int | None = None) -> "Matrix":
@@ -301,22 +314,29 @@ def sparse_solve(field, rows, ncols, bs) -> list:
 
 
 def _sparse_rows(M: Matrix) -> list:
-    return [dict(enumerate(r)) for r in M.rows]
+    """The rows of M as {column: scalar} dicts of their nonzero entries."""
+    return [{j: v for j, v in enumerate(r) if v} for r in M.rows]
 
 
 def rref(M: Matrix):
     """Reduced row echelon form; returns (R, pivot_columns, rank)."""
-    f = M.field
-    pivot_rows, pivots = sparse_rref(f, _sparse_rows(M))
-    rows = [[f.zero] * M.ncols for _ in range(M.nrows)]
-    for dense, row in zip(rows, pivot_rows):
-        for j, v in row.items():
-            dense[j] = v
-    return Matrix.from_rows(f, rows, M.ncols), pivots, len(pivots)
+    pivot_rows, pivots = sparse_rref(M.field, _sparse_rows(M))
+    zero_rows = [{}] * (M.nrows - len(pivots))
+    return Matrix.from_sparse_rows(M.field, pivot_rows + zero_rows, M.ncols), pivots, len(pivots)
+
+
+def sparse_rank(field, rows) -> int:
+    """Rank of sparse rows {column: scalar}: the pivot count of their RREF."""
+    return len(sparse_rref(field, rows)[1])
 
 
 def rank(M: Matrix) -> int:
-    return rref(M)[2]
+    return sparse_rank(M.field, _sparse_rows(M))
+
+
+def is_invertible(M: Matrix) -> bool:
+    """Whether M is square of full rank."""
+    return M.nrows == M.ncols and rank(M) == M.nrows
 
 
 def kernel_basis(M: Matrix) -> Matrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, le
 
 from . import exprs
 from .algebra import ArtinAlgebra
@@ -31,11 +32,11 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_key(m: Monomial):
@@ -77,6 +78,11 @@ class MonomialAlgebra:
         for g in self.ideal:
             if len(g) != len(self.variables) or mono_degree(g) == 0:
                 raise ValueError(f"bad ideal generator {g!r}")
+        # the first variable of a name wins, as `variables.index` would pick it
+        names = {}
+        for i, v in enumerate(self.variables):
+            names.setdefault(v, self.var_element(i))
+        object.__setattr__(self, "_names", names)
 
     @property
     def nvars(self) -> int:
@@ -109,9 +115,7 @@ class MonomialAlgebra:
         return ((m, self.field.one),)
 
     def named_element(self, name: str):
-        if name in self.variables:
-            return self.var_element(self.variables.index(name))
-        return None
+        return self._names.get(name)
 
     def _canonical(self, terms: dict):
         """Sorted nonzero terms of {monomial: raw sum}, each sum reduced once."""
@@ -230,6 +234,25 @@ class MonomialAlgebra:
         """[(slot, monomial)] basis of the degree-d part of (+) A(-s) over s in shifts."""
         return [(s, m) for s, sh in enumerate(shifts) for m in self.basis(d - sh)]
 
+    def map_columns(self, entries, src_shifts, tgt_shifts, d: int, delta: int = 0) -> list:
+        """The columns of `map_matrix` as {row: scalar} dicts of their nonzero entries."""
+        tgt = {c: k for k, c in enumerate(self.free_coords(tgt_shifts, d + delta))}
+        nonzero = [[(r, row[s]) for r, row in enumerate(entries) if row[s]]
+                   for s in range(len(src_shifts))]
+        get, reduce = tgt.get, self.field.reduce
+        cols = []
+        for s, m in self.free_coords(src_shifts, d):
+            acc = {}
+            for r, e in nonzero[s]:
+                for em, c in e:
+                    # a product of monomials has coefficient 1, and a product
+                    # in the ideal is no standard monomial, so it has no row
+                    k = get((r, mono_mul(m, em)))
+                    if k is not None:
+                        acc[k] = acc.get(k, 0) + c
+            cols.append({k: x for k, x in zip(acc, map(reduce, acc.values())) if x})
+        return cols
+
     def map_matrix(self, entries, src_shifts, tgt_shifts, d: int, delta: int = 0) -> Matrix:
         """k-matrix of the map with algebra entries[r][s], degree d to degree d + delta.
 
@@ -237,24 +260,9 @@ class MonomialAlgebra:
         is m times column s of `entries`.  A product outside the target
         coordinates is dropped, and each coordinate's raw sum is reduced once.
         """
-        f = self.field
-        tgt = {c: k for k, c in enumerate(self.free_coords(tgt_shifts, d + delta))}
-        nonzero = [[(r, row[s]) for r, row in enumerate(entries) if row[s]]
-                   for s in range(len(src_shifts))]
-        key_product, get = self.key_product, tgt.get
-        reduce, zero = f.reduce, f.zero
-        cols = []
-        for s, m in self.free_coords(src_shifts, d):
-            acc = [0] * len(tgt)
-            for r, e in nonzero[s]:
-                for em, c in e:
-                    # a product of monomials has coefficient 1
-                    for pm, _ in key_product(m, em):
-                        k = get((r, pm))
-                        if k is not None:
-                            acc[k] += c
-            cols.append([reduce(x) if x else zero for x in acc])
-        return Matrix.from_columns(f, cols, nrows=len(tgt))
+        cols = self.map_columns(entries, src_shifts, tgt_shifts, d, delta)
+        nrows = len(self.free_coords(tgt_shifts, d + delta))
+        return Matrix.from_sparse_rows(self.field, cols, nrows).transpose()
 
     def mult_map(self, u, src_deg: int) -> Matrix:
         """Matrix of multiplication by homogeneous u from basis(src_deg) to basis(src_deg + deg u)."""

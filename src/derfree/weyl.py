@@ -16,7 +16,7 @@ from .algebra import ArtinAlgebra
 from .complexes import AMatrix, ChainMap, FreeComplex, scalar_endo
 from .homotopy import homotopy_defects
 from .koszul import koszul, koszul_differentials, subsets
-from .linalg import Matrix, invert
+from .linalg import Matrix, invert, is_invertible
 
 
 class WeylError(ValueError):
@@ -246,7 +246,7 @@ def structure_map(rep: WModuleRep) -> StructureMapResult:
             cols.extend(b.columns())
         phi_n = Matrix.from_columns(f, cols, nrows=rep.dim_at(n))
         mats.append(phi_n)
-        if phi_n.nrows != phi_n.ncols or (phi_n.nrows and invert(phi_n) is None):
+        if not is_invertible(phi_n):
             iso = False
             if failure is None:
                 failure = n
@@ -310,8 +310,7 @@ def koszul_lift(F: FreeComplex, xs, hs) -> KoszulLift:
     if defects:
         raise NotChainMap(f"Phi fails the chain condition at degrees {defects}")
     for n in range(p + 1):
-        reduced = comps[n].mod_m()
-        if reduced.nrows != reduced.ncols or (reduced.nrows and invert(reduced) is None):
+        if not is_invertible(comps[n].mod_m()):
             raise NotInvertibleModM(f"Phi is not invertible mod m in degree {n}")
     return KoszulLift(K, F, phi, b)
 

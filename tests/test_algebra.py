@@ -119,6 +119,18 @@ def test_edim_examples():
     assert Q.edim() == 2
 
 
+def test_powers_of_m_are_computed_once_per_algebra():
+    A = monomial_algebra(QQ, ["x", "y"], ["x^3", "y^2"], 6).artinize()
+    m2 = A.m_power_cols(2)
+    assert A.m_power_cols(2) is m2 and A.m_power_cols(-1) is A.m_power_cols(0)
+    assert m2 == A.ideal_product_cols(A.m_cols(), A.m_cols())
+    assert A.m_power_cols(3).ncols == 1 and A.m_power_cols(4).ncols == 0
+    assert A.nilpotency_index() == 4 and A.edim() == 2
+    # an equal algebra keeps its own powers
+    B = monomial_algebra(QQ, ["x", "y"], ["x^3", "y^2"], 6).artinize()
+    assert B == A and B.m_power_cols(2) is not m2 and B.m_power_cols(2) == m2
+
+
 def test_adapted_basis_plane():
     A = plane()
     ab = adapted_basis(A, prescribed=(A.parse_element("x"),))

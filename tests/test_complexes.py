@@ -12,7 +12,7 @@ from derfree.complexes import (AMatrix, ChainMap, ComplexError, FreeComplex,
                                transport)
 from derfree.field import GF101, QQ
 from derfree.koszul import koszul
-from derfree.linalg import Matrix
+from derfree.linalg import Matrix, rank
 from derfree.modules import MINUS_INFINITY, PLUS_INFINITY
 from derfree.monomial import monomial_algebra
 
@@ -282,3 +282,31 @@ def test_graded_rank_dims_match_the_module_path(field, case, low, seed):
     assert dims == {i: graded_homology(F, i).hilbert(A.truncation) for i in F.degrees()}
     assert homology_dims(F) == {i: sum(h) for i, h in dims.items()}
 
+
+
+def _nonzero_rows(M: Matrix) -> list:
+    return [{j: v for j, v in enumerate(r) if v} for r in M.rows]
+
+
+@given(st.sampled_from([GF101, QQ]), st.sampled_from(sorted(TRANSPORT_CASES)),
+       st.integers(0, 2**32 - 1))
+def test_sparse_rows_match_the_entrywise_matrices(field, case, seed):
+    """`flat_rows` against the flattening read off products with basis
+    elements, `mod_m_rows` against `mod_m`, and the Betti numbers against
+    ranks of the dense residue matrices."""
+    A = space(field)
+    d = A.dim
+    F = random_transport(TRANSPORT_CASES[case](A), random.Random(seed))
+    for i in range(F.low + 1, F.top + 1):
+        D = F.diff(i)
+        cols = [A.el_mul(e, A.basis_element(b)) for row in D.entries for e in row
+                for b in range(d)]
+        flat = Matrix.from_rows(field, [[cols[(r * D.ncols + c) * d + b][a]
+                                         for c in range(D.ncols) for b in range(d)]
+                                        for r in range(D.nrows) for a in range(d)],
+                                ncols=D.ncols * d)
+        assert D.flat_rows() == _nonzero_rows(flat)
+        assert D.flatten() == flat
+        assert D.mod_m_rows() == _nonzero_rows(D.mod_m())
+    assert betti(F) == {i: F.rank(i) - rank(F.diff(i).mod_m()) - rank(F.diff(i + 1).mod_m())
+                        for i in F.degrees()}

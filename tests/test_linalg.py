@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derfree.field import GF, GF101, QQ
-from derfree.linalg import (Matrix, independent_columns, invert, kernel_basis, np_rref,
-                            quotient_coords, rank, rref, solve, solve_and_project,
+from derfree.linalg import (Matrix, independent_columns, invert, is_invertible, kernel_basis,
+                            np_rref, quotient_coords, rank, rref, solve, solve_and_project,
                             solve_multi, span_equal, sparse_rref, sparse_solve)
 
 
@@ -298,6 +298,7 @@ def test_wide_rationals_match_the_dense_reference(shape, data):
         ref_kernel.append(tuple(v))
     assert K.columns() == ref_kernel
     assert_fractions(x for r in K.rows for x in r)
+    assert rank(M) == rk
     # one right-hand side in the column span, one drawn freely
     x = data.draw(st.lists(st.one_of(st.just(QQ.zero), WIDE), min_size=ncols, max_size=ncols))
     bs = [M.apply(x), tuple(data.draw(st.lists(WIDE, min_size=len(rows), max_size=len(rows))))]
@@ -327,6 +328,13 @@ def test_rref_idempotent(rows):
     R, piv, rk = rref(M)
     R2, piv2, rk2 = rref(R)
     assert R == R2 and piv == piv2 and rk == rk2
+
+
+@given(matrices)
+def test_invertible_exactly_when_invert_finds_an_inverse(rows):
+    M = Matrix.from_int_rows(GF101, rows)
+    assert is_invertible(M) == (M.nrows == M.ncols and invert(M) is not None)
+    assert is_invertible(Matrix.zero(GF101, 0, 0))
 
 
 @given(matrices)
