@@ -115,21 +115,22 @@ class ArtinAlgebra:
     # operation on zero costs as much as any other
     def el_add(self, u: Element, v: Element) -> Element:
         add = self.field.add
-        return tuple(add(a, b) if a and b else a or b for a, b in zip(u, v))
+        return tuple([add(a, b) if a and b else a or b for a, b in zip(u, v)])
 
     def el_sub(self, u: Element, v: Element) -> Element:
         sub, neg = self.field.sub, self.field.neg
-        return tuple((sub(a, b) if a else neg(b)) if b else a for a, b in zip(u, v))
+        return tuple([(sub(a, b) if a else neg(b)) if b else a for a, b in zip(u, v)])
 
     def el_neg(self, u: Element) -> Element:
         neg = self.field.neg
-        return tuple(neg(a) if a else a for a in u)
+        return tuple([neg(a) if a else a for a in u])
 
     def el_scale(self, c, u: Element) -> Element:
         if not c:
             return self.zero
-        mul = self.field.mul
-        return tuple(mul(c, a) if a else a for a in u)
+        mul, zero = self.field.mul, self.field.zero
+        # most zero coordinates are the field's shared zero
+        return tuple([mul(c, a) if a is not zero and a else a for a in u])
 
     def el_mul(self, u: Element, v: Element) -> Element:
         """u * v: raw products of the nonzero coordinates are summed per
