@@ -9,6 +9,7 @@ basis; basis index 0 is the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import exprs
 from .linalg import Matrix, column_space_basis, independent_columns
@@ -66,12 +67,13 @@ class ArtinAlgebra:
     """Finite-dimensional local algebra: basis labels + multiplication table.
 
     Products are computed from a sparse form of the structure constants,
-    built once per algebra: ``_table[i][j]`` holds the nonzero ``(k, c)`` of
-    ``e_i * e_j``, and ``_raw_table`` the same constants as raw ints over
-    their common denominator ``key_den`` (see ``field.to_raw``).  Names
-    resolve through ``_names``, also built once, and each power of m is kept
-    in ``_m_powers`` when it is first asked for.  All are derived from
-    ``mult`` and ``generators`` and take no part in equality or hashing.
+    built once per algebra, when first used: ``_table[i][j]`` holds the
+    nonzero ``(k, c)`` of ``e_i * e_j``, and ``_raw`` the same constants as
+    raw ints over their common denominator ``key_den`` (see
+    ``field.to_raw``).  Names resolve through ``_names``, built with the
+    algebra, and each power of m is kept in ``_m_powers`` when it is first
+    asked for.  All are derived from ``mult`` and ``generators`` and take no
+    part in equality or hashing.
     """
 
     field: object
@@ -84,14 +86,6 @@ class ArtinAlgebra:
     def __post_init__(self):
         f = self.field
         d = len(self.labels)
-        table = tuple(tuple(tuple((k, c) for k, c in enumerate(self.mult[i][j]) if c)
-                            for j in range(d)) for i in range(d))
-        ints, den = f.to_raw([c for ti in table for tij in ti for _, c in tij])
-        ints = iter(ints)
-        raw = tuple(tuple(tuple((k, next(ints)) for k, _ in tij) for tij in ti) for ti in table)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_raw_table", raw)
-        object.__setattr__(self, "key_den", den)
         object.__setattr__(self, "zero", (f.zero,) * d)
         object.__setattr__(self, "one", (f.one,) + (f.zero,) * (d - 1) if d else ())
         names = {}  # the first generator of a name wins, and generators win over labels
@@ -101,6 +95,27 @@ class ArtinAlgebra:
             names.setdefault(lab, self.basis_element(i))
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_m_powers", {})
+
+    # the tables are built when first used: an algebra that only resolves
+    # names (the one its own generators are parsed against) never builds them
+    @cached_property
+    def _table(self) -> tuple:
+        d = self.dim
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(self.mult[i][j]) if c)
+                           for j in range(d)) for i in range(d))
+
+    @cached_property
+    def _raw(self) -> tuple:
+        """(``_table`` with raw int constants, their common denominator)."""
+        table = self._table
+        ints, den = self.field.to_raw([c for ti in table for tij in ti for _, c in tij])
+        ints = iter(ints)
+        return tuple(tuple(tuple((k, next(ints)) for k, _ in tij) for tij in ti)
+                     for ti in table), den
+
+    @property
+    def key_den(self) -> int:
+        return self._raw[1]
 
     @property
     def dim(self) -> int:
@@ -156,7 +171,7 @@ class ArtinAlgebra:
 
     def key_product(self, i: int, j: int) -> tuple:
         """The nonzero (k, c) of e_i * e_j, c raw over the denominator `key_den`."""
-        return self._raw_table[i][j]
+        return self._raw[0][i][j]
 
     def el_from_raw(self, raw: dict, den: int) -> Element:
         """The element with coordinates {index: raw int sum / den}, each
