@@ -168,9 +168,7 @@ class AMatrix:
 
     def mod_m(self) -> Matrix:
         """Entrywise image in the residue field."""
-        A = self.algebra
-        return Matrix.from_rows(
-            A.field, [[A.el_mod_m(e) for e in r] for r in self.entries], ncols=self.ncols)
+        return Matrix.from_sparse_rows(self.algebra.field, self.mod_m_rows(), self.ncols)
 
     def mod_m_rows(self) -> list:
         """The rows of `mod_m()` as {column: scalar} dicts of their nonzero entries."""
