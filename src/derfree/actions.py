@@ -68,7 +68,7 @@ def evaluate_relation(F: FreeComplex, gens: dict, poly: str) -> ChainMap:
     return exprs.evaluate(poly, _relation_env(
         A, gens, endo, endo(A.one), ChainMap.add, ChainMap.sub,
         lambda a: ChainMap(a.source, a.target, tuple((d, m.neg()) for d, m in a.maps)),
-        ChainMap.compose, lambda c, g: g.scale_el(A.el_scale(c, A.one))))
+        ChainMap.compose, lambda c, g: g.scale(c)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ basis; basis index 0 is the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import exprs
 from .linalg import Matrix, column_space_basis, independent_columns
@@ -67,13 +66,11 @@ class ArtinAlgebra:
     """Finite-dimensional local algebra: basis labels + multiplication table.
 
     Products are computed from a sparse form of the structure constants,
-    built once per algebra, when first used: ``_table[i][j]`` holds the
-    nonzero ``(k, c)`` of ``e_i * e_j``, and ``_raw`` the same constants as
-    raw ints over their common denominator ``key_den`` (see
-    ``field.to_raw``).  Names resolve through ``_names``, built with the
-    algebra, and each power of m is kept in ``_m_powers`` when it is first
-    asked for.  All are derived from ``mult`` and ``generators`` and take no
-    part in equality or hashing.
+    built once per algebra: ``_table[i][j]`` holds the nonzero ``(k, c)`` of
+    ``e_i * e_j``, and ``_raw_table`` the same constants as raw ints over
+    their common denominator ``key_den`` (see ``field.to_raw``).  Names
+    resolve through the table ``_names``.  All are derived from ``mult`` and
+    ``generators`` and take no part in equality or hashing.
     """
 
     field: object
@@ -86,6 +83,14 @@ class ArtinAlgebra:
     def __post_init__(self):
         f = self.field
         d = len(self.labels)
+        table = tuple(tuple(tuple((k, c) for k, c in enumerate(self.mult[i][j]) if c)
+                            for j in range(d)) for i in range(d))
+        ints, den = f.to_raw([c for ti in table for tij in ti for _, c in tij])
+        ints = iter(ints)
+        raw = tuple(tuple(tuple((k, next(ints)) for k, _ in tij) for tij in ti) for ti in table)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_raw_table", raw)
+        object.__setattr__(self, "key_den", den)
         object.__setattr__(self, "zero", (f.zero,) * d)
         object.__setattr__(self, "one", (f.one,) + (f.zero,) * (d - 1) if d else ())
         names = {}  # the first generator of a name wins, and generators win over labels
@@ -94,28 +99,6 @@ class ArtinAlgebra:
         for i, lab in enumerate(self.labels):
             names.setdefault(lab, self.basis_element(i))
         object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_m_powers", {})
-
-    # the tables are built when first used: an algebra that only resolves
-    # names (the one its own generators are parsed against) never builds them
-    @cached_property
-    def _table(self) -> tuple:
-        d = self.dim
-        return tuple(tuple(tuple((k, c) for k, c in enumerate(self.mult[i][j]) if c)
-                           for j in range(d)) for i in range(d))
-
-    @cached_property
-    def _raw(self) -> tuple:
-        """(``_table`` with raw int constants, their common denominator)."""
-        table = self._table
-        ints, den = self.field.to_raw([c for ti in table for tij in ti for _, c in tij])
-        ints = iter(ints)
-        return tuple(tuple(tuple((k, next(ints)) for k, _ in tij) for tij in ti)
-                     for ti in table), den
-
-    @property
-    def key_den(self) -> int:
-        return self._raw[1]
 
     @property
     def dim(self) -> int:
@@ -143,9 +126,8 @@ class ArtinAlgebra:
     def el_scale(self, c, u: Element) -> Element:
         if not c:
             return self.zero
-        mul, zero = self.field.mul, self.field.zero
-        # most zero coordinates are the field's shared zero
-        return tuple([mul(c, a) if a is not zero and a else a for a in u])
+        mul = self.field.mul
+        return tuple([mul(c, a) if a else a for a in u])
 
     def el_mul(self, u: Element, v: Element) -> Element:
         """u * v: raw products of the nonzero coordinates are summed per
@@ -171,7 +153,7 @@ class ArtinAlgebra:
 
     def key_product(self, i: int, j: int) -> tuple:
         """The nonzero (k, c) of e_i * e_j, c raw over the denominator `key_den`."""
-        return self._raw[0][i][j]
+        return self._raw_table[i][j]
 
     def el_from_raw(self, raw: dict, den: int) -> Element:
         """The element with coordinates {index: raw int sum / den}, each
@@ -244,28 +226,26 @@ class ArtinAlgebra:
         return column_space_basis(Matrix.from_columns(self.field, prods, nrows=self.dim))
 
     def m_power_cols(self, k: int) -> Matrix:
-        """Canonical basis of m^k, computed once per algebra and k."""
-        k = max(k, 0)
-        cached = self._m_powers.get(k)
-        if cached is None:
-            if k == 0:
-                cached = column_space_basis(Matrix.identity(self.field, self.dim))
-            elif k == 1:
-                cached = column_space_basis(self.m_cols())
-            else:
-                cached = self.ideal_product_cols(self.m_cols(), self.m_power_cols(k - 1))
-            self._m_powers[k] = cached
-        return cached
+        """Canonical basis of m^k."""
+        if k <= 0:
+            return column_space_basis(Matrix.identity(self.field, self.dim))
+        acc = column_space_basis(self.m_cols())
+        for _ in range(k - 1):
+            acc = self.ideal_product_cols(self.m_cols(), acc)
+        return acc
 
     def nilpotency_index(self, cap: int | None = None) -> int | None:
         """Least N with m^N = 0, or None if m is not nilpotent."""
         cap = cap if cap is not None else self.dim + 1
+        acc = column_space_basis(self.m_cols())
         n = 1
-        while self.m_power_cols(n).ncols > 0:
+        while acc.ncols > 0:
             if n > cap:
                 return None
-            if self.m_power_cols(n + 1).ncols == self.m_power_cols(n).ncols:
+            nxt = self.ideal_product_cols(self.m_cols(), acc)
+            if nxt.ncols == acc.ncols:
                 return None  # stabilized nonzero: not nilpotent
+            acc = nxt
             n += 1
         return n
 

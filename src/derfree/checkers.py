@@ -852,7 +852,7 @@ def tensor_model_search(F: FreeComplex, z_blocks: list, rng, tries: int = 64):
             coeff = f.from_int(rng.randrange(0, 7))
             if not coeff:
                 continue
-            scaled = g.scale_el(A.el_scale(coeff, A.one))
+            scaled = g.scale(coeff)
             combo = scaled if combo is None else combo.add(scaled)
         if combo is None:
             continue

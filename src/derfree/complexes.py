@@ -109,6 +109,12 @@ class AMatrix:
         return AMatrix(A, self.nrows, self.ncols,
                        tuple(tuple(A.el_mul(a, x) for x in r) for r in self.entries))
 
+    def scale(self, c) -> "AMatrix":
+        """Every entry times the field scalar c."""
+        A = self.algebra
+        return AMatrix(A, self.nrows, self.ncols,
+                       tuple(tuple(A.el_scale(c, x) for x in r) for r in self.entries))
+
     def mul(self, other: "AMatrix") -> "AMatrix":
         if self.ncols != other.nrows:
             raise ComplexError(
@@ -487,6 +493,10 @@ class ChainMap:
     def scale_el(self, a) -> "ChainMap":
         return ChainMap(self.source, self.target,
                         tuple((d, m.scale_el(a)) for d, m in self.maps))
+
+    def scale(self, c) -> "ChainMap":
+        """The map times the field scalar c."""
+        return ChainMap(self.source, self.target, tuple((d, m.scale(c)) for d, m in self.maps))
 
 
 def identity_map(F: FreeComplex) -> ChainMap:

@@ -128,7 +128,6 @@ class _System:
         for i in range(self.lo, self.hi + 1):
             dT, dS = T.diff(i + k), S.diff(i)
             bT, bS = self._entry_blocks("T", i + k, dT), self._entry_blocks(source, i, dS)
-            nT, nS = T.rank(i + k), S.rank(i - 1)
             for s in range(T.rank(i + k - 1)):
                 for t in range(S.rank(i)):
                     deg = self._degree(i, i + k - 1, s, t)
@@ -137,10 +136,10 @@ class _System:
                     self.equations[(i, s, t)] = (row, n, deg)
                     self.rows.extend({} for _ in range(n))
                     # d^T_{i+k}[s, q] * X_i[q, t]
-                    for q in range(nT):
+                    for q in range(T.rank(i + k)):
                         self._add_term(row, n, bT[s][q], dT.entries[s][q], (i, q, t), False)
                     # sign * X_{i-1}[s, q] * d^S_i[q, t]
-                    for q in range(nS):
+                    for q in range(S.rank(i - 1)):
                         self._add_term(row, n, bS[q][t], dS.entries[q][t], (i - 1, s, q),
                                        sign < 0)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, le
 
 from . import exprs
 from .algebra import ArtinAlgebra
@@ -32,11 +31,11 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
+    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_key(m: Monomial):

@@ -119,16 +119,13 @@ def test_edim_examples():
     assert Q.edim() == 2
 
 
-def test_powers_of_m_are_computed_once_per_algebra():
+def test_powers_of_m():
     A = monomial_algebra(QQ, ["x", "y"], ["x^3", "y^2"], 6).artinize()
     m2 = A.m_power_cols(2)
-    assert A.m_power_cols(2) is m2 and A.m_power_cols(-1) is A.m_power_cols(0)
     assert m2 == A.ideal_product_cols(A.m_cols(), A.m_cols())
+    assert A.m_power_cols(-1) == A.m_power_cols(0) and A.m_power_cols(0).ncols == A.dim
     assert A.m_power_cols(3).ncols == 1 and A.m_power_cols(4).ncols == 0
     assert A.nilpotency_index() == 4 and A.edim() == 2
-    # an equal algebra keeps its own powers
-    B = monomial_algebra(QQ, ["x", "y"], ["x^3", "y^2"], 6).artinize()
-    assert B == A and B.m_power_cols(2) is not m2 and B.m_power_cols(2) == m2
 
 
 def test_adapted_basis_plane():
@@ -340,6 +337,8 @@ def test_amatrix_products_match_the_dense_reference(field, case, data):
     a = data.draw(elements(A))
     assert X.scale_el(a) == AMatrix(A, n, m, tuple(tuple(reference_mul(A, a, x) for x in r)
                                                    for r in X.entries))
+    c = a[0]
+    assert X.scale(c) == X.scale_el(A.el_scale(c, A.one))
     d = A.dim
     flat = X.flatten()
     for i in range(n):
