@@ -104,11 +104,6 @@ class AMatrix:
         return AMatrix(A, self.nrows, self.ncols,
                        tuple(tuple(A.el_neg(a) for a in r) for r in self.entries))
 
-    def scale_el(self, a) -> "AMatrix":
-        A = self.algebra
-        return AMatrix(A, self.nrows, self.ncols,
-                       tuple(tuple(A.el_mul(a, x) for x in r) for r in self.entries))
-
     def scale(self, c) -> "AMatrix":
         """Every entry times the field scalar c."""
         A = self.algebra
@@ -489,10 +484,6 @@ class ChainMap:
         degs = sorted({d for d, _ in other.maps} | {d for d, _ in self.maps})
         return ChainMap.from_dict(other.source, self.target,
                                   {d: self.component(d).mul(other.component(d)) for d in degs})
-
-    def scale_el(self, a) -> "ChainMap":
-        return ChainMap(self.source, self.target,
-                        tuple((d, m.scale_el(a)) for d, m in self.maps))
 
     def scale(self, c) -> "ChainMap":
         """The map times the field scalar c."""

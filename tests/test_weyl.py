@@ -144,9 +144,9 @@ def test_weyl_rep_from_ex56_witnesses():
     y = A.parse_element("y")
     z = A.parse_element("z")
     # y id - x U and z id - x U^2 are null-homotopic: the corrected relations
-    f1 = scalar_endo(F, y).sub(U.scale_el(x))
+    f1 = scalar_endo(F, y).sub(scalar_endo(F, x).compose(U))
     U2 = U.compose(U)
-    f2 = scalar_endo(F, z).sub(U2.scale_el(x))
+    f2 = scalar_endo(F, z).sub(scalar_endo(F, x).compose(U2))
     h1 = solve_homotopy(f1)
     h2 = solve_homotopy(f2)
     assert h1 is not None and h2 is not None
