@@ -8,6 +8,7 @@ basis; basis index 0 is the unit.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from . import exprs
@@ -93,12 +94,26 @@ class ArtinAlgebra:
         object.__setattr__(self, "key_den", den)
         object.__setattr__(self, "zero", (f.zero,) * d)
         object.__setattr__(self, "one", (f.one,) + (f.zero,) * (d - 1) if d else ())
+        self._index_names()
+
+    def _index_names(self):
         names = {}  # the first generator of a name wins, and generators win over labels
         for name, el in self.generators:
             names.setdefault(name, el)
         for i, lab in enumerate(self.labels):
             names.setdefault(lab, self.basis_element(i))
         object.__setattr__(self, "_names", names)
+
+    def with_generators(self, generators: tuple) -> "ArtinAlgebra":
+        """This algebra with `generators` as its (name, element) pairs.
+
+        The copy shares the tables built from `mult`, so they are not built
+        again; only the names are indexed anew.
+        """
+        out = copy.copy(self)
+        object.__setattr__(out, "generators", tuple(generators))
+        out._index_names()
+        return out
 
     @property
     def dim(self) -> int:

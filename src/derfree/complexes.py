@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (Matrix, column_space_basis, independent_columns, invert,
-                     kernel_basis, quotient_coords, sparse_rank)
+from .linalg import (Matrix, column_space_basis, independent_columns, kernel_basis,
+                     quotient_coords, sparse_rank, sparse_rref)
 from .modules import (GradedModule, FiniteModule, MINUS_INFINITY,
                       PLUS_INFINITY, graded_induced_actions, induced_actions)
 
@@ -309,24 +309,30 @@ def amatrix_blockdiag(algebra, blocks) -> AMatrix:
 
 
 def amatrix_inverse(M: AMatrix) -> AMatrix | None:
-    """Inverse over the Artinian backend via the flattened bijection."""
+    """Inverse over the Artinian backend, or None if M is not invertible.
+
+    The inverse is A-linear, so entry (i, j) is block i of the image of
+    the unit coordinate of slot j, column j*d of the flattened inverse
+    (d = dim A).  One elimination of [flat(M) | e_{j*d} : j < n] solves for
+    those n columns only, and M is invertible exactly when its pivots are
+    range(n*d).
+    """
     if M.nrows != M.ncols:
         return None
-    A = M.algebra
-    flat = M.flatten()
-    inv = invert(flat)
-    if inv is None:
+    A, n = M.algebra, M.nrows
+    f, d = A.field, A.dim
+    size = n * d
+    rows = M.flat_rows()
+    for j in range(n):
+        rows[j * d][size + j] = f.one
+    pivot_rows, pivots = sparse_rref(f, rows)
+    if pivots != tuple(range(size)):
         return None
-    d = A.dim
-    entries = []
-    for i in range(M.nrows):
-        row = []
-        for j in range(M.ncols):
-            # image of the unit coordinate of slot j, block i
-            col = inv.column(j * d)
-            row.append(tuple(col[i * d: (i + 1) * d]))
-        entries.append(tuple(row))
-    return AMatrix(A, M.nrows, M.ncols, tuple(entries))
+    zero = f.zero
+    return AMatrix(A, n, n, tuple(
+        tuple(tuple(pivot_rows[i * d + b].get(size + j, zero) for b in range(d))
+              for j in range(n))
+        for i in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,16 @@ class _System:
     the form the elimination kernel takes.  Only the coordinate spaces and
     the multiplication blocks (`left_mult_rows` or `mult_map`) depend on
     the backend.
+
+    With `scalar` (S = T, k = 1, sign = +1) the system is the one of
+    a*id = dh + hd that `annihilator` eliminates: the first `na` columns
+    hold the coordinates of a scalar a of degree delta, the unknown
+    columns follow them, and each diagonal equation entry (i, s, s) gets
+    -a.  A solution vector then holds (a, h), and `unpack` reads h off it.
     """
 
     def __init__(self, S: FreeComplex, T: FreeComplex, k: int = 1, sign: int = 1,
-                 delta: int = 0):
+                 delta: int = 0, scalar: bool = False):
         A = S.algebra
         if A != T.algebra:
             raise ValueError("homotopy solves need a common algebra")
@@ -110,8 +116,9 @@ class _System:
         self.graded = A.kind != "artinian"
         self.lo = min(S.low, T.low)
         self.hi = max(S.top, T.top)
+        self.na = self._size(delta, "element") if scalar else 0  # columns of a
         self.unknowns = {}  # (i, q, t) -> (first column, size, degree)
-        col = 0
+        col = self.na
         for i in range(self.lo, self.hi + 1):
             for q in range(T.rank(i + k)):
                 for t in range(S.rank(i)):
@@ -125,6 +132,7 @@ class _System:
         self.rows = []  # one {column: scalar} per equation row
         self.equations = {}  # (i, s, t) -> (first row, size, degree)
         source = "T" if S is T else "S"  # one complex: its entries share their blocks
+        minus_one = A.field.neg(A.field.one)
         for i in range(self.lo, self.hi + 1):
             dT, dS = T.diff(i + k), S.diff(i)
             bT, bS = self._entry_blocks("T", i + k, dT), self._entry_blocks(source, i, dS)
@@ -134,7 +142,10 @@ class _System:
                     n = self._size(deg, "equation")
                     row = len(self.rows)
                     self.equations[(i, s, t)] = (row, n, deg)
-                    self.rows.extend({} for _ in range(n))
+                    if s == t and self.na:  # -a*id sits on the diagonal entries
+                        self.rows.extend({j: minus_one} for j in range(n))
+                    else:
+                        self.rows.extend({} for _ in range(n))
                     # d^T_{i+k}[s, q] * X_i[q, t]
                     for q in range(T.rank(i + k)):
                         self._add_term(row, n, bT[s][q], dT.entries[s][q], (i, q, t), False)
@@ -263,7 +274,8 @@ class _System:
     def annihilator(self) -> tuple:
         """(basis, witnesses) of {a of degree delta : a*id = dh + hd}, with S = T.
 
-        Each kernel vector of [-a*id | system] is a pair (a, h) with
+        The system must be built with `scalar`, so its rows are
+        [-a*id | dh + hd] and each kernel vector is a pair (a, h) with
         a*id = dh + hd.  The pairs whose a-parts grow the span are kept, in
         the canonical kernel order.  The a-parts are read off the RREF, and
         only the kept pairs are built as whole vectors.  On the graded
@@ -273,15 +285,8 @@ class _System:
         into its equation.
         """
         f = self.A.field
-        na = self._size(self.delta, "element")
-        ncols = na + self.ncols
-        rows = [{na + c: v for c, v in row.items()} for row in self.rows]
-        minus_one = f.neg(f.one)
-        for (i, s, t), (row0, _, _) in self.equations.items():
-            if s == t:  # a*id sits on the diagonal entries
-                for j in range(na):
-                    rows[row0 + j][j] = minus_one
-        pivot_rows, pivots = sparse_rref(f, rows)
+        na, ncols = self.na, self.ncols
+        pivot_rows, pivots = sparse_rref(f, self.rows)
         # coordinate r < na of the kernel vector of free column j: 1 when
         # r = j, -row[j] when r is the pivot of row; the pivots of these rows
         # are the free columns a greedy scan keeps
@@ -294,7 +299,7 @@ class _System:
         basis, witnesses = [], []
         for v in pairs:
             a = self._element(v[:na], self.delta)
-            h = self.homotopy(v[na:])
+            h = self.homotopy(v)
             _check_homotopy(scalar_endo(self.S, a), h)
             basis.append(a)
             witnesses.append(h)
@@ -397,7 +402,7 @@ def derived_annihilator(F: FreeComplex, max_degree: int | None = None) -> Derive
     """
     A = F.algebra
     if A.kind == "artinian":
-        basis, witnesses = _System(F, F).annihilator()
+        basis, witnesses = _System(F, F, scalar=True).annihilator()
         return DerivedAnnihilator(F, tuple(basis), tuple(witnesses))
     basis = []
     witnesses = []
@@ -408,7 +413,7 @@ def derived_annihilator(F: FreeComplex, max_degree: int | None = None) -> Derive
             window = delta
             continue
         try:
-            sys = _System(F, F, delta=delta)
+            sys = _System(F, F, delta=delta, scalar=True)
         except TruncationError:
             break
         window = delta

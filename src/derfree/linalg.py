@@ -22,12 +22,15 @@ get the canonical scalar (a sum that is zero becomes `field.zero`).
 denominator, the elimination is fraction-free (a row is reduced by
 L * row - m * piv and pivot rows are kept primitive), and `from_raw`
 divides each pivot row by its lead once, when it is returned.  Over GF(p)
-the hooks are the identity and every lead is 1.  Colder code goes through
-the field's `add`/`mul`.
+the hooks are the identity and every lead is 1.  Rows are inserted by
+descending leading column, so a new pivot is cleared only from the few
+pivot rows left of it, which a bisection over the sorted pivot columns
+finds.  Colder code goes through the field's `add`/`mul`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -215,16 +218,21 @@ def sparse_rref(field, rows):
     integer multiple of its row of the RREF, made primitive when it joins
     (`field.primitive`), so its lead L is 1 over GF(p) and a positive
     integer over QQ.  The pivot rows are kept fully reduced while rows are
-    inserted shortest first: a new row is cleared of every pivot column in
-    one pass, and if anything is left it is made primitive, its column is
-    cleared from the pivot rows (L * piv - c * row), and it joins them.
-    Each pivot row is zero on the other pivot columns, so that pass
-    computes s * row - sum (s * row[c] / L_c) * piv_c, s the lcm of the
-    leads L_c it meets (1 over GF(p)); the raw products are summed per
-    column and each touched entry is reduced once.  Keeping the pivot rows
-    reduced keeps them about as sparse as the result, so the work tracks
-    the size of the RREF rather than the fill-in of a forward pass.  A
-    pivot row is divided by its lead only when it is returned
+    inserted by descending leading column, ties shortest first: a new row
+    is cleared of every pivot column in one pass, and if anything is left
+    it is made primitive, its lead column is cleared from the pivot rows
+    (L * piv - c * row), and it joins them.  Each pivot row is zero on the
+    other pivot columns, so that pass computes
+    s * row - sum (s * row[c] / L_c) * piv_c, s the lcm of the leads L_c it
+    meets (1 over GF(p)); the raw products are summed per column and each
+    touched entry is reduced once.  The back-elimination is bounded: a
+    pivot row is zero left of its own pivot, so only the pivot rows whose
+    pivot lies left of the new lead can hold it, and a bisection over the
+    sorted pivot columns finds them.  Rows taken right to left mostly lead
+    left of every pivot so far, so few pivot rows are visited.  Keeping the
+    pivot rows reduced keeps them about as sparse as the result, so the
+    work tracks the size of the RREF rather than the fill-in of a forward
+    pass.  A pivot row is divided by its lead only when it is returned
     (`field.from_raw`).  The RREF is unique, so neither the insertion order
     nor the order of the arithmetic changes an entry of the result.
     """
@@ -237,8 +245,10 @@ def sparse_rref(field, rows):
     if not raw_is_scalar:
         ints = iter(ints)
         work = [{j: next(ints) for j in r} for r in work]
-    work.sort(key=lambda r: (len(r), min(r, default=-1)))
+    # by descending leading column, ties shortest first; empty rows dropped
+    work = sorted(filter(None, work), key=lambda r: (-min(r), len(r)))
     pivot_row = {}
+    pivot_cols = []  # the keys of pivot_row, sorted
     scaled = False  # whether some pivot row leads with L != 1 (never over GF(p))
     for row in work:
         hits = [c for c in row if c in pivot_row]
@@ -258,12 +268,17 @@ def sparse_rref(field, rows):
             primitive(row, lead)
         scale = row[lead]
         scaled = scaled or scale != 1
-        for piv in pivot_row.values():
+        # a pivot row is zero left of its pivot, so only those left of lead
+        # can hold it
+        at = bisect_left(pivot_cols, lead)
+        for pc in pivot_cols[:at]:
+            piv = pivot_row[pc]
             c = piv.get(lead)
             if c is not None:
                 _eliminate(field, piv, c, row, scale)
+        pivot_cols.insert(at, lead)
         pivot_row[lead] = row
-    pivots = tuple(sorted(pivot_row))
+    pivots = tuple(pivot_cols)
     if raw_is_scalar and not scaled:  # monic rows of the field's own scalars
         return [pivot_row[c] for c in pivots], pivots
     from_raw = field.from_raw

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .actions import ActionCertificate, check_relation, witness_from_matrices
-from .algebra import ArtinAlgebra, artin_algebra_from_constants
+from .algebra import artin_algebra_from_constants
 from .checkers import InstanceBundle
 from .complexes import AMatrix, ChainMap, FreeComplex
 from .field import field_from_config, field_to_config
@@ -146,7 +146,7 @@ def algebra_from_dict(doc: dict, ctx: LoadContext):
             gens = _typed(gens, "algebra generators", dict, str)
             pairs = tuple((name, _located(f"algebra generators[{name!r}]", A.parse_element, expr))
                           for name, expr in sorted(gens.items()))
-            A = ArtinAlgebra(A.field, A.labels, A.mult, pairs)
+            A = A.with_generators(pairs)
         return A
     if kind == "monomial_quotient":
         trunc = ctx.truncation if ctx.truncation is not None \

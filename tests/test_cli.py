@@ -225,6 +225,20 @@ def test_structure_constant_outside_the_labels_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("expr", ["x + q", "x^", 5])
+def test_bad_algebra_generator_exits_2_and_names_its_key(tmp_path, capsys, expr):
+    from derfree.monomial import monomial_algebra
+    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    alg = serialize.algebra_to_dict(A)
+    alg["generators"] = {"u": "x + 2*y", "v": expr}
+    p = str(tmp_path / "bad_generator.json")
+    serialize.save(p, {"algebra": alg, "ranks": [1, 1], "differentials": [[["u"]]]})
+    assert main(["homology", p]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "algebra generators" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("command", ["validate", "homology", "annihilator"])
 def test_top_level_array_exits_2(tmp_path, capsys, command):
     p = str(tmp_path / "array.json")

@@ -8,11 +8,11 @@ from derfree.complexes import (AMatrix, ChainMap, ComplexError, FreeComplex,
                                amatrix_inverse, betti, cone, direct_sum,
                                free_complex, graded_homology, graded_homology_dims,
                                homology, homology_dims, identity_map, inf_sup, is_quasi_iso,
-                               proj_dim, random_transport, scalar_endo, shift,
-                               transport)
+                               proj_dim, random_invertible_amatrix, random_transport,
+                               scalar_endo, shift, transport)
 from derfree.field import GF101, QQ
 from derfree.koszul import koszul
-from derfree.linalg import Matrix, rank
+from derfree.linalg import Matrix, invert, rank
 from derfree.modules import MINUS_INFINITY, PLUS_INFINITY
 from derfree.monomial import monomial_algebra
 
@@ -310,3 +310,60 @@ def test_sparse_rows_match_the_entrywise_matrices(field, case, seed):
         assert D.mod_m_rows() == _nonzero_rows(D.mod_m())
     assert betti(F) == {i: F.rank(i) - rank(F.diff(i).mod_m()) - rank(F.diff(i + 1).mod_m())
                         for i in F.degrees()}
+
+
+# ---------------------------------------------------------------------------
+# the inverse solved for the unit columns against the whole [M | I] inverse
+
+
+def inverse_by_full_identity(M: AMatrix):
+    """The inverse read off [flat(M) | I]: every column of the flattened
+    inverse is solved for, and entry (i, j) is block i of column j*d."""
+    if M.nrows != M.ncols:
+        return None
+    A, n = M.algebra, M.nrows
+    d = A.dim
+    inv = invert(M.flatten())
+    if inv is None:
+        return None
+    return AMatrix(A, n, n, tuple(tuple(tuple(inv.column(j * d)[i * d:(i + 1) * d])
+                                        for j in range(n)) for i in range(n)))
+
+
+INVERSE_ALGEBRAS = {
+    "plane": plane,
+    "space": space,
+    "chain-z3": lambda field: monomial_algebra(
+        field, ["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6).artinize(),
+    "field": lambda field: monomial_algebra(field, ["x"], ["x"], 1).artinize(),
+}
+
+
+@given(st.sampled_from([GF101, QQ]), st.sampled_from(sorted(INVERSE_ALGEBRAS)),
+       st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_amatrix_inverse_matches_the_full_identity_inverse(field, case, n, seed):
+    A = INVERSE_ALGEBRAS[case](field)
+    rng = random.Random(seed)
+    M = random_invertible_amatrix(A, n, rng)
+    inv = amatrix_inverse(M)
+    assert inv is not None and inv == inverse_by_full_identity(M)
+    assert M.mul(inv) == AMatrix.identity(A, n) == inv.mul(M)
+    if n and A.dim > 1:
+        # a row inside m makes M singular mod m, so not invertible
+        t = rng.randrange(1, A.dim)
+        rows = list(M.entries)
+        rows[rng.randrange(n)] = tuple(A.el_mul(A.basis_element(t), e) for e in rows[0])
+        singular = AMatrix(A, n, n, tuple(rows))
+        assert amatrix_inverse(singular) is None is inverse_by_full_identity(singular)
+    # a matrix of random entries, invertible or not
+    rows = tuple(tuple(A.el_scale(field.from_int(rng.randrange(-2, 3)), A.basis_element(
+        rng.randrange(A.dim))) for _ in range(n)) for _ in range(n))
+    M = AMatrix(A, n, n, rows)
+    assert amatrix_inverse(M) == inverse_by_full_identity(M)
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+def test_amatrix_inverse_of_a_non_square_matrix_is_none(field):
+    A = plane(field)
+    assert amatrix_inverse(AMatrix.identity(A, 2).hstack(AMatrix.zero(A, 2, 1))) is None
+    assert amatrix_inverse(AMatrix.zero(A, 0, 1)) is None

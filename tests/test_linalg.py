@@ -242,6 +242,94 @@ def test_sparse_kernel_ignores_row_order(field):
             == ref_rows[:len(ref_piv)]
 
 
+def nonzero_scalars(field):
+    """Nonzero scalars; over QQ most of them are not 1, so rows lead with L != 1."""
+    if field == QQ:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+    return st.integers(1, field.p - 1)
+
+
+@st.composite
+def staggered_rows(draw, field):
+    """(ncols, rows): echelon base rows with drawn leads, combinations of
+    them plus up to two entries on non-lead columns right of their lead,
+    and a zero row, in a drawn order.  A combination shares a base row's
+    lead, so once that base row is a pivot it reduces to a lead right of
+    some pivots and left of others."""
+    ncols = draw(st.integers(1, 12))
+    scalar = nonzero_scalars(field)
+    base = []
+    for lead in sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=6))):
+        row = {lead: draw(scalar)}
+        for j in draw(st.sets(st.integers(lead, ncols - 1), max_size=3)) - {lead}:
+            row[j] = draw(scalar)
+        base.append(row)
+    leads = {min(r) for r in base}
+    free = [j for j in range(ncols) if j not in leads]
+    combos = []
+    for _ in range(draw(st.integers(0, 6)) if base else 0):
+        row = {}
+        for k in draw(st.sets(st.integers(0, len(base) - 1), min_size=1, max_size=3)):
+            c = draw(scalar)
+            for j, v in base[k].items():
+                row[j] = field.add(row.get(j, field.zero), field.mul(c, v))
+        right = [j for j in free if j > min(row, default=ncols)]
+        for j in draw(st.sets(st.sampled_from(right), max_size=2)) if right else ():
+            row[j] = field.add(row.get(j, field.zero), draw(scalar))
+        combos.append({j: v for j, v in row.items() if v})
+    return ncols, draw(st.permutations(base + combos + [{}] * draw(st.integers(0, 1))))
+
+
+def assert_rref_matches_gauss_jordan(field, rows, ncols):
+    """sparse_rref of rows equals the dense Gauss-Jordan RREF and leaves rows as they were."""
+    before = [dict(r) for r in rows]
+    pivot_rows, pivots = sparse_rref(field, rows)
+    assert rows == before
+    ref_rows, ref_piv = gauss_jordan(
+        field, [[r.get(j, field.zero) for j in range(ncols)] for r in rows], ncols)
+    assert pivots == ref_piv
+    assert [[row.get(j, field.zero) for j in range(ncols)] for row in pivot_rows] \
+        == ref_rows[:len(ref_piv)]
+    assert all(v for row in pivot_rows for v in row.values())
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@given(data=st.data())
+def test_sparse_rref_matches_gauss_jordan_on_staggered_rows(field, data):
+    ncols, rows = data.draw(staggered_rows(field))
+    assert_rref_matches_gauss_jordan(field, rows, ncols)
+
+
+def test_a_lead_right_of_a_pivot_is_cleared_with_its_scale(monkeypatch):
+    """Over QQ, {0: 1, 1: 4, 2: 1} reduces by the pivot row {0: 1, 1: 1} to
+    the lead 3 at column 1, right of pivot 0: the pivot row is cleared by
+    the scaled back-elimination 3 * piv - row."""
+    from derfree import linalg
+    scales = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda field, row, c, piv, scale:
+                        scales.append(scale) or real(field, row, c, piv, scale))
+    rows = [{0: QQ.one, 1: QQ.one}, {0: QQ.one, 1: QQ.from_int(4), 2: QQ.one}]
+    assert_rref_matches_gauss_jordan(QQ, rows, 3)
+    assert scales == [3]
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+def test_sparse_rref_matches_gauss_jordan_on_an_annihilator_system(field):
+    """The rows [-a*id | dh + hd] of a transported chain-z3 Koszul complex."""
+    import random
+    from derfree.complexes import random_transport
+    from derfree.homotopy import _System
+    from derfree.koszul import koszul
+    from derfree.monomial import monomial_algebra
+    A = monomial_algebra(field, ["x", "y", "z"],
+                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6).artinize()
+    K = koszul(A, [A.parse_element(v) for v in "xy"], multiplicity=2).complex
+    K = random_transport(K, random.Random(3))
+    system = _System(K, K, scalar=True)
+    assert_rref_matches_gauss_jordan(field, system.rows, system.ncols)
+
+
 WIDE = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))
 
 

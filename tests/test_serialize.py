@@ -27,6 +27,24 @@ def test_algebra_round_trip(any_field):
     assert gback == build_ex23(any_field).A
 
 
+def test_algebra_with_generators_builds_its_tables_once(any_field, monkeypatch):
+    from derfree.algebra import ArtinAlgebra
+    A = monomial_algebra(any_field, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    doc = serialize.algebra_to_dict(A)
+    doc["generators"] = {"v": "x - y", "u": "3/2*x + y"}
+    built = []
+    real = ArtinAlgebra.__post_init__
+    monkeypatch.setattr(ArtinAlgebra, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    back = serialize.algebra_from_dict(doc, LoadContext(any_field))
+    monkeypatch.undo()
+    assert len(built) == 1
+    pairs = (("u", A.parse_element("3/2*x + y")), ("v", A.parse_element("x - y")))
+    assert back == ArtinAlgebra(A.field, A.labels, A.mult, pairs)
+    assert back.named_element("u") == pairs[0][1] and back.named_element("y") == A.named_element("y")
+    assert back.parse_element("u*v") == A.el_mul(pairs[0][1], pairs[1][1])
+
+
 def test_complex_round_trip(any_field):
     for builder in (build_ex55, build_ex56):
         F = builder(any_field).F
