@@ -249,13 +249,12 @@ class ArtinAlgebra:
             acc = self.ideal_product_cols(self.m_cols(), acc)
         return acc
 
-    def nilpotency_index(self, cap: int | None = None) -> int | None:
+    def nilpotency_index(self) -> int | None:
         """Least N with m^N = 0, or None if m is not nilpotent."""
-        cap = cap if cap is not None else self.dim + 1
         acc = column_space_basis(self.m_cols())
         n = 1
         while acc.ncols > 0:
-            if n > cap:
+            if n > self.dim + 1:
                 return None
             nxt = self.ideal_product_cols(self.m_cols(), acc)
             if nxt.ncols == acc.ncols:

@@ -22,7 +22,7 @@ from .complexes import (FreeComplex, betti, graded_homology, homology,
 from .homotopy import (DerivedAnnihilator, chain_map_space, derived_annihilator,
                        solve_homotopy)
 from .koszul import koszul, koszul_differentials, subsets
-from .linalg import Matrix, independent_columns, is_invertible, quotient_coords
+from .linalg import Matrix, complement, independent_columns, is_invertible, quotient_coords
 from .modules import (MINUS_INFINITY, PLUS_INFINITY, FiniteModule, GradedModule,
                       dim_module, graded_dim_module, graded_element_kills, graded_is_free,
                       is_free, lemma43_freeness, nu, poincare_truncated,
@@ -527,16 +527,17 @@ def is_exceptional_ci_surjective(phi: AlgebraMorphism) -> ECIResult:
 
 def _ideal_minimal_generators(A: ArtinAlgebra, ideal_cols: Matrix) -> list:
     """Lifts of a basis of I/mI, greedy over the supplied ideal basis."""
-    mI = A.ideal_product_cols(A.m_cols(), ideal_cols)
-    cols = ideal_cols.columns()
-    return [cols[j] for j in independent_columns(mI, ideal_cols)]
+    return complement(A.ideal_product_cols(A.m_cols(), ideal_cols), ideal_cols).columns()
 
 
 # ---------------------------------------------------------------------------
 # strict complexes of B-modules
 
 
-def check_thm41(subject: Analysis | InstanceBundle, hom_bound: int = 3) -> CheckReport:
+TOR_STEPS = 3  # Tor_i(k, F) is computed for i up to F.top + TOR_STEPS
+
+
+def check_thm41(subject: Analysis | InstanceBundle) -> CheckReport:
     """Flat-dimension hypothesis and conclusions for strict B-module complexes."""
     bundle = analysis_of(subject).bundle
     checks = []
@@ -572,12 +573,12 @@ def check_thm41(subject: Analysis | InstanceBundle, hom_bound: int = 3) -> Check
         checks.append(_chk(f"kernel_{A.element_to_str(a)}_acts_zero", "precondition", ok))
     ea, eb = edim_of(A), edim_of(bundle.B)
     c = ea - eb
-    tor = tor_k_dims(C, hom_bound)
+    tor = tor_k_dims(C, TOR_STEPS)
     data["tor_dims"] = {str(i): v[0] for i, v in tor.items()}
     data["tor_window"] = {str(i): v[1] for i, v in tor.items()}
     bad_i = [i for i, (total, _) in tor.items() if i > c and total > 0]
     checks.append(_chk("tor_vanishing_above_defect", "hypothesis", not bad_i,
-                       f"Tor_i(k, F) = 0 for {c} < i <= {C.top + hom_bound} within window"
+                       f"Tor_i(k, F) = 0 for {c} < i <= {C.top + TOR_STEPS} within window"
                        if not bad_i else f"Tor nonzero in degrees {bad_i}"))
     caveats.append(
         "Tor vanishing verified within the truncation window only; flat dimension "
@@ -832,7 +833,7 @@ def koszul_tensor_model(A, z_blocks: list, b: int) -> FreeComplex:
     return FreeComplex(A, 0, tuple(ranks), koszul_differentials(A, z_blocks))
 
 
-def tensor_model_search(F: FreeComplex, z_blocks: list, rng, tries: int = 64):
+def tensor_model_search(F: FreeComplex, z_blocks: list, rng):
     """Verification half of the open tensor-model question.
 
     Given candidate commuting actions on F_0, build the model complex and
@@ -846,7 +847,7 @@ def tensor_model_search(F: FreeComplex, z_blocks: list, rng, tries: int = 64):
     if not maps:
         return None
     f = A.field
-    for _ in range(tries):
+    for _ in range(64):  # random combinations tried
         combo = None
         for g in maps:
             coeff = f.from_int(rng.randrange(0, 7))

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (Matrix, column_space_basis, independent_columns, kernel_basis,
+from .linalg import (Matrix, block_diag, column_space_basis, complement, kernel_basis,
                      quotient_coords, sparse_rank, sparse_rref)
 from .modules import (GradedModule, FiniteModule, MINUS_INFINITY,
                       PLUS_INFINITY, graded_induced_actions, induced_actions)
@@ -208,14 +208,6 @@ class AMatrix:
         return AMatrix(self.algebra, self.nrows + other.nrows, self.ncols,
                        self.entries + other.entries)
 
-    def __eq__(self, other):
-        return (isinstance(other, AMatrix) and self.algebra == other.algebra
-                and self.entries == other.entries and self.nrows == other.nrows
-                and self.ncols == other.ncols)
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, self.entries))
-
 
 # ---------------------------------------------------------------------------
 # products on basis-element slices
@@ -291,21 +283,6 @@ def _sums_vanish(field, sums: tuple) -> bool:
     """Whether every raw sum of `_raw_sums` is 0 in the field."""
     reduce = field.reduce
     return not any(any(map(reduce, filter(None, acc))) for acc in sums[0].values())
-
-
-def amatrix_blockdiag(algebra, blocks) -> AMatrix:
-    nr = sum(b.nrows for b in blocks)
-    nc = sum(b.ncols for b in blocks)
-    out = AMatrix.zero(algebra, nr, nc)
-    rows = [list(r) for r in out.entries]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[r0 + i][c0 + j] = b.entries[i][j]
-        r0 += b.nrows
-        c0 += b.ncols
-    return AMatrix(algebra, nr, nc, tuple(tuple(r) for r in rows))
 
 
 def amatrix_inverse(M: AMatrix) -> AMatrix | None:
@@ -528,10 +505,7 @@ def direct_sum(F: FreeComplex, G: FreeComplex) -> FreeComplex:
         ranks.append(F.rank(i) + G.rank(i))
         shifts.append(tuple(F.shift_of(i)) + tuple(G.shift_of(i)))
     for i in range(lo + 1, hi + 1):
-        fd, gd = F.diff(i), G.diff(i)
-        top = fd.hstack(AMatrix.zero(F.algebra, fd.nrows, gd.ncols))
-        bot = AMatrix.zero(F.algebra, gd.nrows, fd.ncols).hstack(gd)
-        diffs.append(top.vstack(bot))
+        diffs.append(block_diag(AMatrix, F.algebra, [F.diff(i), G.diff(i)]))
     sh = tuple(shifts) if F.algebra.kind == "graded" else None
     return FreeComplex(F.algebra, lo, tuple(ranks), tuple(diffs), sh)
 
@@ -589,22 +563,20 @@ def homology(F: FreeComplex, i: int) -> HomologyModule:
     A = F.algebra
     if A.kind != "artinian":
         raise ComplexError("use graded_homology for the graded backend")
-    f = A.field
     d = A.dim
     dn = F.diff(i).flatten()
     dn1 = F.diff(i + 1).flatten()
     Z = kernel_basis(dn)
     B = column_space_basis(dn1)
     # representatives: kernel basis vectors independent of the boundaries, in order
-    zcols = Z.columns()
-    reps = [zcols[j] for j in independent_columns(B, Z)]
+    reps = complement(B, Z)
     mults = [A.left_mult_matrix(A.basis_element(t)) for t in range(d)]
 
     def image(t, v):
         return tuple(x for s in range(F.rank(i)) for x in mults[t].apply(v[s * d:(s + 1) * d]))
 
-    acts = induced_actions(A, image, B, Matrix.from_columns(f, reps, nrows=Z.nrows))
-    return HomologyModule(i, FiniteModule(A, len(reps), acts), tuple(reps), Z, B)
+    acts = induced_actions(A, image, B, reps)
+    return HomologyModule(i, FiniteModule(A, reps.ncols, acts), tuple(reps.columns()), Z, B)
 
 
 def _require_complex(F: FreeComplex) -> None:
@@ -652,19 +624,12 @@ def inf_sup(F: FreeComplex) -> tuple:
 def graded_homology(F: FreeComplex, i: int) -> GradedModule:
     """H_i(F) per internal degree, valid up to the algebra truncation."""
     A = F.algebra
-    f = A.field
     window = A.truncation
     reps = {}
     boundaries = {}
     for n in range(window + 1):
-        dn = F.graded_diff_matrix(i, n)
-        dn1 = F.graded_diff_matrix(i + 1, n)
-        Z = kernel_basis(dn)
-        B = column_space_basis(dn1)
-        zcols = Z.columns()
-        reps[n] = Matrix.from_columns(f, [zcols[j] for j in independent_columns(B, Z)],
-                                      nrows=Z.nrows)
-        boundaries[n] = B
+        B = boundaries[n] = column_space_basis(F.graded_diff_matrix(i + 1, n))
+        reps[n] = complement(B, kernel_basis(F.graded_diff_matrix(i, n)))
     shifts = F.shift_of(i)
     var_maps = {}
 

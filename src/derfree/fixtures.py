@@ -16,9 +16,10 @@ from .actions import (ActionCertificate, check_quotient_H_action, witness_from_m
 from .checkers import (Analysis, DecompositionObstruction, InstanceBundle, check_lemma32,
                        check_question, check_thm31, check_thm41, check_thm51,
                        koszul_decompose)
-from .complexes import AMatrix, ChainMap, amatrix_blockdiag, free_complex, scalar_endo
+from .complexes import AMatrix, ChainMap, free_complex, scalar_endo
 from .field import GF101, field_to_config
 from .koszul import koszul, koszul_annihilator_check
+from .linalg import block_diag
 from .modules import graded_nu, graded_quotient_ring_module, is_free, nu
 from .monomial import monomial_algebra
 from .morphism import morphism_from_generator_images
@@ -100,7 +101,7 @@ def build_ex56(field) -> InstanceBundle:
     d2 = [list(r) for r in c2] + [list(r) for r in neg_c1]
     F = free_complex(A, [3, 6, 3], [d1, d2])
     E = AMatrix.from_strings(A, [["0", "0", "x"], ["1", "0", "0"], ["0", "1", "0"]])
-    U = ChainMap.from_dict(F, F, {0: E, 1: amatrix_blockdiag(A, [E, E]), 2: E})
+    U = ChainMap.from_dict(F, F, {0: E, 1: block_diag(AMatrix, A, [E, E]), 2: E})
     cert = ActionCertificate(phi, (("u", U),), (
         ("u^3 - x", zero_witness(F)),
         ("u^4 - y", None),
@@ -133,17 +134,17 @@ def build_ex57(field) -> InstanceBundle:
     return InstanceBundle("ex5.7", A, B, phi, F, certificate=cert)
 
 
-def build_ex23(field, truncation: int = 6) -> InstanceBundle:
-    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], truncation)
-    B = monomial_algebra(field, ["y"], [], truncation)
+def build_ex23(field) -> InstanceBundle:
+    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], 6)
+    B = monomial_algebra(field, ["y"], [], 6)
     phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
     F = free_complex(A, [1, 2], [[["x", "y"]]], shifts=[[0], [1, 1]])
     return InstanceBundle("ex2.3", A, B, phi, F, h_kernel=(A.parse_element("x"),))
 
 
-def build_ex45(field, truncation: int = 6) -> InstanceBundle:
-    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], truncation)
-    B = monomial_algebra(field, ["y"], [], truncation)
+def build_ex45(field) -> InstanceBundle:
+    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], 6)
+    B = monomial_algebra(field, ["y"], [], 6)
     phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
     K = koszul(A, [A.parse_element("x")]).complex
     cert = ActionCertificate(phi, (), (("x", None),))
@@ -151,26 +152,26 @@ def build_ex45(field, truncation: int = 6) -> InstanceBundle:
                           certificate=cert, h_kernel=(A.parse_element("x"),))
 
 
-def build_nagata(field, truncation: int = 8) -> InstanceBundle:
-    A = monomial_algebra(field, ["x", "y"], [], truncation)
-    B = monomial_algebra(field, ["y"], [], truncation)
+def build_nagata(field) -> InstanceBundle:
+    A = monomial_algebra(field, ["x", "y"], [], 8)
+    B = monomial_algebra(field, ["y"], [], 8)
     phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
-    C = module_as_complex(graded_quotient_ring_module(A, [0], truncation))
+    C = module_as_complex(graded_quotient_ring_module(A, [0], A.truncation))
     return InstanceBundle("nagata", A, B, phi, None,
                           h_kernel=(A.parse_element("x"),), module_complex=C)
 
 
-def build_strict_attempt(field, truncation: int = 6) -> InstanceBundle:
-    b = build_ex45(field, truncation)
+def build_strict_attempt(field) -> InstanceBundle:
+    b = build_ex45(field)
     return InstanceBundle("koszul-strict-attempt", b.A, b.B, b.phi, b.F,
                           h_kernel=b.h_kernel)
 
 
-def build_two_term_module_complex(field, truncation: int = 6) -> InstanceBundle:
-    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], truncation)
-    B = monomial_algebra(field, ["y"], [], truncation)
+def build_two_term_module_complex(field) -> InstanceBundle:
+    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], 6)
+    B = monomial_algebra(field, ["y"], [], 6)
     phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
-    Bmod = graded_quotient_ring_module(A, [0], truncation)
+    Bmod = graded_quotient_ring_module(A, [0], A.truncation)
     C = direct_sum_complex(module_as_complex(Bmod),
                            GradedModuleComplex(A, 1, (Bmod,), ()))
     return InstanceBundle("module-sum", A, B, phi, None,

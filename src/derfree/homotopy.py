@@ -393,7 +393,7 @@ def homotopy_class_eq(f: ChainMap, g: ChainMap) -> bool:
     return solve_homotopy(f.sub(g)) is not None
 
 
-def derived_annihilator(F: FreeComplex, max_degree: int | None = None) -> DerivedAnnihilator:
+def derived_annihilator(F: FreeComplex) -> DerivedAnnihilator:
     """Kernel of A -> End-up-to-homotopy of F, with stored witnesses.
 
     Artinian backend: exact.  Graded backend: homogeneous elements of each
@@ -406,9 +406,8 @@ def derived_annihilator(F: FreeComplex, max_degree: int | None = None) -> Derive
         return DerivedAnnihilator(F, tuple(basis), tuple(witnesses))
     basis = []
     witnesses = []
-    top_degree = max_degree if max_degree is not None else A.truncation
     window = 0
-    for delta in range(1, top_degree + 1):
+    for delta in range(1, A.truncation + 1):
         if not A.basis(delta):
             window = delta
             continue

@@ -11,7 +11,9 @@ caller already has, or `rank` on the nonzero entries of a `Matrix`);
 that loads numpy (when it is first called), so importing the package does
 not.  `quotient_coords` is the one subquotient step: coordinates of
 vectors on representatives modulo a subspace, as homology, quotient
-modules and induced actions need them.
+modules and induced actions need them; `complement` is the one greedy
+complement of a subspace (homology representatives, minimal generators),
+and `block_diag` the one block sum, of k-matrices and algebra matrices.
 
 The products `Matrix.mul` and `Matrix.apply` work on the exact Python
 scalars directly: they test a scalar for zero by its truth value, sum raw
@@ -94,9 +96,6 @@ class Matrix:
         return Matrix(field, nrows, len(cols), rows)
 
     # -- access ----------------------------------------------------------
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
@@ -173,13 +172,22 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
 
-    def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, self.rows))
+def block_diag(kind, ring, blocks):
+    """The block-diagonal matrix of `blocks`, all of type `kind` over `ring`.
+
+    `kind` is `Matrix` (ring: a field) or `complexes.AMatrix` (ring: an
+    algebra); the blocks are placed with their `hstack`/`vstack` between
+    `kind.zero` blocks.
+    """
+    ncols = sum(b.ncols for b in blocks)
+    out, left = kind.zero(ring, 0, ncols), 0
+    for b in blocks:
+        right = ncols - left - b.ncols
+        out = out.vstack(kind.zero(ring, b.nrows, left).hstack(b)
+                         .hstack(kind.zero(ring, b.nrows, right)))
+        left += b.ncols
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +408,13 @@ def independent_columns(base: Matrix, cands: Matrix) -> list:
         raise ValueError("row count mismatch")
     _, pivots, _ = rref(base.hstack(cands))
     return [pc - base.ncols for pc in pivots if pc >= base.ncols]
+
+
+def complement(base: Matrix, cands: Matrix) -> Matrix:
+    """The candidate columns a greedy scan keeps (`independent_columns`), as columns."""
+    cols = cands.columns()
+    return Matrix.from_columns(cands.field, [cols[j] for j in independent_columns(base, cands)],
+                               nrows=cands.nrows)
 
 
 def column_space_basis(M: Matrix) -> Matrix:

@@ -4,7 +4,10 @@ Artinian modules are a k-basis plus one action matrix per algebra basis
 element.  Graded modules are degreewise k-spaces with one degree-raising
 action map per variable, valid up to a stated window.  Dimension, and
 depth elsewhere, use the sup/inf conventions with the explicit +/- infinity
-sentinels defined here (never floats).
+sentinels defined here (never floats).  `graded_cover` is the one minimal
+cover of a graded module: `graded_is_free` and every step of
+`resolutions.graded_minimal_resolution` read it, and `graded_nu` counts
+its generators.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ArtinAlgebra
-from .linalg import (Matrix, column_space_basis, in_span, independent_columns,
-                     kernel_basis, quotient_coords)
+from .linalg import (Matrix, block_diag, column_space_basis, complement, in_span,
+                     kernel_basis, quotient_coords, rank)
 from .monomial import MonomialAlgebra
 
 
@@ -71,12 +74,7 @@ class FiniteModule:
             issues.append("unit does not act as the identity")
         for i in range(B.dim):
             for j in range(i, B.dim):
-                lhs = self.action[i].mul(self.action[j])
-                rhs = Matrix.zero(B.field, self.dim, self.dim)
-                for k, c in enumerate(B.mult[i][j]):
-                    if c != B.field.zero:
-                        rhs = rhs.add(self.action[k].scale(c))
-                if lhs != rhs:
+                if self.action[i].mul(self.action[j]) != self.act_element(B.mult[i][j]):
                     issues.append(f"structure constants fail on (e_{i}, e_{j})")
         return issues
 
@@ -97,18 +95,9 @@ class FiniteModule:
 
 
 def free_module(B: ArtinAlgebra, r: int) -> FiniteModule:
-    acts = []
-    for t in range(B.dim):
-        L = B.left_mult_matrix(B.basis_element(t))
-        rows = []
-        for s in range(r):
-            for i in range(B.dim):
-                row = [B.field.zero] * (r * B.dim)
-                for j in range(B.dim):
-                    row[s * B.dim + j] = L.rows[i][j]
-                rows.append(tuple(row))
-        acts.append(Matrix.from_rows(B.field, rows, ncols=r * B.dim))
-    return FiniteModule(B, r * B.dim, tuple(acts))
+    return FiniteModule(B, r * B.dim, tuple(
+        block_diag(Matrix, B.field, [B.left_mult_matrix(B.basis_element(t))] * r)
+        for t in range(B.dim)))
 
 
 def residue_field_module(B: ArtinAlgebra) -> FiniteModule:
@@ -164,9 +153,7 @@ def quotient_module(parent: FiniteModule, sub_cols: Matrix) -> tuple:
     """
     B = parent.algebra
     sub = column_space_basis(sub_cols)
-    std = Matrix.identity(B.field, parent.dim)
-    rep_cols = Matrix.from_columns(B.field, [std.column(i) for i in independent_columns(sub, std)],
-                                   nrows=parent.dim)
+    rep_cols = complement(sub, Matrix.identity(B.field, parent.dim))
     acts = induced_actions(B, lambda t, v: parent.action[t].apply(v), sub, rep_cols)
     return FiniteModule(B, rep_cols.ncols, acts), rep_cols
 
@@ -178,8 +165,7 @@ def nu(M: FiniteModule) -> int:
 
 def minimal_generators(M: FiniteModule) -> list:
     """Deterministic lifts of a basis of M/mM (greedy over the standard basis)."""
-    std = Matrix.identity(M.algebra.field, M.dim)
-    return [std.column(i) for i in independent_columns(M.m_submodule_cols(), std)]
+    return complement(M.m_submodule_cols(), Matrix.identity(M.algebra.field, M.dim)).columns()
 
 
 def cover_map(M: FiniteModule) -> tuple:
@@ -337,22 +323,53 @@ def graded_quotient_ring_module(A: MonomialAlgebra, kernel_var_indices, window: 
     return GradedModule(A, dims, tuple(actions), window)
 
 
+def _graded_generators(M: GradedModule) -> dict:
+    """{d: the degree-d minimal generators of M as columns}, the greedy
+    complement of (m*M)_d in the standard basis."""
+    f = M.algebra.field
+    out = {}
+    for d in range(M.window + 1):
+        # (m*M)_d is spanned by the variable actions out of degree d - 1
+        mM = Matrix.zero(f, M.dim_at(d), 0)
+        for v in range(M.algebra.nvars):
+            mM = mM.hstack(M.act(v, d - 1))
+        out[d] = complement(mM, Matrix.identity(f, M.dim_at(d)))
+    return out
+
+
+def graded_cover(M: GradedModule) -> tuple:
+    """(gen_degrees, gens, maps): the minimal cover of M within its window.
+
+    gens[d] holds the degree-d generators as columns (`_graded_generators`);
+    gen_degrees lists one degree per generator, ascending; maps[d] is the
+    k-matrix of the cover on degree d, from the free module on gen_degrees
+    (coordinates `free_coords`) to M_d.
+    """
+    A = M.algebra
+    f = A.field
+    gens = _graded_generators(M)
+    gen_degrees = tuple(d for d in gens for _ in range(gens[d].ncols))
+    flat_gens = [(d, vec) for d in gens for vec in gens[d].columns()]
+    maps = {}
+    for d in range(M.window + 1):
+        cols = []
+        for (i, m) in A.free_coords(gen_degrees, d):
+            # the image m . gen, by iterated variable action
+            deg, img = flat_gens[i]
+            for vi, e in enumerate(m):
+                for _ in range(e):
+                    img = M.act(vi, deg).apply(img)
+                    deg += 1
+            cols.append(img)
+        maps[d] = Matrix.from_columns(f, cols, nrows=M.dim_at(d))
+    return gen_degrees, gens, maps
+
+
 def graded_nu(M: GradedModule) -> tuple:
     """(total count within window, per-degree generator counts)."""
-    counts = []
-    for d in range(M.window + 1):
-        md = _graded_mM_at(M, d)
-        counts.append(M.dim_at(d) - md.ncols)
-    return sum(counts), tuple(counts)
-
-
-def _graded_mM_at(M: GradedModule, d: int) -> Matrix:
-    f = M.algebra.field
-    cols = []
-    if d >= 1:
-        for v in range(M.algebra.nvars):
-            cols.extend(M.act(v, d - 1).columns())
-    return column_space_basis(Matrix.from_columns(f, cols, nrows=M.dim_at(d)))
+    gens = _graded_generators(M)
+    counts = tuple(gens[d].ncols for d in range(M.window + 1))
+    return sum(counts), counts
 
 
 def graded_socle_degrees(M: GradedModule) -> list:
@@ -381,55 +398,15 @@ class GradedFreenessVerdict:
 
 def graded_is_free(M: GradedModule) -> GradedFreenessVerdict:
     """Free iff the minimal cover has zero kernel; truncation-honest."""
-    A = M.algebra
-    total, per_deg = graded_nu(M)
-    gen_degrees = [d for d in range(M.window + 1) for _ in range(per_deg[d])]
+    gen_degrees, _, maps = graded_cover(M)
     if not gen_degrees:
         return GradedFreenessVerdict(True, 0, None, "zero module within window")
-    P = graded_free_module(A, gen_degrees, M.window)
-    gens = _graded_generator_columns(M, per_deg)
-    cmaps = graded_cover_maps(M, P, gen_degrees, gens)
     for d in range(M.window + 1):
-        if kernel_basis(cmaps[d]).ncols > 0:
+        if rank(maps[d]) < maps[d].ncols:
             return GradedFreenessVerdict(False, None, d,
                                          f"cover has kernel in degree {d}")
-    return GradedFreenessVerdict(None, total, None,
+    return GradedFreenessVerdict(None, len(gen_degrees), None,
                                  f"free up to degree {M.window}")
-
-
-def _graded_generator_columns(M: GradedModule, per_deg) -> dict:
-    """Chosen generator vectors per degree (greedy complement of m*M)."""
-    f = M.algebra.field
-    out = {}
-    for d in range(M.window + 1):
-        if per_deg[d] == 0:
-            out[d] = []
-            continue
-        std = Matrix.identity(f, M.dim_at(d))
-        out[d] = [std.column(i) for i in independent_columns(_graded_mM_at(M, d), std)]
-    return out
-
-
-def graded_cover_maps(M: GradedModule, P: GradedModule, gen_degrees, gens) -> dict:
-    """Degreewise matrices P_d -> M_d sending free generators to the chosen ones."""
-    A = M.algebra
-    f = A.field
-    flat_gens = [(g, vec) for g in sorted(gens) for vec in gens[g]]
-    out = {}
-    for d in range(M.window + 1):
-        cols = []
-        for (i, m) in A.free_coords(gen_degrees, d):
-            g, vec = flat_gens[i]
-            # image = m . vec, computed by iterated variable action
-            img = vec
-            deg = g
-            for vi, e in enumerate(m):
-                for _ in range(e):
-                    img = M.act(vi, deg).apply(img)
-                    deg += 1
-            cols.append(img)
-        out[d] = Matrix.from_columns(f, cols, nrows=M.dim_at(d))
-    return out
 
 
 def monomial_action_matrix(M: GradedModule, mono, d: int) -> Matrix:

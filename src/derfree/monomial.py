@@ -327,14 +327,6 @@ class MonomialAlgebra:
             gens.append((name, tuple(vec)))
         return ArtinAlgebra(f, labels, tuple(mult), tuple(gens))
 
-    def __eq__(self, other):
-        return (isinstance(other, MonomialAlgebra) and self.field == other.field
-                and self.variables == other.variables and self.ideal == other.ideal
-                and self.truncation == other.truncation)
-
-    def __hash__(self):
-        return hash((self.field, self.variables, self.ideal, self.truncation))
-
     def __repr__(self):
         gens = ", ".join(mono_str(g, self.variables) for g in self.ideal)
         return f"MonomialAlgebra(k[{', '.join(self.variables)}]/({gens}), D={self.truncation})"

@@ -9,23 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .linalg import (Matrix, column_space_basis, independent_columns, kernel_basis,
+from .linalg import (Matrix, block_diag, column_space_basis, complement, kernel_basis,
                      rank)
-from .modules import (GradedModule, _graded_generator_columns,
-                      graded_cover_maps, graded_free_module, graded_induced_actions,
-                      element_action_matrix, graded_nu)
+from .modules import (GradedModule, element_action_matrix, graded_cover, graded_free_module,
+                      graded_induced_actions, graded_quotient_ring_module)
 from .monomial import MonomialAlgebra
-
-
-def k_graded_module(A: MonomialAlgebra, window: int | None = None) -> GradedModule:
-    w = A.truncation if window is None else window
-    f = A.field
-    dims = tuple(1 if d == 0 else 0 for d in range(w + 1))
-    actions = []
-    for v in range(A.nvars):
-        per = [Matrix.zero(f, dims[d + 1], dims[d]) for d in range(w)]
-        actions.append(tuple(per))
-    return GradedModule(A, dims, tuple(actions), w)
 
 
 @dataclass(frozen=True)
@@ -55,13 +43,11 @@ def graded_minimal_resolution(M: GradedModule, steps: int) -> GradedResolution:
     prev_degrees = ()
     prev_incl = None  # per-degree kernel bases inside the previous free module
     for i in range(steps + 1):
-        total, per_deg = graded_nu(cur)
-        gen_degrees = tuple(d for d in range(window + 1) for _ in range(per_deg[d]))
-        gens = _graded_generator_columns(cur, per_deg)
+        gen_degrees, gens, cmaps = graded_cover(cur)
         cols = []
         if i > 0:
-            for d in sorted(gens):
-                for v in gens[d]:
+            for d in gens:
+                for v in gens[d].columns():
                     # the image of a degree-d generator, split by slot of P_{i-1}
                     terms = [[] for _ in prev_degrees]
                     for c, (j, m) in zip(prev_incl[d].apply(v), A.free_coords(prev_degrees, d)):
@@ -76,7 +62,6 @@ def graded_minimal_resolution(M: GradedModule, steps: int) -> GradedResolution:
                 out_steps.append(ResolutionStep((), ()))
             break
         P = graded_free_module(A, gen_degrees, window)
-        cmaps = graded_cover_maps(cur, P, gen_degrees, gens)
         ker_bases = {d: kernel_basis(cmaps[d]) for d in range(window + 1)}
         cur = _kernel_module(P, ker_bases)
         prev_degrees, prev_incl = gen_degrees, ker_bases
@@ -104,7 +89,8 @@ def graded_ext_k_dims(M: GradedModule, steps: int) -> list:
     the window.
     """
     A = M.algebra
-    res = graded_minimal_resolution(k_graded_module(A, M.window), steps + 1)
+    res = graded_minimal_resolution(
+        graded_quotient_ring_module(A, range(A.nvars), M.window), steps + 1)
     out = []
     maxgen = [max(s.gen_degrees) if s.gen_degrees else 0 for s in res.steps]
     for n in range(steps + 1):
@@ -158,7 +144,7 @@ def _ext_dim_at(res: GradedResolution, M: GradedModule, n: int, t: int) -> int:
     return z - b
 
 
-def graded_depth(M: GradedModule, bound: int = 4):
+def graded_depth(M: GradedModule, bound: int):
     """(depth, exact): socle shortcut, then Ext^n(k, M) within the window."""
     from .modules import PLUS_INFINITY
     if M.is_zero_within_window():
@@ -247,10 +233,7 @@ class GradedModuleComplex:
         bnd, reps = {}, {}
         for d in range(self.window + 1):
             bnd[d] = column_space_basis(self.diff_matrix(i + 1, d))
-            std = Matrix.identity(f, self.dim_at(i, d))
-            reps[d] = Matrix.from_columns(
-                f, [std.column(j) for j in independent_columns(bnd[d], std)],
-                nrows=self.dim_at(i, d))
+            reps[d] = complement(bnd[d], Matrix.identity(f, self.dim_at(i, d)))
         M0 = self.module(i)
         actions = graded_induced_actions(self.algebra, lambda v, d, c: M0.act(v, d).apply(c),
                                          bnd, reps, self.window)
@@ -273,36 +256,18 @@ def direct_sum_complex(C1: GradedModuleComplex, C2: GradedModuleComplex) -> Grad
         mods.append(_sum_modules(A, C1.module(i), C2.module(i), w))
     diffs = []
     for i in range(lo + 1, hi + 1):
-        per = []
-        for d in range(w + 1):
-            m1 = C1.diff_matrix(i, d)
-            m2 = C2.diff_matrix(i, d)
-            top = m1.hstack(Matrix.zero(f, m1.nrows, m2.ncols))
-            bot = Matrix.zero(f, m2.nrows, m1.ncols).hstack(m2)
-            per.append(top.vstack(bot))
-        diffs.append(tuple(per))
+        diffs.append(tuple(block_diag(Matrix, f, [C1.diff_matrix(i, d), C2.diff_matrix(i, d)])
+                           for d in range(w + 1)))
     return GradedModuleComplex(A, lo, tuple(mods), tuple(diffs))
 
 
 def _sum_modules(A, M1, M2, w) -> GradedModule:
-    f = A.field
-    z = GradedModule(A, tuple(0 for _ in range(w + 1)),
-                     tuple(tuple(Matrix.zero(f, 0, 0) for _ in range(w))
-                           for _ in range(A.nvars)), w)
-    M1 = M1 if M1 is not None else z
-    M2 = M2 if M2 is not None else z
-    dims = tuple(M1.dim_at(d) + M2.dim_at(d) for d in range(w + 1))
-    actions = []
-    for v in range(A.nvars):
-        per = []
-        for d in range(w):
-            a1 = M1.act(v, d)
-            a2 = M2.act(v, d)
-            top = a1.hstack(Matrix.zero(f, a1.nrows, a2.ncols))
-            bot = Matrix.zero(f, a2.nrows, a1.ncols).hstack(a2)
-            per.append(top.vstack(bot))
-        actions.append(tuple(per))
-    return GradedModule(A, dims, tuple(actions), w)
+    """M1 (+) M2 up to degree w; a missing summand (None) is zero."""
+    mods = [M for M in (M1, M2) if M is not None]
+    dims = tuple(sum(M.dim_at(d) for M in mods) for d in range(w + 1))
+    actions = tuple(tuple(block_diag(Matrix, A.field, [M.act(v, d) for M in mods])
+                          for d in range(w)) for v in range(A.nvars))
+    return GradedModule(A, dims, actions, w)
 
 
 def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
@@ -314,7 +279,8 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
     A = C.algebra
     f = A.field
     w = C.window
-    res = graded_minimal_resolution(k_graded_module(A, w), hom_bound + 1)
+    res = graded_minimal_resolution(
+        graded_quotient_ring_module(A, range(A.nvars), w), hom_bound + 1)
     maxgen = [max(s.gen_degrees) if s.gen_degrees else 0 for s in res.steps]
 
     def blocks(n: int, t: int) -> tuple:

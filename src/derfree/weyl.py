@@ -13,8 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import ArtinAlgebra
-from .complexes import AMatrix, ChainMap, FreeComplex, scalar_endo
-from .homotopy import homotopy_defects
+from .complexes import AMatrix, ChainMap, FreeComplex
 from .koszul import koszul, koszul_differentials, subsets
 from .linalg import Matrix, invert, is_invertible
 
@@ -271,10 +270,12 @@ class KoszulLift:
 def koszul_lift(F: FreeComplex, xs, hs) -> KoszulLift:
     """Assemble Phi: K(x) (x) F_0 -> F from homotopies with x_i id = d h_i + h_i d.
 
-    Requires F minimal and each witness exact for its element; the map is
-    checked to be a chain map and invertible modulo m.  A square matrix over
-    a local ring is invertible exactly when it is invertible modulo m, so
-    that check certifies invertibility over the ring.
+    Requires F minimal.  Phi alone is certified: it must be a chain map
+    (NotChainMap otherwise) and invertible modulo m in every degree of K(x)
+    and of F (NotInvertibleModM otherwise).  A square matrix over a local
+    ring is invertible exactly when it is invertible modulo m, so Phi is
+    then an isomorphism of complexes, whatever the witnesses were; they are
+    not substituted back one by one.
     """
     A = F.algebra
     if A.kind != "artinian":
@@ -284,9 +285,6 @@ def koszul_lift(F: FreeComplex, xs, hs) -> KoszulLift:
     if F.low != 0:
         raise WeylError("koszul_lift expects the complex to start in degree 0")
     p = len(xs)
-    for x, h in zip(xs, hs):
-        if homotopy_defects(scalar_endo(F, x), h):
-            raise WeylError("witness does not bound x_i * id exactly")
     b = F.rank(0)
     K = koszul(A, list(xs), multiplicity=b).complex
     comps = {}
@@ -309,8 +307,8 @@ def koszul_lift(F: FreeComplex, xs, hs) -> KoszulLift:
     defects = phi.chain_defects()
     if defects:
         raise NotChainMap(f"Phi fails the chain condition at degrees {defects}")
-    for n in range(p + 1):
-        if not is_invertible(comps[n].mod_m()):
+    for n in range(max(p, F.top) + 1):
+        if not is_invertible(phi.component(n).mod_m()):
             raise NotInvertibleModM(f"Phi is not invertible mod m in degree {n}")
     return KoszulLift(K, F, phi, b)
 

@@ -12,7 +12,7 @@ from derfree.complexes import (AMatrix, ChainMap, ComplexError, FreeComplex,
                                scalar_endo, shift, transport)
 from derfree.field import GF101, QQ
 from derfree.koszul import koszul
-from derfree.linalg import Matrix, invert, rank
+from derfree.linalg import Matrix, block_diag, invert, rank
 from derfree.modules import MINUS_INFINITY, PLUS_INFINITY
 from derfree.monomial import monomial_algebra
 
@@ -360,6 +360,35 @@ def test_amatrix_inverse_matches_the_full_identity_inverse(field, case, n, seed)
         rng.randrange(A.dim))) for _ in range(n)) for _ in range(n))
     M = AMatrix(A, n, n, rows)
     assert amatrix_inverse(M) == inverse_by_full_identity(M)
+
+
+BLOCK_ENTRIES = ("0", "1", "2", "x", "y - 3*x", "1/2 + z")
+
+
+@given(st.sampled_from([GF101, QQ]), st.sampled_from(["Matrix", "AMatrix"]),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4), st.data())
+def test_block_diag_places_each_block_on_the_diagonal(field, kind, shapes, data):
+    A = space(field)
+    if kind == "Matrix":
+        cls, ring, zero = Matrix, field, field.zero
+        entry = st.integers(-3, 3).map(field.from_int)
+    else:
+        cls, ring, zero = AMatrix, A, A.zero
+        entry = st.sampled_from(BLOCK_ENTRIES).map(A.parse_element)
+    blocks = [cls.from_rows(ring, data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                                     min_size=r, max_size=r)), ncols=c)
+              for r, c in shapes]
+    D = block_diag(cls, ring, blocks)
+    # the reference: every entry written into its place, one by one
+    out = [[zero] * sum(c for _, c in shapes) for _ in range(sum(r for r, _ in shapes))]
+    r0 = c0 = 0
+    for b, (r, c) in zip(blocks, shapes):
+        cells = b.rows if kind == "Matrix" else b.entries
+        for i in range(r):
+            out[r0 + i][c0:c0 + c] = cells[i]
+        r0, c0 = r0 + r, c0 + c
+    assert type(D) is cls
+    assert D == cls.from_rows(ring, out, ncols=c0)
 
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])

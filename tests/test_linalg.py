@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derfree.field import GF, GF101, QQ
-from derfree.linalg import (Matrix, independent_columns, invert, is_invertible, kernel_basis,
-                            np_rref, quotient_coords, rank, rref, solve, solve_and_project,
-                            solve_multi, span_equal, sparse_rref, sparse_solve)
+from derfree.linalg import (Matrix, complement, in_span, independent_columns, invert,
+                            is_invertible, kernel_basis, np_rref, quotient_coords, rank, rref,
+                            solve, solve_and_project, solve_multi, span_equal, sparse_rref,
+                            sparse_solve)
 
 
 def brute_force_det(field, M):
@@ -485,6 +486,31 @@ def test_independent_columns_matches_the_greedy_rank_loop(field, n, data):
     B = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in base], nrows=n)
     C = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in cands], nrows=n)
     assert independent_columns(B, C) == greedy_rank_loop(B, C)
+
+
+def greedy_in_span_scan(base, cands):
+    """Reference for complement: keep each candidate outside the span of the
+    base and of the candidates kept before it, one `in_span` solve each."""
+    f = base.field
+    kept = []
+    for c in cands.columns():
+        if not in_span(base.hstack(Matrix.from_columns(f, kept, nrows=base.nrows)), c):
+            kept.append(c)
+    return Matrix.from_columns(f, kept, nrows=base.nrows)
+
+
+@given(st.sampled_from([GF101, QQ]), st.integers(0, 5), st.data())
+def test_complement_matches_a_greedy_in_span_scan(field, n, data):
+    col = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    base = data.draw(st.lists(col, max_size=4))
+    cands = data.draw(st.lists(col, max_size=6))
+    cands += base[:1] + cands[:1]  # a base column and a repeated candidate
+    B = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in base], nrows=n)
+    C = Matrix.from_columns(field, [[field.from_int(x) for x in c] for c in cands], nrows=n)
+    kept = complement(B, C)
+    assert kept == greedy_in_span_scan(B, C)
+    # with the standard basis as candidates, the kept columns complete B to the whole space
+    assert rank(B) + complement(B, Matrix.identity(field, n)).ncols == n
 
 
 @given(st.sampled_from([GF101, QQ]), st.integers(1, 5), st.data())

@@ -1,14 +1,18 @@
 import random
 
+import pytest
+
+from derfree.complexes import graded_homology
 from derfree.field import GF101
-from derfree.linalg import Matrix, column_space_basis
+from derfree.koszul import koszul
+from derfree.linalg import Matrix, column_space_basis, rank
 from derfree.modules import (MINUS_INFINITY, dim_module, free_module, graded_dim_module,
-                             graded_free_module, graded_is_free, graded_nu,
+                             graded_cover, graded_free_module, graded_is_free, graded_nu,
                              graded_quotient_ring_module, is_free, lemma43_freeness, nu,
                              poincare_truncated, quotient_module, residue_field_module,
                              submodule_from_spanning, zero_module)
 from derfree.monomial import monomial_algebra
-from derfree.resolutions import graded_depth, graded_free_module as gfm
+from derfree.resolutions import graded_depth, graded_free_module as gfm, graded_minimal_resolution
 
 
 def chain(n=4):
@@ -142,3 +146,40 @@ def test_graded_depth_values():
     assert graded_depth(gfm(A2, [0], 6), 3) == (0, True)
     B = graded_quotient_ring_module(A, [0], 6)
     assert graded_depth(B, 3) == (1, True)
+
+
+def reference_generator_counts(M):
+    """dim M_d - dim (m*M)_d per degree, (m*M)_d spanned by the variable
+    actions out of degree d - 1."""
+    f = M.algebra.field
+    out = []
+    for d in range(M.window + 1):
+        cols = [c for v in range(M.algebra.nvars) for c in M.act(v, d - 1).columns()] if d else []
+        out.append(M.dim_at(d) - rank(Matrix.from_columns(f, cols, nrows=M.dim_at(d))))
+    return tuple(out)
+
+
+def graded_cases():
+    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y"], 6)
+    S = monomial_algebra(GF101, ["x", "y"], [], 5)
+    return {
+        "k": graded_quotient_ring_module(A, range(A.nvars), 6),
+        "A/(x)": graded_quotient_ring_module(A, [0], 6),
+        "A(0)+A(-2)": gfm(A, [0, 2], 6),
+        "S/(x)": graded_quotient_ring_module(S, [0], 5),
+        "H_1(K(x))": graded_homology(koszul(A, [A.parse_element("x")]).complex, 1),
+        "zero": gfm(A, [], 6),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(graded_cases()))
+def test_graded_nu_agrees_with_the_covers_of_freeness_and_resolution(name):
+    M = graded_cases()[name]
+    total, per = graded_nu(M)
+    degrees = tuple(d for d, n in enumerate(per) for _ in range(n))
+    assert per == reference_generator_counts(M) and total == len(degrees)
+    # graded_is_free reads graded_cover; its rank is the count whenever it is not refuted
+    assert graded_cover(M)[0] == degrees
+    verdict = graded_is_free(M)
+    assert verdict.rank == (None if verdict.free is False else total)
+    assert graded_minimal_resolution(M, 0).steps[0].gen_degrees == degrees

@@ -4,14 +4,14 @@ import random
 import pytest
 
 from derfree.algebra import adapted_basis
-from derfree.complexes import scalar_endo
+from derfree.complexes import direct_sum, scalar_endo, shift
 from derfree.field import GF101
 from derfree.fixtures import build_ex55, build_ex56
 from derfree.homotopy import solve_homotopy
 from derfree.koszul import koszul
 from derfree.linalg import Matrix
 from derfree.monomial import monomial_algebra
-from derfree.weyl import (NotInvertibleModM, WeylError, check_lemmaA1,
+from derfree.weyl import (NotChainMap, NotInvertibleModM, WeylError, check_lemmaA1,
                           check_weyl_relations, conjugate, exterior_model,
                           koszul_lift, random_graded_conjugate, structure_map,
                           weyl_rep_from_witnesses)
@@ -120,8 +120,20 @@ def test_koszul_lift_rejects_bad_witness():
     # fabricated zero witness must be rejected
     from derfree.homotopy import Homotopy
     fake = Homotopy(F, F, ())
-    with pytest.raises(WeylError):
+    with pytest.raises(NotChainMap):
         koszul_lift(F, [x], [fake])
+
+
+def test_koszul_lift_rejects_a_phi_that_misses_higher_degrees_of_f():
+    """On K(x) (+) K(x)[2], x bounds a homotopy, but Phi: K(x) -> F is zero on F_2 and F_3."""
+    A = monomial_algebra(GF101, ["x", "y", "z"],
+                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    x = A.parse_element("x")
+    K = koszul(A, [x]).complex
+    F = direct_sum(K, shift(K, 2))
+    h = solve_homotopy(scalar_endo(F, x))
+    with pytest.raises(NotInvertibleModM, match="degree 2"):
+        koszul_lift(F, [x], [h])
 
 
 def test_koszul_lift_rejects_a_sequence_dependent_modulo_m2():
