@@ -190,9 +190,8 @@ class ArtinAlgebra:
         """Image in the residue field k = A/m."""
         return u[0]
 
-    def left_mult_rows(self, u: Element) -> list:
-        """The rows of `left_mult_matrix(u)` as {column: scalar} dicts of
-        their nonzero entries."""
+    def left_mult_matrix(self, u: Element) -> Matrix:
+        """Matrix of v -> u*v in the algebra basis."""
         acc = [{} for _ in range(self.dim)]
         for i, a in enumerate(u):
             if not a:
@@ -202,11 +201,8 @@ class ArtinAlgebra:
                     row = acc[k]
                     row[j] = row.get(j, 0) + a * c
         reduce = self.field.reduce
-        return [{j: x for j, x in zip(r, map(reduce, r.values())) if x} for r in acc]
-
-    def left_mult_matrix(self, u: Element) -> Matrix:
-        """Matrix of v -> u*v in the algebra basis."""
-        return Matrix.from_sparse_rows(self.field, self.left_mult_rows(u), self.dim)
+        return Matrix(self.field, self.dim, self.dim,
+                      tuple({j: x for j, x in zip(r, map(reduce, r.values())) if x} for r in acc))
 
     def named_element(self, name: str) -> Element | None:
         return self._names.get(name)

@@ -10,10 +10,10 @@ internal degree up to the truncation (reported with the window).
 Homology dimensions (`homology_dims`, and per internal degree
 `graded_homology_dims`) come from one rank per differential by
 rank-nullity, dim H_i = dim F_i - rk d_i - rk d_{i+1}, after `validate`
-has found d^2 = 0; each rank is taken on sparse rows (`AMatrix.flat_rows`,
-the graded `map_columns`, and `AMatrix.mod_m_rows` for the Betti numbers),
-without a dense matrix.  Only `homology` and `graded_homology` build
-modules with representatives and induced actions.
+has found d^2 = 0; each rank is taken on the sparse rows of one k-matrix
+(`AMatrix.flatten`, the graded `map_matrix`, and `AMatrix.mod_m` for the
+Betti numbers).  Only `homology` and `graded_homology` build modules with
+representatives and induced actions.
 
 Products of matrices with algebra entries and the witness checks
 (`AMatrix.mul`, `ChainMap.chain_defects`, `homotopy.homotopy_defects`) run
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (Matrix, block_diag, column_space_basis, complement, kernel_basis,
-                     quotient_coords, sparse_rank, sparse_rref)
+                     quotient_coords, rank, sparse_rref)
 from .modules import (GradedModule, FiniteModule, MINUS_INFINITY,
                       PLUS_INFINITY, graded_induced_actions, induced_actions)
 
@@ -88,16 +88,16 @@ class AMatrix:
         return [[self.algebra.element_to_str(e) for e in row] for row in self.entries]
 
     def add(self, other: "AMatrix") -> "AMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ComplexError(f"shape mismatch {self.nrows}x{self.ncols} + "
+                               f"{other.nrows}x{other.ncols}")
         A = self.algebra
         return AMatrix(A, self.nrows, self.ncols,
                        tuple(tuple(A.el_add(a, b) for a, b in zip(ra, rb))
                              for ra, rb in zip(self.entries, other.entries)))
 
     def sub(self, other: "AMatrix") -> "AMatrix":
-        A = self.algebra
-        return AMatrix(A, self.nrows, self.ncols,
-                       tuple(tuple(A.el_sub(a, b) for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.entries, other.entries)))
+        return self.add(other.neg())
 
     def neg(self) -> "AMatrix":
         A = self.algebra
@@ -169,15 +169,13 @@ class AMatrix:
 
     def mod_m(self) -> Matrix:
         """Entrywise image in the residue field."""
-        return Matrix.from_sparse_rows(self.algebra.field, self.mod_m_rows(), self.ncols)
-
-    def mod_m_rows(self) -> list:
-        """The rows of `mod_m()` as {column: scalar} dicts of their nonzero entries."""
         residue = self.algebra.el_mod_m
-        return [{j: x for j, x in enumerate(map(residue, r)) if x} for r in self.entries]
+        return Matrix(self.algebra.field, self.nrows, self.ncols,
+                      tuple({j: x for j, x in enumerate(map(residue, r)) if x}
+                            for r in self.entries))
 
-    def flat_rows(self) -> list:
-        """The rows of `flatten()` as {column: scalar} dicts of their nonzero entries."""
+    def flatten(self) -> Matrix:
+        """k-linear matrix on flattened coordinates (Artinian backend)."""
         A = self.algebra
         if A.kind != "artinian":
             raise ComplexError("flatten requires the Artinian backend")
@@ -189,18 +187,15 @@ class AMatrix:
                 if not A.el_is_zero(e):
                     # the block in column j is multiplication by e
                     off = j * d
-                    for row, lr in zip(block, A.left_mult_rows(e)):
+                    for row, lr in zip(block, A.left_mult_matrix(e).rows):
                         for b, x in lr.items():
                             row[off + b] = x
             out.extend(block)
-        return out
-
-    def flatten(self) -> Matrix:
-        """k-linear matrix on flattened coordinates (Artinian backend)."""
-        A = self.algebra
-        return Matrix.from_sparse_rows(A.field, self.flat_rows(), self.ncols * A.dim)
+        return Matrix(A.field, self.nrows * d, self.ncols * d, tuple(out))
 
     def hstack(self, other: "AMatrix") -> "AMatrix":
+        if self.nrows != other.nrows:
+            raise ComplexError(f"row count mismatch {self.nrows} and {other.nrows}")
         return AMatrix(self.algebra, self.nrows, self.ncols + other.ncols,
                        tuple(a + b for a, b in zip(self.entries, other.entries)))
 
@@ -299,7 +294,7 @@ def amatrix_inverse(M: AMatrix) -> AMatrix | None:
     A, n = M.algebra, M.nrows
     f, d = A.field, A.dim
     size = n * d
-    rows = M.flat_rows()
+    rows = [dict(r) for r in M.flatten().rows]
     for j in range(n):
         rows[j * d][size + j] = f.one
     pivot_rows, pivots = sparse_rref(f, rows)
@@ -599,8 +594,8 @@ def homology_dims(F: FreeComplex) -> dict:
     if F.algebra.kind != "artinian":
         return {i: sum(h) for i, h in graded_homology_dims(F).items()}
     _require_complex(F)
-    f, d = F.algebra.field, F.algebra.dim
-    rk = {i: sparse_rank(f, F.diff(i).flat_rows()) for i in range(F.low + 1, F.top + 1)}
+    d = F.algebra.dim
+    rk = {i: rank(F.diff(i).flatten()) for i in range(F.low + 1, F.top + 1)}
     return {i: F.rank(i) * d - rk.get(i, 0) - rk.get(i + 1, 0) for i in F.degrees()}
 
 
@@ -662,9 +657,7 @@ def graded_homology_dims(F: FreeComplex) -> dict:
     _require_complex(F)
     A = F.algebra
     window = A.truncation
-    # rk d_i is the rank of its columns, which `map_columns` gives sparse
-    rk = {(i, n): sparse_rank(A.field, A.map_columns(F.diff(i).entries, F.shift_of(i),
-                                                     F.shift_of(i - 1), n))
+    rk = {(i, n): rank(F.graded_diff_matrix(i, n))
           for i in range(F.low + 1, F.top + 1) for n in range(window + 1)}
     return {i: tuple(len(A.free_coords(F.shift_of(i), n)) - rk.get((i, n), 0)
                      - rk.get((i + 1, n), 0) for n in range(window + 1))
@@ -677,8 +670,7 @@ def graded_homology_dims(F: FreeComplex) -> dict:
 
 def betti(F: FreeComplex) -> dict:
     """beta_i = dim_k H_i(F (x) k); exact on both backends."""
-    f = F.algebra.field
-    rk = {i: sparse_rank(f, F.diff(i).mod_m_rows()) for i in range(F.low + 1, F.top + 1)}
+    rk = {i: rank(F.diff(i).mod_m()) for i in range(F.low + 1, F.top + 1)}
     return {i: F.rank(i) - rk.get(i, 0) - rk.get(i + 1, 0) for i in F.degrees()}
 
 
@@ -722,8 +714,7 @@ def random_invertible_amatrix(algebra, n: int, rng) -> AMatrix:
     """Unit lower/upper product with random m-entries added; invertible mod m."""
     f = algebra.field
     # random invertible constant matrix: product of elementary operations
-    base = Matrix.identity(f, n)
-    rows = [list(r) for r in base.rows]
+    rows = [list(r) for r in Matrix.identity(f, n).dense_rows()]
     for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)

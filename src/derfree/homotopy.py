@@ -7,7 +7,8 @@ backend.  The derived annihilator {a : a*id is null-homotopic} is the
 projection of the solution space of a*id - (dh + hd) = 0 onto the
 a-coordinates, with one witness homotopy stored per basis element.  One
 assembler (`_System`) builds these systems for both backends, and also the
-chain-map condition dX - Xd = 0 behind `chain_map_space`.
+chain-map condition dX - Xd = 0 behind `chain_map_space`, as one
+`linalg.Matrix` whose sparse rows the elimination takes as they are.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from .algebra import AlgebraError
 from .complexes import (AMatrix, ChainMap, FreeComplex, _raw_sums, _slices, _sums_vanish,
                         scalar_endo)
-from .linalg import (Matrix, in_span, kernel_vectors, rref, sparse_kernel, sparse_rref,
-                     sparse_solve)
+from .linalg import (Matrix, in_span, kernel_basis, kernel_vectors, rref, solve_multi,
+                     sparse_rref)
 from .monomial import TruncationError
 
 
@@ -95,10 +96,10 @@ class _System:
     equation is graded, so the degree-delta part of any solution solves it.
     Columns run over the unknown entries (i, q, t) in order and rows over
     the equation entries (i, s, t), each entry taking one column or row per
-    coordinate; `rows` holds each row as a sparse {column: scalar} dict,
-    the form the elimination kernel takes.  Only the coordinate spaces and
-    the multiplication blocks (`left_mult_rows` or `mult_map`) depend on
-    the backend.
+    coordinate; `matrix` is the system as one `Matrix`, whose rows are
+    the sparse {column: scalar} dicts the elimination kernel takes.  Only
+    the coordinate spaces and the multiplication blocks (`left_mult_matrix`
+    or `mult_map`) depend on the backend.
 
     With `scalar` (S = T, k = 1, sign = +1) the system is the one of
     a*id = dh + hd that `annihilator` eliminates: the first `na` columns
@@ -129,7 +130,7 @@ class _System:
                         col += n
         self.ncols = col
         self._blocks = {}
-        self.rows = []  # one {column: scalar} per equation row
+        rows = self._rows = []  # one {column: scalar} per equation row
         self.equations = {}  # (i, s, t) -> (first row, size, degree)
         source = "T" if S is T else "S"  # one complex: its entries share their blocks
         minus_one = A.field.neg(A.field.one)
@@ -140,12 +141,12 @@ class _System:
                 for t in range(S.rank(i)):
                     deg = self._degree(i, i + k - 1, s, t)
                     n = self._size(deg, "equation")
-                    row = len(self.rows)
+                    row = len(rows)
                     self.equations[(i, s, t)] = (row, n, deg)
                     if s == t and self.na:  # -a*id sits on the diagonal entries
-                        self.rows.extend({j: minus_one} for j in range(n))
+                        rows.extend({j: minus_one} for j in range(n))
                     else:
-                        self.rows.extend({} for _ in range(n))
+                        rows.extend({} for _ in range(n))
                     # d^T_{i+k}[s, q] * X_i[q, t]
                     for q in range(T.rank(i + k)):
                         self._add_term(row, n, bT[s][q], dT.entries[s][q], (i, q, t), False)
@@ -153,6 +154,7 @@ class _System:
                     for q in range(S.rank(i - 1)):
                         self._add_term(row, n, bS[q][t], dS.entries[q][t], (i - 1, s, q),
                                        sign < 0)
+        self.matrix = Matrix(A.field, len(rows), self.ncols, tuple(rows))
 
     # -- the backend-dependent part: coordinate spaces and blocks ----------
     def _degree(self, i, j, r, c):
@@ -175,12 +177,14 @@ class _System:
         """The block caches of the entries of d, the differential of `side` at `degree`.
 
         Entry [r][c] maps a coordinate degree to the nonzero (row, column,
-        value) of multiplication by d[r, c] on its space.  The cache is keyed
-        by position, so no scalar is hashed.
+        value) of multiplication by d[r, c] on its space, and is None when
+        d[r, c] is zero, so each entry is tested for zero once.  The cache is
+        keyed by position, so no scalar is hashed.
         """
         caches = self._blocks.get((side, degree))
         if caches is None:
-            caches = [[{} for _ in range(d.ncols)] for _ in range(d.nrows)]
+            is_zero = self.A.el_is_zero
+            caches = [[None if is_zero(e) else {} for e in r] for r in d.entries]
             self._blocks[(side, degree)] = caches
         return caches
 
@@ -200,31 +204,27 @@ class _System:
     def _add_term(self, row0, nrows, cache, e, key, negate):
         """Write +-(multiplication by e) from unknown `key` into rows row0..
 
-        `cache` is the block cache of e's position (see `_entry_blocks`).
-        An equation meets each unknown through one term only, so every
-        entry is written once.
+        `cache` is the block cache of e's position (see `_entry_blocks`),
+        None when e is zero.  An equation meets each unknown through one
+        term only, so every entry is written once.
         """
-        A = self.A
-        if not nrows or key not in self.unknowns or A.el_is_zero(e):
+        if cache is None or not nrows or key not in self.unknowns:
             return
+        A = self.A
         col0, _, deg = self.unknowns[key]
         block = cache.get(deg)
         if block is None:
-            if self.graded:
-                block = [(r, c, v) for r, row in enumerate(A.mult_map(e, deg).rows)
-                         for c, v in enumerate(row) if v]
-            else:
-                block = [(r, c, v) for r, row in enumerate(A.left_mult_rows(e))
-                         for c, v in row.items()]
+            M = A.mult_map(e, deg) if self.graded else A.left_mult_matrix(e)
+            block = [(r, c, v) for r, row in enumerate(M.rows) for c, v in row.items()]
             cache[deg] = block
-        neg, rows = A.field.neg, self.rows
+        neg, rows = A.field.neg, self._rows
         for r, c, v in block:
             if r < nrows:
                 rows[row0 + r][col0 + c] = neg(v) if negate else v
 
     def rhs_of(self, fmap: ChainMap):
         """Flatten the components of fmap into an equation vector (None: no solution)."""
-        vec = [self.A.field.zero] * len(self.rows)
+        vec = [self.A.field.zero] * self.matrix.nrows
         for i in range(self.lo, self.hi + 1):
             comp = fmap.component(i)
             for s in range(comp.nrows):
@@ -268,7 +268,7 @@ class _System:
         rhs = self.rhs_of(fmap)
         if rhs is None:
             return None
-        x = sparse_solve(self.A.field, self.rows, self.ncols, [rhs])[0]
+        x = solve_multi(self.matrix, [rhs])[0]
         return None if x is None else self.homotopy(x)
 
     def annihilator(self) -> tuple:
@@ -286,7 +286,7 @@ class _System:
         """
         f = self.A.field
         na, ncols = self.na, self.ncols
-        pivot_rows, pivots = sparse_rref(f, self.rows)
+        pivot_rows, pivots = sparse_rref(f, self.matrix.rows)
         # coordinate r < na of the kernel vector of free column j: 1 when
         # r = j, -row[j] when r is the pivot of row; the pivots of these rows
         # are the free columns a greedy scan keeps
@@ -295,7 +295,7 @@ class _System:
         a_rows += [{j: f.one} for j in set(range(na)) - set(pivots)]
         pairs = kernel_vectors(f, pivot_rows, pivots, ncols, sparse_rref(f, a_rows)[1])
         if self.graded:
-            pairs = rref(Matrix.from_rows(f, pairs, ncols=ncols))[0].rows
+            pairs = rref(Matrix.from_rows(f, pairs, ncols=ncols))[0].dense_rows()
         basis, witnesses = [], []
         for v in pairs:
             a = self._element(v[:na], self.delta)
@@ -330,8 +330,7 @@ def solve_homotopy(f: ChainMap) -> Homotopy | None:
 def chain_map_space(M: FreeComplex, F: FreeComplex) -> list:
     """k-basis of the space of degree-0 chain maps M -> F (Artinian backend)."""
     sys = _System(M, F, k=0, sign=-1)
-    return [ChainMap.from_dict(M, F, sys.unpack(v))
-            for v in sparse_kernel(M.algebra.field, sys.rows, sys.ncols)]
+    return [ChainMap.from_dict(M, F, sys.unpack(v)) for v in kernel_basis(sys.matrix).columns()]
 
 
 def _uniform_component_degree(f: ChainMap) -> int | None:

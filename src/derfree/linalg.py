@@ -3,10 +3,10 @@
 RREF is canonical (leftmost pivot, pivot entries 1, pivot columns cleared),
 so every derived object -- kernel bases ordered by free-column index,
 particular solutions with free variables set to 0, projections of kernels
--- is reproducible bit-for-bit.  One sparse kernel (`sparse_rref`) on rows
-stored as {column: scalar} dicts eliminates for every field and size, and
-a rank is the pivot count of its RREF (`sparse_rank`, on the sparse rows a
-caller already has, or `rank` on the nonzero entries of a `Matrix`);
+-- is reproducible bit-for-bit.  A `Matrix` holds each row as the
+{column: scalar} dict of its nonzero entries, the one form every builder
+returns and the one sparse kernel (`sparse_rref`) eliminates for every
+field and size; `rank`, `kernel_basis` and `solve_multi` read its RREF.
 `np_rref` stays as a dense GF(p) reference, and it is the only function
 that loads numpy (when it is first called), so importing the package does
 not.  `quotient_coords` is the one subquotient step: coordinates of
@@ -16,9 +16,10 @@ complement of a subspace (homology representatives, minimal generators),
 and `block_diag` the one block sum, of k-matrices and algebra matrices.
 
 The products `Matrix.mul` and `Matrix.apply` work on the exact Python
-scalars directly: they test a scalar for zero by its truth value, sum raw
-products with `+` and `*`, and pass each sum once through `field.reduce` to
-get the canonical scalar (a sum that is zero becomes `field.zero`).
+scalars directly: they sum raw products of stored entries with `+` and
+`*`, and pass each sum once through `field.reduce` to get the canonical
+scalar (a sum that is zero is dropped from a row, or becomes `field.zero`
+in a dense vector).
 `sparse_rref` works on raw Python ints through the field's hooks (see
 `field`): `to_raw` turns the input rows into ints over one common
 denominator, the elimination is fraction-free (a row is reduced by
@@ -39,130 +40,134 @@ from math import gcd, lcm
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix with explicit shape (rows may be empty)."""
+    """Immutable matrix with explicit shape, each row held as the
+    {column: scalar} dict of its nonzero entries (the form `sparse_rref`
+    takes).
+
+    No row stores a zero, so the generated equality is exact.  Row dicts
+    are shared between matrices and never changed after construction.
+    """
 
     field: object
     nrows: int
     ncols: int
-    rows: tuple  # tuple of row tuples, len == nrows, each row len == ncols
+    rows: tuple  # nrows dicts {column < ncols: nonzero scalar}
+
+    __hash__ = None
 
     def __post_init__(self):
-        if len(self.rows) != self.nrows or any(len(r) != self.ncols for r in self.rows):
+        if len(self.rows) != self.nrows:
             raise ValueError("shape mismatch")
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def from_rows(field, rows, ncols: int | None = None) -> "Matrix":
-        rows = tuple(tuple(r) for r in rows)
+        """The matrix with the dense rows `rows`."""
+        rows = [tuple(r) for r in rows]
         if ncols is None:
             if not rows:
                 raise ValueError("ncols required for empty matrix")
             ncols = len(rows[0])
-        return Matrix(field, len(rows), ncols, rows)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("shape mismatch")
+        return Matrix(field, len(rows), ncols,
+                      tuple({j: v for j, v in enumerate(r) if v} for r in rows))
 
     @staticmethod
     def zero(field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, nrows, ncols, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
+        return Matrix(field, nrows, ncols, tuple({} for _ in range(nrows)))
 
     @staticmethod
     def identity(field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return Matrix(field, n, n, tuple({i: field.one} for i in range(n)))
 
     @staticmethod
     def from_int_rows(field, rows, ncols: int | None = None) -> "Matrix":
         return Matrix.from_rows(field, [[field.from_int(x) for x in r] for r in rows], ncols)
 
     @staticmethod
-    def from_sparse_rows(field, rows, ncols: int) -> "Matrix":
-        """The matrix whose rows hold the entries {column: scalar} of `rows`."""
-        zero, out = field.zero, []
-        for r in rows:
-            dense = [zero] * ncols
-            for j, v in r.items():
-                dense[j] = v
-            out.append(tuple(dense))
-        return Matrix(field, len(out), ncols, tuple(out))
-
-    @staticmethod
     def from_columns(field, cols, nrows: int | None = None) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        if nrows is None:
-            if not cols:
-                raise ValueError("nrows required for empty column family")
-            nrows = len(cols[0])
-        rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-        return Matrix(field, nrows, len(cols), rows)
+        """The matrix with the dense columns `cols`."""
+        return Matrix.from_rows(field, cols, nrows).transpose()
 
     # -- access ----------------------------------------------------------
+    def dense_rows(self) -> tuple:
+        """The rows as tuples of all ncols entries."""
+        zero, cols = self.field.zero, range(self.ncols)
+        return tuple(tuple(r.get(j, zero) for j in cols) for r in self.rows)
+
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        zero = self.field.zero
+        return tuple(r.get(j, zero) for r in self.rows)
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
+        return list(self.transpose().dense_rows())
 
     # -- arithmetic -----------------------------------------------------
     def add(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(tuple(f.add(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)))
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} + "
+                             f"{other.nrows}x{other.ncols}")
+        add, zero = self.field.add, self.field.zero
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            row = dict(ra)
+            for j, b in rb.items():
+                w = add(row.get(j, zero), b)
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            out.append(row)
+        return Matrix(self.field, self.nrows, self.ncols, tuple(out))
 
     def sub(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)))
+        return self.add(other.neg())
 
     def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols, tuple(tuple(f.neg(a) for a in r) for r in self.rows))
+        neg = self.field.neg
+        return Matrix(self.field, self.nrows, self.ncols,
+                      tuple({j: neg(v) for j, v in r.items()} for r in self.rows))
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols, tuple(tuple(f.mul(c, a) for a in r) for r in self.rows))
+        mul = self.field.mul
+        return Matrix(self.field, self.nrows, self.ncols,
+                      tuple({j: w for j, v in r.items() if (w := mul(c, v))} for r in self.rows))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        f = self.field
-        reduce, zero = f.reduce, f.zero
-        # nonzero pattern of each row of `other`, read once
-        other_nz = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        reduce, orows = self.field.reduce, other.rows
         out = []
         for r in self.rows:
-            acc = [0] * other.ncols
-            for a, nz in zip(r, other_nz):
-                if a:
-                    for j, b in nz:
-                        acc[j] += a * b
-            out.append(tuple(reduce(x) if x else zero for x in acc))
-        return Matrix(f, self.nrows, other.ncols, tuple(out))
+            acc = {}
+            get = acc.get
+            for k, a in r.items():
+                for j, b in orows[k].items():
+                    acc[j] = get(j, 0) + a * b
+            out.append({j: w for j, w in zip(acc, map(reduce, acc.values())) if w})
+        return Matrix(self.field, self.nrows, other.ncols, tuple(out))
 
     def apply(self, vec) -> tuple:
-        f = self.field
-        reduce, zero = f.reduce, f.zero
-        nz = [(k, b) for k, b in enumerate(vec) if b]
-        out = []
-        for r in self.rows:
-            acc = 0
-            for k, b in nz:
-                a = r[k]
-                if a:
-                    acc += a * b
-            out.append(reduce(acc) if acc else zero)
-        return tuple(out)
+        """The dense vector M * vec of a dense vector."""
+        reduce, zero = self.field.reduce, self.field.zero
+        sums = (sum(a * vec[k] for k, a in r.items()) for r in self.rows)
+        return tuple(reduce(s) if s else zero for s in sums)
 
     def transpose(self) -> "Matrix":
-        rows = tuple(self.column(i) for i in range(self.ncols))
-        return Matrix(self.field, self.ncols, self.nrows, rows)
+        cols = tuple({} for _ in range(self.ncols))
+        for i, r in enumerate(self.rows):
+            for j, v in r.items():
+                cols[j][i] = v
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols,
-                      tuple(a + b for a, b in zip(self.rows, other.rows)))
+        n = self.ncols
+        return Matrix(self.field, self.nrows, n + other.ncols,
+                      tuple({**a, **{j + n: v for j, v in b.items()}}
+                            for a, b in zip(self.rows, other.rows)))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
@@ -170,7 +175,7 @@ class Matrix:
         return Matrix(self.field, self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
+        return not any(self.rows)
 
 
 def block_diag(kind, ring, blocks):
@@ -244,9 +249,8 @@ def sparse_rref(field, rows):
     (`field.from_raw`).  The RREF is unique, so neither the insertion order
     nor the order of the arithmetic changes an entry of the result.
     """
-    reduce, primitive, zero = field.reduce, field.primitive, field.zero
-    # most zeros of a dense row are the shared `field.zero`
-    work = [{j: v for j, v in r.items() if v is not zero and v} for r in rows]
+    reduce, primitive = field.reduce, field.primitive
+    work = [{j: v for j, v in r.items() if v} for r in rows]
     flat = (v for r in work for v in r.values())
     ints = field.to_raw(flat)[0]
     raw_is_scalar = ints is flat  # over GF(p) the scalars are the raw ints
@@ -294,13 +298,6 @@ def sparse_rref(field, rows):
             for c in pivots], pivots
 
 
-def sparse_kernel(field, rows, ncols) -> list:
-    """Canonical kernel basis of sparse rows as dense vectors, by free column."""
-    pivot_rows, pivots = sparse_rref(field, rows)
-    return kernel_vectors(field, pivot_rows, pivots, ncols,
-                          sorted(set(range(ncols)) - set(pivots)))
-
-
 def kernel_vectors(field, pivot_rows, pivots, ncols, free) -> list:
     """The canonical kernel vectors of a sparse RREF, for the free columns `free` only."""
     basis = {j: [field.zero] * ncols for j in free}
@@ -313,17 +310,48 @@ def kernel_vectors(field, pivot_rows, pivots, ncols, free) -> list:
     return list(basis.values())
 
 
-def sparse_solve(field, rows, ncols, bs) -> list:
-    """Per b, the solution of rows . x = b with free variables 0, or None.
+def rref(M: Matrix):
+    """Reduced row echelon form; returns (R, pivot_columns, rank)."""
+    pivot_rows, pivots = sparse_rref(M.field, M.rows)
+    zero_rows = tuple({} for _ in range(M.nrows - len(pivots)))
+    return Matrix(M.field, M.nrows, M.ncols, tuple(pivot_rows) + zero_rows), pivots, len(pivots)
 
-    One elimination of the rows extended by every b serves them all.
+
+def rank(M: Matrix) -> int:
+    """The pivot count of the RREF of M."""
+    return len(sparse_rref(M.field, M.rows)[1])
+
+
+def is_invertible(M: Matrix) -> bool:
+    """Whether M is square of full rank."""
+    return M.nrows == M.ncols and rank(M) == M.nrows
+
+
+def kernel_basis(M: Matrix) -> Matrix:
+    """Basis of the null space as matrix columns, ordered by free column index."""
+    pivot_rows, pivots = sparse_rref(M.field, M.rows)
+    free = sorted(set(range(M.ncols)) - set(pivots))
+    return Matrix.from_columns(M.field, kernel_vectors(M.field, pivot_rows, pivots, M.ncols, free),
+                               nrows=M.ncols)
+
+
+def solve(M: Matrix, b) -> tuple | None:
+    """Deterministic particular solution of Mx = b (free variables 0), or None."""
+    return solve_multi(M, [tuple(b)])[0]
+
+
+def solve_multi(M: Matrix, bs: list) -> list:
+    """Per dense b, the solution of Mx = b with free variables 0, or None.
+
+    One elimination of M extended by every b serves them all.
     """
-    zero = field.zero
-    rows = [dict(r) for r in rows]
+    zero, ncols = M.field.zero, M.ncols
+    rows = [dict(r) for r in M.rows]
     for k, b in enumerate(bs):
         for row, x in zip(rows, b):
-            row[ncols + k] = x
-    pivot_rows, pivots = sparse_rref(field, rows)
+            if x:
+                row[ncols + k] = x
+    pivot_rows, pivots = sparse_rref(M.field, rows)
     solved = [(pc, row) for pc, row in zip(pivots, pivot_rows) if pc < ncols]
     # a pivot row past the unknowns reads 0 = nonzero for every b it holds
     bad = {j for pc, row in zip(pivots, pivot_rows) if pc >= ncols for j in row}
@@ -334,48 +362,6 @@ def sparse_solve(field, rows, ncols, bs) -> list:
             x[pc] = row.get(col, zero)
         out.append(None if col in bad else tuple(x))
     return out
-
-
-def _sparse_rows(M: Matrix) -> list:
-    """The rows of M as {column: scalar} dicts of their nonzero entries."""
-    return [{j: v for j, v in enumerate(r) if v} for r in M.rows]
-
-
-def rref(M: Matrix):
-    """Reduced row echelon form; returns (R, pivot_columns, rank)."""
-    pivot_rows, pivots = sparse_rref(M.field, _sparse_rows(M))
-    zero_rows = [{}] * (M.nrows - len(pivots))
-    return Matrix.from_sparse_rows(M.field, pivot_rows + zero_rows, M.ncols), pivots, len(pivots)
-
-
-def sparse_rank(field, rows) -> int:
-    """Rank of sparse rows {column: scalar}: the pivot count of their RREF."""
-    return len(sparse_rref(field, rows)[1])
-
-
-def rank(M: Matrix) -> int:
-    return sparse_rank(M.field, _sparse_rows(M))
-
-
-def is_invertible(M: Matrix) -> bool:
-    """Whether M is square of full rank."""
-    return M.nrows == M.ncols and rank(M) == M.nrows
-
-
-def kernel_basis(M: Matrix) -> Matrix:
-    """Basis of the null space as matrix columns, ordered by free column index."""
-    return Matrix.from_columns(M.field, sparse_kernel(M.field, _sparse_rows(M), M.ncols),
-                               nrows=M.ncols)
-
-
-def solve(M: Matrix, b) -> tuple | None:
-    """Deterministic particular solution of Mx = b (free variables 0), or None."""
-    return solve_multi(M, [tuple(b)])[0]
-
-
-def solve_multi(M: Matrix, bs: list) -> list:
-    """Solve Mx = b for several right-hand sides with one elimination."""
-    return sparse_solve(M.field, _sparse_rows(M), M.ncols, bs)
 
 
 def quotient_coords(sub: Matrix, reps: Matrix, vectors) -> list:
@@ -419,9 +405,8 @@ def complement(base: Matrix, cands: Matrix) -> Matrix:
 
 def column_space_basis(M: Matrix) -> Matrix:
     """Canonical basis of the column space (columns), via RREF of the transpose."""
-    f = M.field
     R, _, rk = rref(M.transpose())
-    return Matrix.from_columns(f, [R.rows[i] for i in range(rk)], nrows=M.nrows)
+    return Matrix(M.field, rk, M.nrows, R.rows[:rk]).transpose()
 
 
 def solve_and_project(M: Matrix, split: int) -> Matrix:
@@ -452,7 +437,8 @@ def invert(M: Matrix) -> Matrix | None:
     R, pivots, rk = rref(M.hstack(Matrix.identity(M.field, n)))
     if rk < n or tuple(pivots[:n]) != tuple(range(n)):
         return None
-    return Matrix.from_rows(M.field, [row[n:] for row in R.rows[:n]], ncols=n)
+    return Matrix(M.field, n, n, tuple({j - n: v for j, v in row.items() if j >= n}
+                                       for row in R.rows[:n]))
 
 
 # ---------------------------------------------------------------------------

@@ -460,9 +460,10 @@ def graded_annihilator(M: GradedModule) -> list:
             maps = [monomial_action_matrix(M, m, d) for m in amb]
             for r_i in range(maps[0].nrows):
                 for c_i in range(M.dim_at(d)):
-                    rows.append(tuple(maps[k].rows[r_i][c_i] for k in range(len(amb))))
+                    rows.append({k: v for k, act in enumerate(maps)
+                                 if (v := act.rows[r_i].get(c_i))})
         # no rows means no constraints: the whole degree-da slice annihilates
-        K = kernel_basis(Matrix.from_rows(f, rows, ncols=len(amb)))
+        K = kernel_basis(Matrix(f, len(rows), len(amb), tuple(rows)))
         for col in K.columns():
             out.append((da, col))
     return out

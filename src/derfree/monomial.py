@@ -233,8 +233,13 @@ class MonomialAlgebra:
         """[(slot, monomial)] basis of the degree-d part of (+) A(-s) over s in shifts."""
         return [(s, m) for s, sh in enumerate(shifts) for m in self.basis(d - sh)]
 
-    def map_columns(self, entries, src_shifts, tgt_shifts, d: int, delta: int = 0) -> list:
-        """The columns of `map_matrix` as {row: scalar} dicts of their nonzero entries."""
+    def map_matrix(self, entries, src_shifts, tgt_shifts, d: int, delta: int = 0) -> Matrix:
+        """k-matrix of the map with algebra entries[r][s], degree d to degree d + delta.
+
+        The map goes from (+) A(-src_shifts) to (+) A(-tgt_shifts); column (s, m)
+        is m times column s of `entries`.  A product outside the target
+        coordinates is dropped, and each coordinate's raw sum is reduced once.
+        """
         tgt = {c: k for k, c in enumerate(self.free_coords(tgt_shifts, d + delta))}
         nonzero = [[(r, row[s]) for r, row in enumerate(entries) if row[s]]
                    for s in range(len(src_shifts))]
@@ -250,18 +255,7 @@ class MonomialAlgebra:
                     if k is not None:
                         acc[k] = acc.get(k, 0) + c
             cols.append({k: x for k, x in zip(acc, map(reduce, acc.values())) if x})
-        return cols
-
-    def map_matrix(self, entries, src_shifts, tgt_shifts, d: int, delta: int = 0) -> Matrix:
-        """k-matrix of the map with algebra entries[r][s], degree d to degree d + delta.
-
-        The map goes from (+) A(-src_shifts) to (+) A(-tgt_shifts); column (s, m)
-        is m times column s of `entries`.  A product outside the target
-        coordinates is dropped, and each coordinate's raw sum is reduced once.
-        """
-        cols = self.map_columns(entries, src_shifts, tgt_shifts, d, delta)
-        nrows = len(self.free_coords(tgt_shifts, d + delta))
-        return Matrix.from_sparse_rows(self.field, cols, nrows).transpose()
+        return Matrix(self.field, len(cols), len(tgt), tuple(cols)).transpose()
 
     def mult_map(self, u, src_deg: int) -> Matrix:
         """Matrix of multiplication by homogeneous u from basis(src_deg) to basis(src_deg + deg u)."""

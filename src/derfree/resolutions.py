@@ -117,7 +117,7 @@ def _hom_matrix(res: GradedResolution, M: GradedModule, n: int, t: int) -> Matri
     tgt_degs = _hom_space_dims(res, M, n, t)
     src_dims = [M.dim_at(d) if d >= 0 else 0 for d in src_degs]
     tgt_dims = [M.dim_at(d) if d >= 0 else 0 for d in tgt_degs]
-    out = [[f.zero] * sum(src_dims) for _ in range(sum(tgt_dims))]
+    out = [{} for _ in range(sum(tgt_dims))]
     diff = res.steps[n].diff
     row0 = 0
     for gi, tdim in enumerate(tgt_dims):
@@ -127,10 +127,10 @@ def _hom_matrix(res: GradedResolution, M: GradedModule, n: int, t: int) -> Matri
             if tdim and sdim and e:
                 # the action of e maps M_{t + deg gj} to M_{t + deg gi}
                 for r_i, row in enumerate(element_action_matrix(M, e, src_degs[gj]).rows):
-                    out[row0 + r_i][col0:col0 + sdim] = row
+                    out[row0 + r_i].update((col0 + c, v) for c, v in row.items())
             col0 += sdim
         row0 += tdim
-    return Matrix.from_rows(f, [tuple(r) for r in out], ncols=sum(src_dims))
+    return Matrix(f, len(out), sum(src_dims), tuple(out))
 
 
 def _ext_dim_at(res: GradedResolution, M: GradedModule, n: int, t: int) -> int:
@@ -309,11 +309,11 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
         """Rank of the total differential (T_n)_t -> (T_{n-1})_t."""
         src, nsrc = blocks(n, t)
         tgt, ntgt = blocks(n - 1, t)
-        out = [[f.zero] * nsrc for _ in range(ntgt)]
+        out = [{} for _ in range(ntgt)]
 
         def place(r0, c0, rows):
             for r_i, row in enumerate(rows):
-                out[r0 + r_i][c0:c0 + len(row)] = row
+                out[r0 + r_i].update((c0 + c, v) for c, v in row.items())
 
         for (j, q, gi), c0 in src.items():
             d_loc = t - res.steps[j].gen_degrees[gi]
@@ -326,9 +326,9 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
             # vertical: (-1)^j 1 (x) d_C
             r0 = tgt.get((j, q - 1, gi))
             if r0 is not None:
-                rows = C.diff_matrix(q, d_loc).rows
-                place(r0, c0, [[f.neg(v) for v in r] for r in rows] if j % 2 else rows)
-        return rank(Matrix.from_rows(f, out, ncols=nsrc))
+                dC = C.diff_matrix(q, d_loc)
+                place(r0, c0, (dC.neg() if j % 2 else dC).rows)
+        return rank(Matrix(f, ntgt, nsrc, tuple(out)))
 
     out = {}
     for i in range(C.low, C.top + hom_bound + 1):

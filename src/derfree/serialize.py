@@ -318,7 +318,7 @@ def bundle_from_dict(doc: dict, ctx: LoadContext) -> InstanceBundle:
 def module_to_dict(M: FiniteModule, inline: bool = True) -> dict:
     f = M.algebra.field
     out = {"dim": M.dim,
-           "action": [[[_scalar_out(f, x) for x in row] for row in a.rows]
+           "action": [[[_scalar_out(f, x) for x in row] for row in a.dense_rows()]
                       for a in M.action]}
     if inline:
         out["algebra"] = algebra_to_dict(M.algebra)

@@ -98,13 +98,13 @@ def test_criterion_5_and_7_roundtrip_decomposition_and_divisibility():
                 K = koszul(A, xs, multiplicity=b).complex
                 for _ in range(10):
                     G = random_transport(K, rng)
-                    dec = koszul_decompose(G)
+                    ann = derived_annihilator(G)
+                    dec = koszul_decompose(G, annihilator=ann)
                     assert isinstance(dec, Decomposition), (A, p, b)
                     assert dec.multiplicity == b
                     assert dec.lift.phi.is_chain_map()
                     # criterion 7 on the same instance: quotient must be the
                     # constant polynomial b
-                    ann = derived_annihilator(G)
                     div = prop44_divisibility(G, p, annihilator=ann)
                     assert div.holds and div.quotient == (b,), (A, p, b)
                     total += 1

@@ -342,8 +342,9 @@ def test_amatrix_products_match_the_dense_reference(field, case, data):
     flat = X.flatten()
     for i in range(n):
         for j in range(m):
-            block = reference_left_mult(A, X.entries[i][j]).rows
-            assert all(flat.rows[i * d + r][j * d:(j + 1) * d] == block[r] for r in range(d))
+            block = reference_left_mult(A, X.entries[i][j]).dense_rows()
+            assert all(flat.dense_rows()[i * d + r][j * d:(j + 1) * d] == block[r]
+                       for r in range(d))
 
 
 # -- graded products against a dict loop through the field methods -----------
@@ -524,7 +525,7 @@ def test_graded_map_matrix_matches_the_entrywise_loop(field, data):
     got = A.map_matrix(entries, src_shifts, tgt_shifts, d, delta)
     assert got == reference_map_matrix(A, entries, src_shifts, tgt_shifts, d, delta)
     for row in got.rows:
-        for c in row:
+        for c in row.values():
             assert type(c) is (Fraction if field == QQ else int), c
 
 

@@ -284,16 +284,11 @@ def test_graded_rank_dims_match_the_module_path(field, case, low, seed):
 
 
 
-def _nonzero_rows(M: Matrix) -> list:
-    return [{j: v for j, v in enumerate(r) if v} for r in M.rows]
-
-
 @given(st.sampled_from([GF101, QQ]), st.sampled_from(sorted(TRANSPORT_CASES)),
        st.integers(0, 2**32 - 1))
 def test_sparse_rows_match_the_entrywise_matrices(field, case, seed):
-    """`flat_rows` against the flattening read off products with basis
-    elements, `mod_m_rows` against `mod_m`, and the Betti numbers against
-    ranks of the dense residue matrices."""
+    """`flatten` against the flattening read off products with basis
+    elements, and the Betti numbers against ranks of the residue matrices."""
     A = space(field)
     d = A.dim
     F = random_transport(TRANSPORT_CASES[case](A), random.Random(seed))
@@ -305,9 +300,7 @@ def test_sparse_rows_match_the_entrywise_matrices(field, case, seed):
                                          for c in range(D.ncols) for b in range(d)]
                                         for r in range(D.nrows) for a in range(d)],
                                 ncols=D.ncols * d)
-        assert D.flat_rows() == _nonzero_rows(flat)
         assert D.flatten() == flat
-        assert D.mod_m_rows() == _nonzero_rows(D.mod_m())
     assert betti(F) == {i: F.rank(i) - rank(F.diff(i).mod_m()) - rank(F.diff(i + 1).mod_m())
                         for i in F.degrees()}
 
@@ -383,12 +376,25 @@ def test_block_diag_places_each_block_on_the_diagonal(field, kind, shapes, data)
     out = [[zero] * sum(c for _, c in shapes) for _ in range(sum(r for r, _ in shapes))]
     r0 = c0 = 0
     for b, (r, c) in zip(blocks, shapes):
-        cells = b.rows if kind == "Matrix" else b.entries
+        cells = b.dense_rows() if kind == "Matrix" else b.entries
         for i in range(r):
             out[r0 + i][c0:c0 + c] = cells[i]
         r0, c0 = r0 + r, c0 + c
     assert type(D) is cls
     assert D == cls.from_rows(ring, out, ncols=c0)
+
+
+def test_entrywise_operations_refuse_mismatched_shapes():
+    A = space()
+    I2, I3 = AMatrix.identity(A, 2), AMatrix.identity(A, 3)
+    for call in (lambda: I2.add(I3), lambda: I2.sub(I3),
+                 lambda: AMatrix.zero(A, 2, 1).hstack(I3)):
+        with pytest.raises(ComplexError, match="mismatch"):
+            call()
+    J2, J3 = Matrix.identity(GF101, 2), Matrix.identity(GF101, 3)
+    for call in (lambda: J2.add(J3), lambda: J2.sub(J3)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            call()
 
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])

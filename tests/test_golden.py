@@ -146,7 +146,7 @@ def _witness_report(field) -> str:
 
 
 def _matrix_strings(M) -> list:
-    return [[M.field.to_str(x) for x in row] for row in M.rows]
+    return [[M.field.to_str(x) for x in row] for row in M.dense_rows()]
 
 
 def _homology_action_report(field) -> str:

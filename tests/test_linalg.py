@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from derfree.field import GF, GF101, QQ
 from derfree.linalg import (Matrix, complement, in_span, independent_columns, invert,
                             is_invertible, kernel_basis, np_rref, quotient_coords, rank, rref,
-                            solve, solve_and_project, solve_multi, span_equal, sparse_rref,
-                            sparse_solve)
+                            solve, solve_and_project, solve_multi, span_equal, sparse_rref)
 
 
 def brute_force_det(field, M):
     """Permutation-expansion determinant; the independent oracle for rank checks."""
-    n = M.nrows
+    n, rows = M.nrows, M.dense_rows()
     total = field.zero
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -26,7 +25,7 @@ def brute_force_det(field, M):
                     sign = -sign
         term = field.one
         for i in range(n):
-            term = field.mul(term, M.rows[i][perm[i]])
+            term = field.mul(term, rows[i][perm[i]])
         total = field.add(total, term if sign == 1 else field.neg(term))
     return total
 
@@ -166,8 +165,8 @@ def gauss_jordan(field, rows, ncols):
 def reference_rref(M):
     """RREF by np_rref over GF(p) and by dense Gauss-Jordan over QQ."""
     if M.field == QQ:
-        return gauss_jordan(QQ, M.rows, M.ncols)
-    arr = np.array(M.rows, dtype=np.int64).reshape(M.nrows, M.ncols)
+        return gauss_jordan(QQ, M.dense_rows(), M.ncols)
+    arr = np.array(M.dense_rows(), dtype=np.int64).reshape(M.nrows, M.ncols)
     arr, pivots = np_rref(arr, M.field.p)
     return arr.tolist(), tuple(pivots)
 
@@ -180,8 +179,8 @@ def test_numpy_path_matches_python_path():
     big = Matrix.from_int_rows(GF101, rows)
     R, piv, rk = rref(big)
     np_rows, np_piv = reference_rref(big)
-    gj_rows, gj_piv = gauss_jordan(GF101, big.rows, big.ncols)
-    assert R.rows == tuple(map(tuple, np_rows)) == tuple(map(tuple, gj_rows))
+    gj_rows, gj_piv = gauss_jordan(GF101, big.dense_rows(), big.ncols)
+    assert R.dense_rows() == tuple(map(tuple, np_rows)) == tuple(map(tuple, gj_rows))
     assert piv == np_piv == gj_piv and rk == len(piv)
 
 
@@ -207,19 +206,19 @@ def test_sparse_kernel_matches_the_reference_rref(M, data):
     # zero rows and zero columns, spliced in at random places
     if M.nrows and data.draw(st.booleans()):
         k = data.draw(st.integers(0, M.nrows))
-        M = Matrix(M.field, M.nrows + 1, M.ncols,
-                   M.rows[:k] + ((M.field.zero,) * M.ncols,) + M.rows[k:])
+        rows = M.dense_rows()
+        M = Matrix.from_rows(M.field, rows[:k] + ((M.field.zero,) * M.ncols,) + rows[k:],
+                             ncols=M.ncols)
     if data.draw(st.booleans()):
         k = data.draw(st.integers(0, M.ncols))
-        M = Matrix(M.field, M.nrows, M.ncols + 1,
-                   tuple(r[:k] + (M.field.zero,) + r[k:] for r in M.rows))
+        M = Matrix.from_rows(M.field, [r[:k] + (M.field.zero,) + r[k:] for r in M.dense_rows()],
+                             ncols=M.ncols + 1)
     R, piv, rk = rref(M)
     ref_rows, ref_piv = reference_rref(M)
-    assert R.rows == tuple(map(tuple, ref_rows))
+    assert R.dense_rows() == tuple(map(tuple, ref_rows))
     assert piv == ref_piv and rk == len(ref_piv)
     # the kernel's own rows, pivot by pivot
-    pivot_rows, pivots = sparse_rref(M.field, [
-        {j: v for j, v in enumerate(r) if v != M.field.zero} for r in M.rows])
+    pivot_rows, pivots = sparse_rref(M.field, M.rows)
     assert pivots == ref_piv
     assert [[row.get(j, M.field.zero) for j in range(M.ncols)] for row in pivot_rows] \
         == [list(r) for r in ref_rows[:rk]]
@@ -328,7 +327,7 @@ def test_sparse_rref_matches_gauss_jordan_on_an_annihilator_system(field):
     K = koszul(A, [A.parse_element(v) for v in "xy"], multiplicity=2).complex
     K = random_transport(K, random.Random(3))
     system = _System(K, K, scalar=True)
-    assert_rref_matches_gauss_jordan(field, system.rows, system.ncols)
+    assert_rref_matches_gauss_jordan(field, list(system.matrix.rows), system.ncols)
 
 
 WIDE = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))
@@ -386,12 +385,12 @@ def test_wide_rationals_match_the_dense_reference(shape, data):
             v[pc] = -r[j]
         ref_kernel.append(tuple(v))
     assert K.columns() == ref_kernel
-    assert_fractions(x for r in K.rows for x in r)
+    assert_fractions(x for r in K.rows for x in r.values())
     assert rank(M) == rk
     # one right-hand side in the column span, one drawn freely
     x = data.draw(st.lists(st.one_of(st.just(QQ.zero), WIDE), min_size=ncols, max_size=ncols))
     bs = [M.apply(x), tuple(data.draw(st.lists(WIDE, min_size=len(rows), max_size=len(rows))))]
-    sols = sparse_solve(QQ, [dict(enumerate(r)) for r in rows], ncols, bs)
+    sols = solve_multi(M, bs)
     for b, sol in zip(bs, sols):
         aug_rows, aug_piv = gauss_jordan(QQ, [list(r) + [y] for r, y in zip(rows, b)], ncols + 1)
         if ncols in aug_piv:
@@ -553,16 +552,22 @@ def test_independent_columns_skips_the_span_of_the_base():
 
 def reference_product(field, X, Y):
     """Rows of X * Y summed entry by entry with field.add / field.mul."""
+    x, y = X.dense_rows(), Y.dense_rows()
     out = []
     for i in range(X.nrows):
         row = []
         for j in range(Y.ncols):
             acc = field.zero
             for k in range(X.ncols):
-                acc = field.add(acc, field.mul(X.rows[i][k], Y.rows[k][j]))
+                acc = field.add(acc, field.mul(x[i][k], y[k][j]))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def entrywise(op, *Ms):
+    """Rows of op applied entry by entry to the dense rows of equal-shape matrices."""
+    return tuple(tuple(map(op, *rows)) for rows in zip(*(M.dense_rows() for M in Ms)))
 
 
 def assert_canonical(field, values):
@@ -574,8 +579,8 @@ def assert_canonical(field, values):
             assert type(x) is int and 0 <= x < field.p, x
 
 
-def mostly_zero(field, nrows, ncols):
-    """Matrices whose nonzero entries are rare; over QQ they are units and
+def mostly_zero_rows(field, nrows, ncols):
+    """Dense rows whose nonzero entries are rare; over QQ they are units and
     halves that cancel in sums, over GF(p) large enough that sums wrap."""
     if field == QQ:
         scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
@@ -583,26 +588,50 @@ def mostly_zero(field, nrows, ncols):
     else:
         scalar = st.integers(1, field.p - 1)
     entry = st.one_of(*[st.just(field.zero)] * 3, scalar)
-    return st.lists(st.tuples(*[entry] * ncols), min_size=nrows, max_size=nrows).map(
-        lambda rows: Matrix(field, nrows, ncols, tuple(rows)))
+    return st.lists(st.tuples(*[entry] * ncols), min_size=nrows, max_size=nrows)
+
+
+def mostly_zero(field, nrows, ncols):
+    """The matrices of `mostly_zero_rows`."""
+    return mostly_zero_rows(field, nrows, ncols).map(
+        lambda rows: Matrix.from_rows(field, rows, ncols=ncols))
 
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
 @given(data=st.data())
 def test_matrix_products_match_the_field_method_loop(field, data):
     n, m, k = (data.draw(st.integers(0, 5)) for _ in range(3))
-    X = data.draw(mostly_zero(field, n, m))
+    x_rows = data.draw(mostly_zero_rows(field, n, m))
+    X = Matrix.from_rows(field, x_rows, ncols=m)
+    assert X.dense_rows() == tuple(x_rows)
     Y = data.draw(mostly_zero(field, m, k))
     P = X.mul(Y)
     assert (P.nrows, P.ncols) == (n, k)
-    assert P.rows == reference_product(field, X, Y)
-    assert_canonical(field, [x for r in P.rows for x in r])
-    v = data.draw(mostly_zero(field, 1, m)).rows[0]
+    assert P.dense_rows() == reference_product(field, X, Y)
+    v = data.draw(mostly_zero_rows(field, 1, m))[0]
     w = X.apply(v)
-    assert w == tuple(r[0] for r in reference_product(field, X, Matrix(field, m, 1,
-                                                                        tuple((x,) for x in v))))
+    assert w == tuple(r[0] for r in reference_product(
+        field, X, Matrix.from_rows(field, [(x,) for x in v], ncols=1)))
     assert_canonical(field, w)
-    for M in (X, Y, P, Matrix.zero(field, n, m)):
-        assert M.is_zero() == all(x == field.zero for r in M.rows for x in r)
+    # the entrywise operations, against the dense rows they read
+    X2 = data.draw(mostly_zero(field, n, m))
+    c = data.draw(st.sampled_from([field.zero, field.one, field.from_int(2), field.neg(field.one)]))
+    Z = data.draw(mostly_zero(field, data.draw(st.integers(0, 3)), m))
+    W = data.draw(mostly_zero(field, n, data.draw(st.integers(0, 3))))
+    checks = [(X.add(X2), entrywise(field.add, X, X2)),
+              (X.sub(X2), entrywise(field.sub, X, X2)),
+              (X.neg(), entrywise(field.neg, X)),
+              (X.scale(c), entrywise(lambda x: field.mul(c, x), X)),
+              (X.transpose(), tuple(zip(*X.dense_rows())) if n else ((),) * m),
+              (X.hstack(W), tuple(a + b for a, b in zip(X.dense_rows(), W.dense_rows()))),
+              (X.vstack(Z), X.dense_rows() + Z.dense_rows())]
+    for got, ref in checks:
+        assert got.dense_rows() == ref
+    assert X.columns() == list(checks[4][1])
     R = rref(X)[0]
-    assert_canonical(field, [x for r in R.rows for x in r])
+    for M in (X, Y, P, R, Matrix.zero(field, n, m), *(got for got, _ in checks)):
+        assert M.is_zero() == all(x == field.zero for r in M.dense_rows() for x in r)
+        # no stored zero, every stored column in range, canonical scalars
+        assert len(M.rows) == M.nrows
+        assert all(v and 0 <= j < M.ncols for r in M.rows for j, v in r.items())
+        assert_canonical(field, [x for r in M.dense_rows() for x in r])
