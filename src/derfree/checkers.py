@@ -219,7 +219,7 @@ class Analysis:
         """(inf, sup) of the nonvanishing homology degrees (graded: within window)."""
         F = self.bundle.F
         graded = F.algebra.kind != "artinian"
-        return nonzero_range({i: self.homology(i).total_dim() if graded else self.homology(i).dim
+        return nonzero_range({i: sum(self.homology(i).dims) if graded else self.homology(i).dim
                               for i in F.degrees()})
 
     @cached_property
@@ -255,20 +255,13 @@ def graded_restrict_along(phi: AlgebraMorphism, M: GradedModule, kernel_elements
         raise ValueError("graded restriction needs graded source and target")
     if not all(graded_element_kills(M, a) for a in kernel_elements):
         raise ValueError("kernel element acts nontrivially; not a B-module")
-    chosen = []
+    actions = []
     for vb in range(B.nvars):
-        target_el = B.var_element(vb)
-        found = None
-        for va in range(A.nvars):
-            if phi.images[va] == target_el:
-                found = va
-                break
-        if found is None:
+        va = next((va for va in range(A.nvars) if phi.images[va] == B.var_element(vb)), None)
+        if va is None:
             raise ValueError(f"variable {B.variables[vb]!r} is not the image of a variable")
-        chosen.append(found)
-    dims = M.dims
-    actions = tuple(M.var_actions[va] for va in chosen)
-    return GradedModule(B, dims, actions, M.window)
+        actions.append(M.var_actions[va])
+    return GradedModule(B, M.dims, tuple(actions), M.window)
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +761,8 @@ def koszul_decompose(F: FreeComplex, annihilator: DerivedAnnihilator | None = No
 
 def divide_by_power_of_one_plus_t(coeffs, c: int):
     """Divide sum coeffs[i] t^i by (1+t)^c in Z[t]; None when it fails."""
+    if c < 0:
+        raise ValueError(f"the exponent c must be nonnegative, got {c}")
     cur = [int(x) for x in coeffs]
     for _ in range(c):
         q = []
@@ -799,6 +794,8 @@ def prop44_divisibility(F: FreeComplex, c: int,
     A = F.algebra
     if A.kind != "artinian":
         raise ValueError("prop44 divisibility runs on the Artinian backend")
+    if c < 0:
+        raise ValueError(f"the exponent c must be nonnegative, got {c}")
     ann = annihilator if annihilator is not None else derived_annihilator(F)
     chosen, _, found = select_independent_mod_m2(A, ann, c)
     if c > 0 and chosen is None:

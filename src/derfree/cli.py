@@ -20,7 +20,7 @@ from .checkers import (Analysis, check_lemma32, check_question,
                        check_thm31, check_thm41, check_thm51,
                        DecompositionObstruction,
                        koszul_decompose, prop44_divisibility)
-from .complexes import betti, graded_homology_dims, homology_dims, nonzero_range
+from .complexes import betti, graded_homology_dims, homology, homology_dims, nonzero_range
 from .field import GF, GF101, QQ
 from .fixtures import BUILDERS, run_fixtures
 from .homotopy import derived_annihilator, solve_homotopy
@@ -39,6 +39,15 @@ def parse_field(spec: str):
     raise argparse.ArgumentTypeError(f"unknown field {spec!r} (use gfp:P or rational)")
 
 
+def int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`; argparse names the option."""
+    def integer(text: str) -> int:
+        if (n := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return integer
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -52,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
                     "over desk-scale local algebras")
     ap.add_argument("--field", type=parse_field, default=GF101,
                     help="gfp:P or rational (default gfp:101)")
-    ap.add_argument("--trunc", type=int, default=None, metavar="D",
+    ap.add_argument("--trunc", type=int_at_least(0), default=None, metavar="D",
                     dest="trunc_global",
                     help="override the truncation degree of graded algebra files")
     ap.add_argument("--json", metavar="PATH",
@@ -70,7 +79,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poincare", help="Betti numbers of H_0 as a module")
     p.add_argument("file")
-    p.add_argument("--trunc", type=int, default=4, help="number of resolution steps")
+    p.add_argument("--trunc", type=int_at_least(0), default=4, help="number of resolution steps")
 
     p = sub.add_parser("annihilator", help="derived annihilator of a complex")
     p.add_argument("file")
@@ -86,14 +95,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freeness", help="freeness of a module file over its algebra")
     p.add_argument("file")
-    p.add_argument("--trunc", type=int, default=1)
 
     p = sub.add_parser("check", help="run a theorem checker on a bundle file")
     p.add_argument("--theorem", required=True,
                    choices=["question", "lemma32", "thm31", "thm41", "thm51", "prop44"])
     p.add_argument("file", nargs="?", help="bundle file (omit with --fixture)")
     p.add_argument("--fixture", help="run on a built-in fixture instead of a file")
-    p.add_argument("--power", type=int, default=None,
+    p.add_argument("--power", type=int_at_least(0), default=None,
                    help="prop44: the exponent c (default: the defect)")
 
     p = sub.add_parser("paper-examples", help="replay the bundled example fixtures")
@@ -103,7 +111,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, help="algebra file")
     p.add_argument("--vars", required=True,
                    help="comma-separated elements, e.g. 'x,y'")
-    p.add_argument("--multiplicity", type=int, default=1)
+    p.add_argument("--multiplicity", type=int_at_least(1), default=1)
     p.add_argument("--out", help="output path (default stdout)")
     return ap
 
@@ -190,7 +198,6 @@ def cmd_poincare(args) -> int:
         F = _read(args, args.file, serialize.complex_from_dict, doc)
         if F.algebra.kind != "artinian":
             raise LoadError("module Betti numbers need the Artinian backend")
-        from .complexes import homology
         M = homology(F, F.low).module
     else:
         M = _read(args, args.file, serialize.module_from_dict, doc)
@@ -253,7 +260,7 @@ def cmd_decompose(args) -> int:
 def cmd_freeness(args) -> int:
     M = _read(args, args.file, serialize.module_from_dict)
     free, rk = is_free(M)
-    verdict = lemma43_freeness(M, args.trunc)
+    verdict = lemma43_freeness(M)
     agree = (free == verdict.free)
     lines = [f"nu: {nu(M)}",
              f"is_free: {free}" + (f" (rank {rk})" if free else ""),

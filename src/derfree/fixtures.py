@@ -58,6 +58,23 @@ class FixtureResult:
 # shared constructions
 
 
+# the five Artinian algebras of criterion 5: (name, variables, ideal, truncation)
+CATALOG = (
+    ("m2-3vars", "xyz", ("x^2", "x*y", "x*z", "y^2", "y*z", "z^2"), 4),
+    ("m2-4vars", "xyzw",
+     ("x^2", "x*y", "x*z", "x*w", "y^2", "y*z", "y*w", "z^2", "z*w", "w^2"), 4),
+    ("chain-z3", "xyz", ("x^2", "x*y", "x*z", "y^2", "y*z", "z^3"), 6),
+    ("mixed-socle", "xyz", ("x^2", "x*y", "x*z", "y^2", "z^2"), 6),
+    ("chain-z4", "xyz", ("x^2", "x*y", "y^2", "x*z", "y*z", "z^4"), 8),
+)
+
+
+def catalog_algebra(field, name: str):
+    """The catalog algebra `name` as structure constants over `field`."""
+    _, variables, ideal, trunc = next(s for s in CATALOG if s[0] == name)
+    return monomial_algebra(field, list(variables), list(ideal), trunc).artinize()
+
+
 def square_zero_plane(field):
     """k[x,y]/(x,y)^2 as structure constants."""
     return monomial_algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
@@ -65,9 +82,7 @@ def square_zero_plane(field):
 
 def square_zero_space(field):
     """k[x,y,z]/(x,y,z)^2."""
-    return monomial_algebra(
-        field, ["x", "y", "z"],
-        ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    return catalog_algebra(field, "m2-3vars")
 
 
 def chain_algebra(field, n: int):
@@ -134,18 +149,21 @@ def build_ex57(field) -> InstanceBundle:
     return InstanceBundle("ex5.7", A, B, phi, F, certificate=cert)
 
 
+def plane_onto_line(field, ideal=("x^2", "x*y"), trunc=6) -> tuple:
+    """(A, B, phi): k[x,y]/ideal onto B = k[y] by x -> 0, y -> y, both truncated at trunc."""
+    A = monomial_algebra(field, ["x", "y"], list(ideal), trunc)
+    B = monomial_algebra(field, ["y"], [], trunc)
+    return A, B, morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
+
+
 def build_ex23(field) -> InstanceBundle:
-    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], 6)
-    B = monomial_algebra(field, ["y"], [], 6)
-    phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
+    A, B, phi = plane_onto_line(field)
     F = free_complex(A, [1, 2], [[["x", "y"]]], shifts=[[0], [1, 1]])
     return InstanceBundle("ex2.3", A, B, phi, F, h_kernel=(A.parse_element("x"),))
 
 
 def build_ex45(field) -> InstanceBundle:
-    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], 6)
-    B = monomial_algebra(field, ["y"], [], 6)
-    phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
+    A, B, phi = plane_onto_line(field)
     K = koszul(A, [A.parse_element("x")]).complex
     cert = ActionCertificate(phi, (), (("x", None),))
     return InstanceBundle("ex4.5", A, B, phi, K,
@@ -153,9 +171,7 @@ def build_ex45(field) -> InstanceBundle:
 
 
 def build_nagata(field) -> InstanceBundle:
-    A = monomial_algebra(field, ["x", "y"], [], 8)
-    B = monomial_algebra(field, ["y"], [], 8)
-    phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
+    A, B, phi = plane_onto_line(field, ideal=(), trunc=8)
     C = module_as_complex(graded_quotient_ring_module(A, [0], A.truncation))
     return InstanceBundle("nagata", A, B, phi, None,
                           h_kernel=(A.parse_element("x"),), module_complex=C)
@@ -168,9 +184,7 @@ def build_strict_attempt(field) -> InstanceBundle:
 
 
 def build_two_term_module_complex(field) -> InstanceBundle:
-    A = monomial_algebra(field, ["x", "y"], ["x^2", "x*y"], 6)
-    B = monomial_algebra(field, ["y"], [], 6)
-    phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
+    A, B, phi = plane_onto_line(field)
     Bmod = graded_quotient_ring_module(A, [0], A.truncation)
     C = direct_sum_complex(module_as_complex(Bmod),
                            GradedModuleComplex(A, 1, (Bmod,), ()))

@@ -91,6 +91,8 @@ def koszul(algebra, elements, multiplicity: int = 1) -> KoszulComplex:
     A = algebra
     c = len(elements)
     b = multiplicity
+    if b < 1:
+        raise ValueError(f"the multiplicity must be at least 1, got {b}")
     ranks = []
     labels = []
     for n in range(c + 1):

@@ -2,17 +2,18 @@
 
 Artinian modules are a k-basis plus one action matrix per algebra basis
 element.  Graded modules are degreewise k-spaces with one degree-raising
-action map per variable, valid up to a stated window.  Dimension, and
-depth elsewhere, use the sup/inf conventions with the explicit +/- infinity
-sentinels defined here (never floats).  `graded_cover` is the one minimal
-cover of a graded module: `graded_is_free` and every step of
-`resolutions.graded_minimal_resolution` read it, and `graded_nu` counts
-its generators.
+action map per variable, valid up to a stated window; a `GradedModule` owns
+the actions of its elements, each (element, degree) built once by
+`act_element`.  Dimension, and depth elsewhere, use the sup/inf conventions
+with the explicit +/- infinity sentinels defined here (never floats).
+`graded_cover` is the one minimal cover of a graded module: `graded_is_free`
+and every step of `resolutions.graded_minimal_resolution` read it, and
+`graded_nu` counts its generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import ArtinAlgebra
 from .linalg import (Matrix, block_diag, column_space_basis, complement, in_span,
@@ -219,10 +220,9 @@ class FreenessVerdict:
     note: str
 
 
-def lemma43_freeness(M: FiniteModule, bound: int = 1) -> FreenessVerdict:
+def lemma43_freeness(M: FiniteModule) -> FreenessVerdict:
     """Freeness via the Poincare series criterion: free of rank b iff it is (b, 0, ...)."""
-    bound = max(bound, 1)
-    betti = poincare_truncated(M, bound)
+    betti = poincare_truncated(M, 1)
     if M.dim == 0:
         return FreenessVerdict(True, 0, betti, "zero module")
     if betti[1] == 0:
@@ -247,6 +247,8 @@ class GradedModule:
     dims: tuple  # dims[d], d = 0..window
     var_actions: tuple  # var_actions[v][d]: Matrix dims[d] -> dims[d+1]
     window: int
+    # the memo of `act_element`: {(element, d): Matrix}
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim_at(self, d: int) -> int:
         return self.dims[d] if 0 <= d <= self.window else 0
@@ -256,14 +258,33 @@ class GradedModule:
             return self.var_actions[v][d]
         return Matrix.zero(self.algebra.field, self.dim_at(d + 1), self.dim_at(d))
 
+    def act_element(self, el, d: int) -> Matrix:
+        """The map M_d -> M_{d + deg el} of a homogeneous element, built once.
+
+        A monomial acts as its last variable after the monomial one lower, so
+        monomials share their prefixes in the memo.
+        """
+        out = self._actions.get((el, d))
+        if out is None:
+            f = self.algebra.field
+            if len(el) != 1 or el[0][1] != f.one:  # a sum of scaled monomials
+                out = Matrix.zero(f, self.dim_at(d + self.algebra.el_degree(el)), self.dim_at(d))
+                for mono, c in el:
+                    out = out.add(self.act_element(((mono, f.one),), d).scale(c))
+            elif any(mono := el[0][0]):
+                last = max(i for i, e in enumerate(mono) if e)
+                lower = tuple(e - (i == last) for i, e in enumerate(mono))
+                out = self.act(last, d + sum(lower)).mul(self.act_element(((lower, f.one),), d))
+            else:
+                out = Matrix.identity(f, self.dim_at(d))
+            self._actions[(el, d)] = out
+        return out
+
     def hilbert(self, up_to: int) -> tuple:
         return tuple(self.dim_at(d) for d in range(up_to + 1))
 
     def is_zero_within_window(self) -> bool:
         return all(x == 0 for x in self.dims)
-
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
 
 def graded_induced_actions(A: MonomialAlgebra, image, subs: dict, reps: dict,
@@ -298,29 +319,19 @@ def graded_free_module(A: MonomialAlgebra, gen_degrees, window: int) -> GradedMo
 
 
 def graded_quotient_ring_module(A: MonomialAlgebra, kernel_var_indices, window: int) -> GradedModule:
-    """A/(listed variables) as a graded module over A."""
-    killed = set(kernel_var_indices)
+    """A/(listed variables) as a graded module over A: the quotient of the free
+    module A by the monomials that involve one of those variables."""
     f = A.field
-    basis = {d: [m for m in A.basis(d) if not any(m[i] for i in killed)] for d in range(window + 1)}
-    dims = tuple(len(basis[d]) for d in range(window + 1))
-    actions = []
-    for v in range(A.nvars):
-        ve = A.var_element(v)
-        per = []
-        for d in range(window):
-            tgt = {m: i for i, m in enumerate(basis[d + 1])}
-            cols = []
-            for m in basis[d]:
-                col = [f.zero] * len(tgt)
-                if v not in killed and ve:
-                    prod = A.el_mul(((m, f.one),), ve)
-                    for pm, pc in prod:
-                        if pm in tgt:
-                            col[tgt[pm]] = pc
-                cols.append(col)
-            per.append(Matrix.from_columns(f, cols, nrows=len(tgt)))
-        actions.append(tuple(per))
-    return GradedModule(A, dims, tuple(actions), window)
+    subs, reps = {}, {}
+    for d in range(window + 1):
+        units = Matrix.identity(f, len(A.basis(d))).columns()
+        killed = [any(m[i] for i in kernel_var_indices) for m in A.basis(d)]
+        subs[d] = Matrix.from_columns(f, [u for u, k in zip(units, killed) if k], nrows=len(units))
+        reps[d] = Matrix.from_columns(f, [u for u, k in zip(units, killed) if not k],
+                                      nrows=len(units))
+    free = graded_free_module(A, [0], window)
+    actions = graded_induced_actions(A, lambda v, d, c: free.act(v, d).apply(c), subs, reps, window)
+    return GradedModule(A, tuple(reps[d].ncols for d in range(window + 1)), actions, window)
 
 
 def _graded_generators(M: GradedModule) -> dict:
@@ -353,14 +364,9 @@ def graded_cover(M: GradedModule) -> tuple:
     maps = {}
     for d in range(M.window + 1):
         cols = []
-        for (i, m) in A.free_coords(gen_degrees, d):
-            # the image m . gen, by iterated variable action
-            deg, img = flat_gens[i]
-            for vi, e in enumerate(m):
-                for _ in range(e):
-                    img = M.act(vi, deg).apply(img)
-                    deg += 1
-            cols.append(img)
+        for i, m in A.free_coords(gen_degrees, d):
+            deg, gen = flat_gens[i]
+            cols.append(M.act_element(((m, f.one),), deg).apply(gen))
         maps[d] = Matrix.from_columns(f, cols, nrows=M.dim_at(d))
     return gen_degrees, gens, maps
 
@@ -375,15 +381,11 @@ def graded_nu(M: GradedModule) -> tuple:
 def graded_socle_degrees(M: GradedModule) -> list:
     """Degrees d < window with a nonzero element killed by every variable."""
     out = []
-    f = M.algebra.field
     for d in range(M.window):
-        if M.dim_at(d) == 0:
-            continue
-        stacked = None
+        stacked = Matrix.zero(M.algebra.field, 0, M.dim_at(d))
         for v in range(M.algebra.nvars):
-            a = M.act(v, d)
-            stacked = a if stacked is None else stacked.vstack(a)
-        if stacked is None or kernel_basis(stacked).ncols > 0:
+            stacked = stacked.vstack(M.act(v, d))
+        if M.dim_at(d) and kernel_basis(stacked).ncols:
             out.append(d)
     return out
 
@@ -409,34 +411,12 @@ def graded_is_free(M: GradedModule) -> GradedFreenessVerdict:
                                  f"free up to degree {M.window}")
 
 
-def monomial_action_matrix(M: GradedModule, mono, d: int) -> Matrix:
-    """Action of a monomial as a map M_d -> M_{d+|mono|}."""
-    out = Matrix.identity(M.algebra.field, M.dim_at(d))
-    deg = d
-    for vi, e in enumerate(mono):
-        for _ in range(e):
-            out = M.act(vi, deg).mul(out)
-            deg += 1
-    return out
-
-
-def element_action_matrix(M: GradedModule, el, d: int) -> Matrix:
-    """Action of a homogeneous element as a map out of M_d."""
-    A = M.algebra
-    f = A.field
-    da = A.el_degree(el)
-    acc = Matrix.zero(f, M.dim_at(d + da), M.dim_at(d))
-    for mono, coeff in el:
-        acc = acc.add(monomial_action_matrix(M, mono, d).scale(coeff))
-    return acc
-
-
 def graded_element_kills(M: GradedModule, a) -> bool:
     """Does the homogeneous element `a` act as zero on M within its window?"""
     da = M.algebra.el_degree(a)
     if da is None:
         raise ValueError("homogeneous elements only")
-    return all(element_action_matrix(M, a, d).is_zero()
+    return all(M.act_element(a, d).is_zero()
                for d in range(M.window + 1 - da) if M.dim_at(d))
 
 
@@ -457,7 +437,7 @@ def graded_annihilator(M: GradedModule) -> list:
         for d in range(0, M.window + 1 - da):
             if M.dim_at(d) == 0:
                 continue
-            maps = [monomial_action_matrix(M, m, d) for m in amb]
+            maps = [M.act_element(((m, f.one),), d) for m in amb]
             for r_i in range(maps[0].nrows):
                 for c_i in range(M.dim_at(d)):
                     rows.append({k: v for k, act in enumerate(maps)

@@ -74,6 +74,8 @@ class MonomialAlgebra:
     key_den = 1  # a product of monomials has coefficient 1
 
     def __post_init__(self):
+        if self.truncation < 0:
+            raise ValueError(f"negative truncation degree {self.truncation}")
         for g in self.ideal:
             if len(g) != len(self.variables) or mono_degree(g) == 0:
                 raise ValueError(f"bad ideal generator {g!r}")

@@ -11,8 +11,8 @@ from functools import cache
 
 from .linalg import (Matrix, block_diag, column_space_basis, complement, kernel_basis,
                      rank)
-from .modules import (GradedModule, element_action_matrix, graded_cover, graded_free_module,
-                      graded_induced_actions, graded_quotient_ring_module)
+from .modules import (PLUS_INFINITY, GradedModule, graded_cover, graded_free_module,
+                      graded_induced_actions, graded_quotient_ring_module, graded_socle_degrees)
 from .monomial import MonomialAlgebra
 
 
@@ -126,7 +126,7 @@ def _hom_matrix(res: GradedResolution, M: GradedModule, n: int, t: int) -> Matri
             e = diff[gj][gi]
             if tdim and sdim and e:
                 # the action of e maps M_{t + deg gj} to M_{t + deg gi}
-                for r_i, row in enumerate(element_action_matrix(M, e, src_degs[gj]).rows):
+                for r_i, row in enumerate(M.act_element(e, src_degs[gj]).rows):
                     out[row0 + r_i].update((col0 + c, v) for c, v in row.items())
             col0 += sdim
         row0 += tdim
@@ -146,10 +146,8 @@ def _ext_dim_at(res: GradedResolution, M: GradedModule, n: int, t: int) -> int:
 
 def graded_depth(M: GradedModule, bound: int):
     """(depth, exact): socle shortcut, then Ext^n(k, M) within the window."""
-    from .modules import PLUS_INFINITY
     if M.is_zero_within_window():
         return PLUS_INFINITY, True
-    from .modules import graded_socle_degrees
     if graded_socle_degrees(M):
         return 0, True
     exts = graded_ext_k_dims(M, bound)
@@ -300,11 +298,6 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
         return offsets, size
 
     @cache
-    def action(q: int, el, d: int) -> tuple:
-        """Rows of the action of a resolution entry el on (C_q)_d."""
-        return element_action_matrix(C.module(q), el, d).rows
-
-    @cache
     def tot_rank(n: int, t: int) -> int:
         """Rank of the total differential (T_n)_t -> (T_{n-1})_t."""
         src, nsrc = blocks(n, t)
@@ -322,7 +315,7 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
                 for gj, row in enumerate(res.steps[j].diff):
                     r0 = tgt.get((j - 1, q, gj))
                     if row[gi] and r0 is not None:
-                        place(r0, c0, action(q, row[gi], d_loc))
+                        place(r0, c0, C.module(q).act_element(row[gi], d_loc).rows)
             # vertical: (-1)^j 1 (x) d_C
             r0 = tgt.get((j, q - 1, gi))
             if r0 is not None:

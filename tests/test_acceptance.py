@@ -1,20 +1,21 @@
 """Acceptance suite: every criterion runs at its stated size and tolerance
 (exact arithmetic: tolerance zero everywhere) and prints one line."""
 
+import ast
 import itertools
+import os
 import random
 
 from derfree.checkers import (Decomposition, check_question, koszul_decompose,
                               prop44_divisibility)
 from derfree.complexes import (direct_sum, random_transport, scalar_endo, shift)
 from derfree.field import GF101
-from derfree.fixtures import build_ex23, run_fixtures
+from derfree.fixtures import CATALOG, build_ex23, catalog_algebra, run_fixtures
 from derfree.homotopy import derived_annihilator, solve_homotopy
 from derfree.actions import check_quotient_H_action
 from derfree.koszul import koszul
 from derfree.modules import (free_module, is_free, lemma43_freeness,
                              quotient_module, submodule_from_spanning)
-from derfree.monomial import monomial_algebra
 from derfree.weyl import (check_lemmaA1, check_weyl_relations, exterior_model,
                           random_graded_conjugate, structure_map)
 
@@ -27,20 +28,11 @@ def announce(criterion: str, ok: bool):
 
 
 # ---------------------------------------------------------------------------
-# catalog for the randomized criteria: five Artinian algebras with at least
-# three independent generators of m
+# the randomized criteria run on the five algebras of `fixtures.CATALOG`
 
 
 def catalog():
-    specs = [
-        (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4),
-        (["x", "y", "z", "w"],
-         ["x^2", "x*y", "x*z", "x*w", "y^2", "y*z", "y*w", "z^2", "z*w", "w^2"], 4),
-        (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6),
-        (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "z^2"], 6),
-        (["x", "y", "z"], ["x^2", "x*y", "y^2", "x*z", "y*z", "z^4"], 8),
-    ]
-    return [monomial_algebra(FIELD, v, gens, d).artinize() for v, gens, d in specs]
+    return [catalog_algebra(FIELD, name) for name, *_ in CATALOG]
 
 
 def test_criterion_1_square_root_action_fixture():
@@ -118,6 +110,16 @@ def test_criterion_5_and_7_roundtrip_decomposition_and_divisibility():
     div = prop44_divisibility(mixed, 1)
     announce("7 (Betti polynomial divisibility with quotient b, mixed sums a + c t)",
              div.holds and div.quotient == (2, 1))
+
+
+def test_the_benchmark_round_trip_runs_the_criterion_5_catalog():
+    """perfbench keeps its own copy of the catalog; it must not drift from ours."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["ARTINIAN"]]
+    assert ast.literal_eval(value) == CATALOG
 
 
 def test_criterion_6_weyl_suite():

@@ -11,9 +11,8 @@ from derfree.actions import (ActionCertificate, RelationFailsOnHomology,
 from derfree.complexes import AMatrix, ChainMap, free_complex, homology, scalar_endo
 from derfree.exprs import ExprError
 from derfree.field import GF101, QQ
-from derfree.fixtures import build_ex23, build_ex55, build_ex56, build_ex57
+from derfree.fixtures import build_ex23, build_ex55, build_ex56, build_ex57, square_zero_plane
 from derfree.modules import is_free
-from derfree.monomial import monomial_algebra
 
 
 def test_ex55_certificate_and_modes():
@@ -90,7 +89,7 @@ def test_check_H_action_quotient_positive_and_negative():
 
 
 def test_check_H_action_zero_module():
-    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(GF101)
     E = free_complex(A, [1, 1], [[["1"]]])  # exact: homology is zero
     from derfree.actions import check_quotient_H_action as chk
     # over the Artinian backend the zero module accepts anything

@@ -11,13 +11,11 @@ from derfree.algebra import (ArtinAlgebra, DependentModM2, adapted_basis,
 from derfree.complexes import AMatrix
 from derfree.exprs import ExprError, parse_element, word_factors
 from derfree.field import GF, GF101, QQ
+from derfree.fixtures import (CATALOG, catalog_algebra, chain_algebra, square_zero_plane,
+                              square_zero_space)
 from derfree.linalg import Matrix, invert, rank
 from derfree.modules import minimal_generators, nu, submodule_from_spanning, free_module
 from derfree.monomial import NotArtinianError, TruncationError, mono_key, monomial_algebra
-
-
-def plane(field=GF101):
-    return monomial_algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
 
 
 def test_monomial_words_parse_into_factors_and_malformed_factors_raise():
@@ -31,7 +29,7 @@ def test_monomial_words_parse_into_factors_and_malformed_factors_raise():
 
 
 def test_validate_square_zero_plane(any_field):
-    A = plane(any_field)
+    A = square_zero_plane(any_field)
     rep = A.validate()
     assert rep.valid and A.dim == 3
     assert rep.nilpotency_index == 2
@@ -92,7 +90,7 @@ def test_validate_uv4_dim10_nilpotency_4():
 
 
 def test_artinize_chain():
-    B = monomial_algebra(GF101, ["u"], ["u^4"], 8).artinize()
+    B = chain_algebra(GF101, 4)
     assert B.labels == ("1", "u", "u^2", "u^3")
 
 
@@ -108,9 +106,7 @@ def test_artinize_refuses_infinite():
 
 
 def test_edim_examples():
-    space = monomial_algebra(
-        GF101, ["x", "y", "z"],
-        ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    space = square_zero_space(GF101)
     assert space.edim() == 3
     k = monomial_algebra(GF101, ["x"], ["x"], 4).artinize()
     assert k.edim() == 0
@@ -129,14 +125,14 @@ def test_powers_of_m():
 
 
 def test_adapted_basis_plane():
-    A = plane()
+    A = square_zero_plane(GF101)
     ab = adapted_basis(A, prescribed=(A.parse_element("x"),))
     assert [A.element_to_str(e) for e in ab.lifts] == ["x", "y"]
     assert ab.m2_basis == ()
 
 
 def test_adapted_basis_rejects_dependent():
-    A = plane()
+    A = square_zero_plane(GF101)
     x = A.parse_element("x")
     with pytest.raises(DependentModM2):
         adapted_basis(A, prescribed=(x, x))
@@ -160,7 +156,7 @@ def test_adapted_coords_mod_m2():
 
 
 def test_minimal_generators_of_submodule():
-    B = monomial_algebra(GF101, ["u"], ["u^4"], 8).artinize()
+    B = chain_algebra(GF101, 4)
     F1 = free_module(B, 1)
     sub, _ = submodule_from_spanning(F1, [B.parse_element("u^2"), B.parse_element("u^3")])
     assert nu(sub) == 1
@@ -169,7 +165,7 @@ def test_minimal_generators_of_submodule():
 
 
 def test_minimal_generators_zero_module():
-    B = plane()
+    B = square_zero_plane(GF101)
     from derfree.modules import zero_module
     assert minimal_generators(zero_module(B)) == []
 
@@ -184,14 +180,14 @@ def test_nu_of_m_equals_edim():
 
 
 def test_parse_print_round_trip(any_field):
-    A = plane(any_field)
+    A = square_zero_plane(any_field)
     for s in ("x", "y", "1 + x", "2*x + 3*y", "x - y", "0"):
         el = A.parse_element(s)
         assert A.parse_element(A.element_to_str(el)) == el
 
 
 def test_rational_coefficients():
-    A = plane(QQ)
+    A = square_zero_plane(QQ)
     el = A.parse_element("1/2*x + 2/3*y")
     back = A.element_to_str(el)
     assert A.parse_element(back) == el
@@ -211,17 +207,6 @@ def test_graded_basis_is_standard_monomials():
 
 # -- the sparse structure-constant table against the dense triple loop -------
 
-# the five Artinian algebras of the acceptance catalog (criterion 5)
-CATALOG = (
-    (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4),
-    (["x", "y", "z", "w"],
-     ["x^2", "x*y", "x*z", "x*w", "y^2", "y*z", "y*w", "z^2", "z*w", "w^2"], 4),
-    (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6),
-    (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "z^2"], 6),
-    (["x", "y", "z"], ["x^2", "x*y", "y^2", "x*z", "y*z", "z^4"], 8),
-)
-
-
 def scaled_algebra(field):
     """m = (a, b, c, s) with m^2 = span(c, s) in the socle, so the algebra is
     valid for any constants; these are not 0/1, so a product that drops or
@@ -240,8 +225,7 @@ def scaled_algebra(field):
 def algebra_for(case, field):
     if case == "scaled":
         return scaled_algebra(field)
-    variables, ideal, trunc = CATALOG[case]
-    return monomial_algebra(field, variables, ideal, trunc).artinize()
+    return catalog_algebra(field, case)
 
 
 def reference_mul(A, u, v):
@@ -301,9 +285,8 @@ def amatrices(A, nrows, ncols):
         lambda rows: AMatrix(A, nrows, ncols, tuple(rows)))
 
 
-CASES = pytest.mark.parametrize("case", [0, 1, 2, 3, 4, "scaled"],
-                                ids=["m2-3vars", "m2-4vars", "chain-z3", "mixed-socle",
-                                     "chain-z4", "scaled"])
+# the five algebras of the acceptance catalog (criterion 5) and a scaled one
+CASES = pytest.mark.parametrize("case", [name for name, *_ in CATALOG] + ["scaled"])
 FIELDS = pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
 
 

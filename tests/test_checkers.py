@@ -13,13 +13,16 @@ from derfree.checkers import (Decomposition, DecompositionObstruction, ECIResult
 from derfree.complexes import (AMatrix, direct_sum, free_complex,
                                random_transport, shift)
 from derfree.field import GF101, QQ
-from derfree.fixtures import (build_ex23, build_ex45, build_ex55, build_ex56,
+from derfree.fixtures import (CATALOG, build_ex23, build_ex45, build_ex55, build_ex56,
                               build_ex57, build_nagata, build_strict_attempt,
-                              build_two_term_module_complex)
+                              build_two_term_module_complex, catalog_algebra, plane_onto_line,
+                              run_fixtures, square_zero_plane, square_zero_space)
 from derfree.koszul import koszul
 from derfree.linalg import Matrix, column_space_basis
+from derfree.modules import GradedModule
 from derfree.monomial import monomial_algebra
 from derfree.morphism import morphism_from_generator_images
+from derfree.resolutions import tor_k_dims
 
 
 def test_question_ex56_passes():
@@ -97,9 +100,7 @@ def test_eci_zerodivisor_kernel_rejected():
 
 
 def test_eci_regular_variable_up_to_window():
-    A = monomial_algebra(GF101, ["x", "y"], [], 6)
-    B = monomial_algebra(GF101, ["y"], [], 6)
-    phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
+    A, B, phi = plane_onto_line(GF101, ideal=())
     res = is_exceptional_ci_surjective(phi)
     assert res.value is True and res.exact is False
 
@@ -110,19 +111,24 @@ def test_thm41_fixtures():
     assert check_thm41(build_two_term_module_complex(GF101)).verdict == "not_applicable"
 
 
-@pytest.mark.parametrize("build", [build_nagata, build_two_term_module_complex])
-def test_tor_builds_each_action_block_once(monkeypatch, build):
-    from derfree import resolutions
-    real, seen = resolutions.element_action_matrix, []
+@pytest.mark.parametrize("run", [
+    lambda: tor_k_dims(build_nagata(GF101).module_complex, 3),
+    lambda: tor_k_dims(build_two_term_module_complex(GF101).module_complex, 3),
+    lambda: run_fixtures(QQ),
+], ids=["build_nagata", "build_two_term_module_complex", "run_fixtures"])
+def test_tor_builds_each_action_block_once(monkeypatch, run):
+    """Each (module, element, degree) action is built once, in the module's memo."""
+    real, built = GradedModule.act_element, []
 
     def counted(M, el, d):
-        seen.append((id(M), el, d))
+        if (el, d) not in M._actions:
+            built.append((M, el, d))  # holding M keeps its id unique
         return real(M, el, d)
 
-    monkeypatch.setattr(resolutions, "element_action_matrix", counted)
-    C = build(GF101).module_complex
-    tor = resolutions.tor_k_dims(C, 3)
-    assert seen and len(seen) == len(set(seen)), tor
+    monkeypatch.setattr(GradedModule, "act_element", counted)
+    run()
+    keys = [(id(M), el, d) for M, el, d in built]
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_thm51_examples():
@@ -134,8 +140,7 @@ def test_thm51_examples():
 
 
 def test_thm51_koszul_fixture_every_equality():
-    A = monomial_algebra(GF101, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    A = square_zero_space(GF101)
     xs = [A.parse_element("x"), A.parse_element("y")]
     K = koszul(A, xs, multiplicity=2).complex
     # B = A/(x, y)
@@ -171,7 +176,7 @@ def test_ci_test_large_embedding_dimension_pattern():
 
 
 def test_decompose_koszul_itself():
-    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     dec = koszul_decompose(K)
     assert isinstance(dec, Decomposition)
@@ -180,7 +185,7 @@ def test_decompose_koszul_itself():
 
 def test_decompose_one_term_complex_is_the_empty_koszul_complex():
     # K(empty sequence)^2 = A^2 in degree 0: no element is needed, none is chosen
-    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(GF101)
     F = free_complex(A, [2], [])
     dec = koszul_decompose(F)
     assert isinstance(dec, Decomposition)
@@ -190,8 +195,7 @@ def test_decompose_one_term_complex_is_the_empty_koszul_complex():
 
 def test_decompose_round_trip_small():
     rng = random.Random(4)
-    A = monomial_algebra(GF101, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    A = square_zero_space(GF101)
     xs = [A.parse_element("x"), A.parse_element("y")]
     G = random_transport(koszul(A, xs, multiplicity=2).complex, rng)
     dec = koszul_decompose(G)
@@ -217,8 +221,7 @@ def test_decompose_takes_the_annihilator_it_is_given(monkeypatch):
     import derfree.checkers as checkers
     from derfree.homotopy import derived_annihilator
     rng = random.Random(7)
-    A = monomial_algebra(GF101, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    A = square_zero_space(GF101)
     xs = [A.parse_element("x"), A.parse_element("y")]
     cases = [random_transport(koszul(A, xs, multiplicity=2).complex, rng),
              build_ex55(GF101).F]
@@ -245,7 +248,7 @@ def test_decompose_succeeds_iff_elements_exist():
     # planted elements => success; success => elements exist (the selection
     # itself is the witness)
     rng = random.Random(12)
-    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(GF101)
     G = random_transport(koszul(A, [A.parse_element("y")], multiplicity=3).complex, rng)
     dec = koszul_decompose(G)
     assert isinstance(dec, Decomposition)
@@ -263,14 +266,14 @@ def test_polynomial_division():
 
 
 def test_prop44_koszul_quotient_b():
-    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x"), A.parse_element("y")], multiplicity=3).complex
     res = prop44_divisibility(K, 2)
     assert res.holds and res.quotient == (3,)
 
 
 def test_prop44_mixed_sum_quotient():
-    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     mixed = direct_sum(direct_sum(K, K), shift(K, 1))
     res = prop44_divisibility(mixed, 1)
@@ -278,10 +281,23 @@ def test_prop44_mixed_sum_quotient():
 
 
 def test_prop44_c_zero_trivial():
-    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(GF101)
     F = free_complex(A, [2, 2], [[["y", "0"], ["-x", "y"]]])
     res = prop44_divisibility(F, 0)
     assert res.holds and res.quotient == (2, 2)
+
+
+def test_negative_counts_are_refused():
+    A = square_zero_plane(GF101)
+    K = koszul(A, [A.parse_element("x")]).complex
+    with pytest.raises(ValueError, match="nonnegative"):
+        divide_by_power_of_one_plus_t([1, 1], -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        prop44_divisibility(K, -1)
+    with pytest.raises(ValueError, match="multiplicity"):
+        koszul(A, [A.parse_element("x")], multiplicity=0)
+    with pytest.raises(ValueError, match="truncation"):
+        monomial_algebra(GF101, ["x"], ["x^2"], -1)
 
 
 def test_tensor_model_search_recovers_ex56():
@@ -312,16 +328,8 @@ def test_thm51_never_fails_on_certified_koszul_instances():
     from derfree.complexes import random_transport
     from derfree.linalg import column_space_basis
     rng = random.Random(3141)
-    specs = [
-        (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4),
-        (["x", "y", "z", "w"],
-         ["x^2", "x*y", "x*z", "x*w", "y^2", "y*z", "y*w", "z^2", "z*w", "w^2"], 4),
-        (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6),
-        (["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "z^2"], 6),
-        (["x", "y", "z"], ["x^2", "x*y", "y^2", "x*z", "y*z", "z^4"], 8),
-    ]
-    for variables, gens, trunc in specs:
-        A = monomial_algebra(GF101, variables, gens, trunc).artinize()
+    for name, variables, *_ in CATALOG:
+        A = catalog_algebra(GF101, name)
         els = [A.parse_element(v) for v in variables]
         for p in (1, 2, 3):
             xs = els[:p]

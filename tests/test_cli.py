@@ -6,7 +6,7 @@ import pytest
 from derfree import serialize
 from derfree.cli import main
 from derfree.field import GF101
-from derfree.fixtures import build_ex55
+from derfree.fixtures import build_ex55, chain_algebra, square_zero_plane
 
 
 @pytest.fixture
@@ -124,7 +124,7 @@ def test_bad_relation_polynomial_is_rejected_at_its_key(tmp_path, capsys):
 def test_freeness_command(tmp_path):
     from derfree.modules import free_module
     from derfree.monomial import monomial_algebra
-    B = monomial_algebra(GF101, ["u"], ["u^4"], 8).artinize()
+    B = chain_algebra(GF101, 4)
     M = free_module(B, 2)
     p = str(tmp_path / "mod.json")
     serialize.save(p, serialize.module_to_dict(M))
@@ -227,8 +227,7 @@ def test_structure_constant_outside_the_labels_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("expr", ["x + q", "x^", 5])
 def test_bad_algebra_generator_exits_2_and_names_its_key(tmp_path, capsys, expr):
-    from derfree.monomial import monomial_algebra
-    A = monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(GF101)
     alg = serialize.algebra_to_dict(A)
     alg["generators"] = {"u": "x + 2*y", "v": expr}
     p = str(tmp_path / "bad_generator.json")
@@ -371,7 +370,7 @@ def _module_with_action_scalar(value):
     from derfree.modules import free_module
     from derfree.monomial import monomial_algebra
     doc = serialize.module_to_dict(
-        free_module(monomial_algebra(GF101, ["u"], ["u^2"], 4).artinize(), 1))
+        free_module(chain_algebra(GF101, 2), 1))
     doc["action"][1][0][0] = value
     return doc
 
@@ -445,3 +444,25 @@ def test_homology_of_a_non_complex_exits_2_and_names_the_degree(tmp_path, capsys
     assert "error: d^2 != 0 at degree 2" in captured.err
     assert "H_" not in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check", "--theorem", "prop44", "--fixture", "ex5.5", "--power", "-1"], "--power"),
+    (["poincare", "{F}", "--trunc", "-1"], "--trunc"),
+    (["--trunc", "-3", "homology", "{graded}"], "--trunc"),
+    (["koszul", "--algebra", "{A}", "--vars", "x", "--multiplicity", "0"], "--multiplicity"),
+    (["koszul", "--algebra", "{A}", "--vars", "x", "--multiplicity", "-1"], "--multiplicity"),
+    (["poincare", "{F}", "--trunc", "two"], "--trunc"),
+], ids=["power", "poincare-trunc", "global-trunc", "multiplicity-0", "multiplicity-negative",
+        "not-an-integer"])
+def test_an_integer_option_out_of_range_exits_2_and_names_the_option(tmp_path, capsys,
+                                                                     ex55_files, argv, option):
+    from derfree.fixtures import build_ex23
+    graded = str(tmp_path / "graded.json")
+    serialize.save(graded, serialize.complex_to_dict(build_ex23(GF101).F))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(graded=graded, **ex55_files) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument {option}:" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err

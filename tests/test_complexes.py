@@ -11,19 +11,11 @@ from derfree.complexes import (AMatrix, ChainMap, ComplexError, FreeComplex,
                                proj_dim, random_invertible_amatrix, random_transport,
                                scalar_endo, shift, transport)
 from derfree.field import GF101, QQ
+from derfree.fixtures import catalog_algebra, square_zero_plane, square_zero_space
 from derfree.koszul import koszul
 from derfree.linalg import Matrix, block_diag, invert, rank
 from derfree.modules import MINUS_INFINITY, PLUS_INFINITY
 from derfree.monomial import monomial_algebra
-
-
-def plane(field=GF101):
-    return monomial_algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
-
-
-def space(field=GF101):
-    return monomial_algebra(field, ["x", "y", "z"],
-                            ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
 
 
 def two_term(A):
@@ -31,21 +23,21 @@ def two_term(A):
 
 
 def test_koszul_is_valid_and_minimal():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
     assert K.validate() == []
     assert K.is_minimal()
 
 
 def test_low_defect_example_matrix_valid_minimal():
-    A = space()
+    A = square_zero_space(GF101)
     F = free_complex(A, [3, 3], [[["-y", "-z", "0"], ["x", "y", "0"], ["0", "0", "0"]]])
     assert F.validate() == []
     assert F.is_minimal()
 
 
 def test_planted_nonsquare_d2_detected():
-    A = plane()
+    A = square_zero_plane(GF101)
     with_defect = [
         [["x", "0"], ["0", "x"]],  # d1
         [["1", "0"], ["0", "1"]],  # d2: d1 d2 = x != 0
@@ -59,21 +51,21 @@ def test_planted_nonsquare_d2_detected():
 
 
 def test_homology_dims_two_term(any_field):
-    A = plane(any_field)
+    A = square_zero_plane(any_field)
     F = two_term(A)
     assert homology(F, 0).dim == 4
     assert homology(F, 1).dim == 4
 
 
 def test_homology_koszul_h0_is_quotient():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     H0 = homology(K, 0)
     assert H0.dim == A.dim - 1  # A/(x): x spans the ideal (x*m = 0)
 
 
 def test_exact_complex_has_no_homology():
-    A = plane()
+    A = square_zero_plane(GF101)
     E = free_complex(A, [1, 1], [[["1"]]])
     assert homology(E, 0).dim == 0 and homology(E, 1).dim == 0
     assert betti(E) == {0: 0, 1: 0}
@@ -81,14 +73,14 @@ def test_exact_complex_has_no_homology():
 
 
 def test_betti_of_minimal_complex_is_ranks():
-    A = space()
+    A = square_zero_space(GF101)
     K = koszul(A, [A.parse_element(v) for v in ("x", "y")], multiplicity=2).complex
     assert betti(K) == {0: 2, 1: 4, 2: 2}
     assert proj_dim(K) == 2
 
 
 def test_inf_sup():
-    A = plane()
+    A = square_zero_plane(GF101)
     F = two_term(A)
     assert inf_sup(F) == (0, 1)
     E = free_complex(A, [1, 1], [[["1"]]])
@@ -106,13 +98,13 @@ def euler_pairing_holds(F) -> bool:
 
 
 def test_euler_pairing():
-    A = plane()
+    A = square_zero_plane(GF101)
     for F in (two_term(A), koszul(A, [A.parse_element("x")]).complex):
         assert euler_pairing_holds(F)
 
 
 def test_identity_quasi_iso_zero_not():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
     assert is_quasi_iso(identity_map(K))
     zero = ChainMap.from_dict(K, K, {})
@@ -120,7 +112,7 @@ def test_identity_quasi_iso_zero_not():
 
 
 def test_random_automorphism_is_quasi_iso():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")], multiplicity=2).complex
     rng = random.Random(5)
     G = random_transport(K, rng)
@@ -130,7 +122,7 @@ def test_random_automorphism_is_quasi_iso():
 
 
 def test_transport_roundtrip_inverse():
-    A = plane()
+    A = square_zero_plane(GF101)
     from derfree.complexes import random_invertible_amatrix
     rng = random.Random(9)
     q = random_invertible_amatrix(A, 3, rng)
@@ -140,7 +132,7 @@ def test_transport_roundtrip_inverse():
 
 
 def test_cone_of_identity_is_exact():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     C = cone(identity_map(K))
     assert C.validate() == []
@@ -148,7 +140,7 @@ def test_cone_of_identity_is_exact():
 
 
 def test_shift_and_direct_sum():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     S = shift(K, 1)
     assert S.low == 1 and S.validate() == []
@@ -175,20 +167,20 @@ def test_graded_homogeneity_enforced():
 
 
 def test_homology_action_matrices_respect_structure():
-    A = plane()
+    A = square_zero_plane(GF101)
     F = two_term(A)
     H1 = homology(F, 1)
     assert H1.module.validate() == []
 
 
 def test_proj_dim_of_minimal_complex_is_top_rank_index():
-    A = plane()
+    A = square_zero_plane(GF101)
     F = two_term(A)
     assert F.is_minimal() and proj_dim(F) == 1
 
 
 def test_quasi_iso_preserved_by_direct_sum():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     f = identity_map(K)
     D = direct_sum(K, K)
@@ -199,7 +191,7 @@ def test_tor_base_case_bottom_betti_is_minimal_generators():
     # the bottom Betti number of a complex equals the minimal number of
     # generators of its bottom homology (right-exactness of tensoring)
     from derfree.modules import nu
-    A = plane()
+    A = square_zero_plane(GF101)
     F = two_term(A)
     assert betti(F)[0] == nu(homology(F, 0).module)
     K = koszul(A, [A.parse_element("x")], multiplicity=3).complex
@@ -217,7 +209,7 @@ TRANSPORT_CASES = {
 @given(st.sampled_from([GF101, QQ]), st.sampled_from(sorted(TRANSPORT_CASES)),
        st.integers(0, 2**32 - 1))
 def test_homology_of_a_transport_is_a_module_with_unit_projections(field, case, seed):
-    F = random_transport(TRANSPORT_CASES[case](plane(field)), random.Random(seed))
+    F = random_transport(TRANSPORT_CASES[case](square_zero_plane(field)), random.Random(seed))
     for i in F.degrees():
         H = homology(F, i)
         assert H.module.validate() == []
@@ -268,7 +260,7 @@ RANK_CASES = {
        st.sampled_from([-2, 0, 1]), st.integers(0, 2**32 - 1))
 def test_rank_homology_dims_match_the_module_path(field, case, low, seed):
     rng = random.Random(seed)
-    K = RANK_CASES[case](plane(field))
+    K = RANK_CASES[case](square_zero_plane(field))
     F = shift(_rescaled(random_transport(K, rng), rng), low)
     assert homology_dims(F) == {i: homology(F, i).dim for i in F.degrees()}
 
@@ -283,13 +275,12 @@ def test_graded_rank_dims_match_the_module_path(field, case, low, seed):
     assert homology_dims(F) == {i: sum(h) for i, h in dims.items()}
 
 
-
 @given(st.sampled_from([GF101, QQ]), st.sampled_from(sorted(TRANSPORT_CASES)),
        st.integers(0, 2**32 - 1))
 def test_sparse_rows_match_the_entrywise_matrices(field, case, seed):
     """`flatten` against the flattening read off products with basis
     elements, and the Betti numbers against ranks of the residue matrices."""
-    A = space(field)
+    A = square_zero_space(field)
     d = A.dim
     F = random_transport(TRANSPORT_CASES[case](A), random.Random(seed))
     for i in range(F.low + 1, F.top + 1):
@@ -324,10 +315,9 @@ def inverse_by_full_identity(M: AMatrix):
 
 
 INVERSE_ALGEBRAS = {
-    "plane": plane,
-    "space": space,
-    "chain-z3": lambda field: monomial_algebra(
-        field, ["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6).artinize(),
+    "plane": square_zero_plane,
+    "space": square_zero_space,
+    "chain-z3": lambda field: catalog_algebra(field, "chain-z3"),
     "field": lambda field: monomial_algebra(field, ["x"], ["x"], 1).artinize(),
 }
 
@@ -361,7 +351,7 @@ BLOCK_ENTRIES = ("0", "1", "2", "x", "y - 3*x", "1/2 + z")
 @given(st.sampled_from([GF101, QQ]), st.sampled_from(["Matrix", "AMatrix"]),
        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4), st.data())
 def test_block_diag_places_each_block_on_the_diagonal(field, kind, shapes, data):
-    A = space(field)
+    A = square_zero_space(field)
     if kind == "Matrix":
         cls, ring, zero = Matrix, field, field.zero
         entry = st.integers(-3, 3).map(field.from_int)
@@ -385,7 +375,7 @@ def test_block_diag_places_each_block_on_the_diagonal(field, kind, shapes, data)
 
 
 def test_entrywise_operations_refuse_mismatched_shapes():
-    A = space()
+    A = square_zero_space(GF101)
     I2, I3 = AMatrix.identity(A, 2), AMatrix.identity(A, 3)
     for call in (lambda: I2.add(I3), lambda: I2.sub(I3),
                  lambda: AMatrix.zero(A, 2, 1).hstack(I3)):
@@ -399,6 +389,6 @@ def test_entrywise_operations_refuse_mismatched_shapes():
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
 def test_amatrix_inverse_of_a_non_square_matrix_is_none(field):
-    A = plane(field)
+    A = square_zero_plane(field)
     assert amatrix_inverse(AMatrix.identity(A, 2).hstack(AMatrix.zero(A, 2, 1))) is None
     assert amatrix_inverse(AMatrix.zero(A, 0, 1)) is None

@@ -20,9 +20,8 @@ from hypothesis import given, strategies as st
 from derfree import serialize
 from derfree.cli import main
 from derfree.field import GF101
-from derfree.fixtures import export_fixture
+from derfree.fixtures import chain_algebra, export_fixture
 from derfree.modules import free_module
-from derfree.monomial import monomial_algebra
 
 FIXTURES = ("ex5.5", "ex5.6", "ex5.7", "ex2.3", "ex4.5")
 THEOREMS = ("question", "lemma32", "thm31", "thm41", "thm51", "prop44")
@@ -99,7 +98,7 @@ def exported(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def module_dir(tmp_path_factory):
-    B = monomial_algebra(GF101, ["u"], ["u^4"], 8).artinize()
+    B = chain_algebra(GF101, 4)
     root = tmp_path_factory.mktemp("module")
     serialize.save(str(root / "M_module.json"), serialize.module_to_dict(free_module(B, 2)))
     return str(root)

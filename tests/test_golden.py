@@ -20,8 +20,11 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from derfree import serialize
 from derfree.actions import induced_action_on_homology
@@ -30,9 +33,10 @@ from derfree.cli import main
 from derfree.complexes import (AMatrix, FreeComplex, graded_homology, homology,
                                random_transport, scalar_endo)
 from derfree.field import GF101, QQ
-from derfree.fixtures import BUILDERS, build_ex56, build_ex57
+from derfree.fixtures import BUILDERS, CATALOG, build_ex56, build_ex57
 from derfree.homotopy import derived_annihilator
 from derfree.koszul import koszul
+from derfree.linalg import Matrix
 from derfree.monomial import monomial_algebra
 
 CLI_COMMANDS = ("annihilator", "decompose", "homotopy", "paper-examples")
@@ -41,7 +45,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 FIELDS = {"gfp101": (GF101, "gfp:101"), "rational": (QQ, "rational")}
 # (name, variables, ideal, truncation, artinize, Koszul sequence, multiplicity)
 COMPLEXES = (
-    ("chain-z3", "xyz", ("x^2", "x*y", "x*z", "y^2", "y*z", "z^3"), 6, True, "xy", 2),
+    next(s for s in CATALOG if s[0] == "chain-z3") + (True, "xy", 2),
     ("sq3", "xyz", ("x^2", "y^2", "z^2"), 6, False, "xy", 2),
     ("cube3", "xyz", ("x^3", "y^3", "z^3", "x*y*z"), 8, False, "xy", 1),
 )
@@ -223,6 +227,45 @@ def test_check_reports_are_pinned(tmp_path, capsys):
 def test_api_report_is_pinned(prefix, fname):
     got = API_REPORTS[prefix](FIELDS[fname][0])
     assert got == _golden()[f"{prefix}/{fname}"]
+
+
+# -- the module-owned graded actions against the product of variable actions --
+
+def reference_monomial_action(M, mono, d):
+    """The action of a monomial on M_d, one variable action at a time."""
+    out = Matrix.identity(M.algebra.field, M.dim_at(d))
+    deg = d
+    for vi, e in enumerate(mono):
+        for _ in range(e):
+            out = M.act(vi, deg).mul(out)
+            deg += 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _graded_homologies(field, spec) -> tuple:
+    """The graded H_i of a golden graded complex; one module each, so their
+    action memos fill up across examples."""
+    F = _complex(field, spec, seed=7)
+    return tuple(graded_homology(F, i) for i in F.degrees())
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@pytest.mark.parametrize("spec", [s for s in COMPLEXES if not s[4]], ids=lambda s: s[0])
+@given(data=st.data())
+def test_act_element_matches_the_variable_products(field, spec, data):
+    H = data.draw(st.sampled_from(_graded_homologies(field, spec)))
+    A = H.algebra
+    da = data.draw(st.integers(0, H.window))
+    d = data.draw(st.integers(0, H.window - da))
+    scalar = st.builds(lambda a, b: field.div(field.from_int(a), field.from_int(b)),
+                       st.sampled_from([0, 0, 1, 1, -1, 2, 37]), st.integers(1, 3))
+    el = A.from_coords([data.draw(scalar) for _ in A.basis(da)], da)
+    # the zero element has degree 0, so it maps M_d to itself
+    expected = Matrix.zero(field, H.dim_at(d + A.el_degree(el)), H.dim_at(d))
+    for mono, c in el:
+        expected = expected.add(reference_monomial_action(H, mono, d).scale(c))
+    assert H.act_element(el, d) == expected
 
 
 if __name__ == "__main__":

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 from derfree.complexes import (AMatrix, ChainMap, free_complex, random_transport,
                                scalar_endo)
 from derfree.field import GF101, QQ
-from derfree.fixtures import build_ex23, build_ex55
+from derfree.fixtures import (build_ex23, build_ex55, catalog_algebra, square_zero_plane,
+                              square_zero_space)
 from derfree.homotopy import (Homotopy, _check_homotopy, _System, derived_annihilator,
                               homotopy_class_eq, solve_homotopy)
 from derfree.koszul import koszul
 from derfree.linalg import Matrix, in_span, independent_columns, kernel_basis, rref
 from derfree.monomial import monomial_algebra
 from derfree.weyl import NotChainMap, koszul_lift
-
-
-def plane(field=GF101):
-    return monomial_algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
 
 
 def test_ex55_witness_is_minus_identity(any_field):
@@ -34,7 +31,7 @@ def test_ex55_witness_is_minus_identity(any_field):
 
 
 def test_zero_map_gets_zero_homotopy():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     zero = ChainMap.from_dict(K, K, {})
     h = solve_homotopy(zero)
@@ -43,7 +40,7 @@ def test_zero_map_gets_zero_homotopy():
 
 
 def test_solver_matches_contractions():
-    A = plane()
+    A = square_zero_plane(GF101)
     xs = [A.parse_element("x"), A.parse_element("y")]
     K = koszul(A, xs).complex
     for x in xs:
@@ -66,14 +63,14 @@ def test_homotopy_class_eq_examples():
 
 
 def test_annihilator_of_one_term_complex_is_zero():
-    A = plane()
+    A = square_zero_plane(GF101)
     F = free_complex(A, [1], [])
     ann = derived_annihilator(F)
     assert ann.basis == ()
 
 
 def test_annihilator_of_koszul_is_the_ideal():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
     ann = derived_annihilator(K)
     assert len(ann.basis) == 2  # (x, y) = m has k-dimension 2
@@ -93,7 +90,7 @@ def test_graded_annihilator_excludes_the_socle_generator():
 
 
 def test_annihilator_witnesses_satisfy_the_equation():
-    A = plane()
+    A = square_zero_plane(GF101)
     complexes = [koszul(A, [A.parse_element("x")]).complex]
     for field in (GF101, QQ):
         G = monomial_algebra(field, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 6)
@@ -115,8 +112,7 @@ def test_annihilator_pairs_match_the_full_kernel_selection(backend, field, monke
     from derfree import homotopy
     rng = random.Random(3)
     if backend == "artinian":
-        A = monomial_algebra(field, ["x", "y", "z"],
-                             ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6).artinize()
+        A = catalog_algebra(field, "chain-z3")
         Ks = [random_transport(koszul(A, [A.parse_element(v) for v in seq],
                                       multiplicity=b).complex, rng)
               for seq, b in (("x", 1), ("xy", 2), ("xyz", 1))]
@@ -147,7 +143,7 @@ def test_annihilator_pairs_match_the_full_kernel_selection(backend, field, monke
 
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
 def test_homotopy_class_eq_is_an_equivalence(a, b, c):
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     maps = []
     for coeff in (a, b, c):
@@ -162,7 +158,7 @@ def test_homotopy_class_eq_is_an_equivalence(a, b, c):
 
 def test_rational_backend_agrees_with_prime_field():
     for field in (GF101, QQ):
-        A = plane(field)
+        A = square_zero_plane(field)
         K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
         ann = derived_annihilator(K)
         assert len(ann.basis) == 2
@@ -171,7 +167,7 @@ def test_rational_backend_agrees_with_prime_field():
 def test_witness_perturbation_still_verifies():
     # adding the boundary of a random degree-2 map leaves the equation intact
     rng = random.Random(17)
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
     x = A.parse_element("x")
     h = solve_homotopy(scalar_endo(K, x))
@@ -227,8 +223,7 @@ def reference_chain_defects(f):
 def perturbation_case(backend, field):
     """(A, K, xs, hs): a complex and elements x with homotopies for x * id."""
     if backend == "artinian":
-        A = monomial_algebra(field, ["x", "y", "z"],
-                             ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+        A = square_zero_space(field)
         xs = [A.parse_element("x"), A.parse_element("y")]
         K = random_transport(koszul(A, xs, multiplicity=2).complex, random.Random(5))
         hs = [solve_homotopy(scalar_endo(K, x)) for x in xs]

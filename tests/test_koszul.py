@@ -3,13 +3,10 @@ from hypothesis import strategies as st
 
 from derfree.complexes import scalar_endo
 from derfree.field import GF101
+from derfree.fixtures import square_zero_plane
 from derfree.homotopy import Homotopy
 from derfree.koszul import koszul, koszul_annihilator_check, subsets, wedge_sign
 from derfree.monomial import monomial_algebra
-
-
-def plane():
-    return monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
 
 
 def AMatrix_from(A, rows):
@@ -23,14 +20,14 @@ def cube_free():
 
 
 def test_rank_one():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
     assert K.ranks == (1, 1)
     assert K.diff(1).to_strings() == [["x"]]
 
 
 def test_rank_two_shape_and_signs():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
     assert K.ranks == (1, 2, 1)
     assert K.diff(1).to_strings() == [["x", "y"]]
@@ -60,7 +57,7 @@ def test_contraction_is_a_homotopy_for_multiplication():
 
 
 def test_annihilator_check_single_socle_element():
-    A = plane()
+    A = square_zero_plane(GF101)
     rep = koszul_annihilator_check(koszul(A, [A.parse_element("x")]))
     assert rep["contains_sequence"]
     assert rep["equals_ideal"]
@@ -68,7 +65,7 @@ def test_annihilator_check_single_socle_element():
 
 
 def test_annihilator_check_maximal_ideal():
-    A = plane()
+    A = square_zero_plane(GF101)
     rep = koszul_annihilator_check(
         koszul(A, [A.parse_element("x"), A.parse_element("y")]))
     assert rep["contains_sequence"] and rep["equals_ideal"]
@@ -93,7 +90,7 @@ def test_wedge_sign_consistency(i, perm):
 
 
 def test_multiplicity_blocks():
-    A = plane()
+    A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")], multiplicity=3).complex
     assert K.ranks == (3, 3)
     assert K.validate() == []

@@ -320,10 +320,9 @@ def test_sparse_rref_matches_gauss_jordan_on_an_annihilator_system(field):
     import random
     from derfree.complexes import random_transport
     from derfree.homotopy import _System
+    from derfree.fixtures import catalog_algebra
     from derfree.koszul import koszul
-    from derfree.monomial import monomial_algebra
-    A = monomial_algebra(field, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^3"], 6).artinize()
+    A = catalog_algebra(field, "chain-z3")
     K = koszul(A, [A.parse_element(v) for v in "xy"], multiplicity=2).complex
     K = random_transport(K, random.Random(3))
     system = _System(K, K, scalar=True)

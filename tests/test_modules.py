@@ -4,6 +4,7 @@ import pytest
 
 from derfree.complexes import graded_homology
 from derfree.field import GF101
+from derfree.fixtures import chain_algebra, square_zero_plane
 from derfree.koszul import koszul
 from derfree.linalg import Matrix, column_space_basis, rank
 from derfree.modules import (MINUS_INFINITY, dim_module, free_module, graded_dim_module,
@@ -15,16 +16,8 @@ from derfree.monomial import monomial_algebra
 from derfree.resolutions import graded_depth, graded_free_module as gfm, graded_minimal_resolution
 
 
-def chain(n=4):
-    return monomial_algebra(GF101, ["u"], [f"u^{n}"], 2 * n).artinize()
-
-
-def plane():
-    return monomial_algebra(GF101, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
-
-
 def test_nu_examples():
-    B = chain()
+    B = chain_algebra(GF101, 4)
     assert nu(free_module(B, 1)) == 1
     assert nu(residue_field_module(B)) == 1
     M7 = monomial_algebra(GF101, ["u", "v"],
@@ -37,35 +30,35 @@ def test_nu_examples():
 
 
 def test_is_free_examples():
-    B = chain()
+    B = chain_algebra(GF101, 4)
     assert is_free(free_module(B, 2)) == (True, 2)
     assert is_free(residue_field_module(B)) == (False, 1)
     assert is_free(zero_module(B)) == (True, 0)
 
 
 def test_depth_dim_sentinels():
-    B = chain()
+    B = chain_algebra(GF101, 4)
     assert dim_module(zero_module(B)) is MINUS_INFINITY
     assert dim_module(free_module(B, 1)) == 0
 
 
 def test_poincare_examples():
-    B = chain()
+    B = chain_algebra(GF101, 4)
     assert poincare_truncated(free_module(B, 1), 3) == (1, 0, 0, 0)
-    P = plane()
+    P = square_zero_plane(GF101)
     assert poincare_truncated(residue_field_module(P), 4) == (1, 2, 4, 8, 16)
     assert poincare_truncated(free_module(B, 2), 2) == (2, 0, 0)
 
 
 def test_lemma43_examples():
-    B = chain()
+    B = chain_algebra(GF101, 4)
     assert lemma43_freeness(free_module(B, 3)).free is True
     v = lemma43_freeness(residue_field_module(B))
     assert v.free is False and v.betti_prefix[1] == B.edim()
 
 
 def test_quotient_module():
-    B = chain()
+    B = chain_algebra(GF101, 4)
     F1 = free_module(B, 1)
     u2 = B.parse_element("u^2")
     sub_cols = column_space_basis(Matrix.from_columns(
@@ -94,7 +87,7 @@ def random_module(B, rng):
 
 def test_freeness_oracles_agree_on_random_modules():
     rng = random.Random(101)
-    algebras = [chain(), plane()]
+    algebras = [chain_algebra(GF101, 4), square_zero_plane(GF101)]
     for _ in range(40):
         B = algebras[rng.randrange(len(algebras))]
         M, _ = random_module(B, rng)
@@ -106,7 +99,7 @@ def test_nonfree_modules_have_positive_betti_prefix():
     # over an Artinian local ring every finite-projective-dimension module is
     # free, so a non-free module must keep strictly positive Betti numbers
     rng = random.Random(7)
-    B = plane()
+    B = square_zero_plane(GF101)
     count = 0
     while count < 10:
         M, _ = random_module(B, rng)

@@ -6,9 +6,8 @@ import pytest
 from derfree import serialize
 from derfree.actions import verify_certificate
 from derfree.field import GF, GF101, QQ, field_from_config, field_to_config
-from derfree.fixtures import build_ex23, build_ex55, build_ex56
+from derfree.fixtures import build_ex23, build_ex55, build_ex56, chain_algebra, square_zero_plane
 from derfree.modules import free_module
-from derfree.monomial import monomial_algebra
 from derfree.serialize import LoadContext, LoadError
 
 
@@ -29,7 +28,7 @@ def test_algebra_round_trip(any_field):
 
 def test_algebra_with_generators_builds_its_tables_once(any_field, monkeypatch):
     from derfree.algebra import ArtinAlgebra
-    A = monomial_algebra(any_field, ["x", "y"], ["x^2", "x*y", "y^2"], 4).artinize()
+    A = square_zero_plane(any_field)
     doc = serialize.algebra_to_dict(A)
     doc["generators"] = {"v": "x - y", "u": "3/2*x + y"}
     built = []
@@ -88,7 +87,7 @@ def test_certificate_round_trip():
 
 
 def test_module_round_trip():
-    B = monomial_algebra(GF101, ["u"], ["u^4"], 8).artinize()
+    B = chain_algebra(GF101, 4)
     M = free_module(B, 2)
     doc = serialize.module_to_dict(M)
     back = serialize.module_from_dict(doc, LoadContext(GF101))

@@ -6,11 +6,10 @@ import pytest
 from derfree.algebra import adapted_basis
 from derfree.complexes import direct_sum, scalar_endo, shift
 from derfree.field import GF101
-from derfree.fixtures import build_ex55, build_ex56
+from derfree.fixtures import build_ex55, build_ex56, square_zero_space
 from derfree.homotopy import solve_homotopy
 from derfree.koszul import koszul
 from derfree.linalg import Matrix
-from derfree.monomial import monomial_algebra
 from derfree.weyl import (NotChainMap, NotInvertibleModM, WeylError, check_lemmaA1,
                           check_weyl_relations, conjugate, exterior_model,
                           koszul_lift, random_graded_conjugate, structure_map,
@@ -89,8 +88,7 @@ def test_structure_map_requires_bottom():
 
 
 def test_koszul_lift_direct_construction():
-    A = monomial_algebra(GF101, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    A = square_zero_space(GF101)
     xs = [A.parse_element("x"), A.parse_element("y")]
     K = koszul(A, xs, multiplicity=2).complex
     hs = [solve_homotopy(scalar_endo(K, x)) for x in xs]
@@ -101,8 +99,7 @@ def test_koszul_lift_direct_construction():
 
 def test_koszul_lift_round_trip_on_transport():
     rng = random.Random(77)
-    A = monomial_algebra(GF101, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    A = square_zero_space(GF101)
     xs = [A.parse_element("x"), A.parse_element("y")]
     from derfree.complexes import random_transport
     G = random_transport(koszul(A, xs, multiplicity=2).complex, rng)
@@ -126,8 +123,7 @@ def test_koszul_lift_rejects_bad_witness():
 
 def test_koszul_lift_rejects_a_phi_that_misses_higher_degrees_of_f():
     """On K(x) (+) K(x)[2], x bounds a homotopy, but Phi: K(x) -> F is zero on F_2 and F_3."""
-    A = monomial_algebra(GF101, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    A = square_zero_space(GF101)
     x = A.parse_element("x")
     K = koszul(A, [x]).complex
     F = direct_sum(K, shift(K, 2))
@@ -138,8 +134,7 @@ def test_koszul_lift_rejects_a_phi_that_misses_higher_degrees_of_f():
 
 def test_koszul_lift_rejects_a_sequence_dependent_modulo_m2():
     """x and 2x both bound homotopies on K(x, y), but Phi_1 is singular mod m."""
-    A = monomial_algebra(GF101, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    A = square_zero_space(GF101)
     x = A.parse_element("x")
     K = koszul(A, [x, A.parse_element("y")]).complex
     xs = [x, A.el_scale(GF101.from_int(2), x)]
@@ -179,8 +174,7 @@ def test_koszul_lift_bottom_homology_dimensions():
     # H_0 of the lifted complex is b copies of A/(x): dimension counts match
     from derfree.complexes import homology, random_transport
     rng = random.Random(5)
-    A = monomial_algebra(GF101, ["x", "y", "z"],
-                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 4).artinize()
+    A = square_zero_space(GF101)
     xs = [A.parse_element("x"), A.parse_element("y")]
     b = 2
     G = random_transport(koszul(A, xs, multiplicity=b).complex, rng)
