@@ -255,13 +255,20 @@ def graded_restrict_along(phi: AlgebraMorphism, M: GradedModule, kernel_elements
         raise ValueError("graded restriction needs graded source and target")
     if not all(graded_element_kills(M, a) for a in kernel_elements):
         raise ValueError("kernel element acts nontrivially; not a B-module")
-    actions = []
+    chosen = []
     for vb in range(B.nvars):
-        va = next((va for va in range(A.nvars) if phi.images[va] == B.var_element(vb)), None)
-        if va is None:
+        target_el = B.var_element(vb)
+        found = None
+        for va in range(A.nvars):
+            if phi.images[va] == target_el:
+                found = va
+                break
+        if found is None:
             raise ValueError(f"variable {B.variables[vb]!r} is not the image of a variable")
-        actions.append(M.var_actions[va])
-    return GradedModule(B, M.dims, tuple(actions), M.window)
+        chosen.append(found)
+    dims = M.dims
+    actions = tuple(M.var_actions[va] for va in chosen)
+    return GradedModule(B, dims, actions, M.window)
 
 
 # ---------------------------------------------------------------------------

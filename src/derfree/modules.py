@@ -2,18 +2,18 @@
 
 Artinian modules are a k-basis plus one action matrix per algebra basis
 element.  Graded modules are degreewise k-spaces with one degree-raising
-action map per variable, valid up to a stated window; a `GradedModule` owns
-the actions of its elements, each (element, degree) built once by
-`act_element`.  Dimension, and depth elsewhere, use the sup/inf conventions
-with the explicit +/- infinity sentinels defined here (never floats).
-`graded_cover` is the one minimal cover of a graded module: `graded_is_free`
-and every step of `resolutions.graded_minimal_resolution` read it, and
-`graded_nu` counts its generators.
+action map per variable, valid up to a stated window; `GradedModule` owns
+the action of each homogeneous element (`act_element`).  Dimension, and
+depth elsewhere, use the sup/inf conventions with the explicit +/- infinity
+sentinels defined here (never floats).  `graded_cover` is the one minimal
+cover of a graded module: `graded_is_free` and every step of
+`resolutions.graded_minimal_resolution` read it, and `graded_nu` counts
+its generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import ArtinAlgebra
 from .linalg import (Matrix, block_diag, column_space_basis, complement, in_span,
@@ -247,8 +247,6 @@ class GradedModule:
     dims: tuple  # dims[d], d = 0..window
     var_actions: tuple  # var_actions[v][d]: Matrix dims[d] -> dims[d+1]
     window: int
-    # the memo of `act_element`: {(element, d): Matrix}
-    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim_at(self, d: int) -> int:
         return self.dims[d] if 0 <= d <= self.window else 0
@@ -259,25 +257,16 @@ class GradedModule:
         return Matrix.zero(self.algebra.field, self.dim_at(d + 1), self.dim_at(d))
 
     def act_element(self, el, d: int) -> Matrix:
-        """The map M_d -> M_{d + deg el} of a homogeneous element, built once.
-
-        A monomial acts as its last variable after the monomial one lower, so
-        monomials share their prefixes in the memo.
-        """
-        out = self._actions.get((el, d))
-        if out is None:
-            f = self.algebra.field
-            if len(el) != 1 or el[0][1] != f.one:  # a sum of scaled monomials
-                out = Matrix.zero(f, self.dim_at(d + self.algebra.el_degree(el)), self.dim_at(d))
-                for mono, c in el:
-                    out = out.add(self.act_element(((mono, f.one),), d).scale(c))
-            elif any(mono := el[0][0]):
-                last = max(i for i, e in enumerate(mono) if e)
-                lower = tuple(e - (i == last) for i, e in enumerate(mono))
-                out = self.act(last, d + sum(lower)).mul(self.act_element(((lower, f.one),), d))
-            else:
-                out = Matrix.identity(f, self.dim_at(d))
-            self._actions[(el, d)] = out
+        """The map M_d -> M_{d + deg el} of a homogeneous element: each
+        monomial acts as the product of its variable actions."""
+        f = self.algebra.field
+        out = Matrix.zero(f, self.dim_at(d + self.algebra.el_degree(el)), self.dim_at(d))
+        for mono, c in el:
+            act, deg = Matrix.identity(f, self.dim_at(d)), d
+            for v, e in enumerate(mono):
+                for _ in range(e):
+                    act, deg = self.act(v, deg).mul(act), deg + 1
+            out = out.add(act.scale(c))
         return out
 
     def hilbert(self, up_to: int) -> tuple:
@@ -319,19 +308,24 @@ def graded_free_module(A: MonomialAlgebra, gen_degrees, window: int) -> GradedMo
 
 
 def graded_quotient_ring_module(A: MonomialAlgebra, kernel_var_indices, window: int) -> GradedModule:
-    """A/(listed variables) as a graded module over A: the quotient of the free
-    module A by the monomials that involve one of those variables."""
+    """A/(listed variables) as a graded module over A, on the monomials free of
+    those variables; column m of a variable's map holds the coordinate of x*m."""
     f = A.field
-    subs, reps = {}, {}
-    for d in range(window + 1):
-        units = Matrix.identity(f, len(A.basis(d))).columns()
-        killed = [any(m[i] for i in kernel_var_indices) for m in A.basis(d)]
-        subs[d] = Matrix.from_columns(f, [u for u, k in zip(units, killed) if k], nrows=len(units))
-        reps[d] = Matrix.from_columns(f, [u for u, k in zip(units, killed) if not k],
-                                      nrows=len(units))
-    free = graded_free_module(A, [0], window)
-    actions = graded_induced_actions(A, lambda v, d, c: free.act(v, d).apply(c), subs, reps, window)
-    return GradedModule(A, tuple(reps[d].ncols for d in range(window + 1)), actions, window)
+    basis = [[m for m in A.basis(d) if not any(m[i] for i in kernel_var_indices)]
+             for d in range(window + 1)]
+    actions = []
+    for v in range(A.nvars):
+        ve, per = A.var_element(v), []
+        for d in range(window):
+            tgt = {m: i for i, m in enumerate(basis[d + 1])}
+            rows = tuple({} for _ in tgt)
+            for j, m in enumerate(basis[d]):
+                for pm, pc in A.el_mul(((m, f.one),), ve):
+                    if pm in tgt:
+                        rows[tgt[pm]][j] = pc
+            per.append(Matrix(f, len(tgt), len(basis[d]), rows))
+        actions.append(tuple(per))
+    return GradedModule(A, tuple(map(len, basis)), tuple(actions), window)
 
 
 def _graded_generators(M: GradedModule) -> dict:
@@ -364,9 +358,14 @@ def graded_cover(M: GradedModule) -> tuple:
     maps = {}
     for d in range(M.window + 1):
         cols = []
-        for i, m in A.free_coords(gen_degrees, d):
-            deg, gen = flat_gens[i]
-            cols.append(M.act_element(((m, f.one),), deg).apply(gen))
+        for (i, m) in A.free_coords(gen_degrees, d):
+            # the image m . gen, by iterated variable action
+            deg, img = flat_gens[i]
+            for vi, e in enumerate(m):
+                for _ in range(e):
+                    img = M.act(vi, deg).apply(img)
+                    deg += 1
+            cols.append(img)
         maps[d] = Matrix.from_columns(f, cols, nrows=M.dim_at(d))
     return gen_degrees, gens, maps
 
@@ -382,10 +381,13 @@ def graded_socle_degrees(M: GradedModule) -> list:
     """Degrees d < window with a nonzero element killed by every variable."""
     out = []
     for d in range(M.window):
-        stacked = Matrix.zero(M.algebra.field, 0, M.dim_at(d))
+        if M.dim_at(d) == 0:
+            continue
+        stacked = None
         for v in range(M.algebra.nvars):
-            stacked = stacked.vstack(M.act(v, d))
-        if M.dim_at(d) and kernel_basis(stacked).ncols:
+            a = M.act(v, d)
+            stacked = a if stacked is None else stacked.vstack(a)
+        if stacked is None or kernel_basis(stacked).ncols > 0:
             out.append(d)
     return out
 

@@ -298,6 +298,11 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
         return offsets, size
 
     @cache
+    def action(q: int, el, d: int) -> tuple:
+        """Rows of the action of a resolution entry el on (C_q)_d."""
+        return C.module(q).act_element(el, d).rows
+
+    @cache
     def tot_rank(n: int, t: int) -> int:
         """Rank of the total differential (T_n)_t -> (T_{n-1})_t."""
         src, nsrc = blocks(n, t)
@@ -315,7 +320,7 @@ def tor_k_dims(C: GradedModuleComplex, hom_bound: int) -> dict:
                 for gj, row in enumerate(res.steps[j].diff):
                     r0 = tgt.get((j - 1, q, gj))
                     if row[gi] and r0 is not None:
-                        place(r0, c0, C.module(q).act_element(row[gi], d_loc).rows)
+                        place(r0, c0, action(q, row[gi], d_loc))
             # vertical: (-1)^j 1 (x) d_C
             r0 = tgt.get((j, q - 1, gi))
             if r0 is not None:

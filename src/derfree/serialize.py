@@ -151,6 +151,8 @@ def algebra_from_dict(doc: dict, ctx: LoadContext):
     if kind == "monomial_quotient":
         trunc = ctx.truncation if ctx.truncation is not None \
             else _typed(doc["truncation"], "algebra truncation", int)
+        if trunc < 0:
+            raise _bad("algebra truncation", "a degree >= 0", trunc)
         return monomial_algebra(ctx.field, _typed(doc["vars"], "algebra vars", list, str),
                                 _typed(doc["ideal"], "algebra ideal", list, str), trunc)
     raise LoadError(f"unknown algebra kind {kind!r}")

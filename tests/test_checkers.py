@@ -16,7 +16,7 @@ from derfree.field import GF101, QQ
 from derfree.fixtures import (CATALOG, build_ex23, build_ex45, build_ex55, build_ex56,
                               build_ex57, build_nagata, build_strict_attempt,
                               build_two_term_module_complex, catalog_algebra, plane_onto_line,
-                              run_fixtures, square_zero_plane, square_zero_space)
+                              square_zero_plane, square_zero_space)
 from derfree.koszul import koszul
 from derfree.linalg import Matrix, column_space_basis
 from derfree.modules import GradedModule
@@ -111,24 +111,18 @@ def test_thm41_fixtures():
     assert check_thm41(build_two_term_module_complex(GF101)).verdict == "not_applicable"
 
 
-@pytest.mark.parametrize("run", [
-    lambda: tor_k_dims(build_nagata(GF101).module_complex, 3),
-    lambda: tor_k_dims(build_two_term_module_complex(GF101).module_complex, 3),
-    lambda: run_fixtures(QQ),
-], ids=["build_nagata", "build_two_term_module_complex", "run_fixtures"])
-def test_tor_builds_each_action_block_once(monkeypatch, run):
-    """Each (module, element, degree) action is built once, in the module's memo."""
-    real, built = GradedModule.act_element, []
+@pytest.mark.parametrize("build", [build_nagata, build_two_term_module_complex])
+def test_tor_builds_each_action_block_once(monkeypatch, build):
+    real, seen = GradedModule.act_element, []
 
     def counted(M, el, d):
-        if (el, d) not in M._actions:
-            built.append((M, el, d))  # holding M keeps its id unique
+        seen.append((id(M), el, d))
         return real(M, el, d)
 
     monkeypatch.setattr(GradedModule, "act_element", counted)
-    run()
-    keys = [(id(M), el, d) for M, el, d in built]
-    assert keys and len(keys) == len(set(keys))
+    C = build(GF101).module_complex
+    tor = tor_k_dims(C, 3)
+    assert seen and len(seen) == len(set(seen)), tor
 
 
 def test_thm51_examples():

@@ -466,3 +466,15 @@ def test_an_integer_option_out_of_range_exits_2_and_names_the_option(tmp_path, c
     assert exc.value.code == 2
     assert f"argument {option}:" in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_a_negative_truncation_in_a_file_exits_2_and_names_its_key(tmp_path, capsys):
+    from derfree.fixtures import build_ex23
+    doc = serialize.complex_to_dict(build_ex23(GF101).F)
+    doc["algebra"]["truncation"] = -2
+    p = str(tmp_path / "graded.json")
+    serialize.save(p, doc)
+    assert main(["homology", p]) == 2
+    captured = capsys.readouterr()
+    assert "error: algebra truncation: expected a degree >= 0, got -2" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
