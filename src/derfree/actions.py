@@ -66,8 +66,7 @@ def evaluate_relation(F: FreeComplex, gens: dict, poly: str) -> ChainMap:
     A = F.algebra
     endo = partial(scalar_endo, F)
     return exprs.evaluate(poly, _relation_env(
-        A, gens, endo, endo(A.one), ChainMap.add, ChainMap.sub,
-        lambda a: ChainMap(a.source, a.target, tuple((d, m.neg()) for d, m in a.maps)),
+        A, gens, endo, endo(A.one), ChainMap.add, ChainMap.sub, ChainMap.neg,
         ChainMap.compose, lambda c, g: g.scale(c)))
 
 
@@ -130,7 +129,7 @@ def zero_witness(F: FreeComplex) -> Homotopy:
 
 
 def witness_from_matrices(F: FreeComplex, mats: dict) -> Homotopy:
-    return Homotopy(F, F, tuple(sorted(mats.items())))
+    return Homotopy.from_dict(F, F, mats)
 
 
 # ---------------------------------------------------------------------------

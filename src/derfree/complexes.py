@@ -15,13 +15,13 @@ has found d^2 = 0; each rank is taken on the sparse rows of one k-matrix
 Betti numbers).  Only `homology` and `graded_homology` build modules with
 representatives and induced actions.
 
-Products of matrices with algebra entries and the witness checks
-(`AMatrix.mul`, `ChainMap.chain_defects`, `homotopy.homotopy_defects`) run
-on basis-element slices in raw Python ints: each matrix is sliced and
-scaled to ints over one common denominator once (`AMatrix.raw_slices`;
-`field.to_raw`, the identity over GF(p)), the sums share one denominator,
-and each output coordinate is divided once (`field.from_raw`); a check only
-tests the ints against 0.
+Maps F_i -> G_{i+k} between complexes are `DegreeMap`s; `ChainMap` (k = 0)
+and `homotopy.Homotopy` (k = 1) extend it.  Products of matrices with
+algebra entries run on basis-element slices in raw Python ints: each matrix
+is sliced and scaled to ints over one common denominator once
+(`AMatrix.raw_slices`; `field.to_raw`, the identity over GF(p)), and each
+output coordinate is divided once (`field.from_raw`).  `degreewise_defects`
+tests d^2 = 0, df = fd and dh + hd = f on those sums alone.
 """
 
 from __future__ import annotations
@@ -162,11 +162,6 @@ class AMatrix:
         A = self.algebra
         return all(A.el_in_m(e) for r in self.entries for e in r)
 
-    def nonzero_positions(self) -> list:
-        A = self.algebra
-        return [(i, j) for i, r in enumerate(self.entries)
-                for j, e in enumerate(r) if not A.el_is_zero(e)]
-
     def mod_m(self) -> Matrix:
         """Entrywise image in the residue field."""
         residue = self.algebra.el_mod_m
@@ -274,10 +269,24 @@ def _raw_sums(A, nrows: int, ncols: int, products, minus=None) -> tuple:
     return out, den
 
 
-def _sums_vanish(field, sums: tuple) -> bool:
-    """Whether every raw sum of `_raw_sums` is 0 in the field."""
-    reduce = field.reduce
-    return not any(any(map(reduce, filter(None, acc))) for acc in sums[0].values())
+def degreewise_defects(A, identities) -> list:
+    """[(i, sums)] for each (i, products, minus) of `identities` where the
+    sum of +-X*Y over `products`, (negate, X, Y) with AMatrix factors, less
+    the AMatrix `minus` (None: nothing) is not zero; `sums` are its raw
+    sums (`_raw_sums`).  The sum is m x n, m the rows of the first X and n
+    the columns of the first Y, and each X*Y must be m x k times k x n.
+    """
+    reduce = A.field.reduce
+    out = []
+    for i, products, minus in identities:
+        _, X, Y = products[0]
+        m, n = X.nrows, Y.ncols
+        sums, _ = _raw_sums(A, m, n, [(negate, _slices(X, m, Y.nrows), _slices(Y, Y.nrows, n))
+                                      for negate, X, Y in products],
+                            None if minus is None else _slices(minus, m, n))
+        if any(any(map(reduce, filter(None, acc))) for acc in sums.values()):
+            out.append((i, sums))
+    return out
 
 
 def amatrix_inverse(M: AMatrix) -> AMatrix | None:
@@ -305,6 +314,18 @@ def amatrix_inverse(M: AMatrix) -> AMatrix | None:
         tuple(tuple(pivot_rows[i * d + b].get(size + j, zero) for b in range(d))
               for j in range(n))
         for i in range(n)))
+
+
+def entry_degrees(M: AMatrix, source_shifts, target_shifts):
+    """(r, c, degree) for each nonzero entry of M between graded free modules
+    with these generator degrees: the internal degree that the entry gives
+    the map, None when the entry is not homogeneous."""
+    A = M.algebra
+    for r, row in enumerate(M.entries):
+        for c, e in enumerate(row):
+            if not A.el_is_zero(e):
+                deg = A.el_degree(e)
+                yield r, c, None if deg is None else deg + target_shifts[r] - source_shifts[c]
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +379,26 @@ class FreeComplex:
 
     # -- validation -------------------------------------------------------
     def validate(self) -> list:
+        reduce = self.algebra.field.reduce
         issues = []
-        for i in range(self.low + 2, self.top + 1):
-            comp = self.diff(i - 1).mul(self.diff(i))
-            for (r, c) in comp.nonzero_positions():
-                issues.append(f"d^2 != 0 at degree {i}, entry ({r}, {c})")
+        for i, sums in degreewise_defects(self.algebra, (
+                (i, ((False, self.diff(i - 1), self.diff(i)),), None)
+                for i in range(self.low + 2, self.top + 1))):
+            n = self.rank(i)
+            for p in sorted({p for acc in sums.values() for p, x in enumerate(acc)
+                             if x and reduce(x)}):
+                issues.append(f"d^2 != 0 at degree {i}, entry ({p // n}, {p % n})")
         if self.algebra.kind == "graded":
             issues.extend(self._homogeneity_issues())
         return issues
 
     def _homogeneity_issues(self) -> list:
-        A = self.algebra
         issues = []
         for i in range(self.low + 1, self.top + 1):
-            d = self.diff(i)
-            ssrc = self.shift_of(i)
-            stgt = self.shift_of(i - 1)
-            for r in range(d.nrows):
-                for c in range(d.ncols):
-                    e = d.entries[r][c]
-                    if A.el_is_zero(e):
-                        continue
-                    deg = A.el_degree(e)
-                    if deg is None or deg != ssrc[c] - stgt[r]:
-                        issues.append(
-                            f"entry ({r},{c}) of d_{i} is not homogeneous of degree "
-                            f"{ssrc[c] - stgt[r]}")
+            ssrc, stgt = self.shift_of(i), self.shift_of(i - 1)
+            issues.extend(f"entry ({r},{c}) of d_{i} is not homogeneous of degree "
+                          f"{ssrc[c] - stgt[r]}"
+                          for r, c, deg in entry_degrees(self.diff(i), ssrc, stgt) if deg != 0)
         return issues
 
     def is_minimal(self) -> bool:
@@ -409,27 +424,32 @@ def free_complex(algebra, ranks, diff_rows, low: int = 0, shifts=None, labels=No
 
 
 # ---------------------------------------------------------------------------
-# chain maps
+# maps between complexes
 
 
 @dataclass(frozen=True)
-class ChainMap:
-    """Degree-0 map of complexes; per-degree matrices (zero when omitted)."""
+class DegreeMap:
+    """Maps F_i -> G_{i+degree} by source degree i; zero where omitted."""
 
     source: FreeComplex
     target: FreeComplex
     maps: tuple  # tuple of (degree, AMatrix) pairs
+    degree = 0  # the k of F_i -> G_{i+k}: a class attribute, not a field
 
-    @staticmethod
-    def from_dict(source, target, maps: dict) -> "ChainMap":
-        items = tuple(sorted(maps.items()))
-        return ChainMap(source, target, items)
+    @classmethod
+    def from_dict(cls, source, target, maps: dict):
+        return cls(source, target, tuple(sorted(maps.items())))
 
     def component(self, i: int) -> AMatrix:
         for deg, m in self.maps:
             if deg == i:
                 return m
-        return AMatrix.zero(self.source.algebra, self.target.rank(i), self.source.rank(i))
+        return AMatrix.zero(self.source.algebra, self.target.rank(i + self.degree),
+                            self.source.rank(i))
+
+
+class ChainMap(DegreeMap):
+    """Degree-0 map of complexes."""
 
     def is_chain_map(self) -> bool:
         return not self.chain_defects()
@@ -437,40 +457,31 @@ class ChainMap:
     def chain_defects(self) -> list:
         """Degrees i where d f_i - f_{i-1} d is not zero."""
         S, T = self.source, self.target
-        A = S.algebra
-        lo, hi = min(S.low, T.low), max(S.top, T.top)
-        dS = {i: _slices(S.diff(i), S.rank(i - 1), S.rank(i)) for i in range(lo + 1, hi + 1)}
-        dT = dS if T is S else {i: _slices(T.diff(i), T.rank(i - 1), T.rank(i))
-                                for i in range(lo + 1, hi + 1)}
-        fs = {i: _slices(self.component(i), T.rank(i), S.rank(i)) for i in range(lo, hi + 1)}
-        return [i for i in range(lo + 1, hi + 1)
-                if not _sums_vanish(A.field, _raw_sums(A, T.rank(i - 1), S.rank(i), (
-                    (False, dT[i], fs[i]), (True, fs[i - 1], dS[i]))))]
+        return [i for i, _ in degreewise_defects(S.algebra, (
+            (i, ((False, T.diff(i), self.component(i)),
+                 (True, self.component(i - 1), S.diff(i))), None)
+            for i in range(min(S.low, T.low) + 1, max(S.top, T.top) + 1)))]
 
     def add(self, other: "ChainMap") -> "ChainMap":
-        degs = sorted({d for d, _ in self.maps} | {d for d, _ in other.maps})
+        degs = {d for d, _ in self.maps} | {d for d, _ in other.maps}
         return ChainMap.from_dict(self.source, self.target,
                                   {d: self.component(d).add(other.component(d)) for d in degs})
 
     def sub(self, other: "ChainMap") -> "ChainMap":
-        degs = sorted({d for d, _ in self.maps} | {d for d, _ in other.maps})
-        return ChainMap.from_dict(self.source, self.target,
-                                  {d: self.component(d).sub(other.component(d)) for d in degs})
+        return self.add(other.neg())
+
+    def neg(self) -> "ChainMap":
+        return ChainMap(self.source, self.target, tuple((d, m.neg()) for d, m in self.maps))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
-        degs = sorted({d for d, _ in other.maps} | {d for d, _ in self.maps})
+        degs = {d for d, _ in other.maps} | {d for d, _ in self.maps}
         return ChainMap.from_dict(other.source, self.target,
                                   {d: self.component(d).mul(other.component(d)) for d in degs})
 
     def scale(self, c) -> "ChainMap":
         """The map times the field scalar c."""
         return ChainMap(self.source, self.target, tuple((d, m.scale(c)) for d, m in self.maps))
-
-
-def identity_map(F: FreeComplex) -> ChainMap:
-    return ChainMap.from_dict(F, F, {i: AMatrix.identity(F.algebra, F.rank(i))
-                                     for i in F.degrees()})
 
 
 def scalar_endo(F: FreeComplex, a) -> ChainMap:

@@ -8,7 +8,9 @@ projection of the solution space of a*id - (dh + hd) = 0 onto the
 a-coordinates, with one witness homotopy stored per basis element.  One
 assembler (`_System`) builds these systems for both backends, and also the
 chain-map condition dX - Xd = 0 behind `chain_map_space`, as one
-`linalg.Matrix` whose sparse rows the elimination takes as they are.
+`linalg.Matrix` whose sparse rows the elimination takes as they are.  A
+homotopy is a `complexes.DegreeMap` of degree 1, and `homotopy_defects`
+substitutes it back through `complexes.degreewise_defects`.
 """
 
 from __future__ import annotations
@@ -16,38 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraError
-from .complexes import (AMatrix, ChainMap, FreeComplex, _raw_sums, _slices, _sums_vanish,
-                        scalar_endo)
+from .complexes import (AMatrix, ChainMap, DegreeMap, FreeComplex, degreewise_defects,
+                        entry_degrees, scalar_endo)
 from .linalg import (Matrix, in_span, kernel_basis, kernel_vectors, rref, solve_multi,
                      sparse_rref)
 from .monomial import TruncationError
 
 
-@dataclass(frozen=True)
-class Homotopy:
+class Homotopy(DegreeMap):
     """Witness maps h_i : F_i -> G_{i+1}."""
 
-    source: FreeComplex
-    target: FreeComplex
-    maps: tuple  # (degree, AMatrix) pairs
-
-    def component(self, i: int) -> AMatrix:
-        for deg, m in self.maps:
-            if deg == i:
-                return m
-        return AMatrix.zero(self.source.algebra, self.target.rank(i + 1), self.source.rank(i))
+    degree = 1
 
     def boundary(self) -> ChainMap:
-        """The chain map dh + hd this homotopy bounds."""
+        """The chain map dh + hd this homotopy bounds, by `AMatrix.mul`: the
+        reference that `homotopy_defects` answers without building it."""
         F, G = self.source, self.target
-        lo = min(F.low, G.low)
-        hi = max(F.top, G.top)
-        comps = {}
-        for i in range(lo, hi + 1):
-            t1 = G.diff(i + 1).mul(self.component(i))
-            t2 = self.component(i - 1).mul(F.diff(i))
-            comps[i] = t1.add(t2)
-        return ChainMap.from_dict(F, G, comps)
+        return ChainMap.from_dict(F, G, {
+            i: G.diff(i + 1).mul(self.component(i)).add(self.component(i - 1).mul(F.diff(i)))
+            for i in range(min(F.low, G.low), max(F.top, G.top) + 1)})
 
 
 @dataclass(frozen=True)
@@ -261,7 +250,7 @@ class _System:
         return maps
 
     def homotopy(self, x) -> Homotopy:
-        return Homotopy(self.S, self.T, tuple(sorted(self.unpack(x).items())))
+        return Homotopy.from_dict(self.S, self.T, self.unpack(x))
 
     def solve(self, fmap: ChainMap) -> Homotopy | None:
         """Particular solution of dh + hd = fmap (free variables 0), or None."""
@@ -335,47 +324,25 @@ def chain_map_space(M: FreeComplex, F: FreeComplex) -> list:
 
 def _uniform_component_degree(f: ChainMap) -> int | None:
     """Internal degree of a homogeneous degree-0 chain-map-shaped map."""
-    A = f.source.algebra
-    degs = set()
-    for i in range(min(f.source.low, f.target.low), max(f.source.top, f.target.top) + 1):
-        comp = f.component(i)
-        ssrc = f.source.shift_of(i)
-        stgt = f.target.shift_of(i)
-        for s in range(comp.nrows):
-            for t in range(comp.ncols):
-                e = comp.entries[s][t]
-                if A.el_is_zero(e):
-                    continue
-                d = A.el_degree(e)
-                if d is None:
-                    return None
-                degs.add(d + stgt[s] - ssrc[t])
-    if not degs:
-        return 0
-    if len(degs) > 1:
+    S, T = f.source, f.target
+    degs = {deg for i in range(min(S.low, T.low), max(S.top, T.top) + 1)
+            for _, _, deg in entry_degrees(f.component(i), S.shift_of(i), T.shift_of(i))}
+    if None in degs or len(degs) > 1:
         return None
-    return degs.pop()
+    return degs.pop() if degs else 0
 
 
 def homotopy_defects(f: ChainMap, h: Homotopy) -> list:
     """Degrees i where d h_i + h_{i-1} d - f_i is not zero.
 
-    The sums are accumulated on basis-element slices (each matrix is
-    sliced once, `AMatrix.raw_slices`), and each raw sum is tested once;
-    `Homotopy.boundary` is never built.  Only the complexes of f, f itself
-    and h are read.
+    `complexes.degreewise_defects` tests the sums on basis-element slices;
+    `Homotopy.boundary` is never built.
     """
     F, G = f.source, f.target
-    A = F.algebra
-    lo, hi = min(F.low, G.low), max(F.top, G.top)
-    dF = {i: _slices(F.diff(i), F.rank(i - 1), F.rank(i)) for i in range(lo, hi + 2)}
-    dG = dF if G is F else {i: _slices(G.diff(i), G.rank(i - 1), G.rank(i))
-                            for i in range(lo, hi + 2)}
-    hs = {i: _slices(h.component(i), G.rank(i + 1), F.rank(i)) for i in range(lo - 1, hi + 1)}
-    return [i for i in range(lo, hi + 1)
-            if not _sums_vanish(A.field, _raw_sums(
-                A, G.rank(i), F.rank(i), ((False, dG[i + 1], hs[i]), (False, hs[i - 1], dF[i])),
-                minus=_slices(f.component(i), G.rank(i), F.rank(i))))]
+    return [i for i, _ in degreewise_defects(F.algebra, (
+        (i, ((False, G.diff(i + 1), h.component(i)), (False, h.component(i - 1), F.diff(i))),
+         f.component(i))
+        for i in range(min(F.low, G.low), max(F.top, G.top) + 1)))]
 
 
 def _check_homotopy(f: ChainMap, h: Homotopy):

@@ -14,11 +14,12 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-from .actions import ActionCertificate, check_relation, witness_from_matrices
+from .actions import ActionCertificate, check_relation
 from .algebra import artin_algebra_from_constants
 from .checkers import InstanceBundle
 from .complexes import AMatrix, ChainMap, FreeComplex
 from .field import field_from_config, field_to_config
+from .homotopy import Homotopy
 from .linalg import Matrix
 from .modules import FiniteModule
 from .monomial import mono_str, monomial_algebra
@@ -207,22 +208,27 @@ def chain_map_to_dict(f) -> dict:
     return {"maps": {str(d): m.to_strings() for d, m in f.maps}}
 
 
-def _degree_maps(doc, F: FreeComplex, where: str) -> dict:
-    """{degree: AMatrix} of an object of entry rows keyed by degree strings."""
+def _degree_map(cls, doc, F: FreeComplex, where: str):
+    """The `cls` map F -> F of an object of entry rows keyed by degree
+    strings: each a degree d of F, with a rank(d + degree) x rank(d) matrix."""
     maps = {}
     for dstr, rows in _typed(doc, where, dict).items():
-        if not dstr.lstrip("-").isdigit():
+        if not dstr.removeprefix("-").isdecimal():
             raise _bad(where, "integer degree keys", dstr)
-        key = f"{where}[{dstr!r}]"
-        maps[int(dstr)] = _located(key, AMatrix.from_strings, F.algebra, _entry_rows(rows, key),
-                                   ncols=F.rank(int(dstr)))
-    return maps
+        key, d = f"{where}[{dstr!r}]", int(dstr)
+        if d not in F.degrees():
+            raise _bad(key, f"a degree of the complex, {F.low} to {F.top}", d)
+        nrows, ncols = F.rank(d + cls.degree), F.rank(d)
+        if len(_entry_rows(rows, key)) != nrows or any(len(r) != ncols for r in rows):
+            raise _bad(key, f"a {nrows}x{ncols} matrix", rows)
+        maps[d] = _located(key, AMatrix.from_strings, F.algebra, rows, ncols=ncols)
+    return cls.from_dict(F, F, maps)
 
 
 def endo_from_dict(doc: dict, ctx: LoadContext) -> ChainMap:
     """An endomorphism of the complex the document names."""
     F = ctx.resolve(doc, "complex", complex_from_dict)
-    return ChainMap.from_dict(F, F, _degree_maps(doc["maps"], F, "maps"))
+    return _degree_map(ChainMap, doc["maps"], F, "maps")
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +279,15 @@ def certificate_from_dict(doc: dict, ctx: LoadContext, F: FreeComplex | None = N
     phi = morphism_from_dict(_typed(doc["morphism"], "morphism", dict), ctx, source, target)
     gens = []
     for n, g in enumerate(_typed(doc["generators"], "generators", list, dict)):
-        maps = _degree_maps(g["matrices"], F, f"generators[{n}].matrices")
         gens.append((_typed(g["name"], f"generators[{n}].name", str),
-                     ChainMap.from_dict(F, F, maps)))
+                     _degree_map(ChainMap, g["matrices"], F, f"generators[{n}].matrices")))
     rels = []
     for n, r in enumerate(_typed(doc["relations"], "relations", list, dict)):
         poly = _typed(r["poly"], f"relations[{n}].poly", str)
         _located(f"relations[{n}].poly", check_relation, F.algebra, [g for g, _ in gens], poly)
         w = r.get("witness", "solve")
         rels.append((poly, None if w == "solve" else
-                     witness_from_matrices(F, _degree_maps(w, F, f"relations[{n}].witness"))))
+                     _degree_map(Homotopy, w, F, f"relations[{n}].witness")))
     return ActionCertificate(phi, tuple(gens), tuple(rels)), F
 
 

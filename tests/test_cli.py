@@ -478,3 +478,52 @@ def test_a_negative_truncation_in_a_file_exits_2_and_names_its_key(tmp_path, cap
     captured = capsys.readouterr()
     assert "error: algebra truncation: expected a degree >= 0, got -2" in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+# where each map loader names the matrices of the exported ex5.5
+MAP_KEYS = {"endomorphism": "maps", "generator": "generators[0].matrices",
+            "witness": "relations[1].witness"}
+
+
+def _edited_map_file(tmp_path, loader, edit) -> list:
+    """The argv that loads an ex5.5 map through `loader` after `edit` changes
+    its matrices: an endomorphism that is zero in degree 0, the generator u,
+    or the witness -id of u^3 - y."""
+    from derfree.fixtures import export_fixture
+    directory = os.path.dirname(export_fixture("ex5.5", str(tmp_path)))
+    if loader == "endomorphism":
+        command, doc = "homotopy", {"complex": "ex5_5_F.json",
+                                    "maps": {"0": [["0", "0"], ["0", "0"]]}}
+        edit(doc["maps"])
+    else:
+        command, doc = "verify-action", serialize.load(os.path.join(directory,
+                                                                    "ex5_5_cert.json"))
+        edit(doc["generators"][0]["matrices"] if loader == "generator"
+             else doc["relations"][1]["witness"])
+    p = os.path.join(directory, "edited.json")
+    serialize.save(p, doc)
+    return [command, p]
+
+
+@pytest.mark.parametrize("row", [["x", "0"], ["0", "0"]], ids=["x-row", "zero-row"])
+@pytest.mark.parametrize("loader", sorted(MAP_KEYS))
+def test_a_map_with_an_extra_row_exits_2_and_names_its_key(tmp_path, capsys, loader, row):
+    # a 3x2 matrix where the complex of ranks [2, 2] needs a 2x2 one
+    assert main(_edited_map_file(tmp_path, loader, lambda maps: maps["0"].append(row))) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert MAP_KEYS[loader] + "['0']: expected a 2x2 matrix" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("degree, message", [
+    ("9", "['9']: expected a degree of the complex, 0 to 1, got 9"),
+    ("--5", ": expected integer degree keys, got '--5'"),
+], ids=["outside", "not-an-integer"])
+@pytest.mark.parametrize("loader", sorted(MAP_KEYS))
+def test_a_map_at_a_degree_the_complex_lacks_exits_2_and_names_its_key(tmp_path, capsys,
+                                                                       loader, degree, message):
+    assert main(_edited_map_file(tmp_path, loader, lambda maps: maps.update({degree: []}))) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and MAP_KEYS[loader] + message in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err

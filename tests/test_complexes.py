@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from derfree.complexes import (AMatrix, ChainMap, ComplexError, FreeComplex,
                                amatrix_inverse, betti, cone, direct_sum,
                                free_complex, graded_homology, graded_homology_dims,
-                               homology, homology_dims, identity_map, inf_sup, is_quasi_iso,
+                               homology, homology_dims, inf_sup, is_quasi_iso,
                                proj_dim, random_invertible_amatrix, random_transport,
                                scalar_endo, shift, transport)
 from derfree.field import GF101, QQ
@@ -106,7 +106,7 @@ def test_euler_pairing():
 def test_identity_quasi_iso_zero_not():
     A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x"), A.parse_element("y")]).complex
-    assert is_quasi_iso(identity_map(K))
+    assert is_quasi_iso(scalar_endo(K, A.one))
     zero = ChainMap.from_dict(K, K, {})
     assert not is_quasi_iso(zero)
 
@@ -134,7 +134,7 @@ def test_transport_roundtrip_inverse():
 def test_cone_of_identity_is_exact():
     A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
-    C = cone(identity_map(K))
+    C = cone(scalar_endo(K, A.one))
     assert C.validate() == []
     assert all(d == 0 for d in homology_dims(C).values())
 
@@ -182,9 +182,8 @@ def test_proj_dim_of_minimal_complex_is_top_rank_index():
 def test_quasi_iso_preserved_by_direct_sum():
     A = square_zero_plane(GF101)
     K = koszul(A, [A.parse_element("x")]).complex
-    f = identity_map(K)
     D = direct_sum(K, K)
-    assert is_quasi_iso(identity_map(D))
+    assert is_quasi_iso(scalar_endo(D, A.one))
 
 
 def test_tor_base_case_bottom_betti_is_minimal_generators():

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from derfree.complexes import (AMatrix, ChainMap, free_complex, random_transport,
-                               scalar_endo)
+from derfree.complexes import (AMatrix, ChainMap, FreeComplex, free_complex,
+                               random_transport, scalar_endo, shift)
 from derfree.field import GF101, QQ
 from derfree.fixtures import (build_ex23, build_ex55, catalog_algebra, square_zero_plane,
                               square_zero_space)
 from derfree.homotopy import (Homotopy, _check_homotopy, _System, derived_annihilator,
-                              homotopy_class_eq, solve_homotopy)
+                              homotopy_class_eq, homotopy_defects, solve_homotopy)
 from derfree.koszul import koszul
 from derfree.linalg import Matrix, in_span, independent_columns, kernel_basis, rref
 from derfree.monomial import monomial_algebra
 from derfree.weyl import NotChainMap, koszul_lift
+from test_complexes import _rescaled
 
 
 def test_ex55_witness_is_minus_identity(any_field):
@@ -300,3 +301,72 @@ def test_tiny_perturbation_is_caught_over_qq(backend):
         with pytest.raises(AssertionError):
             _check_homotopy(g, Homotopy(K, K, add_unit(A, h.maps, degree, tiny)))
         assert i in ChainMap(K, K, add_unit(A, g.maps, i, tiny)).chain_defects()
+
+
+# ---------------------------------------------------------------------------
+# the degreewise defect routine against the AMatrix-product references
+
+
+def reference_homotopy_defects(f, h):
+    """Degrees where dh + hd - f is nonzero, through `Homotopy.boundary`."""
+    F, G = f.source, f.target
+    bd = h.boundary()
+    return [i for i in range(min(F.low, G.low), max(F.top, G.top) + 1)
+            if not bd.component(i).sub(f.component(i)).is_zero()]
+
+
+def reference_validate(F):
+    """The d^2 messages of `FreeComplex.validate`, through `AMatrix.mul` and a
+    row-major scan of the product's entries."""
+    A = F.algebra
+    return [f"d^2 != 0 at degree {i}, entry ({r}, {c})"
+            for i in range(F.low + 2, F.top + 1)
+            for r, row in enumerate(F.diff(i - 1).mul(F.diff(i)).entries)
+            for c, e in enumerate(row) if not A.el_is_zero(e)]
+
+
+def perturbed(maps, rng, e) -> tuple:
+    """The (degree, AMatrix) pairs with e added to one random entry of one
+    random nonempty matrix."""
+    degrees = [i for i, m in maps if m.nrows and m.ncols]
+    degree = rng.choice(degrees)
+    out = []
+    for i, m in maps:
+        if i == degree:
+            rows = [list(r) for r in m.entries]
+            r, c = rng.randrange(m.nrows), rng.randrange(m.ncols)
+            rows[r][c] = m.algebra.el_add(rows[r][c], e)
+            m = AMatrix.from_rows(m.algebra, rows, ncols=m.ncols)
+        out.append((i, m))
+    return tuple(out)
+
+
+@given(st.sampled_from([GF101, QQ]), st.sampled_from(["artinian", "graded"]),
+       st.sampled_from([-1, 0, 2]), st.integers(0, 2**32 - 1))
+def test_degreewise_defects_match_the_amatrix_product_references(field, backend, low, seed):
+    rng = random.Random(seed)
+    A = monomial_algebra(field, ["x", "y", "z"], ["x^3", "y^2", "z^2"], 5)
+    if backend == "artinian":
+        A = A.artinize()
+    xs = [A.parse_element(v) for v in "xyz"]
+    K = koszul(A, xs).complex
+    K = shift(random_transport(K, rng) if backend == "artinian" else _rescaled(K, rng), low)
+
+    def small_multiple_of(names):
+        """c * (a random one of names), c a random scalar over a small denominator,
+        sometimes 0."""
+        c = field.div(field.from_int(rng.randrange(-4, 5)), field.from_int(rng.randrange(1, 8)))
+        return A.el_scale(c, A.parse_element(rng.choice(names)))
+
+    for x in xs:
+        f = scalar_endo(K, x)
+        h = solve_homotopy(f)
+        g = ChainMap(K, K, perturbed(f.maps, rng, small_multiple_of(["1", "x", "y*z"])))
+        assert g.chain_defects() == reference_chain_defects(g)
+        w = Homotopy(K, K, perturbed(h.maps, rng, small_multiple_of(["1", "z", "x*y"])))
+        assert homotopy_defects(g, w) == reference_homotopy_defects(g, w)
+        assert homotopy_defects(f, w) == reference_homotopy_defects(f, w)
+    # d^2 != 0 planted with a degree-1 entry, which keeps each d homogeneous
+    F = FreeComplex(A, K.low, K.ranks, tuple(m for _, m in perturbed(
+        tuple(enumerate(K.diffs)), rng, small_multiple_of(["x", "y", "z"]))), K.shifts)
+    assert F.validate() == reference_validate(F)
