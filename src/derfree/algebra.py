@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import islice
 
 from . import exprs
 from .linalg import Matrix, column_space_basis, independent_columns
@@ -236,28 +237,29 @@ class ArtinAlgebra:
         prods = [self.el_mul(uc, vc) for uc in u_cols.columns() for vc in v_cols.columns()]
         return column_space_basis(Matrix.from_columns(self.field, prods, nrows=self.dim))
 
+    def _m_powers(self):
+        """The canonical bases of m, m^2, m^3, ... in turn; the unit columns
+        of `m_cols` are already the canonical basis of m."""
+        m = acc = self.m_cols()
+        while True:
+            yield acc
+            acc = self.ideal_product_cols(m, acc)
+
     def m_power_cols(self, k: int) -> Matrix:
         """Canonical basis of m^k."""
         if k <= 0:
-            return column_space_basis(Matrix.identity(self.field, self.dim))
-        acc = column_space_basis(self.m_cols())
-        for _ in range(k - 1):
-            acc = self.ideal_product_cols(self.m_cols(), acc)
-        return acc
+            return Matrix.identity(self.field, self.dim)
+        return next(islice(self._m_powers(), k - 1, None))
 
     def nilpotency_index(self) -> int | None:
         """Least N with m^N = 0, or None if m is not nilpotent."""
-        acc = column_space_basis(self.m_cols())
-        n = 1
-        while acc.ncols > 0:
-            if n > self.dim + 1:
-                return None
-            nxt = self.ideal_product_cols(self.m_cols(), acc)
-            if nxt.ncols == acc.ncols:
+        prev = None
+        for n, acc in enumerate(self._m_powers(), 1):
+            if acc.ncols == 0:
+                return n
+            if n > self.dim + 1 or acc.ncols == prev:
                 return None  # stabilized nonzero: not nilpotent
-            acc = nxt
-            n += 1
-        return n
+            prev = acc.ncols
 
     def edim(self) -> int:
         """dim_k m/m^2."""
@@ -375,7 +377,7 @@ def adapted_basis(A: ArtinAlgebra, prescribed=()) -> AdaptedBasis:
     for x in prescribed:
         if not A.el_in_m(x):
             raise DependentModM2("prescribed element is not in m")
-    n = A.edim()
+    n = (A.dim - 1) - m2.ncols  # edim
     given = Matrix.from_columns(f, [list(x) for x in prescribed], nrows=A.dim)
     if len(independent_columns(m2, given)) != given.ncols:
         raise DependentModM2("prescribed elements are dependent modulo m^2")

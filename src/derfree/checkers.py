@@ -18,13 +18,13 @@ from .actions import (ActionCertificate, InducedHomologyAction,
                       induced_action_on_homology, verify_certificate)
 from .algebra import ArtinAlgebra, adapted_basis, AlgebraError
 from .complexes import (FreeComplex, betti, graded_homology, homology,
-                        nonzero_range, proj_dim, scalar_endo)
+                        homology_dims, inf_sup, nonzero_range, proj_dim, scalar_endo)
 from .homotopy import (DerivedAnnihilator, chain_map_space, derived_annihilator,
                        solve_homotopy)
 from .koszul import koszul, koszul_differentials, subsets
 from .linalg import Matrix, complement, independent_columns, is_invertible, quotient_coords
 from .modules import (MINUS_INFINITY, PLUS_INFINITY, FiniteModule, GradedModule,
-                      dim_module, graded_dim_module, graded_element_kills, graded_is_free,
+                      graded_dim_module, graded_element_kills, graded_is_free,
                       is_free, lemma43_freeness, nu, poincare_truncated,
                       residue_field_module)
 from .morphism import AlgebraMorphism, beta0_of_mAB
@@ -217,10 +217,7 @@ class Analysis:
     @cached_property
     def inf_sup(self) -> tuple:
         """(inf, sup) of the nonvanishing homology degrees (graded: within window)."""
-        F = self.bundle.F
-        graded = F.algebra.kind != "artinian"
-        return nonzero_range({i: sum(self.homology(i).dims) if graded else self.homology(i).dim
-                              for i in F.degrees()})
+        return inf_sup(self.bundle.F)
 
     @cached_property
     def betti(self) -> dict:
@@ -411,8 +408,8 @@ def check_lemma32(subject: Analysis | InstanceBundle) -> CheckReport:
 def _homology_dims_over_A(an: Analysis) -> dict:
     """Krull dimension of each H_i(F) as a module over A."""
     F = an.bundle.F
-    if F.algebra.kind == "artinian":
-        return {i: dim_module(an.homology(i).module) for i in F.degrees()}
+    if F.algebra.kind == "artinian":  # -inf for H_i = 0, else 0
+        return {i: MINUS_INFINITY if d == 0 else 0 for i, d in homology_dims(F).items()}
     return {i: graded_dim_module(an.homology(i))[0] for i in F.degrees()}
 
 
@@ -494,8 +491,7 @@ def is_exceptional_ci_surjective(phi: AlgebraMorphism) -> ECIResult:
         except AlgebraError:
             return ECIResult(False, True,
                              "kernel generators do not extend a minimal generating set of m")
-        K = koszul(A, gens).complex
-        h1 = homology(K, 1).dim
+        h1 = homology_dims(koszul(A, gens).complex)[1]
         if h1 == 0:
             return ECIResult(True, True, "kernel generated by a regular sequence")
         return ECIResult(False, True,
@@ -516,11 +512,10 @@ def is_exceptional_ci_surjective(phi: AlgebraMorphism) -> ECIResult:
         if not gens:
             return ECIResult(True, True, "zero kernel: empty regular sequence")
         K = koszul(A, gens).complex
-        GH1 = graded_homology(K, 1)
-        if all(d == 0 for d in GH1.dims):
+        if not homology_dims(K)[1]:
             return ECIResult(True, False,
                              f"kernel variables form a regular sequence up to degree "
-                             f"{GH1.window}")
+                             f"{K.window}")
         return ECIResult(False, True, "first Koszul homology of the kernel is nonzero")
     raise ValueError("mixed-backend morphisms are not supported here")
 
@@ -586,12 +581,10 @@ def check_thm41(subject: Analysis | InstanceBundle) -> CheckReport:
     hyp_ok = not bad_i and not issues and ok_phi
     if not hyp_ok:
         return CheckReport("thm41", tuple(checks), tuple(caveats), data)
-    hdims = {i: C.homology_dims(i) for i in range(C.low, C.top + 1)}
-    higher = [i for i in hdims if i != 0 and any(d > 0 for d in hdims[i])]
+    higher = [i for i, d in homology_dims(C).items() if i != 0 and d > 0]
     checks.append(_chk("homology_concentrated_in_degree_0", "conclusion", not higher,
                        f"nonzero homology in degrees {higher}" if higher else ""))
-    H0 = C.h0_module()
-    MB = graded_restrict_along(phi, H0, bundle.h_kernel)
+    MB = graded_restrict_along(phi, graded_homology(C, C.low), bundle.h_kernel)
     verdict = graded_is_free(MB)
     if verdict.free is False:
         checks.append(Check("H0_free_over_B", "conclusion", "fail", verdict.note))

@@ -7,8 +7,10 @@ carry generator degrees per term, differentials must be homogeneous of
 internal degree 0 with respect to them, and homology is computed per
 internal degree up to the truncation (reported with the window).
 
-Homology dimensions (`homology_dims`, and per internal degree
-`graded_homology_dims`) come from one rank per differential by
+Homology is computed in one place for every complex, on a view by degree
+pieces that `FreeComplex` and `resolutions.GradedModuleComplex` share (see
+"homology").  Its dimensions (`homology_dims`, and per piece
+`graded_homology_dims`) come from one rank per differential and piece by
 rank-nullity, dim H_i = dim F_i - rk d_i - rk d_{i+1}, after `validate`
 has found d^2 = 0; each rank is taken on the sparse rows of one k-matrix
 (`AMatrix.flatten`, the graded `map_matrix`, and `AMatrix.mod_m` for the
@@ -404,10 +406,32 @@ class FreeComplex:
     def is_minimal(self) -> bool:
         return all(d.entries_in_m() for d in self.diffs)
 
-    def graded_diff_matrix(self, i: int, n: int) -> Matrix:
-        """k-matrix of d_i on the internal-degree-n parts."""
-        return self.algebra.map_matrix(self.diff(i).entries, self.shift_of(i),
-                                       self.shift_of(i - 1), n)
+    # -- the view by degree pieces (see "homology") -------------------------
+    @property
+    def window(self) -> int:
+        """The last degree piece: the truncation on the graded backend, and 0
+        on the Artinian backend, whose one piece is the flattened complex."""
+        return self.algebra.truncation if self.algebra.kind == "graded" else 0
+
+    def dim_at(self, i: int, n: int) -> int:
+        """dim_k of piece n of F_i."""
+        A = self.algebra
+        if A.kind == "graded":
+            return len(A.free_coords(self.shift_of(i), n))
+        return self.rank(i) * A.dim
+
+    def diff_matrix(self, i: int, n: int) -> Matrix:
+        """k-matrix of d_i on piece n."""
+        A = self.algebra
+        if A.kind == "graded":
+            return A.map_matrix(self.diff(i).entries, self.shift_of(i), self.shift_of(i - 1), n)
+        return self.diff(i).flatten()
+
+    def act(self, i: int, v: int, n: int) -> Matrix:
+        """k-matrix of variable v from piece n of F_i to piece n + 1 (graded backend)."""
+        A, shifts = self.algebra, self.shift_of(i)
+        x = AMatrix.scalar(A, A.var_element(v), len(shifts))
+        return A.map_matrix(x.entries, shifts, shifts, n, 1)
 
 
 def free_complex(algebra, ranks, diff_rows, low: int = 0, shifts=None, labels=None) -> FreeComplex:
@@ -429,12 +453,22 @@ def free_complex(algebra, ranks, diff_rows, low: int = 0, shifts=None, labels=No
 
 @dataclass(frozen=True)
 class DegreeMap:
-    """Maps F_i -> G_{i+degree} by source degree i; zero where omitted."""
+    """Maps F_i -> G_{i+degree} by source degree i; zero where omitted.
+
+    Each map must be rank G_{i+degree} x rank F_i, which is checked here.
+    """
 
     source: FreeComplex
     target: FreeComplex
     maps: tuple  # tuple of (degree, AMatrix) pairs
     degree = 0  # the k of F_i -> G_{i+k}: a class attribute, not a field
+
+    def __post_init__(self):
+        for deg, m in self.maps:
+            nrows, ncols = self.target.rank(deg + self.degree), self.source.rank(deg)
+            if (m.nrows, m.ncols) != (nrows, ncols):
+                raise ComplexError(f"the map at degree {deg} is {m.nrows}x{m.ncols}, "
+                                   f"where {nrows}x{ncols} is needed")
 
     @classmethod
     def from_dict(cls, source, target, maps: dict):
@@ -538,7 +572,16 @@ def cone(f: ChainMap) -> FreeComplex:
 
 
 # ---------------------------------------------------------------------------
-# homology, Artinian backend
+# homology
+#
+# A FreeComplex and a `resolutions.GradedModuleComplex` are read through one
+# view by degree pieces: `window` (the last piece), `dim_at(i, n)`,
+# `diff_matrix(i, n)` (d_i on piece n) and, on the graded backend,
+# `act(i, v, n)` (variable v on piece n of the term C_i).  A graded complex
+# has one piece per internal degree up to its window, an Artinian FreeComplex
+# the one piece 0.  Dimensions come from ranks alone (`graded_homology_dims`);
+# a homology module is built from the subquotient of each piece
+# (`_subquotient`) only where its action is read.
 
 
 @dataclass(frozen=True)
@@ -565,17 +608,22 @@ class HomologyModule:
             raise ComplexError("vector is not a cycle modulo boundaries") from None
 
 
+def _subquotient(C, i: int, n: int) -> tuple:
+    """(cycles, boundaries, reps) of H_i(C) on piece n: canonical bases of
+    ker d_i and im d_{i+1}, and the cycles a greedy scan keeps outside the
+    boundaries, in order."""
+    Z = kernel_basis(C.diff_matrix(i, n))
+    B = column_space_basis(C.diff_matrix(i + 1, n))
+    return Z, B, complement(B, Z)
+
+
 def homology(F: FreeComplex, i: int) -> HomologyModule:
+    """H_i(F) over the Artinian backend, with the action of the algebra."""
     A = F.algebra
     if A.kind != "artinian":
         raise ComplexError("use graded_homology for the graded backend")
     d = A.dim
-    dn = F.diff(i).flatten()
-    dn1 = F.diff(i + 1).flatten()
-    Z = kernel_basis(dn)
-    B = column_space_basis(dn1)
-    # representatives: kernel basis vectors independent of the boundaries, in order
-    reps = complement(B, Z)
+    Z, B, reps = _subquotient(F, i, 0)
     mults = [A.left_mult_matrix(A.basis_element(t)) for t in range(d)]
 
     def image(t, v):
@@ -585,29 +633,58 @@ def homology(F: FreeComplex, i: int) -> HomologyModule:
     return HomologyModule(i, FiniteModule(A, reps.ncols, acts), tuple(reps.columns()), Z, B)
 
 
-def _require_complex(F: FreeComplex) -> None:
-    """Raise ComplexError with the first issue of `F.validate()`, if any.
+def graded_homology(C, i: int) -> GradedModule:
+    """H_i(C) per internal degree up to `C.window`, with the variable actions
+    it inherits from C_i; C is a graded FreeComplex (valid up to the algebra
+    truncation) or a `resolutions.GradedModuleComplex`."""
+    A = C.algebra
+    if A.kind != "graded":
+        raise ComplexError("use homology for the Artinian backend")
+    window = C.window
+    boundaries, reps = {}, {}
+    for n in range(window + 1):
+        _, boundaries[n], reps[n] = _subquotient(C, i, n)
+    try:
+        actions = graded_induced_actions(A, lambda v, n: C.act(i, v, n), boundaries, reps,
+                                         window)
+    except ValueError:
+        raise ComplexError("variable action left the cycle space") from None
+    return GradedModule(A, tuple(reps[n].ncols for n in range(window + 1)), actions, window)
+
+
+def graded_homology_all(F: FreeComplex) -> dict:
+    return {i: graded_homology(F, i) for i in F.degrees()}
+
+
+def _require_complex(C) -> None:
+    """Raise ComplexError with the first issue of `C.validate()`, if any.
 
     The rank formula of the homology dimensions holds only when d^2 = 0
     (and, on the graded backend, when every differential is homogeneous).
     """
-    issues = F.validate()
+    issues = C.validate()
     if issues:
         raise ComplexError(issues[0])
 
 
-def homology_dims(F: FreeComplex) -> dict:
-    """dim_k H_i(F) per degree (graded: summed over the window), from ranks.
+def graded_homology_dims(C) -> dict:
+    """{i: (dim_k H_i(C) on piece n, for n = 0..C.window)}, from ranks.
 
-    dim H_i = dim F_i - rk d_i - rk d_{i+1}, with one rank per differential;
-    a family of maps that is not a complex raises ComplexError.
+    Per piece, dim H_i = dim C_i - rk d_i - rk d_{i+1}, with one rank per
+    differential and piece: the Hilbert function up to the window on the
+    graded backend, one entry on the Artinian one.  A family of maps that is
+    not a complex raises ComplexError.
     """
-    if F.algebra.kind != "artinian":
-        return {i: sum(h) for i, h in graded_homology_dims(F).items()}
-    _require_complex(F)
-    d = F.algebra.dim
-    rk = {i: rank(F.diff(i).flatten()) for i in range(F.low + 1, F.top + 1)}
-    return {i: F.rank(i) * d - rk.get(i, 0) - rk.get(i + 1, 0) for i in F.degrees()}
+    _require_complex(C)
+    pieces = range(C.window + 1)
+    rk = {(i, n): rank(C.diff_matrix(i, n)) for i in range(C.low + 1, C.top + 1) for n in pieces}
+    return {i: tuple(C.dim_at(i, n) - rk.get((i, n), 0) - rk.get((i + 1, n), 0) for n in pieces)
+            for i in range(C.low, C.top + 1)}
+
+
+def homology_dims(C) -> dict:
+    """dim_k H_i(C) per degree (graded: summed over the window), from ranks."""
+    return {i: sum(h) for i, h in graded_homology_dims(C).items()}
 
 
 def nonzero_range(dims: dict) -> tuple:
@@ -621,58 +698,6 @@ def nonzero_range(dims: dict) -> tuple:
 def inf_sup(F: FreeComplex) -> tuple:
     """(inf, sup) of the nonvanishing homology degrees (graded: within window)."""
     return nonzero_range(homology_dims(F))
-
-
-# ---------------------------------------------------------------------------
-# homology, graded backend
-
-
-def graded_homology(F: FreeComplex, i: int) -> GradedModule:
-    """H_i(F) per internal degree, valid up to the algebra truncation."""
-    A = F.algebra
-    window = A.truncation
-    reps = {}
-    boundaries = {}
-    for n in range(window + 1):
-        B = boundaries[n] = column_space_basis(F.graded_diff_matrix(i + 1, n))
-        reps[n] = complement(B, kernel_basis(F.graded_diff_matrix(i, n)))
-    shifts = F.shift_of(i)
-    var_maps = {}
-
-    def image(v, n, vec):
-        """Variable v applied to a degree-n vector of F_i."""
-        M = var_maps.get((v, n))
-        if M is None:
-            x = AMatrix.scalar(A, A.var_element(v), len(shifts))
-            M = var_maps[v, n] = A.map_matrix(x.entries, shifts, shifts, n, 1)
-        return M.apply(vec)
-
-    try:
-        actions = graded_induced_actions(A, image, boundaries, reps, window)
-    except ValueError:
-        raise ComplexError("variable action left the cycle space") from None
-    return GradedModule(A, tuple(reps[n].ncols for n in range(window + 1)), actions, window)
-
-
-def graded_homology_all(F: FreeComplex) -> dict:
-    return {i: graded_homology(F, i) for i in F.degrees()}
-
-
-def graded_homology_dims(F: FreeComplex) -> dict:
-    """{i: Hilbert function of H_i(F) in internal degrees 0..window}, from ranks.
-
-    Per internal degree n, dim H_i(F)_n = dim (F_i)_n - rk d_i - rk d_{i+1}
-    on the degree-n parts, with one rank per differential and degree; a
-    family of maps that is not a homogeneous complex raises ComplexError.
-    """
-    _require_complex(F)
-    A = F.algebra
-    window = A.truncation
-    rk = {(i, n): rank(F.graded_diff_matrix(i, n))
-          for i in range(F.low + 1, F.top + 1) for n in range(window + 1)}
-    return {i: tuple(len(A.free_coords(F.shift_of(i), n)) - rk.get((i, n), 0)
-                     - rk.get((i + 1, n), 0) for n in range(window + 1))
-            for i in F.degrees()}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraError
 from .complexes import (AMatrix, ChainMap, DegreeMap, FreeComplex, degreewise_defects,
                         entry_degrees, scalar_endo)
-from .linalg import (Matrix, in_span, kernel_basis, kernel_vectors, rref, solve_multi,
-                     sparse_rref)
+from .linalg import Matrix, kernel_basis, kernel_vectors, rref, solve_multi, sparse_rref
 from .monomial import TruncationError
 
 
@@ -47,29 +46,6 @@ class DerivedAnnihilator:
     basis: tuple  # algebra elements
     witnesses: tuple  # Homotopy per basis element
     window: int | None = None  # graded backend: element degrees searched
-
-    def contains(self, a) -> bool:
-        A = self.complex.algebra
-        if A.kind == "artinian":
-            if not self.basis:
-                return A.el_is_zero(a)
-            cols = Matrix.from_columns(A.field, [list(b) for b in self.basis], nrows=A.dim)
-            return in_span(cols, a)
-        return solve_homotopy(scalar_endo(self.complex, a)) is not None
-
-    def is_ideal(self) -> bool:
-        """Closure of the basis span under multiplication by algebra basis elements."""
-        A = self.complex.algebra
-        if A.kind != "artinian":
-            raise TruncationError("ideal check is exact on the Artinian backend only")
-        if not self.basis:
-            return True
-        cols = Matrix.from_columns(A.field, [list(b) for b in self.basis], nrows=A.dim)
-        for a in self.basis:
-            for t in range(A.dim):
-                if not in_span(cols, A.el_mul(A.basis_element(t), a)):
-                    return False
-        return True
 
 
 class _System:
@@ -218,14 +194,8 @@ class _System:
             comp = fmap.component(i)
             for s in range(comp.nrows):
                 for t in range(comp.ncols):
-                    e = comp.entries[s][t]
-                    eq = self.equations.get((i, s, t))
-                    if eq is None:
-                        if not self.A.el_is_zero(e):
-                            return None  # fmap lives outside the equation space
-                        continue
-                    row0, n, deg = eq
-                    coords = self._coords(e, deg)
+                    row0, n, deg = self.equations[(i, s, t)]
+                    coords = self._coords(comp.entries[s][t], deg)
                     if coords is None:
                         return None
                     vec[row0:row0 + n] = coords

@@ -82,10 +82,6 @@ class Matrix:
         return Matrix(field, n, n, tuple({i: field.one} for i in range(n)))
 
     @staticmethod
-    def from_int_rows(field, rows, ncols: int | None = None) -> "Matrix":
-        return Matrix.from_rows(field, [[field.from_int(x) for x in r] for r in rows], ncols)
-
-    @staticmethod
     def from_columns(field, cols, nrows: int | None = None) -> "Matrix":
         """The matrix with the dense columns `cols`."""
         return Matrix.from_rows(field, cols, nrows).transpose()
@@ -149,9 +145,10 @@ class Matrix:
         return Matrix(self.field, self.nrows, other.ncols, tuple(out))
 
     def apply(self, vec) -> tuple:
-        """The dense vector M * vec of a dense vector."""
+        """The dense vector M * vec of a dense vector; zero coordinates of vec
+        are skipped, so no product with zero is built."""
         reduce, zero = self.field.reduce, self.field.zero
-        sums = (sum(a * vec[k] for k, a in r.items()) for r in self.rows)
+        sums = (sum(a * x for k, a in r.items() if (x := vec[k])) for r in self.rows)
         return tuple(reduce(s) if s else zero for s in sums)
 
     def transpose(self) -> "Matrix":

@@ -109,10 +109,6 @@ def residue_field_module(B: ArtinAlgebra) -> FiniteModule:
     return FiniteModule(B, 1, tuple(acts))
 
 
-def zero_module(B: ArtinAlgebra) -> FiniteModule:
-    return FiniteModule(B, 0, tuple(Matrix.zero(B.field, 0, 0) for _ in range(B.dim)))
-
-
 def induced_actions(B: ArtinAlgebra, image, sub: Matrix, rep_cols: Matrix) -> tuple:
     """Matrices of the basis elements of B on span(rep_cols) modulo span(sub).
 
@@ -144,19 +140,6 @@ def submodule_from_spanning(parent: FiniteModule, vectors) -> tuple:
     acts = induced_actions(B, lambda t, v: parent.action[t].apply(v),
                            Matrix.from_columns(f, [], nrows=parent.dim), current)
     return FiniteModule(B, current.ncols, acts), current
-
-
-def quotient_module(parent: FiniteModule, sub_cols: Matrix) -> tuple:
-    """(FiniteModule on parent/span(sub_cols), representative columns).
-
-    The subspace must be action-invariant; representatives are chosen
-    greedily from the standard basis in index order.
-    """
-    B = parent.algebra
-    sub = column_space_basis(sub_cols)
-    rep_cols = complement(sub, Matrix.identity(B.field, parent.dim))
-    acts = induced_actions(B, lambda t, v: parent.action[t].apply(v), sub, rep_cols)
-    return FiniteModule(B, rep_cols.ncols, acts), rep_cols
 
 
 def nu(M: FiniteModule) -> int:
@@ -276,19 +259,23 @@ class GradedModule:
         return all(x == 0 for x in self.dims)
 
 
-def graded_induced_actions(A: MonomialAlgebra, image, subs: dict, reps: dict,
+def graded_induced_actions(A: MonomialAlgebra, act, subs: dict, reps: dict,
                            window: int) -> tuple:
     """Variable actions on span(reps[d]) modulo span(subs[d]), degrees d <= window.
 
-    `image(v, d, vec)` is the image of a degree-d vector under variable v.
-    One solve per degree serves every variable.
+    `act(v, d)` is the matrix of variable v from degree d to degree d + 1 of
+    the ambient space; it is asked for only where reps[d] is not empty.  One
+    solve per degree serves every variable.
     """
     per_deg = []
     for d in range(window):
         src = reps[d].columns()
         k = len(src)
-        coords = quotient_coords(subs[d + 1], reps[d + 1],
-                                 [image(v, d, c) for v in range(A.nvars) for c in src])
+        images = []
+        if src:
+            for v in range(A.nvars):
+                images.extend(map(act(v, d).apply, src))
+        coords = quotient_coords(subs[d + 1], reps[d + 1], images)
         per_deg.append([Matrix.from_columns(A.field, coords[v * k:(v + 1) * k],
                                             nrows=reps[d + 1].ncols) for v in range(A.nvars)])
     return tuple(tuple(per[v] for per in per_deg) for v in range(A.nvars))

@@ -2,6 +2,9 @@
 
 All computations are degreewise-exact inside the truncation window and are
 reported together with it; nothing beyond the window is ever extrapolated.
+A `GradedModuleComplex` offers the view by degree pieces of
+`complexes.FreeComplex` (`window`, `dim_at`, `diff_matrix`, `act`), so its
+homology comes from `complexes.graded_homology_dims` and `graded_homology`.
 """
 
 from __future__ import annotations
@@ -9,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .linalg import (Matrix, block_diag, column_space_basis, complement, kernel_basis,
-                     rank)
+from .linalg import Matrix, block_diag, kernel_basis, rank
 from .modules import (PLUS_INFINITY, GradedModule, graded_cover, graded_free_module,
                       graded_induced_actions, graded_quotient_ring_module, graded_socle_degrees)
 from .monomial import MonomialAlgebra
@@ -71,8 +73,7 @@ def graded_minimal_resolution(M: GradedModule, steps: int) -> GradedResolution:
 def _kernel_module(P: GradedModule, ker_bases: dict) -> GradedModule:
     f = P.algebra.field
     zero_subs = {d: Matrix.from_columns(f, [], nrows=P.dim_at(d)) for d in range(P.window + 1)}
-    actions = graded_induced_actions(P.algebra, lambda v, d, c: P.act(v, d).apply(c),
-                                     zero_subs, ker_bases, P.window)
+    actions = graded_induced_actions(P.algebra, P.act, zero_subs, ker_bases, P.window)
     dims = tuple(ker_bases[d].ncols for d in range(P.window + 1))
     return GradedModule(P.algebra, dims, actions, P.window)
 
@@ -191,6 +192,10 @@ class GradedModuleComplex:
             return self.diffs[i - self.low - 1][d]
         return Matrix.zero(f, self.dim_at(i - 1, d), self.dim_at(i, d))
 
+    def act(self, i: int, v: int, d: int) -> Matrix:
+        """Variable v from degree d of M_i to degree d + 1."""
+        return self.module(i).act(v, d)
+
     @property
     def window(self) -> int:
         return min(m.window for m in self.modules)
@@ -214,29 +219,6 @@ class GradedModuleComplex:
                         issues.append(
                             f"differential at degree {i} is not linear over variable {v}")
         return issues
-
-    def homology_dims(self, i: int) -> tuple:
-        w = self.window
-        out = []
-        for d in range(w + 1):
-            dn = self.diff_matrix(i, d)
-            dn1 = self.diff_matrix(i + 1, d)
-            out.append(self.dim_at(i, d) - rank(dn) - rank(dn1))
-        return tuple(out)
-
-    def h0_module(self) -> GradedModule:
-        """H_low as a graded module (representatives modulo boundaries)."""
-        f = self.algebra.field
-        i = self.low
-        bnd, reps = {}, {}
-        for d in range(self.window + 1):
-            bnd[d] = column_space_basis(self.diff_matrix(i + 1, d))
-            reps[d] = complement(bnd[d], Matrix.identity(f, self.dim_at(i, d)))
-        M0 = self.module(i)
-        actions = graded_induced_actions(self.algebra, lambda v, d, c: M0.act(v, d).apply(c),
-                                         bnd, reps, self.window)
-        return GradedModule(self.algebra, tuple(reps[d].ncols for d in range(self.window + 1)),
-                            actions, self.window)
 
 
 def module_as_complex(M: GradedModule, degree: int = 0) -> GradedModuleComplex:

@@ -14,10 +14,10 @@ from derfree.fixtures import CATALOG, build_ex23, catalog_algebra, run_fixtures
 from derfree.homotopy import derived_annihilator, solve_homotopy
 from derfree.actions import check_quotient_H_action
 from derfree.koszul import koszul
-from derfree.modules import (free_module, is_free, lemma43_freeness,
-                             quotient_module, submodule_from_spanning)
+from derfree.modules import is_free, lemma43_freeness
 from derfree.weyl import (check_lemmaA1, check_weyl_relations, exterior_model,
                           random_graded_conjugate, structure_map)
+from test_modules import random_module
 
 FIELD = GF101
 
@@ -158,16 +158,7 @@ def test_criterion_9_freeness_oracle_agreement():
     algebras = catalog()
     agreements = 0
     for i in range(200):
-        B = algebras[rng.randrange(len(algebras))]
-        r = rng.randrange(1, 3)
-        F = free_module(B, r)
-        if rng.randrange(2) == 0:
-            M = F  # planted free
-        else:
-            vecs = [tuple(FIELD.from_int(rng.randrange(101)) for _ in range(F.dim))
-                    for _ in range(rng.randrange(1, 3))]
-            sub, incl = submodule_from_spanning(F, vecs)
-            M, _ = quotient_module(F, incl)
+        M, _ = random_module(algebras[rng.randrange(len(algebras))], rng)
         a = is_free(M)[0]
         bverdict = lemma43_freeness(M).free
         assert a == bverdict, f"disagreement at sample {i}"

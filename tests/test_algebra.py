@@ -166,8 +166,7 @@ def test_minimal_generators_of_submodule():
 
 def test_minimal_generators_zero_module():
     B = square_zero_plane(GF101)
-    from derfree.modules import zero_module
-    assert minimal_generators(zero_module(B)) == []
+    assert minimal_generators(free_module(B, 0)) == []
 
 
 def test_nu_of_m_equals_edim():

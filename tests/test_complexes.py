@@ -11,11 +11,14 @@ from derfree.complexes import (AMatrix, ChainMap, ComplexError, FreeComplex,
                                proj_dim, random_invertible_amatrix, random_transport,
                                scalar_endo, shift, transport)
 from derfree.field import GF101, QQ
-from derfree.fixtures import catalog_algebra, square_zero_plane, square_zero_space
+from derfree.fixtures import (build_nagata, build_strict_attempt, build_two_term_module_complex,
+                              catalog_algebra, square_zero_plane, square_zero_space)
 from derfree.koszul import koszul
-from derfree.linalg import Matrix, block_diag, invert, rank
-from derfree.modules import MINUS_INFINITY, PLUS_INFINITY
+from derfree.linalg import (Matrix, block_diag, column_space_basis, complement, invert,
+                            quotient_coords, rank)
+from derfree.modules import MINUS_INFINITY, PLUS_INFINITY, GradedModule, graded_free_module
 from derfree.monomial import monomial_algebra
+from derfree.resolutions import GradedModuleComplex
 
 
 def two_term(A):
@@ -226,9 +229,10 @@ def test_homology_of_a_transport_is_a_module_with_unit_projections(field, case, 
 
 
 def _rescaled(F, rng):
-    """F in a randomly rescaled basis: d_i[r][c] * s_{i-1}[r] / s_i[c]."""
+    """F in a randomly rescaled basis: d_i[r][c] * s_{i-1}[r] / s_i[c], which
+    keeps every entry homogeneous."""
     A, f = F.algebra, F.algebra.field
-    s = {i: [f.from_int(rng.randrange(1, 100)) for _ in range(F.rank(i))] for i in F.degrees()}
+    s = {i: [f.from_int(rng.randrange(1, 50)) for _ in range(F.rank(i))] for i in F.degrees()}
     diffs = tuple(AMatrix.from_rows(A, [[A.el_scale(f.div(s[i - 1][r], s[i][c]), e)
                                          for c, e in enumerate(row)]
                                         for r, row in enumerate(F.diff(i).entries)],
@@ -272,6 +276,66 @@ def test_graded_rank_dims_match_the_module_path(field, case, low, seed):
     dims = graded_homology_dims(F)
     assert dims == {i: graded_homology(F, i).hilbert(A.truncation) for i in F.degrees()}
     assert homology_dims(F) == {i: sum(h) for i, h in dims.items()}
+
+
+# ---------------------------------------------------------------------------
+# the shared graded homology against the module-complex references
+
+
+def reference_homology_dims(C, i) -> tuple:
+    """dim H_i(C) per internal degree of a GradedModuleComplex, one rank per
+    differential and degree (the former `GradedModuleComplex.homology_dims`)."""
+    return tuple(C.dim_at(i, d) - rank(C.diff_matrix(i, d)) - rank(C.diff_matrix(i + 1, d))
+                 for d in range(C.window + 1))
+
+
+def reference_h0_module(C) -> GradedModule:
+    """H_low(C) of a GradedModuleComplex (the former `h0_module`): the standard
+    basis vectors a greedy scan keeps outside the boundaries, with the
+    variable actions of C_low solved vector by vector."""
+    A, f, w = C.algebra, C.algebra.field, C.window
+    bnd, reps = {}, {}
+    for d in range(w + 1):
+        bnd[d] = column_space_basis(C.diff_matrix(C.low + 1, d))
+        reps[d] = complement(bnd[d], Matrix.identity(f, C.dim_at(C.low, d)))
+    M0 = C.module(C.low)
+    actions = tuple(tuple(
+        Matrix.from_columns(f, [quotient_coords(bnd[d + 1], reps[d + 1], [M0.act(v, d).apply(c)])[0]
+                                for c in reps[d].columns()], nrows=reps[d + 1].ncols)
+        for d in range(w)) for v in range(A.nvars))
+    return GradedModule(A, tuple(reps[d].ncols for d in range(w + 1)), actions, w)
+
+
+def module_complex_of(F) -> GradedModuleComplex:
+    """A graded FreeComplex as a complex of graded free modules."""
+    A, w = F.algebra, F.algebra.truncation
+    return GradedModuleComplex(
+        A, F.low, tuple(graded_free_module(A, F.shift_of(i), w) for i in F.degrees()),
+        tuple(tuple(A.map_matrix(F.diff(i).entries, F.shift_of(i), F.shift_of(i - 1), d)
+                    for d in range(w + 1)) for i in range(F.low + 1, F.top + 1)))
+
+
+GRADED_CASES = {
+    "nagata": lambda field, low, rng: build_nagata(field).module_complex,
+    "module-sum": lambda field, low, rng: build_two_term_module_complex(field).module_complex,
+    "strict-attempt": lambda field, low, rng: build_strict_attempt(field).F,
+    **{f"rescaled-{name}": lambda field, low, rng, case=case: shift(_rescaled(
+        case(monomial_algebra(field, ["x", "y"], ["x^2", "y^3"], 4)), rng), low)
+       for name, case in RANK_CASES.items()},
+}
+
+
+@given(st.sampled_from([GF101, QQ]), st.sampled_from(sorted(GRADED_CASES)),
+       st.sampled_from([-2, 0, 1]), st.integers(0, 2**32 - 1))
+def test_shared_graded_homology_matches_the_module_complex_references(field, case, low, seed):
+    C = GRADED_CASES[case](field, low, random.Random(seed))
+    M = C if isinstance(C, GradedModuleComplex) else module_complex_of(C)
+    dims = graded_homology_dims(C)
+    assert dims == {i: reference_homology_dims(M, i) for i in range(M.low, M.top + 1)}
+    assert homology_dims(C) == {i: sum(h) for i, h in dims.items()}
+    assert graded_homology(C, C.low) == reference_h0_module(M)
+    if M is not C:  # the two views of a free complex give one module
+        assert all(graded_homology(C, i) == graded_homology(M, i) for i in C.degrees())
 
 
 @given(st.sampled_from([GF101, QQ]), st.sampled_from(sorted(TRANSPORT_CASES)),

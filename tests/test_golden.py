@@ -30,14 +30,14 @@ from derfree import serialize
 from derfree.actions import induced_action_on_homology
 from derfree.checkers import tensor_model_search
 from derfree.cli import main
-from derfree.complexes import (AMatrix, FreeComplex, graded_homology, homology,
-                               random_transport, scalar_endo)
+from derfree.complexes import AMatrix, graded_homology, homology, random_transport, scalar_endo
 from derfree.field import GF101, QQ
 from derfree.fixtures import BUILDERS, CATALOG, build_ex56, build_ex57
 from derfree.homotopy import derived_annihilator
 from derfree.koszul import koszul
 from derfree.linalg import Matrix
 from derfree.monomial import monomial_algebra
+from test_complexes import _rescaled
 
 CLI_COMMANDS = ("annihilator", "decompose", "homotopy", "paper-examples")
 THEOREMS = ("question", "lemma32", "thm31", "thm41", "thm51", "prop44")
@@ -51,21 +51,6 @@ COMPLEXES = (
 )
 
 
-def _rescale(K, rng):
-    """K in a diagonally rescaled basis, which keeps every entry homogeneous."""
-    A = K.algebra
-    f = A.field
-    scale = {i: [f.from_int(rng.randrange(1, 50)) for _ in range(K.rank(i))]
-             for i in K.degrees()}
-    diffs = []
-    for i in range(K.low + 1, K.top + 1):
-        d = K.diff(i)
-        rows = [[A.el_scale(f.div(scale[i - 1][r], scale[i][c]), d.entries[r][c])
-                 for c in range(d.ncols)] for r in range(d.nrows)]
-        diffs.append(AMatrix.from_rows(A, rows, ncols=d.ncols))
-    return FreeComplex(A, K.low, K.ranks, tuple(diffs), K.shifts)
-
-
 def _complex(field, spec, seed):
     _, variables, ideal, trunc, artinize, seq, mult = spec
     A = monomial_algebra(field, list(variables), list(ideal), trunc)
@@ -75,7 +60,7 @@ def _complex(field, spec, seed):
     # no input entry is a bare monomial: the Artinian one is a dense
     # conjugate, the graded ones are rescaled
     rng = random.Random(seed)
-    return random_transport(K, rng) if artinize else _rescale(K, rng)
+    return random_transport(K, rng) if artinize else _rescaled(K, rng)
 
 
 def _cli_cases(tmp_dir):

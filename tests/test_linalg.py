@@ -13,6 +13,11 @@ from derfree.linalg import (Matrix, complement, in_span, independent_columns, in
                             solve, solve_and_project, solve_multi, span_equal, sparse_rref)
 
 
+def int_matrix(field, rows) -> Matrix:
+    """The matrix of the integer rows `rows` over `field`."""
+    return Matrix.from_rows(field, [[field.from_int(x) for x in r] for r in rows])
+
+
 def brute_force_det(field, M):
     """Permutation-expansion determinant; the independent oracle for rank checks."""
     n, rows = M.nrows, M.dense_rows()
@@ -46,10 +51,10 @@ def test_rref_gf5_rank_by_determinant_oracle():
     # the 2x2 integer matrix [[1,2],[3,1]] has determinant -5, which vanishes
     # mod 5; the oracle fixes the expected rank at 1 there and 2 elsewhere
     F5 = GF(5)
-    M = Matrix.from_int_rows(F5, [[1, 2], [3, 1]])
+    M = int_matrix(F5, [[1, 2], [3, 1]])
     assert brute_force_det(F5, M) == 0
     assert rank(M) == 1
-    M101 = Matrix.from_int_rows(GF101, [[1, 2], [3, 1]])
+    M101 = int_matrix(GF101, [[1, 2], [3, 1]])
     assert brute_force_det(GF101, M101) != 0
     assert rank(M101) == 2
 
@@ -65,7 +70,7 @@ def test_kernel_zero_standard_basis():
 
 
 def test_kernel_one_relation_rational():
-    K = kernel_basis(Matrix.from_int_rows(QQ, [[1, 1]]))
+    K = kernel_basis(int_matrix(QQ, [[1, 1]]))
     assert K.ncols == 1
     v = K.column(0)
     assert v[0] + v[1] == 0 and v != (0, 0)
@@ -79,7 +84,7 @@ def test_solve_identity_and_zero():
 def test_solve_planted(gf):
     import random
     rng = random.Random(11)
-    M = Matrix.from_int_rows(gf, [[rng.randrange(101) for _ in range(7)] for _ in range(5)])
+    M = int_matrix(gf, [[rng.randrange(101) for _ in range(7)] for _ in range(5)])
     planted = tuple(gf.from_int(rng.randrange(101)) for _ in range(7))
     b = M.apply(planted)
     x = solve(M, b)
@@ -88,7 +93,7 @@ def test_solve_planted(gf):
 
 
 def test_solve_multi_mixed_consistency():
-    M = Matrix.from_int_rows(GF101, [[1, 0], [0, 0]])
+    M = int_matrix(GF101, [[1, 0], [0, 0]])
     sols = solve_multi(M, [(3, 0), (0, 1), (5, 0)])
     assert sols[0] is not None and M.apply(sols[0]) == (3, 0)
     assert sols[1] is None
@@ -108,7 +113,7 @@ def test_solve_and_project_against_exhaustive_gf2():
     # the oracle for the projected span
     F2 = GF(2)
     rows = [[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1], [1, 1, 0, 1, 1, 0]]
-    M = Matrix.from_int_rows(F2, rows)
+    M = int_matrix(F2, rows)
     split = 3
     got = solve_and_project(M, split)
     projected = set()
@@ -135,10 +140,10 @@ def test_solve_and_project_split_too_large():
 
 
 def test_invert():
-    M = Matrix.from_int_rows(GF101, [[1, 2], [3, 4]])
+    M = int_matrix(GF101, [[1, 2], [3, 4]])
     Mi = invert(M)
     assert Mi is not None and M.mul(Mi) == Matrix.identity(GF101, 2)
-    assert invert(Matrix.from_int_rows(GF101, [[1, 2], [2, 4]])) is None
+    assert invert(int_matrix(GF101, [[1, 2], [2, 4]])) is None
 
 
 def gauss_jordan(field, rows, ncols):
@@ -176,7 +181,7 @@ def test_numpy_path_matches_python_path():
     import random
     rng = random.Random(3)
     rows = [[rng.randrange(101) for _ in range(70)] for _ in range(65)]
-    big = Matrix.from_int_rows(GF101, rows)
+    big = int_matrix(GF101, rows)
     R, piv, rk = rref(big)
     np_rows, np_piv = reference_rref(big)
     gj_rows, gj_piv = gauss_jordan(GF101, big.dense_rows(), big.ncols)
@@ -411,7 +416,7 @@ matrices = st.integers(1, 5).flatmap(
 
 @given(matrices)
 def test_rref_idempotent(rows):
-    M = Matrix.from_int_rows(GF101, rows)
+    M = int_matrix(GF101, rows)
     R, piv, rk = rref(M)
     R2, piv2, rk2 = rref(R)
     assert R == R2 and piv == piv2 and rk == rk2
@@ -419,14 +424,14 @@ def test_rref_idempotent(rows):
 
 @given(matrices)
 def test_invertible_exactly_when_invert_finds_an_inverse(rows):
-    M = Matrix.from_int_rows(GF101, rows)
+    M = int_matrix(GF101, rows)
     assert is_invertible(M) == (M.nrows == M.ncols and invert(M) is not None)
     assert is_invertible(Matrix.zero(GF101, 0, 0))
 
 
 @given(matrices)
 def test_kernel_soundness_and_completeness(rows):
-    M = Matrix.from_int_rows(GF101, rows)
+    M = int_matrix(GF101, rows)
     K = kernel_basis(M)
     for j in range(K.ncols):
         assert all(x == 0 for x in M.apply(K.column(j)))
@@ -435,7 +440,7 @@ def test_kernel_soundness_and_completeness(rows):
 
 @given(matrices)
 def test_solve_soundness(rows):
-    M = Matrix.from_int_rows(GF101, rows)
+    M = int_matrix(GF101, rows)
     b = tuple(GF101.from_int(i + 1) for i in range(M.nrows))
     x = solve(M, b)
     if x is not None:
@@ -444,16 +449,16 @@ def test_solve_soundness(rows):
 
 @given(matrices)
 def test_determinism(rows):
-    M = Matrix.from_int_rows(GF101, rows)
+    M = int_matrix(GF101, rows)
     assert rref(M) == rref(M)
     assert kernel_basis(M) == kernel_basis(M)
 
 
 def test_span_equal():
-    a = Matrix.from_int_rows(GF101, [[1, 0], [0, 1], [0, 0]])
-    b = Matrix.from_int_rows(GF101, [[1, 1], [1, 2], [0, 0]])
+    a = int_matrix(GF101, [[1, 0], [0, 1], [0, 0]])
+    b = int_matrix(GF101, [[1, 1], [1, 2], [0, 0]])
     assert span_equal(a, b)
-    c = Matrix.from_int_rows(GF101, [[1], [0], [1]])
+    c = int_matrix(GF101, [[1], [0], [1]])
     assert not span_equal(a, c)
 
 

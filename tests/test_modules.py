@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from derfree.complexes import graded_homology
+from derfree.complexes import free_complex, graded_homology, homology
 from derfree.field import GF101
 from derfree.fixtures import chain_algebra, square_zero_plane
 from derfree.koszul import koszul
-from derfree.linalg import Matrix, column_space_basis, rank
+from derfree.linalg import Matrix, rank
 from derfree.modules import (MINUS_INFINITY, dim_module, free_module, graded_dim_module,
                              graded_cover, graded_free_module, graded_is_free, graded_nu,
                              graded_quotient_ring_module, is_free, lemma43_freeness, nu,
-                             poincare_truncated, quotient_module, residue_field_module,
-                             submodule_from_spanning, zero_module)
+                             poincare_truncated, residue_field_module,
+                             submodule_from_spanning)
 from derfree.monomial import monomial_algebra
 from derfree.resolutions import graded_depth, graded_free_module as gfm, graded_minimal_resolution
 
@@ -33,12 +33,12 @@ def test_is_free_examples():
     B = chain_algebra(GF101, 4)
     assert is_free(free_module(B, 2)) == (True, 2)
     assert is_free(residue_field_module(B)) == (False, 1)
-    assert is_free(zero_module(B)) == (True, 0)
+    assert is_free(free_module(B, 0)) == (True, 0)
 
 
 def test_depth_dim_sentinels():
     B = chain_algebra(GF101, 4)
-    assert dim_module(zero_module(B)) is MINUS_INFINITY
+    assert dim_module(free_module(B, 0)) is MINUS_INFINITY
     assert dim_module(free_module(B, 1)) == 0
 
 
@@ -57,32 +57,18 @@ def test_lemma43_examples():
     assert v.free is False and v.betti_prefix[1] == B.edim()
 
 
-def test_quotient_module():
-    B = chain_algebra(GF101, 4)
-    F1 = free_module(B, 1)
-    u2 = B.parse_element("u^2")
-    sub_cols = column_space_basis(Matrix.from_columns(
-        GF101, [u2, B.parse_element("u^3")], nrows=B.dim))
-    Q, _ = quotient_module(F1, sub_cols)
-    assert Q.dim == 2  # B/(u^2)
-    assert Q.validate() == []
-    assert is_free(Q) == (False, 1)
-
-
 def random_module(B, rng):
-    """Free or quotient-of-free module, planted."""
+    """Free (planted: True), or B^r modulo random vectors, read as H_0 of the
+    presentation whose columns are those vectors."""
     r = rng.randrange(1, 3)
     F = free_module(B, r)
     if rng.randrange(2) == 0:
         return F, True
-    vecs = []
-    for _ in range(rng.randrange(1, 3)):
-        v = [GF101.from_int(rng.randrange(101)) for _ in range(F.dim)]
-        # force into m * F so the quotient is never free unless it collapses
-        vecs.append(tuple(v))
-    sub, incl = submodule_from_spanning(F, vecs)
-    Q, _ = quotient_module(F, incl)
-    return Q, None
+    vecs = [tuple(GF101.from_int(rng.randrange(101)) for _ in range(F.dim))
+            for _ in range(rng.randrange(1, 3))]
+    d = B.dim
+    rows = [[v[s * d:(s + 1) * d] for v in vecs] for s in range(r)]
+    return homology(free_complex(B, [r, len(vecs)], [rows]), 0).module, None
 
 
 def test_freeness_oracles_agree_on_random_modules():
