@@ -34,7 +34,8 @@ from math import lcm
 from .linalg import (Matrix, block_diag, column_space_basis, complement, kernel_basis,
                      quotient_coords, rank, sparse_rref)
 from .modules import (GradedModule, FiniteModule, MINUS_INFINITY,
-                      PLUS_INFINITY, graded_induced_actions, induced_actions)
+                      PLUS_INFINITY, free_module, graded_subquotient_module,
+                      subquotient_actions)
 
 
 class ComplexError(ValueError):
@@ -391,17 +392,15 @@ class FreeComplex:
                              if x and reduce(x)}):
                 issues.append(f"d^2 != 0 at degree {i}, entry ({p // n}, {p % n})")
         if self.algebra.kind == "graded":
-            issues.extend(self._homogeneity_issues())
+            for i in range(self.low + 1, self.top + 1):
+                issues.extend(self._homogeneity_issues(i))
         return issues
 
-    def _homogeneity_issues(self) -> list:
-        issues = []
-        for i in range(self.low + 1, self.top + 1):
-            ssrc, stgt = self.shift_of(i), self.shift_of(i - 1)
-            issues.extend(f"entry ({r},{c}) of d_{i} is not homogeneous of degree "
-                          f"{ssrc[c] - stgt[r]}"
-                          for r, c, deg in entry_degrees(self.diff(i), ssrc, stgt) if deg != 0)
-        return issues
+    def _homogeneity_issues(self, i: int) -> list:
+        """The entries of d_i that are not homogeneous of the degree the shifts require."""
+        ssrc, stgt = self.shift_of(i), self.shift_of(i - 1)
+        return [f"entry ({r},{c}) of d_{i} is not homogeneous of degree {ssrc[c] - stgt[r]}"
+                for r, c, deg in entry_degrees(self.diff(i), ssrc, stgt) if deg != 0]
 
     def is_minimal(self) -> bool:
         return all(d.entries_in_m() for d in self.diffs)
@@ -622,14 +621,9 @@ def homology(F: FreeComplex, i: int) -> HomologyModule:
     A = F.algebra
     if A.kind != "artinian":
         raise ComplexError("use graded_homology for the graded backend")
-    d = A.dim
     Z, B, reps = _subquotient(F, i, 0)
-    mults = [A.left_mult_matrix(A.basis_element(t)) for t in range(d)]
-
-    def image(t, v):
-        return tuple(x for s in range(F.rank(i)) for x in mults[t].apply(v[s * d:(s + 1) * d]))
-
-    acts = induced_actions(A, image, B, reps)
+    # each basis element of A acts on F_i by left multiplication, block by block
+    acts = subquotient_actions(free_module(A, F.rank(i)).action, reps, B, reps)
     return HomologyModule(i, FiniteModule(A, reps.ncols, acts), tuple(reps.columns()), Z, B)
 
 
@@ -640,16 +634,14 @@ def graded_homology(C, i: int) -> GradedModule:
     A = C.algebra
     if A.kind != "graded":
         raise ComplexError("use homology for the Artinian backend")
-    window = C.window
     boundaries, reps = {}, {}
-    for n in range(window + 1):
+    for n in range(C.window + 1):
         _, boundaries[n], reps[n] = _subquotient(C, i, n)
     try:
-        actions = graded_induced_actions(A, lambda v, n: C.act(i, v, n), boundaries, reps,
-                                         window)
+        return graded_subquotient_module(A, lambda v, n: C.act(i, v, n), boundaries, reps,
+                                         C.window)
     except ValueError:
         raise ComplexError("variable action left the cycle space") from None
-    return GradedModule(A, tuple(reps[n].ncols for n in range(window + 1)), actions, window)
 
 
 def graded_homology_all(F: FreeComplex) -> dict:

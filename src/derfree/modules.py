@@ -8,7 +8,9 @@ depth elsewhere, use the sup/inf conventions with the explicit +/- infinity
 sentinels defined here (never floats).  `graded_cover` is the one minimal
 cover of a graded module: `graded_is_free` and every step of
 `resolutions.graded_minimal_resolution` read it, and `graded_nu` counts
-its generators.
+its generators.  `subquotient_actions` is the one construction of a module
+on a subquotient: homology on both backends, the kernel modules of
+`syzygy` and of the graded resolutions, and `submodule_from_spanning`.
 """
 
 from __future__ import annotations
@@ -109,17 +111,18 @@ def residue_field_module(B: ArtinAlgebra) -> FiniteModule:
     return FiniteModule(B, 1, tuple(acts))
 
 
-def induced_actions(B: ArtinAlgebra, image, sub: Matrix, rep_cols: Matrix) -> tuple:
-    """Matrices of the basis elements of B on span(rep_cols) modulo span(sub).
+def subquotient_actions(maps, src: Matrix, sub: Matrix, reps: Matrix) -> tuple:
+    """The matrices of the k-linear `maps` from span(src) to span(reps) modulo span(sub).
 
-    `image(t, v)` is the image of the vector v under e_t.  One solve of
-    [sub | rep_cols] serves every basis element.
+    The columns of [sub | reps] are independent, and each map sends span(src)
+    into span(sub) + span(reps); a vector that leaves it raises ValueError.
+    One `quotient_coords` solve serves every map.
     """
-    reps = rep_cols.columns()
-    r = len(reps)
-    coords = quotient_coords(sub, rep_cols, [image(t, c) for t in range(B.dim) for c in reps])
-    return tuple(Matrix.from_columns(B.field, coords[t * r:(t + 1) * r], nrows=r)
-                 for t in range(B.dim))
+    cols = src.columns()
+    r = len(cols)
+    coords = quotient_coords(sub, reps, [m.apply(c) for m in maps for c in cols])
+    return tuple(Matrix.from_columns(reps.field, coords[t * r:(t + 1) * r], nrows=reps.ncols)
+                 for t in range(len(maps)))
 
 
 def submodule_from_spanning(parent: FiniteModule, vectors) -> tuple:
@@ -137,8 +140,7 @@ def submodule_from_spanning(parent: FiniteModule, vectors) -> tuple:
         if bigger.ncols == current.ncols:
             break
         current = bigger
-    acts = induced_actions(B, lambda t, v: parent.action[t].apply(v),
-                           Matrix.from_columns(f, [], nrows=parent.dim), current)
+    acts = subquotient_actions(parent.action, current, Matrix.zero(f, parent.dim, 0), current)
     return FiniteModule(B, current.ncols, acts), current
 
 
@@ -167,11 +169,13 @@ def cover_map(M: FiniteModule) -> tuple:
 
 
 def syzygy(M: FiniteModule) -> tuple:
-    """(kernel of the minimal cover as a FiniteModule, nu(M))."""
+    """(kernel of the minimal cover as a FiniteModule, nu(M)).
+
+    The cover is A-linear, so its kernel is already a submodule of B^nu."""
     P, cmap, gens = cover_map(M)
     ker = kernel_basis(cmap)
-    K, _ = submodule_from_spanning(P, ker.columns())
-    return K, len(gens)
+    acts = subquotient_actions(P.action, ker, Matrix.zero(M.algebra.field, P.dim, 0), ker)
+    return FiniteModule(M.algebra, ker.ncols, acts), len(gens)
 
 
 def poincare_truncated(M: FiniteModule, steps: int) -> tuple:
@@ -259,26 +263,21 @@ class GradedModule:
         return all(x == 0 for x in self.dims)
 
 
-def graded_induced_actions(A: MonomialAlgebra, act, subs: dict, reps: dict,
-                           window: int) -> tuple:
-    """Variable actions on span(reps[d]) modulo span(subs[d]), degrees d <= window.
+def graded_subquotient_module(A: MonomialAlgebra, act, subs: dict, reps: dict,
+                              window: int) -> GradedModule:
+    """The module on span(reps[d]) modulo span(subs[d]), degrees d <= window.
 
-    `act(v, d)` is the matrix of variable v from degree d to degree d + 1 of
-    the ambient space; it is asked for only where reps[d] is not empty.  One
-    solve per degree serves every variable.
+    Variable v acts as `act(v, d)`, the matrix from degree d to degree d + 1
+    of the ambient space, through `subquotient_actions`; it is asked for only
+    where reps[d] is not empty.
     """
-    per_deg = []
-    for d in range(window):
-        src = reps[d].columns()
-        k = len(src)
-        images = []
-        if src:
-            for v in range(A.nvars):
-                images.extend(map(act(v, d).apply, src))
-        coords = quotient_coords(subs[d + 1], reps[d + 1], images)
-        per_deg.append([Matrix.from_columns(A.field, coords[v * k:(v + 1) * k],
-                                            nrows=reps[d + 1].ncols) for v in range(A.nvars)])
-    return tuple(tuple(per[v] for per in per_deg) for v in range(A.nvars))
+    per_deg = [subquotient_actions([act(v, d) for v in range(A.nvars)], reps[d],
+                                   subs[d + 1], reps[d + 1]) if reps[d].ncols
+               else (Matrix.zero(A.field, reps[d + 1].ncols, 0),) * A.nvars
+               for d in range(window)]
+    return GradedModule(A, tuple(reps[d].ncols for d in range(window + 1)),
+                        tuple(tuple(per[v] for per in per_deg) for v in range(A.nvars)),
+                        window)
 
 
 def graded_free_module(A: MonomialAlgebra, gen_degrees, window: int) -> GradedModule:

@@ -14,7 +14,8 @@ from functools import cache
 
 from .linalg import Matrix, block_diag, kernel_basis, rank
 from .modules import (PLUS_INFINITY, GradedModule, graded_cover, graded_free_module,
-                      graded_induced_actions, graded_quotient_ring_module, graded_socle_degrees)
+                      graded_quotient_ring_module, graded_socle_degrees,
+                      graded_subquotient_module)
 from .monomial import MonomialAlgebra
 
 
@@ -65,17 +66,11 @@ def graded_minimal_resolution(M: GradedModule, steps: int) -> GradedResolution:
             break
         P = graded_free_module(A, gen_degrees, window)
         ker_bases = {d: kernel_basis(cmaps[d]) for d in range(window + 1)}
-        cur = _kernel_module(P, ker_bases)
+        cur = graded_subquotient_module(A, P.act, {d: Matrix.zero(A.field, P.dim_at(d), 0)
+                                                   for d in range(window + 1)},
+                                        ker_bases, window)
         prev_degrees, prev_incl = gen_degrees, ker_bases
     return GradedResolution(A, tuple(out_steps), window)
-
-
-def _kernel_module(P: GradedModule, ker_bases: dict) -> GradedModule:
-    f = P.algebra.field
-    zero_subs = {d: Matrix.from_columns(f, [], nrows=P.dim_at(d)) for d in range(P.window + 1)}
-    actions = graded_induced_actions(P.algebra, P.act, zero_subs, ker_bases, P.window)
-    dims = tuple(ker_bases[d].ncols for d in range(P.window + 1))
-    return GradedModule(P.algebra, dims, actions, P.window)
 
 
 # ---------------------------------------------------------------------------

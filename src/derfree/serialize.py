@@ -198,9 +198,15 @@ def complex_from_dict(doc: dict, ctx: LoadContext, algebra=None):
              for i, rows in enumerate(diff_docs)]
     shifts = doc.get("shifts")
     labels = doc.get("labels")
-    return FreeComplex(algebra, low, tuple(ranks), tuple(diffs),
-                       _per_rank(shifts, ranks, "shifts", int) if shifts else None,
-                       _per_rank(labels, ranks, "labels", str) if labels else None)
+    F = FreeComplex(algebra, low, tuple(ranks), tuple(diffs),
+                    _per_rank(shifts, ranks, "shifts", int) if shifts else None,
+                    _per_rank(labels, ranks, "labels", str) if labels else None)
+    if algebra.kind == "graded":
+        for n in range(len(diffs)):
+            issues = F._homogeneity_issues(low + n + 1)
+            if issues:
+                raise LoadError(f"differentials[{n}]: {issues[0]}")
+    return F
 
 
 def chain_map_to_dict(f) -> dict:
@@ -340,8 +346,12 @@ def module_from_dict(doc: dict, ctx: LoadContext, algebra=None):
     grids = _typed(doc["action"], "action", list)
     if algebra.kind != "artinian" or len(grids) != algebra.dim:
         raise _bad("action", "one grid per basis element of an Artinian algebra", grids)
-    return FiniteModule(algebra, dim, tuple(_scalar_matrix(field, rows, dim, dim, f"action[{n}]")
-                                            for n, rows in enumerate(grids)))
+    M = FiniteModule(algebra, dim, tuple(_scalar_matrix(field, rows, dim, dim, f"action[{n}]")
+                                         for n, rows in enumerate(grids)))
+    issues = M.validate()
+    if issues:
+        raise LoadError(f"action: {issues[0]}")
+    return M
 
 
 # ---------------------------------------------------------------------------

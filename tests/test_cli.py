@@ -527,3 +527,47 @@ def test_a_map_at_a_degree_the_complex_lacks_exits_2_and_names_its_key(tmp_path,
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and MAP_KEYS[loader] + message in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+def _module_with_zero_action(t):
+    """k[u]/(u^3) as a module over itself, with the action of e_t zeroed."""
+    from derfree.modules import free_module
+    doc = serialize.module_to_dict(free_module(chain_algebra(GF101, 3), 1))
+    doc["action"][t] = [[0] * 3 for _ in range(3)]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["freeness", "poincare"])
+@pytest.mark.parametrize("t, issue", [(0, "unit does not act as the identity"),
+                                      (1, "structure constants fail on (e_1, e_1)")],
+                         ids=["unit", "u"])
+def test_a_module_file_that_is_not_a_module_exits_2_and_names_its_key(tmp_path, capsys,
+                                                                      command, t, issue):
+    p = str(tmp_path / "not_a_module.json")
+    serialize.save(p, _module_with_zero_action(t))
+    assert main([command, p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert f"error: action: {issue}" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv", [["annihilator"], ["betti"], ["validate"],
+                                  ["check", "--theorem", "question"]],
+                         ids=["annihilator", "betti", "validate", "check-question"])
+def test_a_non_homogeneous_graded_differential_exits_2_and_names_its_key(tmp_path, capsys,
+                                                                        argv):
+    from derfree.field import QQ
+    from derfree.fixtures import export_fixture
+    bundle = export_fixture("ex2.3", str(tmp_path), field=QQ)
+    complex_path = str(tmp_path / "ex2_3_F.json")
+    doc = serialize.load(complex_path)
+    doc["differentials"][0][0][0] = "x + y^2"
+    serialize.save(complex_path, doc)
+    target = bundle if argv[0] == "check" else complex_path
+    assert main(["--field", "rational"] + argv + [target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert ("error: differentials[0]: entry (0,0) of d_1 is not homogeneous of degree 1"
+            in captured.err)
+    assert "Traceback" not in captured.out + captured.err

@@ -1,17 +1,20 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from derfree.complexes import free_complex, graded_homology, homology
-from derfree.field import GF101
+from derfree.field import GF101, QQ
 from derfree.fixtures import chain_algebra, square_zero_plane
 from derfree.koszul import koszul
-from derfree.linalg import Matrix, rank
-from derfree.modules import (MINUS_INFINITY, dim_module, free_module, graded_dim_module,
-                             graded_cover, graded_free_module, graded_is_free, graded_nu,
-                             graded_quotient_ring_module, is_free, lemma43_freeness, nu,
-                             poincare_truncated, residue_field_module,
-                             submodule_from_spanning)
+from derfree.linalg import Matrix, kernel_basis, rank
+from derfree.modules import (MINUS_INFINITY, cover_map, dim_module, free_module,
+                             graded_dim_module, graded_cover, graded_free_module, graded_is_free,
+                             graded_nu, graded_quotient_ring_module, is_free, lemma43_freeness,
+                             nu, poincare_truncated, residue_field_module,
+                             submodule_from_spanning, syzygy)
 from derfree.monomial import monomial_algebra
 from derfree.resolutions import graded_depth, graded_free_module as gfm, graded_minimal_resolution
 
@@ -94,6 +97,46 @@ def test_nonfree_modules_have_positive_betti_prefix():
         count += 1
         bt = poincare_truncated(M, 3)
         assert all(b > 0 for b in bt)
+
+
+@cache
+def kernel_test_algebras(field) -> tuple:
+    """k[u]/(u^4), the square-zero plane and the complete intersection k[x,y]/(x^2,y^2)."""
+    return (chain_algebra(field, 4), square_zero_plane(field),
+            monomial_algebra(field, ["x", "y"], ["x^2", "y^2"], 4).artinize())
+
+
+def poincare_through_closure(M, steps: int) -> tuple:
+    """Betti numbers with each kernel module closed under the action by
+    `submodule_from_spanning`: the reference for `syzygy`, which takes the
+    kernel of the minimal cover as it is."""
+    out, cur = [], M
+    for _ in range(steps + 1):
+        if cur.dim == 0:
+            out.append(0)
+            continue
+        P, cmap, gens = cover_map(cur)
+        cur, _ = submodule_from_spanning(P, kernel_basis(cmap).columns())
+        out.append(len(gens))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@given(data=st.data())
+def test_kernel_modules_match_the_closed_span_reference(field, data):
+    B = data.draw(st.sampled_from(kernel_test_algebras(field)))
+    if data.draw(st.booleans()):
+        M = residue_field_module(B)
+    else:
+        # B^r modulo random relation vectors, read as H_0 of their presentation
+        r, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        coeff = st.integers(-2, 2).map(field.from_int)
+        rows = [[tuple(data.draw(st.lists(coeff, min_size=B.dim, max_size=B.dim)))
+                 for _ in range(n)] for _ in range(r)]
+        M = homology(free_complex(B, [r, n], [rows]), 0).module
+    if M.dim:
+        assert syzygy(M)[0].validate() == []
+    assert poincare_truncated(M, 3) == poincare_through_closure(M, 3)
 
 
 def test_graded_module_ops():
