@@ -13,8 +13,8 @@ from .homotopy import (DerivedAnnihilator, Homotopy, derived_annihilator,
                        homotopy_class_eq, solve_homotopy)
 from .actions import (ActionCertificate, check_quotient_H_action,
                       induced_action_on_homology, verify_certificate)
-from .modules import (FiniteModule, GradedModule, dim_module, is_free, lemma43_freeness,
-                      nu, poincare_truncated)
+from .modules import (FiniteModule, GradedModule, is_free, lemma43_freeness, nu,
+                      poincare_truncated)
 from .weyl import (WModuleRep, check_lemmaA1, check_weyl_relations, exterior_model,
                    koszul_lift, structure_map)
 from .checkers import (InstanceBundle, check_lemma32, check_question, check_thm31,

@@ -265,6 +265,10 @@ class ArtinAlgebra:
         """dim_k m/m^2."""
         return (self.dim - 1) - self.m_power_cols(2).ncols
 
+    def krull_dim(self) -> int:
+        """An Artinian algebra has Krull dimension 0."""
+        return 0
+
     def socle_cols(self) -> Matrix:
         """ann_A(m) = intersection of the kernels of multiplication by e_i, i >= 1."""
         blocks = [self.left_mult_matrix(self.basis_element(i)) for i in range(1, self.dim)]

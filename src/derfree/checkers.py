@@ -79,36 +79,7 @@ def _chk(name, kind, ok, detail="") -> Check:
 
 
 # ---------------------------------------------------------------------------
-# extended arithmetic with the depth/dimension sentinels
-
-
-def ext_add(a, b):
-    for x in (a, b):
-        if x is PLUS_INFINITY or x is MINUS_INFINITY:
-            return x
-    return a + b
-
-
-def ext_sub(a, b):
-    if b is PLUS_INFINITY:
-        return MINUS_INFINITY
-    if b is MINUS_INFINITY:
-        return PLUS_INFINITY
-    return ext_add(a, -b)
-
-
-def ext_ge(a, b) -> bool:
-    return not (a < b)
-
-
-# ---------------------------------------------------------------------------
 # ring invariants
-
-
-def edim_of(R) -> int:
-    if R.kind == "artinian":
-        return R.edim()
-    return len(R.basis(1))
 
 
 def ring_depth(R):
@@ -116,19 +87,6 @@ def ring_depth(R):
     if R.kind == "artinian":
         return 0, True
     return graded_depth(graded_free_module(R, [0], R.truncation), bound=R.nvars + 1)
-
-
-def ring_dim(R):
-    """(dim, exact)."""
-    if R.kind == "artinian":
-        return 0, True
-    return R.krull_dim(), True
-
-
-def ring_is_cm(R):
-    d, e1 = ring_dim(R)
-    dep, e2 = ring_depth(R)
-    return d == dep, e1 and e2
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +127,11 @@ class Analysis:
         return self._homology[i]
 
     @cached_property
+    def depth_A(self) -> tuple:
+        """(depth A, exact)."""
+        return ring_depth(self.bundle.A)
+
+    @cached_property
     def certificate_status(self) -> tuple:
         """(verified, report_or_None)."""
         b = self.bundle
@@ -193,8 +156,8 @@ class Analysis:
         if self.certificate_status[0]:
             return True, "verified derived-action certificate"
         if b.h_kernel and b.phi.is_surjective():
-            hrep = check_quotient_H_action(b.F, b.h_kernel, self.homology)
-            return hrep.valid, "kernel generators act as zero on homology" if hrep.valid \
+            ok = check_quotient_H_action(b.F, b.h_kernel, self.homology)
+            return ok, "kernel generators act as zero on homology" if ok \
                 else "kernel generators do not kill homology"
         return False, "no action data"
 
@@ -302,10 +265,10 @@ def check_question(subject: Analysis | InstanceBundle) -> CheckReport:
     checks.append(_chk("inf_H_is_zero", "hypothesis", infH == bundle.F.low and infH == 0,
                        f"inf H = {infH}"))
     p = an.proj_dim
-    ea, eb = edim_of(bundle.A), edim_of(bundle.B)
+    ea, eb = bundle.A.edim(), bundle.B.edim()
     data.update({"proj_dim": _ser(p), "edim_A": ea, "edim_B": eb})
-    checks.append(_chk("defect_bound", "hypothesis", ext_ge(ea - eb, p),
-                       f"proj dim = {_ser(p)} <= edim A - edim B = {ea - eb}"))
+    checks.append(_chk("defect_bound", "hypothesis", ea - eb >= p,
+                       f"proj dim = {p} <= edim A - edim B = {ea - eb}"))
     free, rk, note = an.h0_freeness
     if free is None and rk is None:
         checks.append(Check("H0_free_over_B", "conclusion", "skip", note))
@@ -339,12 +302,11 @@ def _theorem_coverage(an: Analysis, p, ea, eb) -> dict:
     if bundle.A.kind == "artinian" and bundle.B.kind == "artinian":
         ci, exact, _ = artinian_ci_test(an.fiber_algebra)
         b0 = an.beta0_of_mAB
-        hyp51 = ext_ge(ea - b0, p)
+        hyp51 = ea - b0 >= p
         out["ci_fiber_criterion"] = bool(ci) and exact and hyp51
         out["theorem51_hypothesis"] = hyp51
-    da, _ = ring_depth(bundle.A)
-    db, _ = ring_dim(bundle.B)
-    out["regular_case_criterion"] = ext_ge(ext_sub(da, db), ea - eb) and ext_ge(ea - eb, p)
+    da, _ = an.depth_A
+    out["regular_case_criterion"] = da - bundle.B.krull_dim() >= ea - eb >= p
     return out
 
 
@@ -369,36 +331,30 @@ def check_lemma32(subject: Analysis | InstanceBundle) -> CheckReport:
     checks.append(_chk("H_carries_B_action", "precondition", h_ok, h_note))
     F = bundle.F
     p = an.proj_dim
-    depth_a, e1 = ring_depth(bundle.A)
-    dim_a, e2 = ring_dim(bundle.A)
-    dim_b, e3 = ring_dim(bundle.B)
+    depth_a, exact = an.depth_A
+    dim_a, dim_b = bundle.A.krull_dim(), bundle.B.krull_dim()
     infH, supH = an.inf_sup
-    if not (e1 and e2 and e3):
+    if not exact:
         caveats.append("ring invariants carry truncation caveats")
-    rhs1 = ext_add(ext_sub(depth_a, dim_b), supH)
-    checks.append(_chk("bound_via_depth", "conclusion", ext_ge(p, rhs1),
-                       f"proj dim = {_ser(p)} >= depth A - dim B + sup H = {_ser(rhs1)}"))
-    rhs2 = ext_sub(dim_a, dim_b)
-    checks.append(_chk("bound_via_dim", "conclusion", ext_ge(p, rhs2),
-                       f"proj dim = {_ser(p)} >= dim A - dim B = {_ser(rhs2)}"))
+    rhs1 = depth_a - dim_b + supH
+    checks.append(_chk("bound_via_depth", "conclusion", p >= rhs1,
+                       f"proj dim = {p} >= depth A - dim B + sup H = {rhs1}"))
+    rhs2 = dim_a - dim_b
+    checks.append(_chk("bound_via_dim", "conclusion", p >= rhs2,
+                       f"proj dim = {p} >= dim A - dim B = {rhs2}"))
     # equality criterion; depth of a perfect complex comes from the
     # depth-sensitivity formula depth F = depth A - proj dim F
     dims_h = _homology_dims_over_A(an)
-    dim_f = MINUS_INFINITY
-    for n, dn in dims_h.items():
-        cand = ext_sub(dn, n)
-        if dim_f < cand:
-            dim_f = cand
-    depth_f = ext_sub(depth_a, p)
-    cm_f = ext_sub(dim_f, depth_f)
-    cm_a = ext_sub(dim_a, depth_a)
+    dim_f = max((dn - n for n, dn in dims_h.items()), default=MINUS_INFINITY)
+    cm_f = dim_f - (depth_a - p)
+    cm_a = dim_a - depth_a
     lhs_eq = (p == rhs2)
     dim_h0 = dims_h.get(F.low, MINUS_INFINITY)
     rhs_eq = (cm_f == cm_a) and (dim_h0 == dim_b)
     checks.append(_chk("equality_criterion", "conclusion", lhs_eq == rhs_eq,
                        f"equality in the dimension bound: {lhs_eq}; "
-                       f"CM defect of F = {_ser(cm_f)}, of A = {_ser(cm_a)}, "
-                       f"dim H_0 = {_ser(dim_h0)}, dim B = {_ser(dim_b)}"))
+                       f"CM defect of F = {cm_f}, of A = {cm_a}, "
+                       f"dim H_0 = {dim_h0}, dim B = {dim_b}"))
     data = {"proj_dim": _ser(p), "depth_A": _ser(depth_a), "dim_A": _ser(dim_a),
             "dim_B": _ser(dim_b), "sup_H": _ser(supH),
             "dim_F": _ser(dim_f), "cm_defect_F": _ser(cm_f), "cm_defect_A": _ser(cm_a)}
@@ -421,20 +377,19 @@ def check_thm31(subject: Analysis | InstanceBundle) -> CheckReport:
     h_ok, h_note = an.h_level_status
     checks.append(_chk("H_carries_B_action", "precondition", h_ok, h_note))
     infH, supH = an.inf_sup
-    checks.append(_chk("inf_H_is_zero", "hypothesis", infH == 0, f"inf H = {_ser(infH)}"))
+    checks.append(_chk("inf_H_is_zero", "hypothesis", infH == 0, f"inf H = {infH}"))
     p = an.proj_dim
-    ea, eb = edim_of(bundle.A), edim_of(bundle.B)
-    depth_a, e1 = ring_depth(bundle.A)
-    dim_b, e2 = ring_dim(bundle.B)
-    if not (e1 and e2):
+    ea, eb = bundle.A.edim(), bundle.B.edim()
+    depth_a, exact_a = an.depth_A
+    dim_b = bundle.B.krull_dim()
+    if not exact_a:
         caveats.append("ring invariants carry truncation caveats")
-    hyp1 = ext_ge(ea - eb, p)
-    hyp2 = ext_ge(ext_sub(depth_a, dim_b), ea - eb)
+    hyp1 = ea - eb >= p
+    hyp2 = depth_a - dim_b >= ea - eb
     checks.append(_chk("defect_bound", "hypothesis", hyp1,
-                       f"proj dim = {_ser(p)} <= edim A - edim B = {ea - eb}"))
+                       f"proj dim = {p} <= edim A - edim B = {ea - eb}"))
     checks.append(_chk("regularity_bound", "hypothesis", hyp2,
-                       f"edim A - edim B = {ea - eb} <= depth A - dim B = "
-                       f"{_ser(ext_sub(depth_a, dim_b))}"))
+                       f"edim A - edim B = {ea - eb} <= depth A - dim B = {depth_a - dim_b}"))
     data = {"proj_dim": _ser(p), "edim_A": ea, "edim_B": eb,
             "depth_A": _ser(depth_a), "dim_B": _ser(dim_b)}
     if not (hyp1 and hyp2 and h_ok and infH == 0):
@@ -444,14 +399,14 @@ def check_thm31(subject: Analysis | InstanceBundle) -> CheckReport:
         checks.append(Check("H0_free_over_B", "conclusion", "skip", note))
     else:
         checks.append(_chk("H0_free_over_B", "conclusion", bool(free), note))
-    checks.append(_chk("sup_H_is_zero", "conclusion", supH == 0, f"sup H = {_ser(supH)}"))
+    checks.append(_chk("sup_H_is_zero", "conclusion", supH == 0, f"sup H = {supH}"))
     checks.append(_chk("both_inequalities_are_equalities", "conclusion",
-                       p == ea - eb and ea - eb == ext_sub(depth_a, dim_b), ""))
-    cm_a, ex_a = ring_is_cm(bundle.A)
-    cm_b, ex_b = ring_is_cm(bundle.B)
+                       p == ea - eb and ea - eb == depth_a - dim_b, ""))
+    depth_b, exact_b = ring_depth(bundle.B)
+    cm_a, cm_b = bundle.A.krull_dim() == depth_a, dim_b == depth_b
     checks.append(_chk("A_and_B_cohen_macaulay", "conclusion", cm_a and cm_b,
                        f"A CM: {cm_a}, B CM: {cm_b}"))
-    if not (ex_a and ex_b):
+    if not (exact_a and exact_b):
         caveats.append("Cohen-Macaulay checks carry truncation caveats")
     if bundle.phi.is_surjective():
         eci = is_exceptional_ci_surjective(bundle.phi)
@@ -566,8 +521,7 @@ def check_thm41(subject: Analysis | InstanceBundle) -> CheckReport:
     for a in bundle.h_kernel:
         ok = all(graded_element_kills(C.module(i), a) for i in range(C.low, C.top + 1))
         checks.append(_chk(f"kernel_{A.element_to_str(a)}_acts_zero", "precondition", ok))
-    ea, eb = edim_of(A), edim_of(bundle.B)
-    c = ea - eb
+    c = A.edim() - bundle.B.edim()
     tor = tor_k_dims(C, TOR_STEPS)
     data["tor_dims"] = {str(i): v[0] for i, v in tor.items()}
     data["tor_window"] = {str(i): v[1] for i, v in tor.items()}
@@ -658,14 +612,14 @@ def check_thm51(subject: Analysis | InstanceBundle) -> CheckReport:
     if cert_rep is not None:
         data["certificate"] = cert_rep.as_dict()
     infH, supH = an.inf_sup
-    checks.append(_chk("inf_H_is_zero", "hypothesis", infH == 0, f"inf H = {_ser(infH)}"))
+    checks.append(_chk("inf_H_is_zero", "hypothesis", infH == 0, f"inf H = {infH}"))
     p = an.proj_dim
-    ea = edim_of(A)
+    ea = A.edim()
     b0 = an.beta0_of_mAB
     data.update({"proj_dim": _ser(p), "edim_A": ea, "beta0_mAB": b0})
-    hyp = ext_ge(ea - b0, p)
+    hyp = ea - b0 >= p
     checks.append(_chk("defect_bound_via_beta0", "hypothesis", hyp,
-                       f"proj dim = {_ser(p)} <= edim A - beta0(m_A B) = {ea - b0}"))
+                       f"proj dim = {p} <= edim A - beta0(m_A B) = {ea - b0}"))
     if not (cert_ok and hyp and infH == 0):
         return CheckReport("thm51", tuple(checks), tuple(caveats), data)
     # (1) freeness and the first Betti number of M = H_0(F)
@@ -684,10 +638,10 @@ def check_thm51(subject: Analysis | InstanceBundle) -> CheckReport:
         caveats.append("the CI verdict is a Betti-pattern check up to homological degree 3")
     data["fiber_dim_k"] = C.dim
     # (3) equalities
-    eb = edim_of(B)
+    eb = B.edim()
     checks.append(_chk("defect_equalities", "conclusion",
                        p == ea - b0 and p == ea - eb,
-                       f"p = {_ser(p)}, edim A - beta0 = {ea - b0}, edim A - edim B = {ea - eb}"))
+                       f"p = {p}, edim A - beta0 = {ea - b0}, edim A - edim B = {ea - eb}"))
     # (4) binomial Betti numbers
     bt = an.betti
     b_bottom = bt.get(F.low, 0)

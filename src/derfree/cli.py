@@ -186,8 +186,8 @@ def cmd_betti(args) -> int:
     F = _read(args, args.file, serialize.complex_from_dict)
     bt = betti(F)
     p = nonzero_range(bt)[1]
-    lines = [f"betti: {[bt[i] for i in sorted(bt)]} (degrees {min(bt)}..{max(bt)})",
-             f"proj_dim: {p if p is not MINUS_INFINITY else '-inf'}"]
+    degrees = f" (degrees {min(bt)}..{max(bt)})" if bt else ""
+    lines = [f"betti: {[bt[i] for i in sorted(bt)]}{degrees}", f"proj_dim: {p}"]
     return _emit(args, lines, {"betti": {str(i): bt[i] for i in bt},
                                "proj_dim": None if p is MINUS_INFINITY else p}, False)
 

@@ -317,10 +317,10 @@ def run_ex23(field) -> FixtureResult:
                        H0.hilbert(5) == (1, 0, 0, 0, 0, 0)))
     free, rk, note = an.h0_freeness
     items.append(_item("H0_not_free_over_B", "PAPER", free is False, note))
-    hrep = check_quotient_H_action(b.F, b.h_kernel, an.homology)
-    items.append(_item("x_kills_homology", "PAPER", hrep.valid))
-    hrep_y = check_quotient_H_action(b.F, (A.parse_element("y"),), an.homology)
-    items.append(_item("y_does_not_kill_homology", "DERIVED", not hrep_y.valid))
+    items.append(_item("x_kills_homology", "PAPER",
+                       check_quotient_H_action(b.F, b.h_kernel, an.homology)))
+    y_kills = check_quotient_H_action(b.F, (A.parse_element("y"),), an.homology)
+    items.append(_item("y_does_not_kill_homology", "DERIVED", not y_kills))
     # h_kernel is (x,), so check_question has already asked the solver for a
     # null-homotopy of x * id
     q = check_question(an)

@@ -5,12 +5,13 @@ element.  Graded modules are degreewise k-spaces with one degree-raising
 action map per variable, valid up to a stated window; `GradedModule` owns
 the action of each homogeneous element (`act_element`).  Dimension, and
 depth elsewhere, use the sup/inf conventions with the explicit +/- infinity
-sentinels defined here (never floats).  `graded_cover` is the one minimal
-cover of a graded module: `graded_is_free` and every step of
+sentinels defined here (never floats); the sentinels compare with ints and
+do their own extended arithmetic and printing.  `graded_cover` is the one
+minimal cover of a graded module: `graded_is_free` and every step of
 `resolutions.graded_minimal_resolution` read it, and `graded_nu` counts
 its generators.  `subquotient_actions` is the one construction of a module
-on a subquotient: homology on both backends, the kernel modules of
-`syzygy` and of the graded resolutions, and `submodule_from_spanning`.
+on a subquotient: homology on both backends and the kernel modules of
+`syzygy` and of the graded resolutions.
 """
 
 from __future__ import annotations
@@ -49,6 +50,19 @@ class _Infinity:
 
     def __neg__(self):
         return MINUS_INFINITY if self.sign > 0 else PLUS_INFINITY
+
+    # a sum takes its first infinite term; an infinite subtrahend gives its negation
+    def __add__(self, other):
+        return self
+
+    def __radd__(self, other):
+        return self
+
+    def __sub__(self, other):
+        return -other if isinstance(other, _Infinity) else self
+
+    def __rsub__(self, other):
+        return -self
 
     def __repr__(self):
         return "+inf" if self.sign > 0 else "-inf"
@@ -125,25 +139,6 @@ def subquotient_actions(maps, src: Matrix, sub: Matrix, reps: Matrix) -> tuple:
                  for t in range(len(maps)))
 
 
-def submodule_from_spanning(parent: FiniteModule, vectors) -> tuple:
-    """(FiniteModule on the A-closure of the span, inclusion columns).
-
-    The span is closed under the action first, so any k-spanning set works.
-    """
-    B = parent.algebra
-    f = B.field
-    current = column_space_basis(Matrix.from_columns(f, list(vectors), nrows=parent.dim))
-    while True:
-        cols = current.columns()
-        extra = [parent.action[t].apply(c) for t in range(1, B.dim) for c in cols]
-        bigger = column_space_basis(Matrix.from_columns(f, cols + extra, nrows=parent.dim))
-        if bigger.ncols == current.ncols:
-            break
-        current = bigger
-    acts = subquotient_actions(parent.action, current, Matrix.zero(f, parent.dim, 0), current)
-    return FiniteModule(B, current.ncols, acts), current
-
-
 def nu(M: FiniteModule) -> int:
     """Minimal number of generators (Nakayama)."""
     return M.dim - M.m_submodule_cols().ncols
@@ -215,11 +210,6 @@ def lemma43_freeness(M: FiniteModule) -> FreenessVerdict:
     if betti[1] == 0:
         return FreenessVerdict(True, betti[0], betti, "first syzygy vanishes")
     return FreenessVerdict(False, None, betti, "nonzero first Betti number")
-
-
-def dim_module(M: FiniteModule):
-    """Krull dimension: -inf for 0, else 0 over an Artinian algebra."""
-    return MINUS_INFINITY if M.dim == 0 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,10 @@ class MonomialAlgebra:
             raise ValueError("multiplication map needs a homogeneous element")
         return self.map_matrix(((u,),), (0,), (0,), src_deg, du)
 
+    def edim(self) -> int:
+        """dim_k m/m^2: the variables outside the ideal."""
+        return len(self.basis(1))
+
     def krull_dim(self) -> int:
         """Largest set of variables supporting no ideal generator."""
         best = 0

@@ -145,7 +145,7 @@ def test_criterion_6_weyl_suite():
 
 def test_criterion_8_separation_regression():
     b = build_ex23(FIELD)
-    h_ok = check_quotient_H_action(b.F, b.h_kernel).valid
+    h_ok = check_quotient_H_action(b.F, b.h_kernel)
     q = check_question(b)
     rejected = q.verdict == "not_applicable" and "certificate_impossible_for" in q.data
     no_witness = solve_homotopy(scalar_endo(b.F, b.A.parse_element("x"))) is None

@@ -83,9 +83,9 @@ def test_check_H_action_quotient_positive_and_negative():
     b = build_ex23(GF101)
     A = b.A
     good = check_quotient_H_action(b.F, (A.parse_element("x"),))
-    assert good.valid
+    assert good
     bad = check_quotient_H_action(b.F, (A.parse_element("y"),))
-    assert not bad.valid
+    assert not bad
 
 
 def test_check_H_action_zero_module():
@@ -94,7 +94,7 @@ def test_check_H_action_zero_module():
     from derfree.actions import check_quotient_H_action as chk
     # over the Artinian backend the zero module accepts anything
     rep_ok = chk(E, (A.parse_element("x"),))
-    assert rep_ok.valid
+    assert rep_ok
 
 
 def test_verified_certificate_implies_h_level():
@@ -105,7 +105,7 @@ def test_verified_certificate_implies_h_level():
     assert act is not None
     b23 = build_ex23(GF101)
     from derfree.homotopy import solve_homotopy
-    assert check_quotient_H_action(b23.F, b23.h_kernel).valid
+    assert check_quotient_H_action(b23.F, b23.h_kernel)
     assert solve_homotopy(scalar_endo(b23.F, b23.A.parse_element("x"))) is None
 
 

@@ -14,8 +14,9 @@ from derfree.field import GF, GF101, QQ
 from derfree.fixtures import (CATALOG, catalog_algebra, chain_algebra, square_zero_plane,
                               square_zero_space)
 from derfree.linalg import Matrix, invert, rank
-from derfree.modules import minimal_generators, nu, submodule_from_spanning, free_module
+from derfree.modules import minimal_generators, nu, free_module
 from derfree.monomial import NotArtinianError, TruncationError, mono_key, monomial_algebra
+from test_modules import submodule_from_spanning
 
 
 def test_monomial_words_parse_into_factors_and_malformed_factors_raise():

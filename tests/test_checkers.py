@@ -376,6 +376,25 @@ def test_one_fixture_replay_verifies_each_certificate_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_one_analysis_computes_the_depth_of_A_once(monkeypatch):
+    """question, lemma32 and thm31 on one Analysis of ex2.3 read one depth of A."""
+    import derfree.checkers as checkers
+    from derfree.checkers import Analysis
+
+    rings = []
+    graded_depth = checkers.graded_depth
+
+    def counting(M, bound):
+        rings.append(M.algebra)
+        return graded_depth(M, bound)
+
+    monkeypatch.setattr(checkers, "graded_depth", counting)
+    an = Analysis(build_ex23(GF101))
+    for check in (checkers.check_question, checkers.check_thm31, checkers.check_lemma32):
+        check(an)
+    assert rings == [an.bundle.A]
+
+
 def test_an_analysis_stores_nothing_on_its_inputs():
     from derfree.checkers import Analysis
     for build in (build_ex23, build_ex45, build_ex55, build_ex56, build_ex57):

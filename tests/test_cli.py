@@ -45,6 +45,19 @@ def test_betti_and_homology(ex55_files, capsys):
     assert main(["homology", ex55_files["F"]]) == 0
 
 
+@pytest.mark.parametrize("algebra", [
+    {"kind": "monomial_quotient", "vars": ["x"], "ideal": ["x^2"], "truncation": 3},
+    {"kind": "artinian", "labels": ["1", "x"],
+     "constants": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]}], ids=["graded", "artinian"])
+def test_betti_of_the_zero_complex_is_empty(tmp_path, capsys, algebra):
+    p = str(tmp_path / "zero.json")
+    serialize.save(p, {"ranks": [], "differentials": [], "algebra": algebra})
+    out = str(tmp_path / "betti.json")
+    assert main(["--json", out, "betti", p]) == 0
+    assert capsys.readouterr().out == "betti: []\nproj_dim: -inf\n"
+    assert json.load(open(out)) == {"betti": {}, "proj_dim": None}
+
+
 def test_annihilator_and_decompose_exit_codes(ex55_files, capsys):
     assert main(["annihilator", ex55_files["F"]]) == 0
     # decomposition is obstructed on this fixture: exit 1
