@@ -1,10 +1,10 @@
 """Executable hypothesis/conclusion checkers for the freeness criteria.
 
 Every checker returns a CheckReport with named checks and a three-valued
-verdict: "pass" (hypotheses and conclusions hold), "fail" (hypotheses hold
-but a conclusion fails -- a refutation flag), or "not_applicable"
-(preconditions or hypotheses are not met, possibly for truncation reasons;
-the report says which).
+verdict: "pass" (hypotheses and the evaluated conclusions hold), "fail"
+(hypotheses hold but a conclusion fails -- a refutation flag), or
+"not_applicable" (preconditions or hypotheses are not met, possibly for
+truncation reasons, or no conclusion was evaluated; the report says which).
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ class CheckReport:
 
     @property
     def verdict(self) -> str:
+        """"pass" or "fail" only when every precondition and hypothesis
+        passed and at least one conclusion was evaluated."""
         gating = [c for c in self.checks if c.kind in ("precondition", "hypothesis")]
-        if any(c.status == "fail" for c in gating):
+        concl = [c for c in self.checks if c.kind == "conclusion" and c.status != "skip"]
+        if not concl or any(c.status != "pass" for c in gating):
             return "not_applicable"
-        concl = [c for c in self.checks if c.kind == "conclusion"]
-        if any(c.status == "fail" for c in concl):
-            return "fail"
-        return "pass"
+        return "fail" if any(c.status == "fail" for c in concl) else "pass"
 
     def as_dict(self):
         return {"checker": self.checker,
@@ -334,6 +334,8 @@ def check_lemma32(subject: Analysis | InstanceBundle) -> CheckReport:
     depth_a, exact = an.depth_A
     dim_a, dim_b = bundle.A.krull_dim(), bundle.B.krull_dim()
     infH, supH = an.inf_sup
+    if supH == MINUS_INFINITY:  # the lemma is about complexes with homology
+        checks.append(Check("H_is_nonzero", "hypothesis", "fail", "H(F) = 0"))
     if not exact:
         caveats.append("ring invariants carry truncation caveats")
     rhs1 = depth_a - dim_b + supH

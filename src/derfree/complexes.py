@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (Matrix, block_diag, column_space_basis, complement, kernel_basis,
+from .linalg import (Matrix, block_diag, by_lead, column_space_basis, complement, kernel_basis,
                      quotient_coords, rank, sparse_rref)
 from .modules import (GradedModule, FiniteModule, MINUS_INFINITY,
                       PLUS_INFINITY, free_module, graded_subquotient_module,
@@ -309,7 +309,7 @@ def amatrix_inverse(M: AMatrix) -> AMatrix | None:
     rows = [dict(r) for r in M.flatten().rows]
     for j in range(n):
         rows[j * d][size + j] = f.one
-    pivot_rows, pivots = sparse_rref(f, rows)
+    pivot_rows, pivots = sparse_rref(f, by_lead(rows))
     if pivots != tuple(range(size)):
         return None
     zero = f.zero

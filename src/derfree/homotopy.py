@@ -6,9 +6,11 @@ h.  Infeasibility of the system is a proof of non-homotopy over the given
 backend.  The derived annihilator {a : a*id is null-homotopic} is the
 projection of the solution space of a*id - (dh + hd) = 0 onto the
 a-coordinates, with one witness homotopy stored per basis element.  One
-assembler (`_System`) builds these systems for both backends, and also the
-chain-map condition dX - Xd = 0 behind `chain_map_space`, as one
-`linalg.Matrix` whose sparse rows the elimination takes as they are.  A
+assembler (`_System`) lays out these systems for both backends, and also
+the chain-map condition dX - Xd = 0 behind `chain_map_space`, and builds
+their sparse rows one equation group at a time: into one `linalg.Matrix`
+for a solve, or as a stream that `annihilator` hands to the elimination,
+so the whole annihilator system is never held.  A
 homotopy is a `complexes.DegreeMap` of degree 1, and `homotopy_defects`
 substitutes it back through `complexes.degreewise_defects`.
 """
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 from .algebra import AlgebraError
 from .complexes import (AMatrix, ChainMap, DegreeMap, FreeComplex, degreewise_defects,
                         entry_degrees, scalar_endo)
-from .linalg import Matrix, kernel_basis, kernel_vectors, rref, solve_multi, sparse_rref
+from .linalg import (Matrix, by_lead, kernel_basis, kernel_vectors, rref, solve_multi,
+                     sparse_rref)
 from .monomial import TruncationError
 
 
@@ -61,10 +64,14 @@ class _System:
     equation is graded, so the degree-delta part of any solution solves it.
     Columns run over the unknown entries (i, q, t) in order and rows over
     the equation entries (i, s, t), each entry taking one column or row per
-    coordinate; `matrix` is the system as one `Matrix`, whose rows are
-    the sparse {column: scalar} dicts the elimination kernel takes.  Only
-    the coordinate spaces and the multiplication blocks (`left_mult_matrix`
-    or `mult_map`) depend on the backend.
+    coordinate.  Building the system lays it out and nothing more: the
+    unknowns, the equations and their sizes, so a coordinate space above
+    the truncation raises `TruncationError` here.  The rows, sparse
+    {column: scalar} dicts, are built for one equation group (i, s) at a
+    time (`_group_rows`): `matrix` is the whole system as one `Matrix`,
+    built on each access, and `stream` feeds the elimination without
+    holding it.  Only the coordinate spaces and the multiplication blocks
+    (`left_mult_matrix` or `mult_map`) depend on the backend.
 
     With `scalar` (S = T, k = 1, sign = +1) the system is the one of
     a*id = dh + hd that `annihilator` eliminates: the first `na` columns
@@ -78,7 +85,7 @@ class _System:
         A = S.algebra
         if A != T.algebra:
             raise ValueError("homotopy solves need a common algebra")
-        self.S, self.T, self.A, self.k, self.delta = S, T, A, k, delta
+        self.S, self.T, self.A, self.k, self.sign, self.delta = S, T, A, k, sign, delta
         self.graded = A.kind != "artinian"
         self.lo = min(S.low, T.low)
         self.hi = max(S.top, T.top)
@@ -94,32 +101,17 @@ class _System:
                         self.unknowns[(i, q, t)] = (col, n, deg)
                         col += n
         self.ncols = col
-        self._blocks = {}
-        rows = self._rows = []  # one {column: scalar} per equation row
         self.equations = {}  # (i, s, t) -> (first row, size, degree)
-        source = "T" if S is T else "S"  # one complex: its entries share their blocks
-        minus_one = A.field.neg(A.field.one)
+        row = 0
         for i in range(self.lo, self.hi + 1):
-            dT, dS = T.diff(i + k), S.diff(i)
-            bT, bS = self._entry_blocks("T", i + k, dT), self._entry_blocks(source, i, dS)
             for s in range(T.rank(i + k - 1)):
                 for t in range(S.rank(i)):
                     deg = self._degree(i, i + k - 1, s, t)
                     n = self._size(deg, "equation")
-                    row = len(rows)
                     self.equations[(i, s, t)] = (row, n, deg)
-                    if s == t and self.na:  # -a*id sits on the diagonal entries
-                        rows.extend({j: minus_one} for j in range(n))
-                    else:
-                        rows.extend({} for _ in range(n))
-                    # d^T_{i+k}[s, q] * X_i[q, t]
-                    for q in range(T.rank(i + k)):
-                        self._add_term(row, n, bT[s][q], dT.entries[s][q], (i, q, t), False)
-                    # sign * X_{i-1}[s, q] * d^S_i[q, t]
-                    for q in range(S.rank(i - 1)):
-                        self._add_term(row, n, bS[q][t], dS.entries[q][t], (i - 1, s, q),
-                                       sign < 0)
-        self.matrix = Matrix(A.field, len(rows), self.ncols, tuple(rows))
+                    row += n
+        self.nrows = row
+        self._blocks = {}
 
     # -- the backend-dependent part: coordinate spaces and blocks ----------
     def _degree(self, i, j, r, c):
@@ -166,14 +158,69 @@ class _System:
         return self.A.from_coords(x, deg) if self.graded else tuple(x)
 
     # -- assembly and elimination -----------------------------------------
-    def _add_term(self, row0, nrows, cache, e, key, negate):
-        """Write +-(multiplication by e) from unknown `key` into rows row0..
+    def _group_rows(self, i, s) -> list:
+        """Per equation entry (i, s, t), t in order, its rows as fresh dicts."""
+        S, T, k = self.S, self.T, self.k
+        dT, dS = T.diff(i + k), S.diff(i)
+        bT = self._entry_blocks("T", i + k, dT)
+        bS = self._entry_blocks("T" if S is T else "S", i, dS)  # one complex: shared blocks
+        minus_one = self.A.field.neg(self.A.field.one)
+        negate = self.sign < 0
+        out = []
+        for t in range(S.rank(i)):
+            n = self.equations[(i, s, t)][1]
+            if s == t and self.na:  # -a*id sits on the diagonal entries
+                rows = [{j: minus_one} for j in range(n)]
+            else:
+                rows = [{} for _ in range(n)]
+            if n:
+                # d^T_{i+k}[s, q] * X_i[q, t]
+                for q in range(T.rank(i + k)):
+                    self._add_term(rows, bT[s][q], dT.entries[s][q], (i, q, t), False)
+                # sign * X_{i-1}[s, q] * d^S_i[q, t]
+                for q in range(S.rank(i - 1)):
+                    self._add_term(rows, bS[q][t], dS.entries[q][t], (i - 1, s, q), negate)
+            out.append(rows)
+        return out
+
+    def _groups(self):
+        """The equation groups (i, s) in row order."""
+        return [(i, s) for i in range(self.lo, self.hi + 1)
+                for s in range(self.T.rank(i + self.k - 1))]
+
+    @property
+    def matrix(self) -> Matrix:
+        """The whole system as one `Matrix`, built on each access."""
+        return Matrix(self.A.field, self.nrows, self.ncols,
+                      tuple(r for i, s in self._groups() for rows in self._group_rows(i, s)
+                            for r in rows))
+
+    def stream(self):
+        """The nonempty rows as `annihilator` feeds them to `sparse_rref`.
+
+        One equation group at a time, from the last group to the first, each
+        sorted by `by_lead`.  The rows that lead in the a-columns, those of
+        the diagonal entries (i, s, s), are held back and fed last, also by
+        `by_lead`, so that no pivot row in an a-column is back-reduced
+        while the h-columns are eliminated.  Only the held rows and one
+        group are alive at a time.
+        """
+        held = []
+        for i, s in reversed(self._groups()):
+            entries = self._group_rows(i, s)
+            if self.na and s < len(entries):
+                held += entries.pop(s)
+            yield from by_lead(r for rows in entries for r in rows)
+        yield from by_lead(held)
+
+    def _add_term(self, rows, cache, e, key, negate):
+        """Write +-(multiplication by e) from unknown `key` into the entry rows `rows`.
 
         `cache` is the block cache of e's position (see `_entry_blocks`),
         None when e is zero.  An equation meets each unknown through one
         term only, so every entry is written once.
         """
-        if cache is None or not nrows or key not in self.unknowns:
+        if cache is None or key not in self.unknowns:
             return
         A = self.A
         col0, _, deg = self.unknowns[key]
@@ -182,14 +229,14 @@ class _System:
             M = A.mult_map(e, deg) if self.graded else A.left_mult_matrix(e)
             block = [(r, c, v) for r, row in enumerate(M.rows) for c, v in row.items()]
             cache[deg] = block
-        neg, rows = A.field.neg, self._rows
+        neg, nrows = A.field.neg, len(rows)
         for r, c, v in block:
             if r < nrows:
-                rows[row0 + r][col0 + c] = neg(v) if negate else v
+                rows[r][col0 + c] = neg(v) if negate else v
 
     def rhs_of(self, fmap: ChainMap):
         """Flatten the components of fmap into an equation vector (None: no solution)."""
-        vec = [self.A.field.zero] * self.matrix.nrows
+        vec = [self.A.field.zero] * self.nrows
         for i in range(self.lo, self.hi + 1):
             comp = fmap.component(i)
             for s in range(comp.nrows):
@@ -245,14 +292,14 @@ class _System:
         """
         f = self.A.field
         na, ncols = self.na, self.ncols
-        pivot_rows, pivots = sparse_rref(f, self.matrix.rows)
+        pivot_rows, pivots = sparse_rref(f, self.stream())
         # coordinate r < na of the kernel vector of free column j: 1 when
         # r = j, -row[j] when r is the pivot of row; the pivots of these rows
         # are the free columns a greedy scan keeps
         a_rows = [{j: f.neg(v) for j, v in row.items() if j != pc}
                   for pc, row in zip(pivots, pivot_rows) if pc < na]
         a_rows += [{j: f.one} for j in set(range(na)) - set(pivots)]
-        pairs = kernel_vectors(f, pivot_rows, pivots, ncols, sparse_rref(f, a_rows)[1])
+        pairs = kernel_vectors(f, pivot_rows, pivots, ncols, sparse_rref(f, by_lead(a_rows))[1])
         if self.graded:
             pairs = rref(Matrix.from_rows(f, pairs, ncols=ncols))[0].dense_rows()
         basis, witnesses = [], []

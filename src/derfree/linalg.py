@@ -21,14 +21,19 @@ scalars directly: they sum raw products of stored entries with `+` and
 scalar (a sum that is zero is dropped from a row, or becomes `field.zero`
 in a dense vector).
 `sparse_rref` works on raw Python ints through the field's hooks (see
-`field`): `to_raw` turns the input rows into ints over one common
-denominator, the elimination is fraction-free (a row is reduced by
+`field`).  It owns the rows it is given: it eliminates an iterable of fresh
+row dicts in the order given, turns each row into raw ints over its own
+denominator as it arrives (`to_raw`, the identity over GF(p)), and keeps
+only its pivot rows, so a caller may stream rows it never holds all at
+once.  The elimination is fraction-free (a row is reduced by
 L * row - m * piv and pivot rows are kept primitive), and `from_raw`
 divides each pivot row by its lead once, when it is returned.  Over GF(p)
-the hooks are the identity and every lead is 1.  Rows are inserted by
-descending leading column, so a new pivot is cleared only from the few
+the hooks are the identity and every lead is 1.  Rows fed by descending
+leading column (`by_lead`) need a new pivot cleared only from the few
 pivot rows left of it, which a bisection over the sorted pivot columns
-finds.  Colder code goes through the field's `add`/`mul`.
+finds; `rref`, `rank`, `kernel_basis` and `solve_multi` feed copies of a
+`Matrix`'s shared rows in that order.  Colder code goes through the
+field's `add`/`mul`.
 """
 
 from __future__ import annotations
@@ -219,51 +224,61 @@ def _eliminate(field, row, c, piv, scale):
         field.primitive(row, min(row))
 
 
+def by_lead(rows) -> list:
+    """The nonempty rows by descending leading column, ties shortest first:
+    the order in which `sparse_rref` back-reduces the fewest pivot rows."""
+    return sorted(filter(None, rows), key=lambda r: (-min(r), len(r)))
+
+
 def sparse_rref(field, rows):
     """Canonical RREF of sparse rows {column: scalar}: (pivot_rows, pivots).
 
-    Zero entries are dropped; the input dicts are not changed.  The rows are
-    turned into raw ints over their common denominator (`field.to_raw`, the
-    identity over GF(p)) and eliminated fraction-free: a pivot row is an
-    integer multiple of its row of the RREF, made primitive when it joins
-    (`field.primitive`), so its lead L is 1 over GF(p) and a positive
-    integer over QQ.  The pivot rows are kept fully reduced while rows are
-    inserted by descending leading column, ties shortest first: a new row
-    is cleared of every pivot column in one pass, and if anything is left
-    it is made primitive, its lead column is cleared from the pivot rows
-    (L * piv - c * row), and it joins them.  Each pivot row is zero on the
-    other pivot columns, so that pass computes
-    s * row - sum (s * row[c] / L_c) * piv_c, s the lcm of the leads L_c it
-    meets (1 over GF(p)); the raw products are summed per column and each
-    touched entry is reduced once.  The back-elimination is bounded: a
-    pivot row is zero left of its own pivot, so only the pivot rows whose
-    pivot lies left of the new lead can hold it, and a bisection over the
-    sorted pivot columns finds them.  Rows taken right to left mostly lead
-    left of every pivot so far, so few pivot rows are visited.  Keeping the
-    pivot rows reduced keeps them about as sparse as the result, so the
-    work tracks the size of the RREF rather than the fill-in of a forward
-    pass.  A pivot row is divided by its lead only when it is returned
-    (`field.from_raw`).  The RREF is unique, so neither the insertion order
-    nor the order of the arithmetic changes an entry of the result.
+    `rows` is an iterable of fresh dicts that the routine owns: it may
+    change them, and a caller that keeps its rows passes copies.  Rows are
+    eliminated in the order given; zero entries and empty rows are dropped.
+    Each row is turned into raw ints on its own (`field.to_raw`, the
+    identity over GF(p); over QQ the row is scaled by its own denominator,
+    which leaves its span unchanged) and eliminated fraction-free: a pivot
+    row is an integer multiple of its row of the RREF, made primitive when
+    it joins (`field.primitive`), so its lead L is 1 over GF(p) and a
+    positive integer over QQ.  The pivot rows are kept fully reduced: a new
+    row is cleared of every pivot column in one pass, and if anything is
+    left it is made primitive, its lead column is cleared from the pivot
+    rows (L * piv - c * row), and it joins them; a row that reduces to zero
+    is dropped at once.  Each pivot row is zero on the other pivot columns,
+    so that pass computes s * row - sum (s * row[c] / L_c) * piv_c, s the
+    lcm of the leads L_c it meets (1 over GF(p)); the raw products are
+    summed per column and each touched entry is reduced once.  The
+    back-elimination is bounded: a pivot row is zero left of its own
+    pivot, so only the pivot rows whose pivot lies left of the new lead can
+    hold it, and a bisection over the sorted pivot columns finds them.
+    Rows fed right to left (`by_lead`) mostly lead left of every pivot so
+    far, so few pivot rows are visited.  Keeping the pivot rows reduced
+    keeps them about as sparse as the result, so the work tracks the size
+    of the RREF rather than the fill-in of a forward pass.  A pivot row is
+    divided by its lead only when it is returned (`field.from_raw`).  The
+    RREF is unique, so neither the order of the rows nor the order of the
+    arithmetic changes an entry of the result.
     """
-    reduce, primitive = field.reduce, field.primitive
-    work = [{j: v for j, v in r.items() if v} for r in rows]
-    flat = (v for r in work for v in r.values())
-    ints = field.to_raw(flat)[0]
-    raw_is_scalar = ints is flat  # over GF(p) the scalars are the raw ints
-    if not raw_is_scalar:
-        ints = iter(ints)
-        work = [{j: next(ints) for j in r} for r in work]
-    # by descending leading column, ties shortest first; empty rows dropped
-    work = sorted(filter(None, work), key=lambda r: (-min(r), len(r)))
+    reduce, primitive, to_raw = field.reduce, field.primitive, field.to_raw
     pivot_row = {}
     pivot_cols = []  # the keys of pivot_row, sorted
+    raw = False  # whether the raw ints differ from the scalars (never over GF(p))
     scaled = False  # whether some pivot row leads with L != 1 (never over GF(p))
-    for row in work:
+    for row in rows:
+        values = row.values()
+        ints = to_raw(values)[0]
+        if ints is not values:
+            raw = True
+            row = {j: v for j, v in zip(row, ints) if v}
+        elif 0 in values:
+            row = {j: v for j, v in row.items() if v}
         hits = [c for c in row if c in pivot_row]
         if hits:
             s = lcm(*[pivot_row[c][c] for c in hits]) if scaled else 1
-            acc = dict(row) if s == 1 else {j: s * v for j, v in row.items()}
+            # a pivot row is zero on the other pivot columns, so row[c] is
+            # still the input entry when piv_c is subtracted from it in place
+            acc = row if s == 1 else {j: s * v for j, v in row.items()}
             get = acc.get
             for c in hits:
                 m = row[c] if s == 1 else row[c] * s // pivot_row[c][c]
@@ -288,7 +303,7 @@ def sparse_rref(field, rows):
         pivot_cols.insert(at, lead)
         pivot_row[lead] = row
     pivots = tuple(pivot_cols)
-    if raw_is_scalar and not scaled:  # monic rows of the field's own scalars
+    if not raw and not scaled:  # monic rows of the field's own scalars
         return [pivot_row[c] for c in pivots], pivots
     from_raw = field.from_raw
     return [{j: from_raw(v, pivot_row[c][c]) for j, v in pivot_row[c].items()}
@@ -309,14 +324,14 @@ def kernel_vectors(field, pivot_rows, pivots, ncols, free) -> list:
 
 def rref(M: Matrix):
     """Reduced row echelon form; returns (R, pivot_columns, rank)."""
-    pivot_rows, pivots = sparse_rref(M.field, M.rows)
+    pivot_rows, pivots = sparse_rref(M.field, by_lead(map(dict, M.rows)))
     zero_rows = tuple({} for _ in range(M.nrows - len(pivots)))
     return Matrix(M.field, M.nrows, M.ncols, tuple(pivot_rows) + zero_rows), pivots, len(pivots)
 
 
 def rank(M: Matrix) -> int:
     """The pivot count of the RREF of M."""
-    return len(sparse_rref(M.field, M.rows)[1])
+    return len(sparse_rref(M.field, by_lead(map(dict, M.rows)))[1])
 
 
 def is_invertible(M: Matrix) -> bool:
@@ -326,7 +341,7 @@ def is_invertible(M: Matrix) -> bool:
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Basis of the null space as matrix columns, ordered by free column index."""
-    pivot_rows, pivots = sparse_rref(M.field, M.rows)
+    pivot_rows, pivots = sparse_rref(M.field, by_lead(map(dict, M.rows)))
     free = sorted(set(range(M.ncols)) - set(pivots))
     return Matrix.from_columns(M.field, kernel_vectors(M.field, pivot_rows, pivots, M.ncols, free),
                                nrows=M.ncols)
@@ -348,7 +363,7 @@ def solve_multi(M: Matrix, bs: list) -> list:
         for row, x in zip(rows, b):
             if x:
                 row[ncols + k] = x
-    pivot_rows, pivots = sparse_rref(M.field, rows)
+    pivot_rows, pivots = sparse_rref(M.field, by_lead(rows))
     solved = [(pc, row) for pc, row in zip(pivots, pivot_rows) if pc < ncols]
     # a pivot row past the unknowns reads 0 = nonzero for every b it holds
     bad = {j for pc, row in zip(pivots, pivot_rows) if pc >= ncols for j in row}

@@ -111,6 +111,56 @@ def test_thm41_fixtures():
     assert check_thm41(build_two_term_module_complex(GF101)).verdict == "not_applicable"
 
 
+def zero_complex_bundle(field, artinian: bool) -> InstanceBundle:
+    """The zero complex over A = k[x,y]/(x^2,y^2), with B = k[y]/(y^2) and kernel (x)."""
+    A = monomial_algebra(field, ["x", "y"], ["x^2", "y^2"], 6)
+    B = monomial_algebra(field, ["y"], ["y^2"], 6)
+    if artinian:
+        A, B = A.artinize(), B.artinize()
+    phi = morphism_from_generator_images(A, B, {"x": "0", "y": "y"})
+    return InstanceBundle("zero", A, B, phi, free_complex(A, [], []),
+                          h_kernel=(A.parse_element("x"),))
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@pytest.mark.parametrize("artinian", [False, True], ids=["graded", "artinian"])
+def test_checkers_give_no_verdict_on_the_zero_complex(field, artinian):
+    """A complex with no homology is outside Lemma 3.2: its failed hypothesis
+    H(F) != 0 keeps proj dim = -inf from raising the refutation flag.  Theorem
+    4.1 on a free complex checks preconditions only, and a report with no
+    evaluated conclusion is not a pass."""
+    bundle = zero_complex_bundle(field, artinian)
+    rep = check_lemma32(bundle)
+    assert rep.verdict == "not_applicable"
+    statuses = {c.name: (c.kind, c.status) for c in rep.checks}
+    assert statuses["H_is_nonzero"] == ("hypothesis", "fail")
+    assert statuses["bound_via_dim"] == ("conclusion", "fail")
+    if artinian:
+        with pytest.raises(ValueError, match="graded backend"):
+            check_thm41(bundle)
+        return
+    rep = check_thm41(bundle)
+    assert [(c.kind, c.status) for c in rep.checks] == [("precondition", "pass")] * 2
+    assert rep.verdict == "not_applicable"
+
+
+def test_a_verdict_needs_an_evaluated_conclusion_and_passed_gates():
+    from derfree.checkers import Check, CheckReport
+    pre, hyp = Check("p", "precondition", "pass"), Check("h", "hypothesis", "pass")
+    cases = [((pre, hyp), "not_applicable"),
+             ((pre, hyp, Check("c", "conclusion", "skip")), "not_applicable"),
+             ((pre, hyp, Check("c", "conclusion", "skip"), Check("d", "conclusion", "pass")),
+              "pass"),
+             ((pre, hyp, Check("c", "conclusion", "fail")), "fail"),
+             ((pre, Check("h", "hypothesis", "fail"), Check("c", "conclusion", "fail")),
+              "not_applicable"),
+             ((Check("p", "precondition", "fail"), Check("c", "conclusion", "pass")),
+              "not_applicable"),
+             ((pre, Check("i", "info", "fail"), Check("c", "conclusion", "pass")), "pass")]
+    for checks, verdict in cases:
+        assert CheckReport("t", checks).verdict == verdict, checks
+
+
 @pytest.mark.parametrize("build", [build_nagata, build_two_term_module_complex])
 def test_tor_builds_each_action_block_once(monkeypatch, build):
     real, seen = GradedModule.act_element, []

@@ -13,8 +13,9 @@ from derfree.fixtures import (build_ex23, build_ex55, catalog_algebra, square_ze
 from derfree.homotopy import (Homotopy, _check_homotopy, _System, derived_annihilator,
                               homotopy_class_eq, homotopy_defects, solve_homotopy)
 from derfree.koszul import koszul
-from derfree.linalg import Matrix, in_span, independent_columns, kernel_basis, rref, span_equal
-from derfree.monomial import monomial_algebra
+from derfree.linalg import (Matrix, by_lead, in_span, independent_columns, kernel_basis, rref,
+                            span_equal, sparse_rref)
+from derfree.monomial import TruncationError, monomial_algebra
 from derfree.weyl import NotChainMap, koszul_lift
 from test_complexes import _rescaled
 
@@ -118,9 +119,8 @@ def test_annihilator_witnesses_satisfy_the_equation():
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
 @pytest.mark.parametrize("backend", ["artinian", "graded"])
-def test_annihilator_pairs_match_the_full_kernel_selection(backend, field, monkeypatch):
+def test_annihilator_pairs_match_the_full_kernel_selection(backend, field):
     """The pairs read off the RREF are those of a greedy scan over every kernel vector."""
-    from derfree import homotopy
     rng = random.Random(3)
     if backend == "artinian":
         A = catalog_algebra(field, "chain-z3")
@@ -135,21 +135,71 @@ def test_annihilator_pairs_match_the_full_kernel_selection(backend, field, monke
         Z = free_complex(A, [0], [])
         systems = [_System(K, K, delta=d, scalar=True) for d in (1, 2)] + [
             _System(Z, Z, delta=1, scalar=True)]
-    eliminated = []  # the rows of [-a*id | system], as the annihilator eliminates them
-    real = homotopy.sparse_rref
-    monkeypatch.setattr(homotopy, "sparse_rref",
-                        lambda f, rows: eliminated.append(rows) or real(f, rows))
     for sys in systems:
-        eliminated.clear()
         basis, witnesses = sys.annihilator()
         na = sys._size(sys.delta, "element")
-        ker = kernel_basis(Matrix(field, len(eliminated[0]), sys.ncols, eliminated[0])).columns()
+        # the rows of [-a*id | system], held whole
+        ker = kernel_basis(sys.matrix).columns()
         a_parts = Matrix.from_columns(field, [v[:na] for v in ker], nrows=na)
         pairs = [ker[j] for j in independent_columns(Matrix.zero(field, na, 0), a_parts)]
         if backend == "graded":
             pairs = rref(Matrix.from_rows(field, pairs, ncols=sys.ncols))[0].dense_rows()
         assert basis and list(basis) == [sys._element(v[:na], sys.delta) for v in pairs]
         assert [w.maps for w in witnesses] == [sys.homotopy(v).maps for v in pairs]
+
+
+def assert_stream_matches_the_held_rref(sys):
+    """The streamed rows are the nonempty rows of `matrix`, reordered, and
+    `sparse_rref` gives the same pivots and rows on them as on the sorted
+    rows of the held matrix."""
+    f = sys.A.field
+    held = [r for r in sys.matrix.rows if r]
+    streamed = list(sys.stream())
+    assert sorted(sorted(r.items()) for r in streamed) == sorted(sorted(r.items()) for r in held)
+    assert sparse_rref(f, sys.stream()) == sparse_rref(f, by_lead(map(dict, held)))
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@given(data=st.data())
+def test_streamed_annihilator_rows_match_the_held_rref(field, data):
+    """Transports of K(x_1..x_p)^b over two catalog algebras, and graded
+    Koszul complexes (rescaled) at every delta below the truncation stop."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(["chain-z3", "m2-3vars"]))
+        A = catalog_algebra(field, name)
+        p, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        K = koszul(A, [A.parse_element(v) for v in "xyz"[:p]], multiplicity=b).complex
+        assert_stream_matches_the_held_rref(_System(*[random_transport(K, rng)] * 2,
+                                                    scalar=True))
+        return
+    A = monomial_algebra(field, ["x", "y", "z"], ["x^2", "y^2", "z^2"], 5)
+    seq = data.draw(st.sampled_from([("x",), ("x", "y"), ("x", "y*z"), ("x", "y", "z")]))
+    b = data.draw(st.integers(1, 2))
+    K = _rescaled(koszul(A, [A.parse_element(v) for v in seq], multiplicity=b).complex, rng)
+    deltas = 0
+    for delta in range(1, A.truncation + 1):
+        try:
+            sys = _System(K, K, delta=delta, scalar=True)
+        except TruncationError:
+            break
+        assert_stream_matches_the_held_rref(sys)
+        deltas += 1
+    assert deltas
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+def test_graded_annihilator_stops_at_the_truncation(field):
+    """Over k[x,y]/(x^2) truncated at 4, the unknowns of K(x, y^2) at delta 4
+    have degree 6: laying out that system raises TruncationError, so the
+    search window ends at 3."""
+    A = monomial_algebra(field, ["x", "y"], ["x^2"], 4)
+    K = koszul(A, [A.parse_element("x"), A.parse_element("y^2")]).complex
+    with pytest.raises(TruncationError):
+        _System(K, K, delta=4, scalar=True)
+    ann = derived_annihilator(K)
+    assert ann.window == 3
+    assert [A.element_to_str(a) for a in ann.basis] == ["x", "x*y", "y^2", "x*y^2", "y^3"]
 
 
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -223,7 +225,7 @@ def test_sparse_kernel_matches_the_reference_rref(M, data):
     assert R.dense_rows() == tuple(map(tuple, ref_rows))
     assert piv == ref_piv and rk == len(ref_piv)
     # the kernel's own rows, pivot by pivot
-    pivot_rows, pivots = sparse_rref(M.field, M.rows)
+    pivot_rows, pivots = sparse_rref(M.field, [dict(r) for r in M.rows])
     assert pivots == ref_piv
     assert [[row.get(j, M.field.zero) for j in range(M.ncols)] for row in pivot_rows] \
         == [list(r) for r in ref_rows[:rk]]
@@ -241,7 +243,7 @@ def test_sparse_kernel_ignores_row_order(field):
     ref_rows, ref_piv = gauss_jordan(
         field, [[r.get(j, field.zero) for j in range(120)] for r in rows], 120)
     for order in (rows, rows[::-1]):
-        pivot_rows, pivots = sparse_rref(field, order)
+        pivot_rows, pivots = sparse_rref(field, [dict(r) for r in order])
         assert pivots == ref_piv
         assert [[row.get(j, field.zero) for j in range(120)] for row in pivot_rows] \
             == ref_rows[:len(ref_piv)]
@@ -286,10 +288,8 @@ def staggered_rows(draw, field):
 
 
 def assert_rref_matches_gauss_jordan(field, rows, ncols):
-    """sparse_rref of rows equals the dense Gauss-Jordan RREF and leaves rows as they were."""
-    before = [dict(r) for r in rows]
-    pivot_rows, pivots = sparse_rref(field, rows)
-    assert rows == before
+    """sparse_rref of copies of rows, in their order, equals the dense Gauss-Jordan RREF."""
+    pivot_rows, pivots = sparse_rref(field, [dict(r) for r in rows])
     ref_rows, ref_piv = gauss_jordan(
         field, [[r.get(j, field.zero) for j in range(ncols)] for r in rows], ncols)
     assert pivots == ref_piv
@@ -317,6 +317,58 @@ def test_a_lead_right_of_a_pivot_is_cleared_with_its_scale(monkeypatch):
     rows = [{0: QQ.one, 1: QQ.one}, {0: QQ.one, 1: QQ.from_int(4), 2: QQ.one}]
     assert_rref_matches_gauss_jordan(QQ, rows, 3)
     assert scales == [3]
+
+
+def assert_rows_unchanged(M, call):
+    """call() leaves every row dict of M as a deep copy taken before it; the
+    reprs tell a Fraction from the int a raw conversion would leave."""
+    before = copy.deepcopy(M.rows)
+    call()
+    assert M.rows == before and repr(M.rows) == repr(before)
+
+
+def assert_callers_keep_their_rows(M):
+    assert_rows_unchanged(M, lambda: rank(M))
+    assert_rows_unchanged(M, lambda: rref(M))
+    assert_rows_unchanged(M, lambda: kernel_basis(M))
+    b = tuple(M.field.from_int(i + 1) for i in range(M.nrows))
+    assert_rows_unchanged(M, lambda: solve_multi(M, [b, M.apply((M.field.one,) * M.ncols)]))
+    if M.nrows == M.ncols:
+        assert_rows_unchanged(M, lambda: invert(M))
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+def test_eliminating_callers_leave_their_rows_unchanged(field, monkeypatch):
+    """sparse_rref owns its rows, so every caller hands it copies: a pivot
+    row that is made primitive and later back-reduced is never one of the
+    argument's rows."""
+    from derfree import linalg
+    from derfree.complexes import amatrix_inverse, random_invertible_amatrix
+    from derfree.fixtures import catalog_algebra
+    back_reduced = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: back_reduced.append(1) or real(*args))
+    third = field.inv(field.from_int(3))
+    # by lead: {1: 4, 2: 10} and {0: 2, 1: 2} become pivots with leads that
+    # are not 1, and {0: 2, 1: 6, 2: 3} reduces to a lead at column 2, which
+    # is cleared from both
+    rows = [[2, 2, 0], [2, 6, 3], [0, 4, 10]]
+    M = Matrix.from_rows(field, [[field.mul(third, field.from_int(x)) for x in r] for r in rows])
+    assert_callers_keep_their_rows(M)
+    assert back_reduced
+    A = catalog_algebra(field, "chain-z3")
+    Q = random_invertible_amatrix(A, 3, random.Random(5))
+    entries, flat = copy.deepcopy(Q.entries), Q.flatten()
+    back_reduced.clear()
+    assert amatrix_inverse(Q) is not None and back_reduced
+    assert Q.entries == entries and repr(Q.entries) == repr(entries) and Q.flatten() == flat
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+@given(data=st.data())
+def test_eliminating_callers_leave_staggered_rows_unchanged(field, data):
+    ncols, rows = data.draw(staggered_rows(field))
+    assert_callers_keep_their_rows(Matrix(field, len(rows), ncols, tuple(rows)))
 
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
